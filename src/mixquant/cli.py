@@ -22,9 +22,9 @@ import numpy as np
 from . import model_io
 from .bops import bops, macs_by_node
 from .calibration import CalibrationProfile, profile_activations
-from .errors import InvariantViolation, MixQuantError
+from .errors import InvariantViolation, MissingLabels, MixQuantError, UnknownNodeInList
 from .executor import Executor
-from .fusion import STAGES, lower_to_stage
+from .fusion import STAGES, discover_fusion_groups, lower_to_stage
 from .ir import Graph, Tensor
 from .metrics import sqnr
 from .quantizer import (
@@ -39,7 +39,6 @@ from .sensitivity import (
     DEFAULT_MIXUP,
     SensitivityList,
     baseline_order,
-    evaluate_accuracy,
     generate_sensitivity_list,
     save_metrics_csv,
     teacher_labels,
@@ -78,18 +77,24 @@ def logits_node_id(graph: Graph) -> str:
     return softmax[0].inputs[0] if softmax else graph.output_node.inputs[0]
 
 
+def _paired_passes(q_graph: Graph, ref_graph: Graph, images: np.ndarray, ex: Executor):
+    """One FP32 and one quantized capture pass per image; yields both outputs
+    and the logit SQNR of the quantized model against FP32."""
+    node_ref = logits_node_id(ref_graph)
+    node_q = node_ref if node_ref in q_graph else logits_node_id(q_graph)
+    for i in range(images.shape[0]):
+        img = Tensor.f32(images[i:i + 1])
+        ref_out, ref_trace = ex.run_fp32(ref_graph, img, capture=True)
+        q_out, q_trace = ex.run_quantized(q_graph, img, capture=True)
+        yield ref_out, q_out, sqnr(ref_trace.outputs[node_ref], q_trace.outputs[node_q])
+
+
 def final_logit_sqnr(q_graph: Graph, ref_graph: Graph, images: np.ndarray,
                      executor: Executor | None = None) -> float:
     """Mean SQNR of the quantized model's logits against FP32, over images."""
-    ex = executor or Executor()
-    node_ref = logits_node_id(ref_graph)
-    node_q = node_ref if node_ref in q_graph else logits_node_id(q_graph)
     total = 0.0
-    for i in range(images.shape[0]):
-        img = Tensor.f32(images[i:i + 1])
-        _, ref_trace = ex.run_fp32(ref_graph, img, capture=True)
-        _, q_trace = ex.run_quantized(q_graph, img, capture=True)
-        total += sqnr(ref_trace.outputs[node_ref], q_trace.outputs[node_q])
+    for _, _, db in _paired_passes(q_graph, ref_graph, images, executor or Executor()):
+        total += db
     return total / images.shape[0]
 
 
@@ -135,7 +140,7 @@ def cmd_analyze(args) -> int:
     if method == "delta_mixup":
         images = model_io.load_images(_require(args.images, "synth"))
         sens, samples = generate_sensitivity_list(
-            graph, calib, images, mixup=tuple(args.mixup_weights), ir_stage=args.ir_stage)
+            graph, calib, images, mixup=args.mixup_weights, ir_stage=args.ir_stage)
         if args.out_metrics:
             save_metrics_csv(samples, args.out_metrics)
     else:
@@ -156,6 +161,12 @@ def cmd_quantize(args) -> int:
     calib = CalibrationProfile.load(_require(args.calib, "calibrate"))
     sens = SensitivityList.load(_require(args.list, "analyze"))
     staged = lower_to_stage(graph, args.apply_stage)
+    listed = set(sens.ids)
+    uncovered = [g.anchor for g in discover_fusion_groups(staged) if listed.isdisjoint(g.members)]
+    if uncovered:
+        raise UnknownNodeInList(
+            f"{args.list} names no member of {len(uncovered)} fusion groups of the model "
+            f"({', '.join(uncovered)}); was it made for another model?")
     macs = macs_by_node(staged)
     for target in args.target_reduction:
         keep = select_dequant_set(sens, staged, target, macs=macs)
@@ -198,16 +209,25 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def evaluate_model(qg: Graph, ref: Graph, images: np.ndarray, labels) -> dict:
-    ex = Executor()
-    accuracy = evaluate_accuracy(qg, images, labels, ex, quantized=True)
-    ref_accuracy = evaluate_accuracy(ref, images, labels, ex, quantized=False)
-    logit_sqnr = final_logit_sqnr(qg, ref, images, ex)
+def evaluate_model(qg: Graph, ref: Graph, images: np.ndarray, labels,
+                   executor: Executor | None = None) -> dict:
+    """Accuracy of both models and the quantized model's logit SQNR, from one
+    FP32 and one quantized pass per image."""
+    labels = list(labels)
+    if images.shape[0] != len(labels):
+        raise MissingLabels(f"{images.shape[0]} images but {len(labels)} labels")
+    hits = ref_hits = 0
+    total_db = 0.0
+    passes = _paired_passes(qg, ref, images, executor or Executor())
+    for label, (ref_out, q_out, db) in zip(labels, passes):
+        hits += int(np.argmax(q_out.data) == label)
+        ref_hits += int(np.argmax(ref_out.data) == label)
+        total_db += db
     report = bops(qg, precision_config(qg))
     return {
-        "accuracy": accuracy,
-        "ref_accuracy": ref_accuracy,
-        "final_logit_sqnr_db": logit_sqnr,
+        "accuracy": hits / images.shape[0],
+        "ref_accuracy": ref_hits / images.shape[0],
+        "final_logit_sqnr_db": total_db / images.shape[0],
         "qdq_count": count_qdq(qg),
         "bops": report.to_json(),
     }
@@ -245,6 +265,13 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
+def _weight_pair(text: str) -> tuple[float, float]:
+    values = tuple(float(x) for x in text.split(","))
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"expected two comma-separated weights, got {text!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixquant",
@@ -278,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None, help="needed for --method top1")
     p.add_argument("--method", default="delta-mixup", choices=sorted(METHODS))
     p.add_argument("--ir-stage", default="unfused", choices=STAGES)
-    p.add_argument("--mixup-weights", type=_float_list, default=list(DEFAULT_MIXUP),
+    p.add_argument("--mixup-weights", type=_weight_pair, default=DEFAULT_MIXUP,
                    metavar="W_WEIGHT,W_ACT")
     p.add_argument("--top1-images", type=int, default=50)
     p.add_argument("--out-list", required=True)

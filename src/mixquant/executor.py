@@ -1,11 +1,15 @@
 """Reference interpreter for FP32 and mixed-precision graphs.
 
 FP32 kernels use float32 arithmetic with textbook semantics. int8 conv and
-gemm accumulate in int32 and requantize with round-half-away-from-zero per
+gemm run the same kernels on the zero-point-offset int8 input and the int8
+weight cast to float64, then requantize with round-half-away-from-zero per
 the quantized-conv identity q_out = clamp(round(acc * s_in * s_w / s_out)
-+ zp_out); the remaining int8 kernels evaluate on dequantized values in
-float64 and requantize the result, which keeps the interpreter deterministic
-on every platform.
++ zp_out). That float64 accumulation is exact integer arithmetic: offset
+inputs lie in [-255, 255] and weights in [-127, 127], so every partial sum
+is an integer of magnitude at most 255 * 127 * K < 2**53 for K up to
+MAX_EXACT_K multiply-adds per output. The remaining int8 kernels evaluate on
+dequantized values in float64 and requantize the result, which keeps the
+interpreter deterministic on every platform.
 
 The executor counts full-graph passes so callers can verify how many
 inferences an analysis actually performed. Captured traces store every
@@ -26,26 +30,27 @@ from .errors import (
     ShapeMismatch,
     UnsupportedKind,
 )
-from .ir import Graph, Node, QuantParams, Tensor, round_half_away, topo_sort
+from .ir import Graph, Node, QuantParams, Tensor, _conv_out_hw, _pair, round_half_away, topo_sort
 from .quantizer import dequantize, quantize_affine
+
+# Largest multiply-add count per output for which float64 accumulation of
+# offset int8 activations and int8 weights stays exact.
+MAX_EXACT_K = (2 ** 53 - 1) // (255 * 127)
 
 
 # ---------------------------------------------------------------------------
-# FP32 kernels
-
-def _pair(v):
-    return (int(v[0]), int(v[1])) if isinstance(v, (list, tuple)) else (int(v), int(v))
-
+# kernels: float32 for FP32 nodes; conv and gemm also take the float64
+# operands of int8 nodes
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding):
+    """Columns (n, c*kh*kw, oh*ow) of the zero-padded input, channel-major."""
     n, c, h, w = x.shape
-    sh, sw = stride
-    ph, pw = padding
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeMismatch(f"kernel {kh}x{kw} does not fit {h}x{w} input")
+    (sh, sw), (ph, pw) = stride, padding
+    oh, ow = _conv_out_hw(h, w, (kh, kw), stride, padding)
+    xp = x
+    if ph or pw:
+        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        xp[:, :, ph:ph + h, pw:pw + w] = x
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -55,7 +60,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding):
 
 def kernel_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
                   stride=1, padding=0) -> np.ndarray:
-    """Cross-correlation, zero padding, float32 accumulation."""
+    """Cross-correlation, zero padding, accumulation in the operands' dtype."""
     if x.shape[1] != weight.shape[1]:
         raise ShapeMismatch(f"conv input has {x.shape[1]} channels, weight expects {weight.shape[1]}")
     co, ci, kh, kw = weight.shape
@@ -68,12 +73,15 @@ def kernel_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
 
 def kernel_depthwise_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
                             stride=1, padding=0) -> np.ndarray:
-    """One 2-D filter per channel (channel multiplier 1)."""
-    if x.shape[1] != weight.shape[0]:
-        raise ShapeMismatch(f"depthwise weight has {weight.shape[0]} filters, input {x.shape[1]} channels")
-    outs = [kernel_conv2d(x[:, c:c + 1], weight[c:c + 1], None, stride, padding)
-            for c in range(x.shape[1])]
-    y = np.concatenate(outs, axis=1)
+    """One 2-D filter per channel (channel multiplier 1): a grouped im2col and
+    one batched (C,1,K) @ (C,K,P) matmul."""
+    c, m, kh, kw = weight.shape
+    if x.shape[1] != c or m != 1:
+        raise ShapeMismatch(f"depthwise weight {weight.shape} does not match {x.shape[1]} input channels")
+    cols, oh, ow = _im2col(x, kh, kw, _pair(stride), _pair(padding))
+    n = x.shape[0]
+    y = np.matmul(weight.reshape(c, 1, kh * kw), cols.reshape(n, c, kh * kw, oh * ow))
+    y = y.reshape(n, c, oh, ow)
     if bias is not None:
         y = y + bias[None, :, None, None]
     return y
@@ -161,50 +169,32 @@ def _requantize(real: np.ndarray, qp: QuantParams, clamp_at_zero: bool = False) 
     return Tensor(np.clip(q, qp.qmin, qp.qmax).astype(np.int8), qp)
 
 
-def _int_conv(node: Node, x: Tensor, depthwise: bool) -> Tensor:
+def _int_linear(node: Node, x: Tensor) -> Tensor:
+    """int8 Conv2d, DepthwiseConv2d and Gemm: the conv and gemm kernels on
+    float64 operands, which accumulate exactly, then requantization."""
     in_qp: QuantParams = node.attrs["in_qparams"][0]
     out_qp: QuantParams = node.attrs["out_qparams"]
     wt = node.weights["weight"]
     if wt.qparams is None:
         raise MissingQuantParams(f"{node.id}: weight tensor is not quantized")
-    x32 = x.data.astype(np.int32) - in_qp.zero_point  # offset first so zero-padding is exact
-    w32 = wt.data.astype(np.int32)
-    stride, padding = _pair(node.attrs.get("stride", 1)), _pair(node.attrs.get("padding", 0))
-    if depthwise:
-        acc = np.concatenate(
-            [_int_conv_plane(x32[:, c:c + 1], w32[c:c + 1], stride, padding) for c in range(x32.shape[1])],
-            axis=1)
+    k = wt.data[0].size
+    if k > MAX_EXACT_K:
+        raise InvariantViolation(f"{node.id}: {k} multiply-adds per output exceed the exact "
+                                 f"float64 accumulation bound {MAX_EXACT_K}")
+    # offset first so zero-padding is exact
+    x64 = np.subtract(x.data, in_qp.zero_point, dtype=np.float64)
+    w64 = wt.data.astype(np.float64)
+    if node.kind == "Gemm":
+        acc = kernel_gemm(x64, w64, None)
     else:
-        acc = _int_conv_plane(x32, w32, stride, padding)
+        fn = kernel_conv2d if node.kind == "Conv2d" else kernel_depthwise_conv2d
+        acc = fn(x64, w64, None, node.attrs.get("stride", 1), node.attrs.get("padding", 0))
     scale = in_qp.step * wt.qparams.step
     bias = node.weights.get("bias")
     if bias is not None:
-        acc = acc + round_half_away(bias.data.astype(np.float64) / scale).astype(np.int32)[None, :, None, None]
-    real = acc.astype(np.float64) * scale
-    return _requantize(real, out_qp, clamp_at_zero=bool(node.attrs.get("fused_relu")))
-
-
-def _int_conv_plane(x32: np.ndarray, w32: np.ndarray, stride, padding) -> np.ndarray:
-    co, ci, kh, kw = w32.shape
-    cols, oh, ow = _im2col(x32, kh, kw, stride, padding)
-    acc = np.matmul(w32.reshape(co, ci * kh * kw), cols)  # i32 accumulation
-    return acc.reshape(x32.shape[0], co, oh, ow)
-
-
-def _int_gemm(node: Node, x: Tensor) -> Tensor:
-    in_qp: QuantParams = node.attrs["in_qparams"][0]
-    out_qp: QuantParams = node.attrs["out_qparams"]
-    wt = node.weights["weight"]
-    if wt.qparams is None:
-        raise MissingQuantParams(f"{node.id}: weight tensor is not quantized")
-    x32 = x.data.astype(np.int32) - in_qp.zero_point
-    acc = x32 @ wt.data.astype(np.int32).T
-    scale = in_qp.step * wt.qparams.step
-    bias = node.weights.get("bias")
-    if bias is not None:
-        acc = acc + round_half_away(bias.data.astype(np.float64) / scale).astype(np.int32)
-    return _requantize(acc.astype(np.float64) * scale, out_qp,
-                       clamp_at_zero=bool(node.attrs.get("fused_relu")))
+        b = round_half_away(bias.data.astype(np.float64) / scale)
+        acc = acc + b.reshape((-1,) + (1,) * (acc.ndim - 2))
+    return _requantize(acc * scale, out_qp, clamp_at_zero=bool(node.attrs.get("fused_relu")))
 
 
 def _deq64(t: Tensor) -> np.ndarray:
@@ -308,10 +298,8 @@ class Executor:
             for t in ins:
                 if t.dtype != "i8":
                     raise MissingQuantParams(f"{node.id}: int8 node received {t.dtype} input")
-            if kind in ("Conv2d", "DepthwiseConv2d"):
-                return _int_conv(node, ins[0], depthwise=kind == "DepthwiseConv2d")
-            if kind == "Gemm":
-                return _int_gemm(node, ins[0])
+            if kind in ("Conv2d", "DepthwiseConv2d", "Gemm"):
+                return _int_linear(node, ins[0])
             return _int_pointwise(node, ins)
 
         x = ins[0].data if ins else None

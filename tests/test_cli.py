@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 
 import mixquant as mq
-from mixquant.cli import main
+from mixquant.cli import evaluate_model, final_logit_sqnr, main
+from mixquant.errors import MissingLabels
 from mixquant.fusion import discover_fusion_groups
 from mixquant.quantizer import load_node_list
+from mixquant.sensitivity import evaluate_accuracy
 
 
 def run_pipeline(root: Path, seed=42, method="delta-mixup", targets="40",
@@ -96,9 +98,54 @@ class TestExitCodes:
                      "--images", str(d / "calib_images.bin"), "--out", str(d / "calib.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("weights", ["0.6,0.3,0.1", "0.6", "0.6,x", ""])
+    def test_bad_mixup_weights_is_2(self, tmp_path, weights):
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "--model", str(tmp_path / "model"), "--calib", str(tmp_path / "c.json"),
+                  "--mixup-weights", weights, "--out-list", str(tmp_path / "s.txt")])
+        assert err.value.code == 2
+
     def test_ok_is_0(self, tmp_path):
         assert main(["synth", "--arch", "mininet", "--seed", "1", "--calib-count", "2",
                      "--eval-count", "2", "--out-dir", str(tmp_path / "m")]) == 0
+
+
+class TestEvaluate:
+    def test_two_passes_per_image_and_same_report(self, mininet, mininet_calib, eval_images):
+        qg = mq.apply_mixed_precision(mininet, ["b2_conv"], mininet_calib)
+        images = eval_images[:12]
+        labels = [i % 10 for i in range(12)]
+        ex = mq.Executor()
+        report = evaluate_model(qg, mininet, images, labels, executor=ex)
+        assert ex.passes == 2 * images.shape[0]
+        assert report["accuracy"] == evaluate_accuracy(qg, images, labels, quantized=True)
+        assert report["ref_accuracy"] == evaluate_accuracy(mininet, images, labels, quantized=False)
+        assert report["final_logit_sqnr_db"] == final_logit_sqnr(qg, mininet, images)
+
+    def test_label_count_mismatch(self, mininet, eval_images):
+        with pytest.raises(MissingLabels):
+            evaluate_model(mininet, mininet, eval_images[:4], [0, 1, 2])
+
+
+class TestQuantizeListCoverage:
+    def test_foreign_list_is_3(self, tmp_path, capsys):
+        lists = {}
+        for arch in ("mininet", "mini_resnet"):
+            d = tmp_path / arch
+            assert main(["synth", "--arch", arch, "--seed", "1", "--calib-count", "2",
+                         "--eval-count", "2", "--out-dir", str(d)]) == 0
+            assert main(["calibrate", "--model", str(d / "model"),
+                         "--images", str(d / "calib_images.bin"), "--out", str(d / "calib.json")]) == 0
+            assert main(["analyze", "--model", str(d / "model"), "--calib", str(d / "calib.json"),
+                         "--method", "in-order", "--out-list", str(d / "sensitivity.txt")]) == 0
+            lists[arch] = d / "sensitivity.txt"
+        d = tmp_path / "mininet"
+        args = ["quantize", "--model", str(d / "model"), "--calib", str(d / "calib.json"),
+                "--target-reduction", "20", "--out-dir", str(tmp_path / "out")]
+        assert main(args + ["--list", str(lists["mini_resnet"])]) == 3
+        assert "no member of 8 fusion groups" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "q20").exists()
+        assert main(args + ["--list", str(lists["mininet"])]) == 0
 
 
 class TestPathologySynth:

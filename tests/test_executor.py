@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import signal
 
 import mixquant as mq
 from mixquant.errors import InvariantViolation, MissingQuantParams, NonPositiveVariance, ShapeMismatch
 from mixquant.executor import (
+    MAX_EXACT_K,
     Executor,
     kernel_avgpool,
     kernel_batchnorm,
@@ -17,7 +21,7 @@ from mixquant.executor import (
     kernel_relu,
     kernel_softmax,
 )
-from mixquant.ir import Graph, Node, QuantParams, Tensor
+from mixquant.ir import Graph, Node, QuantParams, Tensor, round_half_away
 from mixquant.model_io import Lcg
 
 from conftest import run_f32
@@ -303,3 +307,150 @@ class TestQuantizedExecution:
         g.add(Node("output", "Output", ["r"]))
         with pytest.raises(MissingQuantParams):
             Executor().run_quantized(g, Tensor.f32(np.zeros((1, 1, 2, 2), np.float32)))
+
+
+# ---------------------------------------------------------------------------
+# reference definitions: the np.pad im2col and the per-channel depthwise loop
+
+def padded_im2col(x, kh, kw, stride, padding):
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (xp.shape[2] - kh) // stride + 1
+    ow = (xp.shape[3] - kw) // stride + 1
+    cols = np.empty(x.shape[:2] + (kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(x.shape[0], -1, oh * ow), oh, ow
+
+
+def per_channel_depthwise(x, w, b, stride, padding):
+    outs = []
+    for c in range(x.shape[1]):
+        cols, oh, ow = padded_im2col(x[:, c:c + 1], w.shape[2], w.shape[3], stride, padding)
+        outs.append(np.matmul(w[c:c + 1].reshape(1, -1), cols).reshape(x.shape[0], 1, oh, ow))
+    y = np.concatenate(outs, axis=1)
+    return y + b[None, :, None, None] if b is not None else y
+
+
+def int_linear_oracle(kind, xq, in_qp, wq, w_step, bias, stride, padding, out_qp, fused_relu):
+    """Naive int64 loops for the accumulator, then the executor's requantization."""
+    x = xq.astype(np.int64) - in_qp.zero_point
+    w = wq.astype(np.int64)
+    if kind == "Gemm":
+        acc = np.array([[sum(int(x[n, k]) * int(w[o, k]) for k in range(x.shape[1]))
+                         for o in range(w.shape[0])] for n in range(x.shape[0])], dtype=np.int64)
+    else:
+        n, c, h, wd = x.shape
+        co, _, kh, kw = w.shape
+        xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), np.int64)
+        xp[:, :, padding:padding + h, padding:padding + wd] = x
+        oh = (h + 2 * padding - kh) // stride + 1
+        ow = (wd + 2 * padding - kw) // stride + 1
+        acc = np.zeros((n, co, oh, ow), np.int64)
+        for b in range(n):
+            for o in range(co):
+                chans = [(o, 0)] if kind == "DepthwiseConv2d" else [(ci, ci) for ci in range(c)]
+                for i in range(oh):
+                    for j in range(ow):
+                        acc[b, o, i, j] = sum(
+                            int(xp[b, ci, i * stride + u, j * stride + v]) * int(w[o, wi, u, v])
+                            for ci, wi in chans for u in range(kh) for v in range(kw))
+    scale = in_qp.step * w_step
+    if bias is not None:
+        bq = round_half_away(bias.astype(np.float64) / scale).astype(np.int64)
+        acc = acc + bq.reshape((-1,) + (1,) * (acc.ndim - 2))
+    q = round_half_away(acc.astype(np.float64) * scale / out_qp.step) + out_qp.zero_point
+    if fused_relu:
+        q = np.maximum(q, out_qp.zero_point)
+    return np.clip(q, out_qp.qmin, out_qp.qmax).astype(np.int8)
+
+
+zero_points = st.sampled_from([-128, 127]) | st.integers(-128, 127)
+steps = st.floats(1e-3, 1.0)
+
+
+@st.composite
+def int8_linear_cases(draw):
+    kind = draw(st.sampled_from(["Conv2d", "DepthwiseConv2d", "Gemm"]))
+    n = draw(st.integers(1, 2))
+    if kind == "Gemm":
+        k, co = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+        x_shape, w_shape, stride, padding = (n, k), (co, k), 1, 0
+    else:
+        c = draw(st.integers(1, 3))
+        kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+        h = draw(st.integers(max(1, kh - 2 * padding), 6))
+        w = draw(st.integers(max(1, kw - 2 * padding), 6))
+        x_shape = (n, c, h, w)
+        w_shape = (c, 1, kh, kw) if kind == "DepthwiseConv2d" else (draw(st.integers(1, 3)), c, kh, kw)
+    xq = draw(hnp.arrays(np.int8, x_shape, elements=st.integers(-128, 127)))
+    wq = draw(hnp.arrays(np.int8, w_shape, elements=st.sampled_from([-127, 127]) | st.integers(-127, 127)))
+    bias = draw(st.none() | hnp.arrays(np.float32, (w_shape[0],), elements=st.floats(-2, 2, width=32)))
+    in_qp = QuantParams(8, draw(steps), draw(zero_points))
+    out_qp = QuantParams(8, draw(steps), draw(zero_points))
+    return kind, xq, in_qp, wq, draw(steps), bias, stride, padding, out_qp, draw(st.booleans())
+
+
+class TestExactInt8Accumulation:
+    @given(int8_linear_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_int8_linear_matches_int64_loop_oracle(self, case):
+        kind, xq, in_qp, wq, w_step, bias, stride, padding, out_qp, fused_relu = case
+        weights = {"weight": Tensor(wq, QuantParams(8, w_step, 0, symmetric=True))}
+        if bias is not None:
+            weights["bias"] = Tensor(bias)
+        g = Graph("int8")
+        g.add(Node("input", "Input", attrs={"shape": list(xq.shape[1:])}))
+        g.add(Node("op", kind, ["input"], weights=weights, precision=8,
+                   attrs={"stride": stride, "padding": padding, "fused_relu": fused_relu,
+                          "in_qparams": [in_qp], "out_qparams": out_qp}))
+        g.add(Node("output", "Output", ["op"]))
+        y, _ = Executor().run_quantized(g, Tensor(xq, in_qp))
+        want = int_linear_oracle(kind, xq, in_qp, wq, w_step, bias, stride, padding, out_qp, fused_relu)
+        assert y.dtype == "i8"
+        np.testing.assert_array_equal(y.data, want)
+
+    def test_accumulation_bound_guard(self):
+        assert 255 * 127 * MAX_EXACT_K < 2 ** 53 <= 255 * 127 * (MAX_EXACT_K + 1)
+        qp = QuantParams(8, 0.1, 0)
+        # a zero-stride view: K is past the bound without allocating it
+        wide = np.broadcast_to(np.int8(1), (1, MAX_EXACT_K + 1))
+        node = Node("fc", "Gemm", ["input"], precision=8,
+                    attrs={"in_qparams": [qp], "out_qparams": qp},
+                    weights={"weight": Tensor(wide, QuantParams(8, 0.1, 0, symmetric=True))})
+        x = Tensor(np.zeros((1, 4), np.int8), qp)
+        with pytest.raises(InvariantViolation):
+            Executor()._exec_node(Graph("g"), node, [x], x)
+
+
+class TestVectorizedFp32Kernels:
+    @given(st.integers(1, 2), st.integers(1, 8), st.integers(1, 3), st.integers(1, 2),
+           st.integers(0, 1), st.booleans(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_depthwise_equals_per_channel_definition(self, n, c, k, stride, padding, with_bias, seed):
+        rng = Lcg(seed)
+        h = w = k + 2 + seed % 7
+        x = rng.uniform(-1, 1, (n, c, h, w)).astype(np.float32)
+        wt = rng.uniform(-1, 1, (c, 1, k, k)).astype(np.float32)
+        b = rng.uniform(-1, 1, (c,)).astype(np.float32) if with_bias else None
+        got = kernel_depthwise_conv2d(x, wt, b, stride, padding)
+        want = per_channel_depthwise(x, wt, b, stride, padding)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(1, 2),
+           st.integers(0, 1), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_conv_equals_padded_im2col_definition(self, ci, co, k, stride, padding, seed):
+        rng = Lcg(seed)
+        x = rng.uniform(-1, 1, (1, ci, 7, 6)).astype(np.float32)
+        wt = rng.uniform(-1, 1, (co, ci, k, k)).astype(np.float32)
+        cols, oh, ow = padded_im2col(x, k, k, stride, padding)
+        want = np.matmul(wt.reshape(co, -1), cols).reshape(1, co, oh, ow)
+        np.testing.assert_array_equal(kernel_conv2d(x, wt, None, stride, padding), want)
+
+    def test_depthwise_rejects_channel_multiplier(self):
+        with pytest.raises(ShapeMismatch):
+            kernel_depthwise_conv2d(np.zeros((1, 2, 4, 4), np.float32),
+                                    np.zeros((2, 2, 3, 3), np.float32), None)
