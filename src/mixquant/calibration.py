@@ -146,7 +146,8 @@ class CalibrationProfile:
             "bin_count": self.bins,
             "nodes": {nid: p.to_json() for nid, p in sorted(self.profiles.items())},
         }
-        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+        with open(path, "w") as fh:  # streamed: dumps would build the whole text first
+            json.dump(doc, fh, indent=1, sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "CalibrationProfile":
@@ -160,25 +161,23 @@ def profile_activations(graph: Graph, images: np.ndarray, bins: int = DEFAULT_BI
                         executor=None) -> CalibrationProfile:
     """Run every calibration image through the FP32 graph and histogram each
     node's output. The Input node is profiled from the raw images so the first
-    quantized layer has an input scale."""
-    from .executor import Executor  # deferred: executor depends on quantizer/calibration
+    quantized layer has an input scale. Histograms take one image at a time,
+    in image order, so the profile does not depend on the batch size."""
+    from .executor import Executor, image_batches  # deferred: executor depends on quantizer/calibration
 
     if images.ndim != 4 or images.shape[0] < 1:
         raise EmptyCalibrationSet("calibration needs at least one (C, H, W) image")
     ex = executor or Executor()
-    prof = CalibrationProfile(bins=bins)
     input_id = graph.input_node.id
-    output_id = graph.output_node.id
-    prof.profiles[input_id] = HistogramProfile(bins)
-    for i in range(images.shape[0]):
-        img = Tensor.f32(images[i:i + 1])
-        prof.profiles[input_id].update(img.data)
-        _, trace = ex.run_fp32(graph, img, capture=True)
-        for nid, t in trace.outputs.items():
-            if nid == output_id:
-                continue
-            prof.profiles.setdefault(nid, HistogramProfile(bins)).update(t.data)
-    prof.image_count = images.shape[0]
+    nodes = [n.id for n in graph.nodes if n.kind not in ("Input", "Output")]
+    prof = CalibrationProfile({nid: HistogramProfile(bins) for nid in [input_id, *nodes]},
+                              image_count=images.shape[0], bins=bins)
+    for batch in image_batches(graph, images):
+        _, trace = ex.run_fp32(graph, batch, capture=nodes)
+        for j in range(batch.shape[0]):
+            prof.profiles[input_id].update(batch.data[j])
+            for nid in nodes:
+                prof.profiles[nid].update(trace.outputs[nid].data[j])
     return prof
 
 
@@ -189,8 +188,9 @@ def activation_qparams(profile: HistogramProfile, bits: int = 8, mode: str = "mi
     minmax uses the exact observed [min, max]; percentile clips the range to
     the central [p, 1-p] histogram mass first. The range is then extended
     through zero, step = (max-min)/(2^bits - 1), and zero_point is chosen so
-    min maps to the bottom of the int8 range and zero is exact. A degenerate
-    max == min range yields step 1, zero_point 0 by convention.
+    min maps to the bottom of the int8 range and zero is exact. A constant
+    range thus spans [0, value]; only an all-zero range falls back to step 1,
+    zero_point 0.
     """
     if profile.total == 0:
         raise EmptyProfile("cannot derive qparams from an empty profile")
@@ -200,9 +200,9 @@ def activation_qparams(profile: HistogramProfile, bits: int = 8, mode: str = "mi
         lo, hi = profile.percentile_range(p)
     else:
         raise ValueError(f"unknown calibration mode {mode!r}")
+    lo, hi = min(lo, 0.0), max(hi, 0.0)
     if hi == lo:
         return QuantParams(bits, 1.0, 0, symmetric=False)
-    lo, hi = min(lo, 0.0), max(hi, 0.0)
     levels = 2 ** bits - 1
     step = (hi - lo) / levels
     qmin, qmax = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1

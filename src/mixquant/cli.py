@@ -23,9 +23,9 @@ from . import model_io
 from .bops import bops, macs_by_node
 from .calibration import CalibrationProfile, profile_activations
 from .errors import InvariantViolation, MissingLabels, MixQuantError, UnknownNodeInList
-from .executor import Executor
+from .executor import Executor, image_batches
 from .fusion import STAGES, discover_fusion_groups, lower_to_stage
-from .ir import Graph, Tensor
+from .ir import Graph
 from .metrics import sqnr
 from .quantizer import (
     apply_mixed_precision,
@@ -78,15 +78,17 @@ def logits_node_id(graph: Graph) -> str:
 
 
 def _paired_passes(q_graph: Graph, ref_graph: Graph, images: np.ndarray, ex: Executor):
-    """One FP32 and one quantized capture pass per image; yields both outputs
-    and the logit SQNR of the quantized model against FP32."""
+    """One FP32 and one quantized pass per image, capturing only the logits;
+    yields both outputs and the logit SQNR of the quantized model against
+    FP32, image by image."""
     node_ref = logits_node_id(ref_graph)
     node_q = node_ref if node_ref in q_graph else logits_node_id(q_graph)
-    for i in range(images.shape[0]):
-        img = Tensor.f32(images[i:i + 1])
-        ref_out, ref_trace = ex.run_fp32(ref_graph, img, capture=True)
-        q_out, q_trace = ex.run_quantized(q_graph, img, capture=True)
-        yield ref_out, q_out, sqnr(ref_trace.outputs[node_ref], q_trace.outputs[node_q])
+    for batch in image_batches(ref_graph, images):
+        ref_out, ref_trace = ex.run_fp32(ref_graph, batch, capture=[node_ref])
+        q_out, q_trace = ex.run_quantized(q_graph, batch, capture=[node_q])
+        ref_logits, q_logits = ref_trace.outputs[node_ref].data, q_trace.outputs[node_q].data
+        for j in range(batch.shape[0]):
+            yield ref_out.data[j], q_out.data[j], sqnr(ref_logits[j:j + 1], q_logits[j:j + 1])
 
 
 def final_logit_sqnr(q_graph: Graph, ref_graph: Graph, images: np.ndarray,
@@ -220,8 +222,8 @@ def evaluate_model(qg: Graph, ref: Graph, images: np.ndarray, labels,
     total_db = 0.0
     passes = _paired_passes(qg, ref, images, executor or Executor())
     for label, (ref_out, q_out, db) in zip(labels, passes):
-        hits += int(np.argmax(q_out.data) == label)
-        ref_hits += int(np.argmax(ref_out.data) == label)
+        hits += int(np.argmax(q_out) == label)
+        ref_hits += int(np.argmax(ref_out) == label)
         total_db += db
     report = bops(qg, precision_config(qg))
     return {
@@ -261,8 +263,12 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+def _percent_list(text: str) -> list[float]:
+    values = [float(x) for x in text.split(",") if x]
+    bad = [v for v in values if not 0.0 <= v <= 100.0]
+    if bad:
+        raise argparse.ArgumentTypeError(f"reductions must lie in [0, 100], got {bad[0]:g}")
+    return values
 
 
 def _weight_pair(text: str) -> tuple[float, float]:
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--calib", required=True)
     p.add_argument("--list", required=True, help="sensitivity list file")
-    p.add_argument("--target-reduction", type=_float_list, required=True,
+    p.add_argument("--target-reduction", type=_percent_list, required=True,
                    metavar="PCT[,PCT...]")
     p.add_argument("--apply-stage", default="fused", choices=STAGES)
     p.add_argument("--out-dir", required=True)

@@ -11,14 +11,20 @@ MAX_EXACT_K multiply-adds per output. The remaining int8 kernels evaluate on
 dequantized values in float64 and requantize the result, which keeps the
 interpreter deterministic on every platform.
 
-The executor counts full-graph passes so callers can verify how many
-inferences an analysis actually performed. Captured traces store every
-non-Input node's output as float32 (int8 outputs are dequantized) so metrics
-always compare in one domain.
+A pass runs a batch of images, and every kernel gives each image the same
+bits whatever the batch size, so batching never moves a result. Callers feed
+batches from `image_batches`, sized so that one pass holds at most
+ACTIVATION_BUDGET_BYTES of activations. The executor counts image-passes (a
+pass adds its batch size) so callers can verify how many inferences an
+analysis actually performed. `capture` names the node ids whose outputs the
+trace keeps (True keeps every non-Input node), stored as float32 (int8
+outputs are dequantized) so metrics always compare in one domain.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +36,17 @@ from .errors import (
     ShapeMismatch,
     UnsupportedKind,
 )
-from .ir import Graph, Node, QuantParams, Tensor, _conv_out_hw, _pair, round_half_away, topo_sort
+from .ir import (Graph, Node, QuantParams, Tensor, _conv_out_hw, _pair, infer_shapes,
+                 round_half_away, topo_sort)
 from .quantizer import dequantize, quantize_affine
 
 # Largest multiply-add count per output for which float64 accumulation of
 # offset int8 activations and int8 weights stays exact.
 MAX_EXACT_K = (2 ** 53 - 1) // (255 * 127)
+
+# Activation bytes one batched pass may hold. Every node output counts at
+# 8 bytes per element, the float64 width the int8 path computes in.
+ACTIVATION_BUDGET_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +155,9 @@ def kernel_gemm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> n
     """y = x @ weight.T + bias; weight is (out_features, in_features)."""
     if x.shape[1] != weight.shape[1]:
         raise ShapeMismatch(f"gemm input has K={x.shape[1]}, weight expects K={weight.shape[1]}")
-    y = x @ weight.T
+    # one (1, K) @ (K, N) product per row: `x @ weight.T` would take another
+    # BLAS path at M > 1 and move results with the batch size
+    y = np.matmul(x[:, None, :], weight.T)[:, 0]
     return y + bias if bias is not None else y
 
 
@@ -230,41 +243,53 @@ def _int_pointwise(node: Node, ins: list[Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 # graph interpreter
 
+def batch_size(graph: Graph) -> int:
+    """Images per pass that keep the graph's activations within
+    ACTIVATION_BUDGET_BYTES; at least one."""
+    per_image = 8 * sum(math.prod(shape) for shape in infer_shapes(graph).values())
+    return max(1, ACTIVATION_BUDGET_BYTES // per_image)
+
+
+def image_batches(graph: Graph, images: np.ndarray):
+    """Consecutive float32 batches of `images`, batch_size(graph) at a time."""
+    step = batch_size(graph)
+    for start in range(0, images.shape[0], step):
+        yield Tensor.f32(images[start:start + step])
+
+
 @dataclass
 class LayerTrace:
-    """Float32 output captured per executed non-Input node, plus the executor's
-    pass count at capture time."""
+    """Float32 outputs of the captured nodes of one pass."""
 
     outputs: dict[str, Tensor] = field(default_factory=dict)
-    pass_counter: int = 0
 
 
 class Executor:
-    """Graph interpreter with a full-pass counter.
+    """Graph interpreter with an image-pass counter.
 
-    One instance per thread; the counter increments exactly once per
-    completed run_fp32/run_quantized call.
+    One instance per thread; each completed run_fp32/run_quantized call adds
+    its batch size to the counter.
     """
 
     def __init__(self):
         self.passes = 0
 
-    def reset(self) -> None:
-        self.passes = 0
-
-    def run_fp32(self, graph: Graph, inp: Tensor, capture: bool = False):
+    def run_fp32(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False):
         for n in graph.nodes:
             if n.precision != 32:
                 raise InvariantViolation(f"run_fp32 on graph with int8 node {n.id!r}")
         return self._run(graph, inp, capture)
 
-    def run_quantized(self, graph: Graph, inp: Tensor, capture: bool = False):
+    def run_quantized(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False):
         for n in graph.nodes:
             if n.precision == 8 and "out_qparams" not in n.attrs:
                 raise MissingQuantParams(f"int8 node {n.id!r} lacks quantization parameters")
         return self._run(graph, inp, capture)
 
-    def _run(self, graph: Graph, inp: Tensor, capture: bool):
+    def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str]):
+        if capture is True:
+            capture = [n.id for n in graph.nodes if n.kind != "Input"]
+        wanted = set(capture or ())
         values: dict[str, Tensor] = {}
         trace = LayerTrace()
         for nid in topo_sort(graph):
@@ -272,10 +297,9 @@ class Executor:
             ins = [values[s] for s in node.inputs]
             t = self._exec_node(graph, node, ins, inp)
             values[nid] = t
-            if capture and node.kind != "Input":
+            if nid in wanted:
                 trace.outputs[nid] = dequantize(t) if t.dtype == "i8" else t
-        self.passes += 1
-        trace.pass_counter = self.passes
+        self.passes += inp.shape[0]
         return values[graph.output_node.id], trace
 
     def _exec_node(self, graph: Graph, node: Node, ins: list[Tensor], inp: Tensor) -> Tensor:

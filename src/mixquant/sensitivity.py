@@ -27,9 +27,9 @@ import numpy as np
 
 from .calibration import CalibrationProfile, weight_qparams
 from .errors import EmptyImageBatch, KeyMismatch, MissingLabels
-from .executor import Executor
+from .executor import Executor, image_batches
 from .fusion import discover_fusion_groups
-from .ir import Graph, QUANTIZABLE_KINDS, Tensor, WEIGHTED_KINDS, topo_sort
+from .ir import Graph, QUANTIZABLE_KINDS, WEIGHTED_KINDS, topo_sort
 from .metrics import SENTINEL_DB, cosine_similarity, kl_divergence, mse, sqnr, sqnr_delta
 from .quantizer import apply_mixed_precision, dequantize, quantize_affine
 
@@ -83,8 +83,14 @@ class SensitivityList:
 
 
 def calib_digest(calib: CalibrationProfile) -> str:
-    doc = {nid: p.to_json() for nid, p in sorted(calib.profiles.items())}
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+    """First 16 hex digits of the sha256 of the profiles' sorted-key JSON,
+    hashed node by node so that the whole text is never held at once."""
+    h = hashlib.sha256(b"{")
+    for i, (nid, p) in enumerate(sorted(calib.profiles.items())):
+        entry = f"{json.dumps(nid)}: {json.dumps(p.to_json(), sort_keys=True)}"
+        h.update(((", " if i else "") + entry).encode())
+    h.update(b"}")
+    return h.hexdigest()[:16]
 
 
 def quantizable_in_topo_order(graph: Graph) -> list[str]:
@@ -167,17 +173,18 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
     act_mse_acc = {nid: 0.0 for nid in qids}
     act_cos_acc = {nid: 0.0 for nid in qids}
     act_kl_acc = {nid: 0.0 for nid in qids}
-    for i in range(n_images):
-        img = Tensor.f32(images[i:i + 1])
-        _, ref_trace = ex.run_fp32(graph, img, capture=True)
-        _, q_trace = ex.run_quantized(q_graph, img, capture=True)
-        for nid in qids:
-            ref, got = ref_trace.outputs[nid], q_trace.outputs[nid]
-            act_sqnr_acc[nid] += sqnr(ref, got)
-            act_mse_acc[nid] += mse(ref, got)
-            if with_optional_metrics:
-                act_cos_acc[nid] += cosine_similarity(ref, got)
-                act_kl_acc[nid] += kl_divergence(ref, got)
+    for batch in image_batches(graph, images):
+        _, ref_trace = ex.run_fp32(graph, batch, capture=qids)
+        _, q_trace = ex.run_quantized(q_graph, batch, capture=qids)
+        for j in range(batch.shape[0]):
+            for nid in qids:
+                ref = ref_trace.outputs[nid].data[j:j + 1]
+                got = q_trace.outputs[nid].data[j:j + 1]
+                act_sqnr_acc[nid] += sqnr(ref, got)
+                act_mse_acc[nid] += mse(ref, got)
+                if with_optional_metrics:
+                    act_cos_acc[nid] += cosine_similarity(ref, got)
+                    act_kl_acc[nid] += kl_divergence(ref, got)
 
     samples: list[MetricSample] = []
     for layer_index, nid in enumerate(qids):
@@ -272,22 +279,22 @@ def evaluate_accuracy(graph: Graph, images: np.ndarray, labels, executor: Execut
     labels = list(labels)
     if images.shape[0] != len(labels):
         raise MissingLabels(f"{images.shape[0]} images but {len(labels)} labels")
-    hits = 0
-    run = ex.run_quantized if quantized else ex.run_fp32
-    for i in range(images.shape[0]):
-        out, _ = run(graph, Tensor.f32(images[i:i + 1]), capture=False)
-        hits += int(np.argmax(out.data) == labels[i])
-    return hits / images.shape[0]
+    preds = _predictions(ex.run_quantized if quantized else ex.run_fp32, graph, images)
+    return sum(int(p == label) for p, label in zip(preds, labels)) / images.shape[0]
 
 
 def teacher_labels(graph: Graph, images: np.ndarray, executor: Executor | None = None) -> list[int]:
     """Argmax of the FP32 model's own outputs: the 100%-baseline labeling."""
-    ex = executor or Executor()
-    out = []
-    for i in range(images.shape[0]):
-        y, _ = ex.run_fp32(graph, Tensor.f32(images[i:i + 1]), capture=False)
-        out.append(int(np.argmax(y.data)))
-    return out
+    return _predictions((executor or Executor()).run_fp32, graph, images)
+
+
+def _predictions(run, graph: Graph, images: np.ndarray) -> list[int]:
+    """Per-image argmax of the graph's output over batched passes of `run`."""
+    preds: list[int] = []
+    for batch in image_batches(graph, images):
+        out, _ = run(graph, batch)
+        preds.extend(int(k) for k in np.argmax(out.data.reshape(batch.shape[0], -1), axis=1))
+    return preds
 
 
 CSV_COLUMNS = ["id", "layer_index", "weight_sqnr", "act_sqnr", "weight_delta",

@@ -132,8 +132,16 @@ class TestActivationQparams:
         assert np.isclose(qp.step, 2.0 / 255.0)
         assert qp.zero_point == 0
 
-    def test_degenerate_range_convention(self):
-        qp = activation_qparams(profile_of([3.0, 3.0]))
+    @pytest.mark.parametrize("value", [0.3, 500.0, -2.5])
+    def test_constant_range_round_trips(self, value):
+        qp = activation_qparams(profile_of(np.full(4, value, np.float32)))
+        x = np.array([value], np.float32)
+        back = mq.dequantize(mq.quantize_affine(x, qp)).data[0]
+        assert abs(float(back) - float(x[0])) <= qp.step / 2 + abs(value) * 2.0 ** -23
+        assert mq.dequantize(mq.quantize_affine(np.zeros(1, np.float32), qp)).data[0] == 0.0
+
+    def test_all_zero_range_keeps_unit_step(self):
+        qp = activation_qparams(profile_of([0.0, 0.0]))
         assert (qp.step, qp.zero_point) == (1.0, 0)
 
     def test_zero_exactly_representable(self):

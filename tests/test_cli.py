@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import mixquant as mq
-from mixquant.cli import evaluate_model, final_logit_sqnr, main
+from mixquant import executor
+from mixquant.cli import METHODS, evaluate_model, final_logit_sqnr, main
 from mixquant.errors import MissingLabels
 from mixquant.fusion import discover_fusion_groups
 from mixquant.quantizer import load_node_list
@@ -74,6 +75,46 @@ class TestPipeline:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def run_all_methods(root: Path, arch="mini_resnet", seed=5, count=12, targets="40,80"):
+    """synth, calibrate, every analyze method, quantize, evaluate, report."""
+    d = str(root)
+    assert main(["synth", "--arch", arch, "--seed", str(seed), "--calib-count", str(count),
+                 "--eval-count", str(count), "--out-dir", d]) == 0
+    assert main(["calibrate", "--model", f"{d}/model", "--images", f"{d}/calib_images.bin",
+                 "--out", f"{d}/calib.json"]) == 0
+    reports = []
+    for method in sorted(METHODS):
+        m = f"{d}/{method}"
+        extra = {"delta-mixup": ["--images", f"{d}/calib_images.bin", "--out-metrics", f"{m}.csv"],
+                 "top1": ["--images", f"{d}/eval_images.bin", "--labels", f"{d}/labels.json",
+                          "--top1-images", str(count)]}.get(method, [])
+        assert main(["analyze", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                     "--method", method, "--out-list", f"{m}.txt", *extra]) == 0
+        assert main(["quantize", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                     "--list", f"{m}.txt", "--target-reduction", targets, "--out-dir", m]) == 0
+        for t in targets.split(","):
+            reports.append(f"{m}/report{t}.json")
+            assert main(["evaluate", "--model", f"{m}/q{t}/model", "--ref-model", f"{d}/model",
+                         "--images", f"{d}/eval_images.bin", "--labels", f"{d}/labels.json",
+                         "--out", reports[-1]]) == 0
+    assert main(["report", "--runs", *reports, "--out", f"{d}/recovery_curve.csv"]) == 0
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestBatchSizeInvariance:
+    def test_artifacts_equal_at_batch_1(self, tmp_path, monkeypatch):
+        graph = mq.gen_synthetic("mini_resnet", 5)
+        assert executor.batch_size(graph) > 1
+        batched = run_all_methods(tmp_path / "batched")
+        monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 1)
+        assert executor.batch_size(graph) == 1
+        single = run_all_methods(tmp_path / "single")
+        assert len(batched) == 64
+        assert batched.keys() == single.keys()
+        for rel in batched:
+            assert batched[rel] == single[rel], rel
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as err:
@@ -104,6 +145,15 @@ class TestExitCodes:
             main(["analyze", "--model", str(tmp_path / "model"), "--calib", str(tmp_path / "c.json"),
                   "--mixup-weights", weights, "--out-list", str(tmp_path / "s.txt")])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("targets", ["150,-5", "40,100.5", "-0.1", "nan"])
+    def test_target_reduction_out_of_range_is_2(self, tmp_path, targets):
+        with pytest.raises(SystemExit) as err:
+            main(["quantize", "--model", str(tmp_path / "model"), "--calib", str(tmp_path / "c.json"),
+                  "--list", str(tmp_path / "s.txt"), "--target-reduction", targets,
+                  "--out-dir", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_ok_is_0(self, tmp_path):
         assert main(["synth", "--arch", "mininet", "--seed", "1", "--calib-count", "2",
