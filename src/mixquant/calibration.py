@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCalibrationSet, EmptyProfile, MissingCalibration
+from .errors import EmptyCalibrationSet, EmptyProfile, MissingCalibration, NonFiniteValue
 from .ir import Graph, QuantParams, Tensor, round_half_away
 
 DEFAULT_BINS = 2048
@@ -61,10 +61,13 @@ class HistogramProfile:
         v = np.asarray(values, dtype=np.float64).ravel()
         if v.size == 0:
             return
-        self.min = min(self.min, float(v.min()))
-        self.max = max(self.max, float(v.max()))
+        lo, hi = float(v.min()), float(v.max())  # NaN propagates into both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise NonFiniteValue(f"histogram update holds non-finite values (min {lo}, max {hi})")
+        self.min = min(self.min, lo)
+        self.max = max(self.max, hi)
         self.total += v.size
-        self._grow_to(float(np.abs(v).max()))
+        self._grow_to(max(-lo, hi))
         width = 2.0 * self.hist_range / self.bins
         idx = np.clip(((v + self.hist_range) / width).astype(np.int64), 0, self.bins - 1)
         np.add.at(self.counts, idx, 1)

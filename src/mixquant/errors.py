@@ -61,6 +61,10 @@ class EmptyProfile(MixQuantError):
     pass
 
 
+class NonFiniteValue(MixQuantError):
+    """An image or an activation holds NaN or an infinity."""
+
+
 # quantization transform
 class UnknownNodeInList(MixQuantError):
     pass

@@ -1,15 +1,20 @@
 """Reference interpreter for FP32 and mixed-precision graphs.
 
-FP32 kernels use float32 arithmetic with textbook semantics. int8 conv and
-gemm run the same kernels on the zero-point-offset int8 input and the int8
-weight cast to float64, then requantize with round-half-away-from-zero per
-the quantized-conv identity q_out = clamp(round(acc * s_in * s_w / s_out)
-+ zp_out). That float64 accumulation is exact integer arithmetic: offset
-inputs lie in [-255, 255] and weights in [-127, 127], so every partial sum
-is an integer of magnitude at most 255 * 127 * K < 2**53 for K up to
-MAX_EXACT_K multiply-adds per output. The remaining int8 kernels evaluate on
-dequantized values in float64 and requantize the result, which keeps the
-interpreter deterministic on every platform.
+Every node kind except Input, Output, Quantize and Dequantize has one entry in
+a kernel table that both precisions share; the precisions differ only in the
+operands they hand the entry and in how they finish its output. FP32 nodes
+pass their float32 arrays, apply a fused ReLU through kernel_relu and keep
+the float32 result. int8 Conv2d, DepthwiseConv2d and Gemm pass the
+zero-point-offset input and the int8 weight cast to float64, with the bias in
+accumulator units round(b / (s_in * s_w)), and scale the accumulator by
+s_in * s_w. That float64 accumulation is exact integer arithmetic: offset
+inputs lie in [-255, 255] and weights in [-127, 127], so every partial sum is
+an integer of magnitude at most 255 * 127 * K < 2**53 for K up to MAX_EXACT_K
+multiply-adds per output. The other int8 kinds pass dequantized float64
+operands. Every int8 output is requantized once, q_out = clamp(round(real /
+s_out) + zp_out) with round-half-away-from-zero, clamped at the zero point
+under a fused ReLU, which keeps the interpreter deterministic on every
+platform.
 
 A pass runs a batch of images, and every kernel gives each image the same
 bits whatever the batch size, so batching never moves a result. Callers feed
@@ -36,8 +41,8 @@ from .errors import (
     ShapeMismatch,
     UnsupportedKind,
 )
-from .ir import (Graph, Node, QuantParams, Tensor, _conv_out_hw, _pair, infer_shapes,
-                 round_half_away, topo_sort)
+from .ir import (QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor,
+                 _conv_out_hw, _pair, infer_shapes, round_half_away, topo_sort)
 from .quantizer import dequantize, quantize_affine
 
 # Largest multiply-add count per output for which float64 accumulation of
@@ -50,17 +55,17 @@ ACTIVATION_BUDGET_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# kernels: float32 for FP32 nodes; conv and gemm also take the float64
-# operands of int8 nodes
+# kernels: float32 operands for FP32 nodes, float64 for int8 nodes
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding):
-    """Columns (n, c*kh*kw, oh*ow) of the zero-padded input, channel-major."""
+def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding, fill=0):
+    """Columns (n, c*kh*kw, oh*ow) of the input padded with `fill`, channel-major."""
     n, c, h, w = x.shape
     (sh, sw), (ph, pw) = stride, padding
     oh, ow = _conv_out_hw(h, w, (kh, kw), stride, padding)
     xp = x
     if ph or pw:
-        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        shape = (n, c, h + 2 * ph, w + 2 * pw)  # np.zeros allocates faster than np.full
+        xp = np.zeros(shape, x.dtype) if fill == 0 else np.full(shape, fill, x.dtype)
         xp[:, :, ph:ph + h, pw:pw + w] = x
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
@@ -121,30 +126,24 @@ def kernel_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
-def _pool_windows(x: np.ndarray, kernel, stride, padding, pad_value):
-    k = _pair(kernel)
-    s = _pair(stride if stride is not None else kernel)
-    p = _pair(padding)
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1])), constant_values=pad_value)
-    oh = (h + 2 * p[0] - k[0]) // s[0] + 1
-    ow = (w + 2 * p[1] - k[1]) // s[1] + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeMismatch(f"pool kernel {k} does not fit {h}x{w} input")
-    wins = np.empty((n, c, oh, ow, k[0] * k[1]), dtype=x.dtype)
-    for i in range(k[0]):
-        for j in range(k[1]):
-            wins[..., i * k[1] + j] = xp[:, :, i:i + s[0] * oh:s[0], j:j + s[1] * ow:s[1]]
-    return wins
+def _pool_windows(x: np.ndarray, kernel, stride, padding, fill) -> np.ndarray:
+    """Windows (n, c, kh*kw, oh, ow) of the input padded with `fill`."""
+    kh, kw = _pair(kernel)
+    cols, oh, ow = _im2col(x, kh, kw, _pair(stride if stride is not None else kernel),
+                           _pair(padding), fill)
+    return cols.reshape(x.shape[0], x.shape[1], kh * kw, oh, ow)
 
 
 def kernel_maxpool(x: np.ndarray, kernel, stride=None, padding=0) -> np.ndarray:
     neg = np.finfo(x.dtype).min if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
-    return _pool_windows(x, kernel, stride, padding, neg).max(axis=-1)
+    return _pool_windows(x, kernel, stride, padding, neg).max(axis=2)
 
 
 def kernel_avgpool(x: np.ndarray, kernel, stride=None, padding=0) -> np.ndarray:
-    return _pool_windows(x, kernel, stride, padding, 0).mean(axis=-1, dtype=x.dtype)
+    """Window means, each summed along a contiguous axis: numpy sums a
+    contiguous axis pairwise and a strided one in sequence, which round apart."""
+    wins = np.ascontiguousarray(np.moveaxis(_pool_windows(x, kernel, stride, padding, 0), 2, -1))
+    return wins.mean(axis=-1, dtype=x.dtype)
 
 
 def kernel_global_avgpool(x: np.ndarray) -> np.ndarray:
@@ -173,7 +172,29 @@ def kernel_softmax(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# int8 kernels
+# one kernel table for both precisions
+
+# kind -> entry(node, operand arrays, weight arrays by name). The entries name
+# the kernels at call time, so rebinding a module-level kernel_* reaches them.
+_KERNELS = {
+    "Conv2d": lambda n, xs, w: kernel_conv2d(xs[0], w["weight"], w.get("bias"),
+                                             n.attrs.get("stride", 1), n.attrs.get("padding", 0)),
+    "DepthwiseConv2d": lambda n, xs, w: kernel_depthwise_conv2d(
+        xs[0], w["weight"], w.get("bias"), n.attrs.get("stride", 1), n.attrs.get("padding", 0)),
+    "BatchNorm": lambda n, xs, w: kernel_batchnorm(xs[0], w["gamma"], w["beta"], w["mean"], w["var"],
+                                                   float(n.attrs.get("epsilon", 1e-5))),
+    "ReLU": lambda n, xs, w: kernel_relu(xs[0]),
+    "Add": lambda n, xs, w: kernel_add(xs[0], xs[1]),
+    "MaxPool": lambda n, xs, w: kernel_maxpool(xs[0], n.attrs["kernel"], n.attrs.get("stride"),
+                                               n.attrs.get("padding", 0)),
+    "AvgPool": lambda n, xs, w: kernel_avgpool(xs[0], n.attrs["kernel"], n.attrs.get("stride"),
+                                               n.attrs.get("padding", 0)),
+    "GlobalAvgPool": lambda n, xs, w: kernel_global_avgpool(xs[0]),
+    "Gemm": lambda n, xs, w: kernel_gemm(xs[0], w["weight"], w.get("bias")),
+    "Flatten": lambda n, xs, w: kernel_flatten(xs[0]),
+    "Softmax": lambda n, xs, w: kernel_softmax(xs[0]),
+}
+
 
 def _requantize(real: np.ndarray, qp: QuantParams, clamp_at_zero: bool = False) -> Tensor:
     q = round_half_away(real / qp.step) + qp.zero_point
@@ -182,62 +203,8 @@ def _requantize(real: np.ndarray, qp: QuantParams, clamp_at_zero: bool = False) 
     return Tensor(np.clip(q, qp.qmin, qp.qmax).astype(np.int8), qp)
 
 
-def _int_linear(node: Node, x: Tensor) -> Tensor:
-    """int8 Conv2d, DepthwiseConv2d and Gemm: the conv and gemm kernels on
-    float64 operands, which accumulate exactly, then requantization."""
-    in_qp: QuantParams = node.attrs["in_qparams"][0]
-    out_qp: QuantParams = node.attrs["out_qparams"]
-    wt = node.weights["weight"]
-    if wt.qparams is None:
-        raise MissingQuantParams(f"{node.id}: weight tensor is not quantized")
-    k = wt.data[0].size
-    if k > MAX_EXACT_K:
-        raise InvariantViolation(f"{node.id}: {k} multiply-adds per output exceed the exact "
-                                 f"float64 accumulation bound {MAX_EXACT_K}")
-    # offset first so zero-padding is exact
-    x64 = np.subtract(x.data, in_qp.zero_point, dtype=np.float64)
-    w64 = wt.data.astype(np.float64)
-    if node.kind == "Gemm":
-        acc = kernel_gemm(x64, w64, None)
-    else:
-        fn = kernel_conv2d if node.kind == "Conv2d" else kernel_depthwise_conv2d
-        acc = fn(x64, w64, None, node.attrs.get("stride", 1), node.attrs.get("padding", 0))
-    scale = in_qp.step * wt.qparams.step
-    bias = node.weights.get("bias")
-    if bias is not None:
-        b = round_half_away(bias.data.astype(np.float64) / scale)
-        acc = acc + b.reshape((-1,) + (1,) * (acc.ndim - 2))
-    return _requantize(acc * scale, out_qp, clamp_at_zero=bool(node.attrs.get("fused_relu")))
-
-
 def _deq64(t: Tensor) -> np.ndarray:
     return (t.data.astype(np.float64) - t.qparams.zero_point) * t.qparams.step
-
-
-def _int_pointwise(node: Node, ins: list[Tensor]) -> Tensor:
-    """int8 kernels without integer matmuls: evaluate on dequantized float64."""
-    out_qp: QuantParams = node.attrs["out_qparams"]
-    kind = node.kind
-    if kind == "ReLU":
-        real = np.maximum(_deq64(ins[0]), 0.0)
-    elif kind == "Add":
-        real = kernel_add(_deq64(ins[0]), _deq64(ins[1]))
-    elif kind == "BatchNorm":
-        w = node.weights
-        real = kernel_batchnorm(_deq64(ins[0]), w["gamma"].data.astype(np.float64),
-                                w["beta"].data.astype(np.float64), w["mean"].data.astype(np.float64),
-                                w["var"].data.astype(np.float64), float(node.attrs.get("epsilon", 1e-5)))
-    elif kind == "MaxPool":
-        real = kernel_maxpool(_deq64(ins[0]), node.attrs["kernel"],
-                              node.attrs.get("stride"), node.attrs.get("padding", 0))
-    elif kind == "AvgPool":
-        real = kernel_avgpool(_deq64(ins[0]), node.attrs["kernel"],
-                              node.attrs.get("stride"), node.attrs.get("padding", 0))
-    elif kind == "GlobalAvgPool":
-        real = kernel_global_avgpool(_deq64(ins[0]))
-    else:
-        raise UnsupportedKind(f"no int8 kernel for {kind}")
-    return _requantize(real, out_qp, clamp_at_zero=bool(node.attrs.get("fused_relu")))
 
 
 # ---------------------------------------------------------------------------
@@ -318,45 +285,35 @@ class Executor:
                 raise MissingQuantParams(f"{node.id}: dequantize of non-quantized tensor")
             return dequantize(ins[0], node.attrs["qparams"])
 
-        if node.precision == 8:
+        relu = bool(node.attrs.get("fused_relu"))
+        if node.precision != 8:
             for t in ins:
-                if t.dtype != "i8":
-                    raise MissingQuantParams(f"{node.id}: int8 node received {t.dtype} input")
-            if kind in ("Conv2d", "DepthwiseConv2d", "Gemm"):
-                return _int_linear(node, ins[0])
-            return _int_pointwise(node, ins)
+                if t.qparams is not None:
+                    raise MissingQuantParams(f"{node.id}: FP32 node received an int8 input")
+            y = _KERNELS[kind](node, [t.data for t in ins], {k: t.data for k, t in node.weights.items()})
+            return Tensor((kernel_relu(y) if relu else y).astype(np.float32, copy=False))
 
-        x = ins[0].data if ins else None
-        if kind in ("Conv2d", "DepthwiseConv2d"):
-            fn = kernel_conv2d if kind == "Conv2d" else kernel_depthwise_conv2d
-            bias = node.weights.get("bias")
-            y = fn(x, node.weights["weight"].data, None if bias is None else bias.data,
-                   node.attrs.get("stride", 1), node.attrs.get("padding", 0))
-            if node.attrs.get("fused_relu"):
-                y = kernel_relu(y)
-            return Tensor(y.astype(np.float32))
-        if kind == "BatchNorm":
-            w = node.weights
-            return Tensor(kernel_batchnorm(x, w["gamma"].data, w["beta"].data, w["mean"].data,
-                                           w["var"].data, float(node.attrs.get("epsilon", 1e-5))))
-        if kind == "ReLU":
-            return Tensor(kernel_relu(x))
-        if kind == "Add":
-            return Tensor(kernel_add(ins[0].data, ins[1].data))
-        if kind == "MaxPool":
-            return Tensor(kernel_maxpool(x, node.attrs["kernel"], node.attrs.get("stride"),
-                                         node.attrs.get("padding", 0)))
-        if kind == "AvgPool":
-            return Tensor(kernel_avgpool(x, node.attrs["kernel"], node.attrs.get("stride"),
-                                         node.attrs.get("padding", 0)))
-        if kind == "GlobalAvgPool":
-            return Tensor(kernel_global_avgpool(x))
-        if kind == "Gemm":
-            bias = node.weights.get("bias")
-            return Tensor(kernel_gemm(x, node.weights["weight"].data,
-                                      None if bias is None else bias.data).astype(np.float32))
-        if kind == "Flatten":
-            return Tensor(kernel_flatten(x), ins[0].qparams)
-        if kind == "Softmax":
-            return Tensor(kernel_softmax(x))
-        raise UnsupportedKind(f"no kernel for node kind {kind!r}")
+        for t in ins:
+            if t.dtype != "i8":
+                raise MissingQuantParams(f"{node.id}: int8 node received {t.dtype} input")
+        if kind not in QUANTIZABLE_KINDS:
+            raise UnsupportedKind(f"no int8 kernel for {kind}")
+        if kind not in WEIGHTED_KINDS:
+            real = _KERNELS[kind](node, [_deq64(t) for t in ins],
+                                  {k: t.data.astype(np.float64) for k, t in node.weights.items()})
+            return _requantize(real, node.attrs["out_qparams"], relu)
+
+        in_qp: QuantParams = node.attrs["in_qparams"][0]
+        wt = node.weights["weight"]
+        if wt.qparams is None:
+            raise MissingQuantParams(f"{node.id}: weight tensor is not quantized")
+        if wt.data[0].size > MAX_EXACT_K:
+            raise InvariantViolation(f"{node.id}: {wt.data[0].size} multiply-adds per output exceed "
+                                     f"the exact float64 accumulation bound {MAX_EXACT_K}")
+        scale = in_qp.step * wt.qparams.step
+        w = {"weight": wt.data.astype(np.float64)}
+        if "bias" in node.weights:  # in accumulator units
+            w["bias"] = round_half_away(node.weights["bias"].data.astype(np.float64) / scale)
+        # offset before padding, so that zero padding stays exact
+        x = np.subtract(ins[0].data, in_qp.zero_point, dtype=np.float64)
+        return _requantize(_KERNELS[kind](node, [x], w) * scale, node.attrs["out_qparams"], relu)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveVariance
-from .ir import Graph, QUANTIZABLE_KINDS, Tensor, topo_sort
+from .ir import Graph, Node, QUANTIZABLE_KINDS, Tensor, topo_sort
 
 _CONV_KINDS = ("Conv2d", "DepthwiseConv2d")
 
@@ -39,31 +39,41 @@ class FusionGroup:
     members: tuple[str, ...]
 
 
-def _sole_consumer(graph: Graph, node_id: str):
-    consumers = graph.consumers(node_id)
-    return consumers[0] if len(consumers) == 1 else None
+def _consumer_index(graph: Graph) -> dict[str, list[str]]:
+    """node id -> ids of the distinct nodes that read it, in node order."""
+    index: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    for n in graph.nodes:
+        for src in dict.fromkeys(n.inputs):
+            index[src].append(n.id)
+    return index
 
 
 def discover_fusion_groups(graph: Graph) -> list[FusionGroup]:
     """Partition the quantizable nodes into fusion groups, anchors in topo order."""
     order = topo_sort(graph)
+    consumers = _consumer_index(graph)
     taken: set[str] = set()
     groups: list[FusionGroup] = []
+
+    def sole_consumer(node_id: str):
+        ids = consumers[node_id]
+        return graph.node(ids[0]) if len(ids) == 1 else None
+
     for nid in order:
         node = graph.node(nid)
         if node.kind not in _CONV_KINDS or nid in taken:
             continue
         members = [nid]
         tail = nid
-        nxt = _sole_consumer(graph, tail)
+        nxt = sole_consumer(tail)
         if nxt is not None and nxt.kind == "BatchNorm" and nxt.id not in taken:
             members.append(nxt.id)
             tail = nxt.id
-            nxt = _sole_consumer(graph, tail)
+            nxt = sole_consumer(tail)
         if nxt is not None and nxt.kind == "Add" and nxt.id not in taken:
             members.append(nxt.id)
             tail = nxt.id
-            nxt = _sole_consumer(graph, tail)
+            nxt = sole_consumer(tail)
         if nxt is not None and nxt.kind == "ReLU" and nxt.id not in taken:
             members.append(nxt.id)
         taken.update(members)
@@ -73,60 +83,78 @@ def discover_fusion_groups(graph: Graph) -> list[FusionGroup]:
         if node.kind in QUANTIZABLE_KINDS and nid not in taken:
             taken.add(nid)
             groups.append(FusionGroup(nid, (nid,)))
-    groups.sort(key=lambda g: order.index(g.anchor))
+    pos = {nid: i for i, nid in enumerate(order)}
+    groups.sort(key=lambda g: pos[g.anchor])
     return groups
 
 
-def _drop_node(graph: Graph, victim_id: str, replacement_id: str) -> Graph:
+def _fold_into_convs(graph: Graph, kind: str, fold) -> Graph:
+    """Fold every `kind` node that solely consumes a conv into that conv.
+
+    One scan in topological order: `fold(conv, node)` returns the rewritten
+    conv, or None to leave the pair alone. A folded node's consumers read the
+    conv from then on, so a chain such as conv -> BN -> BN folds completely.
+    Nodes keep their order; folded ones are dropped.
+    """
+    consumer_count = {nid: len(ids) for nid, ids in _consumer_index(graph).items()}
+    convs: dict[str, Node] = {}   # conv id -> conv with every fold so far
+    rename: dict[str, str] = {}   # folded node id -> conv id
+    for nid in topo_sort(graph):
+        node = graph.node(nid)
+        if node.kind != kind:
+            continue
+        src = rename.get(node.inputs[0], node.inputs[0])
+        conv = convs.get(src, graph.node(src))
+        if conv.kind not in _CONV_KINDS or consumer_count[src] != 1:
+            continue
+        folded = fold(conv, node)
+        if folded is not None:
+            convs[src] = folded
+            rename[nid] = src
+            consumer_count[src] = consumer_count[nid]
     out = Graph(graph.name)
     for n in graph.nodes:
-        if n.id == victim_id:
-            continue
-        n = n.copy()
-        n.inputs = [replacement_id if s == victim_id else s for s in n.inputs]
-        out.add(n)
+        if n.id not in rename:
+            n = convs.get(n.id, n).copy()
+            n.inputs = [rename.get(s, s) for s in n.inputs]
+            out.add(n)
     return out
+
+
+def _fold_bn(conv: Node, bn: Node) -> Node:
+    gamma = bn.weights["gamma"].data.astype(np.float64)
+    beta = bn.weights["beta"].data.astype(np.float64)
+    mean = bn.weights["mean"].data.astype(np.float64)
+    var = bn.weights["var"].data.astype(np.float64)
+    eps = float(bn.attrs.get("epsilon", 1e-5))
+    if np.any(var < 0):
+        raise NonPositiveVariance(f"{bn.id}: negative variance")
+    scale = gamma / np.sqrt(var + eps)
+
+    w = conv.weights["weight"].data.astype(np.float64)
+    b = conv.weights.get("bias")
+    b = b.data.astype(np.float64) if b is not None else np.zeros(w.shape[0])
+    conv = conv.copy()
+    conv.weights = {
+        "weight": Tensor((w * scale[:, None, None, None]).astype(np.float32)),
+        "bias": Tensor(((b - mean) * scale + beta).astype(np.float32)),
+    }
+    conv.attrs["profile_id"] = bn.attrs.get("profile_id", bn.id)
+    return conv
+
+
+def _fold_relu(conv: Node, relu: Node) -> Node | None:
+    if conv.attrs.get("fused_relu"):
+        return None
+    conv = conv.copy()
+    conv.attrs["fused_relu"] = True
+    conv.attrs["profile_id"] = relu.attrs.get("profile_id", relu.id)
+    return conv
 
 
 def fuse_conv_bn(graph: Graph) -> Graph:
     """Fold every BatchNorm that solely consumes a conv into that conv's weights."""
-    g = graph.copy()
-    while True:
-        match = None
-        for n in g.nodes:
-            if n.kind != "BatchNorm":
-                continue
-            producer = g.node(n.inputs[0])
-            if producer.kind in _CONV_KINDS and _sole_consumer(g, producer.id) is not None \
-                    and _sole_consumer(g, producer.id).id == n.id:
-                match = (producer, n)
-                break
-        if match is None:
-            return g
-        conv, bn = match
-        gamma = bn.weights["gamma"].data.astype(np.float64)
-        beta = bn.weights["beta"].data.astype(np.float64)
-        mean = bn.weights["mean"].data.astype(np.float64)
-        var = bn.weights["var"].data.astype(np.float64)
-        eps = float(bn.attrs.get("epsilon", 1e-5))
-        if np.any(var < 0):
-            raise NonPositiveVariance(f"{bn.id}: negative variance")
-        scale = gamma / np.sqrt(var + eps)
-
-        w = conv.weights["weight"].data.astype(np.float64)
-        b = conv.weights.get("bias")
-        b = b.data.astype(np.float64) if b is not None else np.zeros(w.shape[0])
-        conv = conv.copy()
-        conv.weights = {
-            "weight": Tensor((w * scale[:, None, None, None]).astype(np.float32)),
-            "bias": Tensor(((b - mean) * scale + beta).astype(np.float32)),
-        }
-        conv.attrs = dict(conv.attrs)
-        conv.attrs["profile_id"] = bn.attrs.get("profile_id", bn.id)
-        rebuilt = Graph(g.name)
-        for n in g.nodes:
-            rebuilt.add(conv if n.id == conv.id else n)
-        g = _drop_node(rebuilt, bn.id, conv.id)
+    return _fold_into_convs(graph, "BatchNorm", _fold_bn)
 
 
 def fuse_conv_relu(graph: Graph) -> Graph:
@@ -136,29 +164,7 @@ def fuse_conv_relu(graph: Graph) -> Graph:
     the ReLU's profile id, which eliminates the intermediate conv-output scale
     on the int8 path.
     """
-    g = graph.copy()
-    while True:
-        match = None
-        for n in g.nodes:
-            if n.kind != "ReLU":
-                continue
-            producer = g.node(n.inputs[0])
-            if producer.kind in _CONV_KINDS and not producer.attrs.get("fused_relu") \
-                    and _sole_consumer(g, producer.id) is not None \
-                    and _sole_consumer(g, producer.id).id == n.id:
-                match = (producer, n)
-                break
-        if match is None:
-            return g
-        conv, relu = match
-        conv = conv.copy()
-        conv.attrs = dict(conv.attrs)
-        conv.attrs["fused_relu"] = True
-        conv.attrs["profile_id"] = relu.attrs.get("profile_id", relu.id)
-        rebuilt = Graph(g.name)
-        for n in g.nodes:
-            rebuilt.add(conv if n.id == conv.id else n)
-        g = _drop_node(rebuilt, relu.id, conv.id)
+    return _fold_into_convs(graph, "ReLU", _fold_relu)
 
 
 STAGES = ("unfused", "fused")
@@ -166,7 +172,9 @@ STAGES = ("unfused", "fused")
 
 def lower_to_stage(graph: Graph, stage: str) -> Graph:
     """Lower to an IR stage: `unfused` is the identity, `fused` applies conv+BN
-    folding then conv+ReLU fusion exhaustively."""
+    folding then conv+ReLU fusion exhaustively. The BN scan runs first: one
+    interleaved scan would fold the BN of conv -> ReLU -> BN into a conv whose
+    output is already clamped."""
     if stage == "unfused":
         return graph.copy()
     if stage == "fused":

@@ -250,40 +250,6 @@ def topo_sort(graph: Graph) -> list[str]:
     return result
 
 
-def replace_node(graph: Graph, old_id: str, new_node: Node) -> Graph:
-    """Swap one node for another, rewiring every consumer to the new id.
-
-    The replacement must produce the same output shape as the node it
-    replaces (checked via shape inference when shapes are resolvable).
-    """
-    if old_id not in graph:
-        raise UnknownNode(f"cannot replace unknown node {old_id!r}")
-    g = graph.copy()
-    old_shapes = _try_shapes(graph)
-
-    out = Graph(g.name)
-    for n in g.nodes:
-        n = new_node.copy() if n.id == old_id else n
-        n.inputs = [new_node.id if src == old_id else src for src in n.inputs]
-        out.add(n)
-
-    new_shapes = _try_shapes(out)
-    if old_shapes is not None and new_shapes is not None:
-        if old_shapes.get(old_id) != new_shapes.get(new_node.id):
-            raise ShapeMismatch(
-                f"replacement {new_node.id!r} yields shape {new_shapes.get(new_node.id)}, "
-                f"expected {old_shapes.get(old_id)}"
-            )
-    return out
-
-
-def _try_shapes(graph: Graph):
-    try:
-        return infer_shapes(graph)
-    except (UnresolvedShape, InvariantViolation, ShapeMismatch, UnknownNode, CycleDetected):
-        return None
-
-
 def _tensor_digest(t: Tensor) -> str:
     h = hashlib.sha256()
     h.update(str(t.shape).encode())
@@ -427,7 +393,8 @@ def infer_shapes(graph: Graph, batch: int = 1) -> dict[str, tuple[int, ...]]:
         elif n.kind in ("MaxPool", "AvgPool"):
             nb, c, h, w = ins[0]
             k = _pair(n.attrs["kernel"])
-            s = _pair(n.attrs.get("stride", k))
+            stride = n.attrs.get("stride")  # None strides by the kernel, as in the executor
+            s = k if stride is None else _pair(stride)
             p = _pair(n.attrs.get("padding", 0))
             oh, ow = _conv_out_hw(h, w, k, s, p)
             shapes[nid] = (nb, c, oh, ow)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptBlob, EmptyImageBatch, FormatVersionMismatch, UnknownArch
+from .errors import CorruptBlob, EmptyImageBatch, FormatVersionMismatch, NonFiniteValue, UnknownArch
 from .ir import Graph, Node, QuantParams, Tensor
 
 FORMAT_VERSION = 1
@@ -352,7 +352,10 @@ def load_images(path) -> np.ndarray:
     expected = 16 + 4 * count * c * h * w
     if len(raw) != expected:
         raise CorruptBlob(f"image file {path} has {len(raw)} bytes, header implies {expected}")
-    return np.frombuffer(raw[16:], dtype="<f4").reshape(count, c, h, w).copy()
+    images = np.frombuffer(raw[16:], dtype="<f4").reshape(count, c, h, w).copy()
+    if not np.isfinite(images).all():
+        raise NonFiniteValue(f"image file {path} holds NaN or infinite values")
+    return images
 
 
 def save_labels(labels, path) -> None:

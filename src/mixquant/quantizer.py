@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationProfile, activation_qparams, weight_qparams
-from .errors import IncompleteConfig, UnknownNodeInList
+from .errors import UnknownNodeInList
 from .fusion import discover_fusion_groups
 from .ir import (
     Graph,
@@ -220,9 +220,3 @@ def load_node_list(path) -> list[str]:
 def save_precision_config(config: dict[str, int], path) -> None:
     Path(path).write_text(json.dumps({"layers": config}, indent=1, sort_keys=True))
 
-
-def load_precision_config(path) -> dict[str, int]:
-    doc = json.loads(Path(path).read_text())
-    if "layers" not in doc:
-        raise IncompleteConfig(f"{path} lacks a 'layers' table")
-    return {k: int(v) for k, v in doc["layers"].items()}

@@ -31,7 +31,8 @@ from .executor import Executor, image_batches
 from .fusion import discover_fusion_groups
 from .ir import Graph, QUANTIZABLE_KINDS, WEIGHTED_KINDS, topo_sort
 from .metrics import SENTINEL_DB, cosine_similarity, kl_divergence, mse, sqnr, sqnr_delta
-from .quantizer import apply_mixed_precision, dequantize, quantize_affine
+from .quantizer import (apply_mixed_precision, dequantize, load_node_list, quantize_affine,
+                        save_node_list)
 
 DEFAULT_MIXUP = (0.6, 0.4)
 MSE_OUTLIER_FACTOR = 5.0
@@ -64,7 +65,7 @@ class SensitivityList:
     mixup: tuple[float, float] = DEFAULT_MIXUP
 
     def save(self, path) -> None:
-        Path(path).write_text("".join(f"{nid}\n" for nid in self.ids), encoding="utf-8")
+        save_node_list(self.ids, path)
         meta = {
             "method": self.method,
             "ir_stage": self.ir_stage,
@@ -75,7 +76,7 @@ class SensitivityList:
 
     @classmethod
     def load(cls, path) -> "SensitivityList":
-        ids = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
+        ids = load_node_list(path)
         meta_path = Path(str(path) + ".meta.json")
         meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
         return cls(ids, meta.get("method", "unknown"), meta.get("ir_stage", "unfused"),
@@ -155,7 +156,6 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
                               mixup: tuple[float, float] = DEFAULT_MIXUP,
                               executor: Executor | None = None,
                               ir_stage: str = "unfused",
-                              with_optional_metrics: bool = True,
                               ) -> tuple[SensitivityList, list[MetricSample]]:
     """Two-inference sensitivity analysis over the whole model.
 
@@ -182,9 +182,8 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
                 got = q_trace.outputs[nid].data[j:j + 1]
                 act_sqnr_acc[nid] += sqnr(ref, got)
                 act_mse_acc[nid] += mse(ref, got)
-                if with_optional_metrics:
-                    act_cos_acc[nid] += cosine_similarity(ref, got)
-                    act_kl_acc[nid] += kl_divergence(ref, got)
+                act_cos_acc[nid] += cosine_similarity(ref, got)
+                act_kl_acc[nid] += kl_divergence(ref, got)
 
     samples: list[MetricSample] = []
     for layer_index, nid in enumerate(qids):
@@ -200,8 +199,8 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
             weight_sqnr=w_sqnr, weight_mse=w_mse,
             act_sqnr=act_sqnr_acc[nid] / n_images,
             act_mse=act_mse_acc[nid] / n_images,
-            act_cosine=act_cos_acc[nid] / n_images if with_optional_metrics else None,
-            act_kl=act_kl_acc[nid] / n_images if with_optional_metrics else None,
+            act_cosine=act_cos_acc[nid] / n_images,
+            act_kl=act_kl_acc[nid] / n_images,
         ))
 
     by_id = {s.node_id: s for s in samples}

@@ -11,7 +11,7 @@ from mixquant.calibration import (
     profile_activations,
     weight_qparams,
 )
-from mixquant.errors import EmptyCalibrationSet, EmptyProfile
+from mixquant.errors import EmptyCalibrationSet, EmptyProfile, NonFiniteValue
 from mixquant.ir import Graph, Node, Tensor
 from mixquant.model_io import Lcg
 
@@ -74,6 +74,25 @@ class TestHistogramProfile:
         back = HistogramProfile.from_json(h.to_json())
         assert np.array_equal(back.counts, h.counts)
         assert (back.min, back.max, back.total, back.hist_range) == (h.min, h.max, h.total, h.hist_range)
+
+
+class TestNonFiniteUpdate:
+    @staticmethod
+    def state(h):
+        return (h.counts.tolist(), h.min, h.max, h.total, h.hist_range)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rejected_and_profile_unchanged(self, bad, first):
+        h = HistogramProfile(64) if first else profile_of([-0.5, 0.25, 3.0], bins=64)
+        before = self.state(h)
+        with pytest.raises(NonFiniteValue):
+            h.update(np.array([1.0, bad, -2.0]))
+        assert self.state(h) == before
+
+    def test_finite_extremes_accepted(self):
+        h = profile_of([-1e300, 1e300], bins=64)
+        assert (h.min, h.max, h.total) == (-1e300, 1e300, 2)
 
 
 class TestProfileActivations:

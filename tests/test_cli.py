@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mixquant as mq
@@ -154,6 +155,20 @@ class TestExitCodes:
                   "--out-dir", str(tmp_path / "out")])
         assert err.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_is_3(self, tmp_path, capsys, bad):
+        d = tmp_path / "run"
+        assert main(["synth", "--arch", "mininet", "--seed", "1", "--calib-count", "2",
+                     "--eval-count", "2", "--out-dir", str(d)]) == 0
+        images = mq.load_images(d / "calib_images.bin")
+        images[1, 2, 3, 4] = bad
+        mq.save_images(images, d / "calib_images.bin")
+        code = main(["calibrate", "--model", str(d / "model"),
+                     "--images", str(d / "calib_images.bin"), "--out", str(d / "calib.json")])
+        assert code == 3
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not (d / "calib.json").exists()
 
     def test_ok_is_0(self, tmp_path):
         assert main(["synth", "--arch", "mininet", "--seed", "1", "--calib-count", "2",

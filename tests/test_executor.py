@@ -6,7 +6,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import signal
 
 import mixquant as mq
-from mixquant.errors import InvariantViolation, MissingQuantParams, NonPositiveVariance, ShapeMismatch
+from mixquant.errors import (InvariantViolation, MissingQuantParams, NonPositiveVariance, ShapeMismatch,
+                             UnsupportedKind)
 from mixquant.executor import (
     MAX_EXACT_K,
     Executor,
@@ -21,7 +22,7 @@ from mixquant.executor import (
     kernel_relu,
     kernel_softmax,
 )
-from mixquant.ir import Graph, Node, QuantParams, Tensor, round_half_away
+from mixquant.ir import KINDS, Graph, Node, QuantParams, Tensor, round_half_away
 from mixquant.model_io import Lcg
 
 from conftest import run_f32
@@ -532,3 +533,105 @@ class TestImageBatches:
         batches = list(executor.image_batches(mininet, calib_images[:7]))
         assert [b.shape[0] for b in batches][:-1] == [step] * (len(batches) - 1)
         assert np.array_equal(np.concatenate([b.data for b in batches]), calib_images[:7])
+
+
+# ---------------------------------------------------------------------------
+# one kernel table for both precisions; pools take the conv's window extractor
+
+def padded_pool_windows(x, k, s, p, pad_value):
+    """Pool windows by np.pad and a window copy, window axis last."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
+    oh = (h + 2 * p - k) // s + 1
+    ow = (w + 2 * p - k) // s + 1
+    wins = np.empty((n, c, oh, ow, k * k), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            wins[..., i * k + j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+    return wins
+
+
+KIND_KERNELS = {"Conv2d": "kernel_conv2d", "DepthwiseConv2d": "kernel_depthwise_conv2d",
+                "BatchNorm": "kernel_batchnorm", "ReLU": "kernel_relu", "Add": "kernel_add",
+                "MaxPool": "kernel_maxpool", "AvgPool": "kernel_avgpool",
+                "GlobalAvgPool": "kernel_global_avgpool", "Gemm": "kernel_gemm",
+                "Flatten": "kernel_flatten", "Softmax": "kernel_softmax"}
+
+
+class TestKernelTable:
+    @given(st.integers(1, 3), st.sampled_from([1, 2, None]), st.integers(0, 1),
+           st.sampled_from([np.float32, np.float64]), st.integers(1, 2), st.integers(1, 3),
+           st.integers(0, 4), st.integers(0, 4), st.booleans(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_pools_equal_padded_window_definition(self, k, stride, padding, dtype, n, c, dh, dw,
+                                                  negative, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, k + dh, k + dw)).astype(dtype)
+        if negative:  # a maxpool padded with 0 would then read the padding
+            x = -np.abs(x) - 1
+        s = k if stride is None else stride
+        want_max = padded_pool_windows(x, k, s, padding, np.finfo(dtype).min).max(axis=-1)
+        want_avg = padded_pool_windows(x, k, s, padding, 0).mean(axis=-1, dtype=dtype)
+        got_max = kernel_maxpool(x, k, stride, padding)
+        got_avg = kernel_avgpool(x, k, stride, padding)
+        assert got_max.dtype == got_avg.dtype == dtype
+        np.testing.assert_array_equal(got_max, want_max)
+        np.testing.assert_array_equal(got_avg, want_avg)
+
+    @pytest.mark.parametrize("pool", [kernel_maxpool, kernel_avgpool])
+    def test_pool_larger_than_padded_input(self, pool):
+        with pytest.raises(ShapeMismatch):
+            pool(np.zeros((1, 1, 2, 2), np.float32), 5, 1, 1)
+
+    def test_int8_softmax_is_unsupported(self):
+        qp = QuantParams(8, 0.1, 0)
+        g = Graph("softmax8")
+        g.add(Node("input", "Input", attrs={"shape": [4]}))
+        g.add(Node("q", "Quantize", ["input"], attrs={"qparams": qp}))
+        g.add(Node("sm", "Softmax", ["q"], precision=8,
+                   attrs={"in_qparams": [qp], "out_qparams": qp}))
+        g.add(Node("output", "Output", ["sm"]))
+        with pytest.raises(UnsupportedKind):
+            Executor().run_quantized(g, Tensor.f32(np.zeros((1, 4), np.float32)))
+
+    def test_fp32_node_rejects_int8_input(self):
+        qp = QuantParams(8, 0.1, 0)
+        g = Graph("no_dequantize")
+        g.add(Node("input", "Input", attrs={"shape": [4]}))
+        g.add(Node("q", "Quantize", ["input"], attrs={"qparams": qp}))
+        g.add(Node("flat", "Flatten", ["q"]))
+        g.add(Node("output", "Output", ["flat"]))
+        with pytest.raises(MissingQuantParams):
+            Executor().run_quantized(g, Tensor.f32(np.zeros((1, 4), np.float32)))
+
+    def test_table_covers_every_compute_kind(self):
+        from mixquant import executor
+        assert set(executor._KERNELS) == KINDS - {"Input", "Output", "Quantize", "Dequantize"}
+        assert set(executor._KERNELS) == set(KIND_KERNELS)
+
+    def test_rebound_kernel_names_reach_every_pass(self, arch_graphs, monkeypatch):
+        """A wrapper bound to a module-level kernel name sees each node's call,
+        so a tracer that rebinds those names records every kernel."""
+        from collections import Counter
+
+        from mixquant import executor
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in set(KIND_KERNELS.values()):
+            monkeypatch.setattr(executor, name, counting(name, getattr(executor, name)))
+        for arch in ARCHS:
+            shape, graphs = arch_graphs[arch]
+            for graph, quantized in graphs:
+                calls.clear()
+                ex = Executor()
+                (ex.run_quantized if quantized else ex.run_fp32)(graph, Tensor.f32(np.zeros((1, *shape))))
+                want = Counter(KIND_KERNELS[n.kind] for n in graph.nodes if n.kind in KIND_KERNELS)
+                want["kernel_relu"] += sum(1 for n in graph.nodes
+                                           if n.precision == 32 and n.attrs.get("fused_relu"))
+                assert calls == +want, (arch, quantized)

@@ -218,3 +218,200 @@ class TestQdqAcrossStages:
         fused = mq.apply_mixed_precision(
             staged, expand_to_groups(staged, keep_anchors), mininet_calib)
         assert count_qdq(fused) <= count_qdq(unfused)
+
+
+# ---------------------------------------------------------------------------
+# the single-scan passes against the restart-after-each-match definition
+
+def _oracle_sole_consumer(graph, node_id):
+    consumers = graph.consumers(node_id)
+    return consumers[0] if len(consumers) == 1 else None
+
+
+def _oracle_drop_node(graph, victim_id, replacement_id):
+    out = Graph(graph.name)
+    for n in graph.nodes:
+        if n.id == victim_id:
+            continue
+        n = n.copy()
+        n.inputs = [replacement_id if s == victim_id else s for s in n.inputs]
+        out.add(n)
+    return out
+
+
+def oracle_fuse_conv_bn(graph):
+    """Rescans the whole graph after every fold, as the passes first did."""
+    g = graph.copy()
+    while True:
+        match = None
+        for n in g.nodes:
+            if n.kind != "BatchNorm":
+                continue
+            producer = g.node(n.inputs[0])
+            if producer.kind in ("Conv2d", "DepthwiseConv2d") \
+                    and _oracle_sole_consumer(g, producer.id) is not None \
+                    and _oracle_sole_consumer(g, producer.id).id == n.id:
+                match = (producer, n)
+                break
+        if match is None:
+            return g
+        conv, bn = match
+        gamma = bn.weights["gamma"].data.astype(np.float64)
+        beta = bn.weights["beta"].data.astype(np.float64)
+        mean = bn.weights["mean"].data.astype(np.float64)
+        var = bn.weights["var"].data.astype(np.float64)
+        scale = gamma / np.sqrt(var + float(bn.attrs.get("epsilon", 1e-5)))
+        w = conv.weights["weight"].data.astype(np.float64)
+        b = conv.weights.get("bias")
+        b = b.data.astype(np.float64) if b is not None else np.zeros(w.shape[0])
+        conv = conv.copy()
+        conv.weights = {
+            "weight": Tensor((w * scale[:, None, None, None]).astype(np.float32)),
+            "bias": Tensor(((b - mean) * scale + beta).astype(np.float32)),
+        }
+        conv.attrs["profile_id"] = bn.attrs.get("profile_id", bn.id)
+        rebuilt = Graph(g.name)
+        for n in g.nodes:
+            rebuilt.add(conv if n.id == conv.id else n)
+        g = _oracle_drop_node(rebuilt, bn.id, conv.id)
+
+
+def oracle_fuse_conv_relu(graph):
+    g = graph.copy()
+    while True:
+        match = None
+        for n in g.nodes:
+            if n.kind != "ReLU":
+                continue
+            producer = g.node(n.inputs[0])
+            if producer.kind in ("Conv2d", "DepthwiseConv2d") and not producer.attrs.get("fused_relu") \
+                    and _oracle_sole_consumer(g, producer.id) is not None \
+                    and _oracle_sole_consumer(g, producer.id).id == n.id:
+                match = (producer, n)
+                break
+        if match is None:
+            return g
+        conv, relu = match
+        conv = conv.copy()
+        conv.attrs["fused_relu"] = True
+        conv.attrs["profile_id"] = relu.attrs.get("profile_id", relu.id)
+        rebuilt = Graph(g.name)
+        for n in g.nodes:
+            rebuilt.add(conv if n.id == conv.id else n)
+        g = _oracle_drop_node(rebuilt, relu.id, conv.id)
+
+
+def oracle_fusion_groups(graph):
+    order = mq.topo_sort(graph)
+    taken, groups = set(), []
+    for nid in order:
+        if graph.node(nid).kind not in ("Conv2d", "DepthwiseConv2d") or nid in taken:
+            continue
+        members, nxt = [nid], _oracle_sole_consumer(graph, nid)
+        for kind in ("BatchNorm", "Add", "ReLU"):
+            if nxt is not None and nxt.kind == kind and nxt.id not in taken:
+                members.append(nxt.id)
+                nxt = _oracle_sole_consumer(graph, nxt.id) if kind != "ReLU" else None
+        taken.update(members)
+        groups.append((nid, tuple(members)))
+    for nid in order:
+        if graph.node(nid).kind in mq.ir.QUANTIZABLE_KINDS and nid not in taken:
+            taken.add(nid)
+            groups.append((nid, (nid,)))
+    return sorted(groups, key=lambda g: order.index(g[0]))
+
+
+def _bn(nid, src, c, rng):
+    return Node(nid, "BatchNorm", [src], attrs={"epsilon": 1e-5},
+                weights={"gamma": Tensor.f32(rng.uniform(0.5, 1.5, (c,))),
+                         "beta": Tensor.f32(rng.uniform(-1, 1, (c,))),
+                         "mean": Tensor.f32(rng.uniform(-1, 1, (c,))),
+                         "var": Tensor.f32(rng.uniform(0.5, 2.0, (c,)))})
+
+
+def _conv(nid, src, c, rng):
+    return Node(nid, "Conv2d", [src], attrs={"stride": 1, "padding": 1},
+                weights={"weight": Tensor.f32(rng.uniform(-1, 1, (c, c, 3, 3))),
+                         "bias": Tensor.f32(rng.uniform(-1, 1, (c,)))})
+
+
+def chain(kinds, reverse=False):
+    """input -> conv -> kinds... -> output, inserted last node first if `reverse`."""
+    rng, c = Lcg(11), 2
+    nodes = [Node("input", "Input", attrs={"shape": [c, 4, 4]}), _conv("c", "input", c, rng)]
+    for i, kind in enumerate(kinds):
+        src = nodes[-1].id
+        nodes.append(_bn(f"n{i}", src, c, rng) if kind == "BatchNorm" else Node(f"n{i}", kind, [src]))
+    nodes.append(Node("output", "Output", [nodes[-1].id]))
+    return Graph("chain", nodes[::-1] if reverse else nodes)
+
+
+def two_consumer_graph():
+    """c feeds both a BN and a ReLU; c2 -> BN -> ReLU folds completely."""
+    rng, c = Lcg(12), 2
+    return Graph("two", [
+        Node("input", "Input", attrs={"shape": [c, 4, 4]}), _conv("c", "input", c, rng),
+        _bn("bn", "c", c, rng), Node("r", "ReLU", ["c"]), Node("add", "Add", ["bn", "r"]),
+        _conv("c2", "add", c, rng), _bn("bn2", "c2", c, rng), Node("r2", "ReLU", ["bn2"]),
+        Node("output", "Output", ["r2"])])
+
+
+def folded_node_with_two_consumers():
+    """bn1 folds into c; c then has two consumers, so bn2 must stay."""
+    rng, c = Lcg(13), 2
+    return Graph("fan", [
+        Node("input", "Input", attrs={"shape": [c, 4, 4]}), _conv("c", "input", c, rng),
+        _bn("bn1", "c", c, rng), _bn("bn2", "bn1", c, rng), Node("r", "ReLU", ["bn1"]),
+        Node("add", "Add", ["bn2", "r"]), Node("output", "Output", ["add"])])
+
+
+ORACLE_CASES = {
+    "conv_bn_bn": lambda archs: chain(["BatchNorm", "BatchNorm"]),
+    "conv_relu_bn": lambda archs: chain(["ReLU", "BatchNorm"]),
+    "conv_relu_relu": lambda archs: chain(["ReLU", "ReLU"]),
+    "conv_bn_relu_bn_relu": lambda archs: chain(["BatchNorm", "ReLU", "BatchNorm", "ReLU"]),
+    "out_of_topo_order": lambda archs: chain(["BatchNorm", "BatchNorm", "ReLU"], reverse=True),
+    "two_consumers": lambda archs: two_consumer_graph(),
+    "two_consumers_reversed": lambda archs: Graph("rev", two_consumer_graph().nodes[::-1]),
+    "folded_node_with_two_consumers": lambda archs: folded_node_with_two_consumers(),
+    "mininet": lambda archs: archs["mininet"],
+    "mini_resnet": lambda archs: archs["mini_resnet"],
+    "mini_mobilenet": lambda archs: archs["mini_mobilenet"],
+}
+
+
+def same_graph(a, b):
+    return a.name == b.name and graph_signature(a) == graph_signature(b)
+
+
+class TestSingleScanMatchesRestartLoop:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_passes_equal_oracle(self, case, all_archs):
+        g = ORACLE_CASES[case](all_archs)
+        before = graph_signature(g)
+        bn, relu = fuse_conv_bn(g), fuse_conv_relu(g)
+        assert same_graph(bn, oracle_fuse_conv_bn(g))
+        assert same_graph(relu, oracle_fuse_conv_relu(g))
+        assert same_graph(fuse_conv_relu(bn), oracle_fuse_conv_relu(oracle_fuse_conv_bn(g)))
+        assert same_graph(lower_to_stage(g, "fused"), fuse_conv_relu(bn))
+        assert graph_signature(g) == before  # the input graph is left alone
+        for stage in (g, bn, lower_to_stage(g, "fused")):
+            got = [(grp.anchor, grp.members) for grp in discover_fusion_groups(stage)]
+            assert got == oracle_fusion_groups(stage)
+
+    def test_chains_fold_as_expected(self):
+        fused = lower_to_stage(chain(["BatchNorm", "BatchNorm"]), "fused")
+        assert [n.id for n in fused.nodes] == ["input", "c", "output"]
+        assert fused.node("c").attrs["profile_id"] == "n1"
+        # the BN after a fused ReLU stays: folding it would move the clamp
+        fused = lower_to_stage(chain(["ReLU", "BatchNorm"]), "fused")
+        assert [n.id for n in fused.nodes] == ["input", "c", "n1", "output"]
+        assert fused.node("n1").inputs == ["c"] and fused.node("c").attrs["fused_relu"]
+        fused = lower_to_stage(chain(["ReLU", "ReLU"]), "fused")
+        assert [n.id for n in fused.nodes] == ["input", "c", "n1", "output"]
+        fused = lower_to_stage(two_consumer_graph(), "fused")
+        assert {"bn", "r"} <= {n.id for n in fused.nodes}
+        assert "bn2" not in fused and "r2" not in fused
+        assert fused.node("output").inputs == ["c2"]
+        fused = lower_to_stage(folded_node_with_two_consumers(), "fused")
+        assert "bn1" not in fused and fused.node("bn2").inputs == ["c"]

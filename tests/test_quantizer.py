@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,13 @@ from mixquant.quantizer import (
     count_qdq,
     expand_to_groups,
     load_node_list,
-    load_precision_config,
     precision_config,
     save_node_list,
     save_precision_config,
     select_dequant_set,
 )
+
+from conftest import graph_signature
 
 
 def chain_model():
@@ -292,5 +295,49 @@ class TestConfigFiles:
         qg = mq.apply_mixed_precision(mininet, ["b3_conv"], mininet_calib)
         config = precision_config(qg)
         save_precision_config(config, tmp_path / "precision.json")
-        assert load_precision_config(tmp_path / "precision.json") == config
+        assert json.loads((tmp_path / "precision.json").read_text()) == {"layers": config}
         assert config["b3_conv"] == 32 and config["b5_conv"] == 8
+
+
+# ---------------------------------------------------------------------------
+# properties of the transform on every arch at both IR stages
+
+ARCHS = ("mininet", "mini_resnet", "mini_mobilenet")
+
+
+@pytest.fixture(scope="module")
+def staged(all_archs):
+    """arch -> stage -> (graph, calibration profile of the unfused graph)."""
+    from mixquant.fusion import STAGES, lower_to_stage
+
+    out = {}
+    for name, g in all_archs.items():
+        shape = tuple(int(d) for d in g.input_node.attrs["shape"])
+        calib = profile_activations(g, mq.gen_images(4, shape, 5))
+        out[name] = {stage: (lower_to_stage(g, stage), calib) for stage in STAGES}
+    return out
+
+
+def quantizable_ids(graph):
+    return [n.id for n in graph.nodes if n.kind in mq.ir.QUANTIZABLE_KINDS]
+
+
+class TestTransformProperties:
+    @given(st.sampled_from(ARCHS), st.sampled_from(["unfused", "fused"]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_dce_cse_idempotent_on_mixed_graphs(self, staged, arch, stage, data):
+        g, calib = staged[arch][stage]
+        keep = data.draw(st.lists(st.sampled_from(quantizable_ids(g)), unique=True))
+        qg = mq.apply_mixed_precision(g, keep, calib)
+        once = dce_cse(qg)
+        assert graph_signature(once) == graph_signature(qg)
+        assert graph_signature(dce_cse(once)) == graph_signature(once)
+
+    @given(st.sampled_from(ARCHS), st.sampled_from(["unfused", "fused"]), st.data(),
+           st.floats(0, 100), st.floats(0, 100))
+    @settings(max_examples=30, deadline=None)
+    def test_higher_target_keeps_a_subset(self, staged, arch, stage, data, a, b):
+        g, _ = staged[arch][stage]
+        order = data.draw(st.permutations(quantizable_ids(g)))
+        low, high = min(a, b), max(a, b)
+        assert set(select_dequant_set(order, g, high)) <= set(select_dequant_set(order, g, low))
