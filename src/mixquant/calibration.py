@@ -175,7 +175,7 @@ def profile_activations(graph: Graph, images: np.ndarray, bins: int = DEFAULT_BI
     nodes = [n.id for n in graph.nodes if n.kind not in ("Input", "Output")]
     prof = CalibrationProfile({nid: HistogramProfile(bins) for nid in [input_id, *nodes]},
                               image_count=images.shape[0], bins=bins)
-    for batch in image_batches(graph, images):
+    for batch in image_batches(images, (graph, nodes)):
         _, trace = ex.run_fp32(graph, batch, capture=nodes)
         for j in range(batch.shape[0]):
             prof.profiles[input_id].update(batch.data[j])

@@ -83,7 +83,7 @@ def _paired_passes(q_graph: Graph, ref_graph: Graph, images: np.ndarray, ex: Exe
     FP32, image by image."""
     node_ref = logits_node_id(ref_graph)
     node_q = node_ref if node_ref in q_graph else logits_node_id(q_graph)
-    for batch in image_batches(ref_graph, images):
+    for batch in image_batches(images, (ref_graph, [node_ref]), (q_graph, [node_q])):
         ref_out, ref_trace = ex.run_fp32(ref_graph, batch, capture=[node_ref])
         q_out, q_trace = ex.run_quantized(q_graph, batch, capture=[node_q])
         ref_logits, q_logits = ref_trace.outputs[node_ref].data, q_trace.outputs[node_q].data

@@ -43,6 +43,11 @@ class UnknownArch(MixQuantError):
     pass
 
 
+class InvalidAttribute(MixQuantError):
+    """A manifest node's attribute, input count or weight rank is not one the
+    executor can run."""
+
+
 # execution
 class MissingQuantParams(MixQuantError):
     pass

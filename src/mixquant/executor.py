@@ -17,13 +17,26 @@ under a fused ReLU, which keeps the interpreter deterministic on every
 platform.
 
 A pass runs a batch of images, and every kernel gives each image the same
-bits whatever the batch size, so batching never moves a result. Callers feed
-batches from `image_batches`, sized so that one pass holds at most
-ACTIVATION_BUDGET_BYTES of activations. The executor counts image-passes (a
-pass adds its batch size) so callers can verify how many inferences an
-analysis actually performed. `capture` names the node ids whose outputs the
-trace keeps (True keeps every non-Input node), stored as float32 (int8
-outputs are dequantized) so metrics always compare in one domain.
+bits whatever the batch size, so batching never moves a result. A pass
+follows the graph's plan: its topological order and, per step, the values
+read there for the last time. The plan is cached by the graph's wiring, the
+((node id, input ids), ...) tuple, so it never goes stale when a graph is
+rewired. A pass frees each value after its last reader; values nothing reads
+(the Output) stay. `capture` names the node ids whose outputs the trace keeps
+(True keeps every non-Input node), stored as float32 (int8 outputs are
+dequantized) so metrics always compare in one domain.
+
+Callers feed batches from `image_batches`, sized by the smallest
+`batch_size` of the passes each batch feeds, so that no pass holds more than
+ACTIVATION_BUDGET_BYTES. `batch_size` walks the plan over the
+inferred shapes and charges an image, at each step, the values live there at
+their working width (4 bytes for FP32 outputs, 8 for int8 and Quantize
+outputs, which are computed in float64), the captured outputs held so far as
+float32, and the step's scratch: window columns and a padded copy for
+Conv2d, DepthwiseConv2d, MaxPool and AvgPool, and an int8 node's float64
+input copies. An image costs its largest step. The executor counts
+image-passes (a pass adds its batch size) so callers can verify how many
+inferences an analysis actually performed.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,15 +56,14 @@ from .errors import (
     UnsupportedKind,
 )
 from .ir import (QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor,
-                 _conv_out_hw, _pair, infer_shapes, round_half_away, topo_sort)
-from .quantizer import dequantize, quantize_affine
+                 _conv_out_hw, _pair, _topo_order, _wiring, infer_shapes, round_half_away)
+from .quantizer import _requantize, dequantize, quantize_affine
 
 # Largest multiply-add count per output for which float64 accumulation of
 # offset int8 activations and int8 weights stays exact.
 MAX_EXACT_K = (2 ** 53 - 1) // (255 * 127)
 
-# Activation bytes one batched pass may hold. Every node output counts at
-# 8 bytes per element, the float64 width the int8 path computes in.
+# Bytes one batched pass may hold at its peak, as batch_size counts them.
 ACTIVATION_BUDGET_BYTES = 1 << 20
 
 
@@ -83,7 +96,7 @@ def kernel_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     cols, oh, ow = _im2col(x, kh, kw, _pair(stride), _pair(padding))
     y = np.matmul(weight.reshape(co, ci * kh * kw), cols)
     if bias is not None:
-        y = y + bias[:, None]
+        y += bias[:, None]
     return y.reshape(x.shape[0], co, oh, ow)
 
 
@@ -99,7 +112,7 @@ def kernel_depthwise_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray 
     y = np.matmul(weight.reshape(c, 1, kh * kw), cols.reshape(n, c, kh * kw, oh * ow))
     y = y.reshape(n, c, oh, ow)
     if bias is not None:
-        y = y + bias[None, :, None, None]
+        y += bias[None, :, None, None]
     return y
 
 
@@ -113,7 +126,10 @@ def kernel_batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float = 1e-5) -
         raise NonPositiveVariance("negative variance in batchnorm")
     shape = (1, -1) + (1,) * (x.ndim - 2)
     scale = (gamma / np.sqrt(var + eps)).reshape(shape)
-    return scale * (x - np.asarray(mean).reshape(shape)) + np.asarray(beta).reshape(shape)
+    y = x - np.asarray(mean).reshape(shape)
+    y *= scale
+    y += np.asarray(beta).reshape(shape)
+    return y
 
 
 def kernel_relu(x: np.ndarray) -> np.ndarray:
@@ -196,30 +212,82 @@ _KERNELS = {
 }
 
 
-def _requantize(real: np.ndarray, qp: QuantParams, clamp_at_zero: bool = False) -> Tensor:
-    q = round_half_away(real / qp.step) + qp.zero_point
-    if clamp_at_zero:
-        q = np.maximum(q, qp.zero_point)
-    return Tensor(np.clip(q, qp.qmin, qp.qmax).astype(np.int8), qp)
-
-
 def _deq64(t: Tensor) -> np.ndarray:
     return (t.data.astype(np.float64) - t.qparams.zero_point) * t.qparams.step
 
 
 # ---------------------------------------------------------------------------
-# graph interpreter
+# execution plan and activation budget
 
-def batch_size(graph: Graph) -> int:
-    """Images per pass that keep the graph's activations within
-    ACTIVATION_BUDGET_BYTES; at least one."""
-    per_image = 8 * sum(math.prod(shape) for shape in infer_shapes(graph).values())
+@lru_cache(maxsize=256)
+def _plan_of(edges: tuple[tuple[str, tuple[str, ...]], ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    inputs = dict(edges)
+    order = _topo_order(edges)
+    # in topological order, each value's last entry names its last reader
+    last_reader = {src: nid for nid in order for src in inputs[nid]}
+    freed: dict[str, list[str]] = {nid: [] for nid in order}
+    for src, nid in last_reader.items():
+        freed[nid].append(src)
+    return tuple((nid, tuple(freed[nid])) for nid in order)
+
+
+def _plan(graph: Graph) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """(node id, values read there for the last time) per step, in topological
+    order. Cached by the graph's wiring alone, so a rewired graph gets a new plan
+    and an equal wiring shares one."""
+    return _plan_of(_wiring(graph))
+
+
+def _captured(graph: Graph, capture: bool | Iterable[str]) -> set[str]:
+    if capture is True:
+        return {n.id for n in graph.nodes if n.kind != "Input"}
+    return set(capture or ())
+
+
+def _width(node: Node) -> int:
+    """Bytes per element of a node's output while it is live: int8 nodes and
+    Quantize compute it in float64."""
+    return 8 if node.precision == 8 or node.kind == "Quantize" else 4
+
+
+def _scratch(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
+    """Elements a node allocates only while it runs: the window columns and
+    the padded copy of a windowed kind, and an int8 node's float64 inputs."""
+    elems = 0
+    if node.kind in ("Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"):
+        _, c, h, w = shapes[node.inputs[0]]
+        kh, kw = (node.weights["weight"].shape[2:] if node.kind in WEIGHTED_KINDS
+                  else _pair(node.attrs["kernel"]))
+        ph, pw = _pair(node.attrs.get("padding", 0))
+        elems += c * kh * kw * math.prod(shapes[node.id][2:]) + c * (h + 2 * ph) * (w + 2 * pw)
+    if node.precision == 8:
+        elems += sum(math.prod(shapes[s]) for s in node.inputs)
+    return elems
+
+
+def batch_size(graph: Graph, capture: bool | Iterable[str] = False) -> int:
+    """Images per pass that keep one pass within ACTIVATION_BUDGET_BYTES, at
+    least one; the module docstring lists what an image costs. A captured
+    FP32 output shares its array with the trace, so it counts once."""
+    shapes = infer_shapes(graph)
+    wanted = _captured(graph, capture)
+    live: dict[str, int] = {}
+    held = per_image = 0
+    for nid, last_reads in _plan(graph):
+        node = graph.node(nid)
+        width, size, captured = _width(node), math.prod(shapes[nid]), nid in wanted
+        held += 4 * size if captured else 0
+        live[nid] = 0 if captured and width == 4 else width * size
+        per_image = max(per_image, sum(live.values()) + held + width * _scratch(node, shapes))
+        for s in last_reads:
+            del live[s]
     return max(1, ACTIVATION_BUDGET_BYTES // per_image)
 
 
-def image_batches(graph: Graph, images: np.ndarray):
-    """Consecutive float32 batches of `images`, batch_size(graph) at a time."""
-    step = batch_size(graph)
+def image_batches(images: np.ndarray, *passes: tuple[Graph, bool | Iterable[str]]):
+    """Consecutive float32 batches of `images`, sized for the (graph, capture)
+    passes that each batch feeds: the smallest batch_size among them."""
+    step = min(batch_size(graph, capture) for graph, capture in passes)
     for start in range(0, images.shape[0], step):
         yield Tensor.f32(images[start:start + step])
 
@@ -254,18 +322,17 @@ class Executor:
         return self._run(graph, inp, capture)
 
     def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str]):
-        if capture is True:
-            capture = [n.id for n in graph.nodes if n.kind != "Input"]
-        wanted = set(capture or ())
+        wanted = _captured(graph, capture)
         values: dict[str, Tensor] = {}
         trace = LayerTrace()
-        for nid in topo_sort(graph):
+        for nid, last_reads in _plan(graph):
             node = graph.node(nid)
-            ins = [values[s] for s in node.inputs]
-            t = self._exec_node(graph, node, ins, inp)
+            t = self._exec_node(graph, node, [values[s] for s in node.inputs], inp)
             values[nid] = t
             if nid in wanted:
                 trace.outputs[nid] = dequantize(t) if t.dtype == "i8" else t
+            for s in last_reads:
+                del values[s]
         self.passes += inp.shape[0]
         return values[graph.output_node.id], trace
 
@@ -314,6 +381,8 @@ class Executor:
         w = {"weight": wt.data.astype(np.float64)}
         if "bias" in node.weights:  # in accumulator units
             w["bias"] = round_half_away(node.weights["bias"].data.astype(np.float64) / scale)
-        # offset before padding, so that zero padding stays exact
-        x = np.subtract(ins[0].data, in_qp.zero_point, dtype=np.float64)
-        return _requantize(_KERNELS[kind](node, [x], w) * scale, node.attrs["out_qparams"], relu)
+        # offset before padding, so that zero padding stays exact; the offset
+        # copy dies with the call
+        acc = _KERNELS[kind](node, [np.subtract(ins[0].data, in_qp.zero_point, dtype=np.float64)], w)
+        acc *= scale
+        return _requantize(acc, node.attrs["out_qparams"], relu)

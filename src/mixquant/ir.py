@@ -216,21 +216,30 @@ class Graph:
         topo_sort(self)  # raises CycleDetected
 
 
+def _wiring(graph: Graph) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The graph's edges as ((node id, input ids), ...) in insertion order."""
+    return tuple((n.id, tuple(n.inputs)) for n in graph.nodes)
+
+
 def topo_sort(graph: Graph) -> list[str]:
     """Topological order of node ids, deterministic.
 
     Kahn's algorithm; among simultaneously-ready nodes the one inserted first
     wins, so repeated runs (and reruns of the whole pipeline) agree exactly.
     """
-    order_idx = {n.id: i for i, n in enumerate(graph.nodes)}
-    indeg = {n.id: 0 for n in graph.nodes}
-    out_edges: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for n in graph.nodes:
-        for src in n.inputs:
+    return _topo_order(_wiring(graph), graph.name)
+
+
+def _topo_order(edges: tuple[tuple[str, tuple[str, ...]], ...], name: str = "graph") -> list[str]:
+    order_idx = {nid: i for i, (nid, _) in enumerate(edges)}
+    indeg = dict.fromkeys(order_idx, 0)
+    out_edges: dict[str, list[str]] = {nid: [] for nid in order_idx}
+    for nid, inputs in edges:
+        for src in inputs:
             if src not in indeg:
-                raise UnknownNode(f"node {n.id!r} reads undefined input {src!r}")
-            out_edges[src].append(n.id)
-            indeg[n.id] += 1
+                raise UnknownNode(f"node {nid!r} reads undefined input {src!r}")
+            out_edges[src].append(nid)
+            indeg[nid] += 1
 
     ready = sorted((nid for nid, d in indeg.items() if d == 0), key=order_idx.__getitem__)
     result: list[str] = []
@@ -245,8 +254,8 @@ def topo_sort(graph: Graph) -> list[str]:
                 changed = True
         if changed:
             ready.sort(key=order_idx.__getitem__)
-    if len(result) != len(graph.nodes):
-        raise CycleDetected(f"graph {graph.name!r} contains a cycle")
+    if len(result) != len(edges):
+        raise CycleDetected(f"graph {name!r} contains a cycle")
     return result
 
 

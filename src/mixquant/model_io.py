@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptBlob, EmptyImageBatch, FormatVersionMismatch, NonFiniteValue, UnknownArch
-from .ir import Graph, Node, QuantParams, Tensor
+from .errors import (CorruptBlob, EmptyImageBatch, FormatVersionMismatch, InvalidAttribute,
+                     InvariantViolation, NonFiniteValue, UnknownArch)
+from .ir import KINDS, QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor
 
 FORMAT_VERSION = 1
 
@@ -243,12 +245,84 @@ def _attr_to_json(v):
     return v
 
 
+def _qparams_from_json(d) -> QuantParams:
+    try:
+        return QuantParams.from_json(d)
+    except (InvariantViolation, KeyError, TypeError, ValueError) as exc:
+        raise InvalidAttribute(f"malformed quantization parameters {d!r}: {exc}") from None
+
+
 def _attr_from_json(v):
     if isinstance(v, dict) and "__qparams__" in v:
-        return QuantParams.from_json(v["__qparams__"])
+        return _qparams_from_json(v["__qparams__"])
     if isinstance(v, list):
         return [_attr_from_json(x) for x in v]
     return v
+
+
+def _check_node(node: Node) -> None:
+    """Reject what the executor and shape inference could not read: a wrong
+    input count, a kernel, stride or padding of the wrong type, arity or sign
+    (a pool's padding must also stay below its kernel, or a window could hold
+    padding alone), an Input shape other than three positive ints, a missing
+    weight or one of the wrong rank, malformed flags, and quantization
+    parameters that are missing or not 8-bit where int8 codes are read or
+    written. Each raises InvalidAttribute."""
+    def bad(what: str):
+        raise InvalidAttribute(f"node {node.id!r} ({node.kind}): {what}")
+
+    def pair(key: str, least: int, default=None) -> tuple[int, int]:
+        v = node.attrs.get(key, default)
+        items = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
+        if not all(type(x) is int and x >= least for x in items):
+            bad(f"{key} must be an int >= {least} or a pair of them, got {v!r}")
+        return items[0], items[-1]
+
+    arity = {"Input": 0, "Add": 2}.get(node.kind, 1)
+    if len(node.inputs) != arity:
+        bad(f"takes {arity} inputs, lists {len(node.inputs)}")
+    if node.precision not in (8, 32) or (node.precision == 8 and node.kind not in QUANTIZABLE_KINDS):
+        bad(f"precision {node.precision!r} is not supported")
+    required = (("gamma", "beta", "mean", "var") if node.kind == "BatchNorm"
+                else ("weight",) if node.kind in WEIGHTED_KINDS else ())
+    for name in required:
+        if name not in node.weights:
+            bad(f"lacks its {name} weight")
+    for name, t in node.weights.items():
+        rank = 1 if name != "weight" else 2 if node.kind == "Gemm" else 4
+        if t.data.ndim != rank:
+            bad(f"{name} has rank {t.data.ndim}, expected {rank}")
+
+    if node.kind == "Input":
+        shape = node.attrs.get("shape")
+        if not (isinstance(shape, list) and len(shape) == 3
+                and all(type(d) is int and d >= 1 for d in shape)):
+            bad(f"shape must be three positive ints (C, H, W), got {shape!r}")
+    if node.kind in ("Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"):
+        pool = node.kind not in WEIGHTED_KINDS
+        kernel = pair("kernel", 1) if pool else node.weights["weight"].shape[2:]
+        if not (pool and node.attrs.get("stride") is None):  # a pool strides by its kernel
+            pair("stride", 1, 1)
+        padding = pair("padding", 0, 0)
+        if pool and (padding[0] >= kernel[0] or padding[1] >= kernel[1]):
+            bad(f"padding {padding} must stay below the kernel {tuple(kernel)}")
+    eps = node.attrs.get("epsilon", 0.0)
+    if type(eps) not in (int, float) or not 0 <= eps <= sys.float_info.max:
+        bad(f"epsilon must be a finite number >= 0, got {eps!r}")
+    if type(node.attrs.get("fused_relu", False)) is not bool:
+        bad(f"fused_relu must be true or false, got {node.attrs['fused_relu']!r}")
+    if type(node.attrs.get("profile_id", "")) is not str:
+        bad(f"profile_id must be a string, got {node.attrs['profile_id']!r}")
+    def int8(qp) -> bool:
+        return isinstance(qp, QuantParams) and qp.bit_width == 8
+
+    if node.kind in ("Quantize", "Dequantize") and not int8(node.attrs.get("qparams")):
+        bad("needs 8-bit qparams")
+    if node.precision == 8:
+        in_qps = node.attrs.get("in_qparams")
+        if not (int8(node.attrs.get("out_qparams")) and isinstance(in_qps, list)
+                and len(in_qps) == arity and all(int8(q) for q in in_qps)):
+            bad("an int8 node needs 8-bit out_qparams and one 8-bit in_qparams entry per input")
 
 
 def save_model(graph: Graph, path) -> None:
@@ -321,16 +395,26 @@ def load_model(path) -> Graph:
         arr = np.frombuffer(payload[lo:hi], dtype=code).reshape(meta["shape"])
         return np.ascontiguousarray(arr)
 
+    kinds = [nj["kind"] for nj in manifest["nodes"]]
+    if kinds.count("Input") != 1 or kinds.count("Output") != 1:
+        raise InvalidAttribute(f"a model needs one Input and one Output node, {path} has "
+                               f"{kinds.count('Input')} and {kinds.count('Output')}")
     g = Graph(manifest.get("name", "model"))
     for nj in manifest["nodes"]:
+        if nj["kind"] not in KINDS:
+            raise InvalidAttribute(f"node {nj['id']!r} has unknown kind {nj['kind']!r}")
+        if nj["id"] in g:
+            raise InvalidAttribute(f"node id {nj['id']!r} appears twice")
         weights = {}
         for wname, ref in nj["weights"].items():
             arr = read_blob(ref["blob"])
-            qp = QuantParams.from_json(ref["qparams"]) if "qparams" in ref else None
+            qp = _qparams_from_json(ref["qparams"]) if "qparams" in ref else None
             weights[wname] = Tensor(arr, qp)
-        g.add(Node(nj["id"], nj["kind"], list(nj["inputs"]),
-                   {k: _attr_from_json(v) for k, v in nj["attrs"].items()},
-                   weights, int(nj["precision"])))
+        node = Node(nj["id"], nj["kind"], list(nj["inputs"]),
+                    {k: _attr_from_json(v) for k, v in nj["attrs"].items()},
+                    weights, int(nj["precision"]))
+        _check_node(node)
+        g.add(node)
     g.validate()
     return g
 

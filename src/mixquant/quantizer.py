@@ -29,7 +29,6 @@ from .ir import (
     Tensor,
     WEIGHTED_KINDS,
     dce_cse,
-    round_half_away,
 )
 
 
@@ -39,9 +38,24 @@ def quantize_affine(x, qp: QuantParams) -> Tensor:
     Rounding is half-away-from-zero; symmetric params saturate to
     [-127, 127], asymmetric to [-128, 127].
     """
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    q = round_half_away(data.astype(np.float64) / qp.step) + qp.zero_point
-    return Tensor(np.clip(q, qp.qmin, qp.qmax).astype(np.int8), qp)
+    return _requantize(x.data if isinstance(x, Tensor) else np.asarray(x), qp)
+
+
+def _requantize(real: np.ndarray, qp: QuantParams, clamp_at_zero: bool = False) -> Tensor:
+    """clamp(round_half_away(real / step) + zero_point), clamped below at the
+    zero point under a fused ReLU. The rounding runs in place on the one fresh
+    float64 quotient, so the operand is left alone and no other temporary
+    than the sign is made."""
+    q = np.divide(real, qp.step, dtype=np.float64)
+    sign = np.sign(q)
+    np.abs(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    q *= sign
+    q += qp.zero_point
+    if clamp_at_zero:
+        np.maximum(q, qp.zero_point, out=q)
+    return Tensor(np.clip(q, qp.qmin, qp.qmax, out=q).astype(np.int8), qp)
 
 
 def dequantize(q: Tensor, qp: QuantParams | None = None) -> Tensor:

@@ -173,7 +173,7 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
     act_mse_acc = {nid: 0.0 for nid in qids}
     act_cos_acc = {nid: 0.0 for nid in qids}
     act_kl_acc = {nid: 0.0 for nid in qids}
-    for batch in image_batches(graph, images):
+    for batch in image_batches(images, (graph, qids), (q_graph, qids)):
         _, ref_trace = ex.run_fp32(graph, batch, capture=qids)
         _, q_trace = ex.run_quantized(q_graph, batch, capture=qids)
         for j in range(batch.shape[0]):
@@ -290,7 +290,7 @@ def teacher_labels(graph: Graph, images: np.ndarray, executor: Executor | None =
 def _predictions(run, graph: Graph, images: np.ndarray) -> list[int]:
     """Per-image argmax of the graph's output over batched passes of `run`."""
     preds: list[int] = []
-    for batch in image_batches(graph, images):
+    for batch in image_batches(images, (graph, False)):
         out, _ = run(graph, batch)
         preds.extend(int(k) for k in np.argmax(out.data.reshape(batch.shape[0], -1), axis=1))
     return preds

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mixquant as mq
 from mixquant import executor
@@ -116,6 +118,50 @@ class TestBatchSizeInvariance:
             assert batched[rel] == single[rel], rel
 
 
+# Values no attribute accepts, except where `accepted` says so.
+CORRUPT_VALUES = [None, "2", 1.5, True, False, -1, 0, [], [1], [1, 2, 3], [[1], [1]], {"a": 1},
+                  {"__qparams__": {"bit_width": 7, "step": 1.0, "zero_point": 0, "symmetric": False}},
+                  {"__qparams__": {"bit_width": 32, "step": 1.0, "zero_point": 0, "symmetric": False}}]
+
+
+def accepted(kind, key, value):
+    """Whether `value` is a valid `key` for a node of `kind`."""
+    if key == "stride" and kind in ("MaxPool", "AvgPool"):
+        return value is None
+    if key == "padding":
+        return value == 0
+    if key == "epsilon":
+        return type(value) in (int, float) and value >= 0
+    if key == "fused_relu":
+        return type(value) is bool
+    if key == "profile_id":
+        return type(value) is str
+    return False
+
+
+@pytest.fixture(scope="module")
+def corruptible_runs(tmp_path_factory):
+    """Per arch, a synth model (read by calibrate) and a quantized model at
+    the fused stage (read by evaluate), each with the command that reads it."""
+    runs = {}
+    for arch in ("mininet", "mini_resnet", "mini_mobilenet"):
+        d = tmp_path_factory.mktemp(arch)
+        assert main(["synth", "--arch", arch, "--seed", "1", "--calib-count", "2",
+                     "--eval-count", "2", "--out-dir", str(d)]) == 0
+        assert main(["calibrate", "--model", f"{d}/model", "--images", f"{d}/calib_images.bin",
+                     "--out", f"{d}/calib.json"]) == 0
+        assert main(["analyze", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                     "--method", "in-order", "--out-list", f"{d}/list.txt"]) == 0
+        assert main(["quantize", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                     "--list", f"{d}/list.txt", "--target-reduction", "60", "--out-dir", str(d)]) == 0
+        runs[arch, "model"] = (d, ["calibrate", "--model", "{model}", "--images",
+                                   "{root}/calib_images.bin", "--out", "{out}/calib.json"])
+        runs[arch, "q60/model"] = (d, ["evaluate", "--model", "{model}", "--ref-model", "{root}/model",
+                                       "--images", "{root}/eval_images.bin", "--labels",
+                                       "{root}/labels.json", "--out", "{out}/report.json"])
+    return runs
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as err:
@@ -169,6 +215,39 @@ class TestExitCodes:
         assert code == 3
         assert "NaN or infinite" in capsys.readouterr().err
         assert not (d / "calib.json").exists()
+
+    def test_null_pool_kernel_is_3(self, tmp_path, capsys):
+        d = tmp_path / "run"
+        assert main(["synth", "--arch", "mini_resnet", "--seed", "1", "--calib-count", "2",
+                     "--eval-count", "2", "--out-dir", str(d)]) == 0
+        manifest = json.loads((d / "model/manifest.json").read_text())
+        next(n for n in manifest["nodes"] if n["id"] == "pool1")["attrs"]["kernel"] = None
+        (d / "model/manifest.json").write_text(json.dumps(manifest))
+        code = main(["calibrate", "--model", str(d / "model"),
+                     "--images", str(d / "calib_images.bin"), "--out", str(d / "calib.json")])
+        assert code == 3
+        assert "'pool1' (MaxPool)" in capsys.readouterr().err
+        assert not (d / "calib.json").exists()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_corrupt_attribute_is_2_or_3(self, corruptible_runs, tmp_path_factory, data):
+        """One attribute of a saved FP32 or quantized manifest set to a value
+        no node accepts: the command that loads it exits 2 or 3, never 1."""
+        arch, which = data.draw(st.sampled_from(sorted(corruptible_runs)), label="run")
+        root, command = corruptible_runs[arch, which]
+        manifest = json.loads((root / which / "manifest.json").read_text())
+        spots = [(i, key) for i, n in enumerate(manifest["nodes"]) for key in n["attrs"]]
+        i, key = data.draw(st.sampled_from(spots), label="attribute")
+        value = data.draw(st.sampled_from([v for v in CORRUPT_VALUES if not accepted(
+            manifest["nodes"][i]["kind"], key, v)]), label="value")
+        manifest["nodes"][i]["attrs"][key] = value
+        d = tmp_path_factory.mktemp("corrupt")
+        model = d / "model"
+        model.mkdir()
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        (model / "weights.bin").write_bytes((root / which / "weights.bin").read_bytes())
+        assert main([a.format(root=root, model=model, out=d) for a in command]) in (2, 3)
 
     def test_ok_is_0(self, tmp_path):
         assert main(["synth", "--arch", "mininet", "--seed", "1", "--calib-count", "2",

@@ -513,14 +513,39 @@ class TestBatchInvariance:
         assert set(trace.outputs) == {"b2_conv", "fc"}
 
 
+def tiny_conv_graph():
+    """input (1,4,4) -> 3x3 conv, padding 1, 2 channels -> relu -> output."""
+    g = Graph("tiny")
+    g.add(Node("input", "Input", attrs={"shape": [1, 4, 4]}))
+    w = np.arange(18, dtype=np.float32).reshape(2, 1, 3, 3) / 18
+    g.add(Node("conv", "Conv2d", ["input"], attrs={"stride": 1, "padding": 1},
+               weights={"weight": Tensor(w), "bias": Tensor(np.zeros(2, np.float32))}))
+    g.add(Node("relu", "ReLU", ["conv"]))
+    g.add(Node("output", "Output", ["relu"]))
+    return g
+
+
 class TestImageBatches:
     def test_budget_sets_batch_size(self, mininet, monkeypatch):
+        """The per-image cost is the largest step of the plan. FP32 tiny graph,
+        at the conv: the input (16 floats) and the conv output (32 floats)
+        at 4 bytes, plus 9*16 window columns and a 6x6 padded copy at 4 bytes:
+        64 + 128 + 720 = 912. All-int8: input 64, then Quantize 16 x 8 = 128,
+        then the conv: its input 128 and output 32 x 8 = 256, plus columns,
+        padded copy and the float64 input copy (144 + 36 + 16) x 8 = 1568:
+        1952 bytes. A captured FP32 output counts once, as the trace's."""
         from mixquant import executor
-        from mixquant.ir import infer_shapes
 
-        per_image = 8 * sum(int(np.prod(s)) for s in infer_shapes(mininet).values())
-        monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 3 * per_image + 1)
-        assert executor.batch_size(mininet) == 3
+        g = tiny_conv_graph()
+        calib = mq.profile_activations(g, mq.gen_images(2, (1, 4, 4), 3))
+        q = mq.apply_mixed_precision(g, [], calib)
+        assert [n.kind for n in q.nodes if n.precision == 8] == ["Conv2d", "ReLU"]
+        for graph, capture, per_image in ((g, False, 912), (g, ["conv"], 912), (g, True, 912),
+                                          (q, False, 1952)):
+            monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 3 * per_image + per_image - 1)
+            assert executor.batch_size(graph, capture) == 3, (capture, per_image)
+            monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 4 * per_image)
+            assert executor.batch_size(graph, capture) == 4, (capture, per_image)
         monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 1)
         assert executor.batch_size(mininet) == 1
 
@@ -530,9 +555,152 @@ class TestImageBatches:
         monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 1 << 21)
         step = executor.batch_size(mininet)
         assert step > 1
-        batches = list(executor.image_batches(mininet, calib_images[:7]))
+        batches = list(executor.image_batches(calib_images[:7], (mininet, False)))
         assert [b.shape[0] for b in batches][:-1] == [step] * (len(batches) - 1)
         assert np.array_equal(np.concatenate([b.data for b in batches]), calib_images[:7])
+
+
+# ---------------------------------------------------------------------------
+# the execution plan: cached by wiring, frees each value after its last reader
+
+def caller_passes(graph):
+    """Per caller, the (graph, capture) passes it runs on each batch, as the
+    pipeline commands build them."""
+    from mixquant.cli import logits_node_id
+    from mixquant.fusion import lower_to_stage
+    from mixquant.sensitivity import quantizable_in_topo_order
+
+    shape = tuple(int(d) for d in graph.input_node.attrs["shape"])
+    calib = mq.profile_activations(graph, mq.gen_images(2, shape, 5))
+    fused = lower_to_stage(graph, "fused")
+    all_int8 = mq.apply_mixed_precision(fused, [], calib)
+    mixed = mq.apply_mixed_precision(fused, quantizable_in_topo_order(fused)[::3], calib)
+    qids = quantizable_in_topo_order(graph)
+    qids_fused = quantizable_in_topo_order(fused)
+    logits = logits_node_id(graph)
+    return {
+        "evaluate": [(graph, [logits]), (all_int8, [logits_node_id(all_int8)])],
+        "evaluate_mixed": [(graph, [logits]), (mixed, [logits_node_id(mixed)])],
+        "calibrate": [(graph, [n.id for n in graph.nodes if n.kind not in ("Input", "Output")])],
+        "analyze": [(graph, qids), (mq.apply_mixed_precision(graph, [], calib), qids)],
+        "analyze_fused": [(fused, qids_fused), (all_int8, qids_fused)],
+        "teacher": [(graph, False)],
+        "top1": [(mixed, False)],
+    }
+
+
+# images per pass of each caller at the 1 MiB budget, min over its passes
+BATCH_TABLE = {
+    "mininet": {"evaluate": 2, "calibrate": 2, "analyze": 1, "teacher": 4},
+    "mini_resnet": {"evaluate": 7, "calibrate": 9, "analyze": 5, "teacher": 18},
+    "mini_mobilenet": {"evaluate": 2, "calibrate": 3, "analyze": 2, "teacher": 5},
+}
+
+
+@pytest.fixture(scope="module")
+def arch_passes(all_archs):
+    return {arch: caller_passes(g) for arch, g in all_archs.items()}
+
+
+class TestExecutionPlan:
+    def test_rewired_graph_gets_a_fresh_plan(self, mininet, calib_images):
+        """Rewiring node.inputs in place between passes never reuses the old
+        plan: the second pass equals a pass over a fresh copy."""
+        g = mininet.copy()
+        ex = Executor()
+        before, _ = ex.run_fp32(g, Tensor.f32(calib_images[:3]))
+        # skip b3: b4_conv reads b2_relu, and b3 becomes dead
+        g.node("b4_conv").inputs[0] = "b2_relu"
+        after, trace = ex.run_fp32(g, Tensor.f32(calib_images[:3]), capture=True)
+        fresh, fresh_trace = Executor().run_fp32(g.copy(), Tensor.f32(calib_images[:3]), capture=True)
+        assert not np.array_equal(before.data, after.data)
+        assert np.array_equal(after.data, fresh.data)
+        assert trace.outputs.keys() == fresh_trace.outputs.keys()
+        for nid, t in fresh_trace.outputs.items():
+            assert np.array_equal(trace.outputs[nid].data, t.data), nid
+        # and back: an equal wiring shares the cached plan
+        g.node("b4_conv").inputs[0] = "b3_relu"
+        again, _ = ex.run_fp32(g, Tensor.f32(calib_images[:3]))
+        assert np.array_equal(again.data, before.data)
+
+    def test_plan_frees_after_last_reader(self, mininet):
+        from mixquant.executor import _plan
+        plan = _plan(mininet)
+        step = {nid: i for i, (nid, _) in enumerate(plan)}
+        freed = {s: i for i, (_, last) in enumerate(plan) for s in last}
+        for n in mininet.nodes:
+            readers = [step[m.id] for m in mininet.nodes if n.id in m.inputs]
+            assert freed.get(n.id) == (max(readers) if readers else None), n.id
+        assert "b2_relu" in dict(plan)["b4_add"]  # the skip lives until the add
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_intermediate_released_after_last_reader(self, arch_graphs, monkeypatch, quantized):
+        """The array b1_conv's node holds (the conv kernel's result in FP32,
+        the requantized int8 codes in int8) is gone by the time fc's kernel
+        runs, unless the trace captures it."""
+        import weakref
+
+        from mixquant import executor
+        shape, graphs = arch_graphs["mininet"]
+        graph = graphs[1][0] if quantized else graphs[0][0]
+        first, alive_at_fc = [], []
+        producer = "_requantize" if quantized else "kernel_conv2d"
+        make, gemm = getattr(executor, producer), executor.kernel_gemm
+
+        def recording(*args, **kwargs):
+            y = make(*args, **kwargs)
+            if not first:  # b1_conv is the first node to reach this function
+                first.append(weakref.ref(y.data if quantized else y))
+            return y
+
+        def checking_gemm(*args, **kwargs):
+            alive_at_fc.append(first[0]() is not None)
+            return gemm(*args, **kwargs)
+
+        monkeypatch.setattr(executor, producer, recording)
+        monkeypatch.setattr(executor, "kernel_gemm", checking_gemm)
+        ex = Executor()
+        run = ex.run_quantized if quantized else ex.run_fp32
+        images = Tensor.f32(np.ones((2, *shape), np.float32))
+        run(graph, images)
+        first.clear()
+        _, trace = run(graph, images, capture=["b1_conv"])
+        assert alive_at_fc == [False, not quantized]  # int8 captures keep a dequantized copy
+        assert (trace.outputs["b1_conv"].data is first[0]()) == (not quantized)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_batch_table(self, arch_passes, arch):
+        from mixquant.executor import batch_size
+        got = {caller: min(batch_size(g, c) for g, c in arch_passes[arch][caller])
+               for caller in BATCH_TABLE[arch]}
+        assert got == BATCH_TABLE[arch]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_pass_peak_stays_within_budget(self, arch_passes, arch):
+        """One pass at batch_size(graph, capture) images allocates at most
+        ACTIVATION_BUDGET_BYTES at its peak, as tracemalloc sees numpy's
+        allocations, for every caller's graph and capture set."""
+        import tracemalloc
+
+        from mixquant.executor import ACTIVATION_BUDGET_BYTES, batch_size
+        shape = next(iter(arch_passes[arch].values()))[0][0].input_node.attrs["shape"]
+        peaks = {}
+        for caller, passes in arch_passes[arch].items():
+            for i, (graph, capture) in enumerate(passes):
+                n = batch_size(graph, capture)
+                images = Tensor.f32(mq.gen_images(n, tuple(shape), 17))
+                quantized = any(node.precision == 8 for node in graph.nodes)
+                ex = Executor()
+                run = ex.run_quantized if quantized else ex.run_fp32
+                run(graph, images, capture=capture)  # warm the plan cache
+                tracemalloc.start()
+                try:
+                    out, trace = run(graph, images, capture=capture)
+                    peaks[caller, i] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                del out, trace
+        assert max(peaks.values()) <= ACTIVATION_BUDGET_BYTES, peaks
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mixquant as mq
-from mixquant.errors import CorruptBlob, EmptyImageBatch, FormatVersionMismatch, UnknownArch
+from mixquant.errors import CorruptBlob, EmptyImageBatch, FormatVersionMismatch, InvalidAttribute, UnknownArch
 from mixquant.model_io import Lcg, gen_synthetic, load_labels, save_labels, scale_node_weights
 
 from conftest import graph_signature, run_f32
@@ -120,6 +120,95 @@ class TestModelRoundTrip:
         (tmp_path / "m/manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatVersionMismatch):
             mq.load_model(tmp_path / "m")
+
+
+def edited_manifest(graph, path, edit):
+    """Save the graph under `path`, apply edit(manifest) to its manifest."""
+    mq.save_model(graph, path)
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    return path
+
+
+def set_attr(node_id, key, value):
+    def edit(manifest):
+        next(n for n in manifest["nodes"] if n["id"] == node_id)["attrs"][key] = value
+    return edit
+
+
+class TestManifestAttributes:
+    @pytest.mark.parametrize("node_id, key, value", [
+        ("pool1", "kernel", None), ("pool1", "kernel", 0), ("pool1", "kernel", [2, 2, 2]),
+        ("pool1", "kernel", "2"), ("pool1", "kernel", 2.0), ("pool1", "kernel", True),
+        ("pool1", "stride", -1), ("pool1", "stride", [2]), ("pool1", "padding", 2),
+        ("pool2", "padding", [0, -1]), ("stem_conv", "stride", None), ("stem_conv", "stride", 0),
+        ("stem_conv", "padding", [1, 1, 1]), ("input", "shape", [3, 16]),
+        ("input", "shape", [3, 0, 16]), ("input", "shape", None), ("stem_bn", "epsilon", None),
+        ("stem_bn", "epsilon", -1e-5), ("stem_bn", "epsilon", "1e-5"),
+        ("stem_conv", "fused_relu", 1), ("stem_conv", "profile_id", 7),
+    ])
+    def test_bad_attribute_is_typed(self, all_archs, tmp_path, node_id, key, value):
+        path = edited_manifest(all_archs["mini_resnet"], tmp_path / "m", set_attr(node_id, key, value))
+        with pytest.raises(InvalidAttribute, match=node_id):
+            mq.load_model(path)
+
+    @pytest.mark.parametrize("node_id, key, value", [
+        ("pool1", "stride", None), ("pool1", "kernel", [2, 2]), ("pool1", "padding", [1, 0]),
+        ("stem_conv", "stride", [1, 2]), ("stem_bn", "epsilon", 0), ("stem_conv", "fused_relu", False),
+        ("stem_conv", "padding", 3),  # a conv's window always holds some input
+    ])
+    def test_valid_variants_load(self, all_archs, tmp_path, node_id, key, value):
+        graph = mq.load_model(edited_manifest(all_archs["mini_resnet"], tmp_path / "m",
+                                              set_attr(node_id, key, value)))
+        assert graph.node(node_id).attrs[key] == value
+
+    def test_weight_rank(self, mininet, tmp_path):
+        def flatten_fc(manifest):
+            manifest["blobs"]["fc.weight"]["shape"] = [320]
+        with pytest.raises(InvalidAttribute, match="rank"):
+            mq.load_model(edited_manifest(mininet, tmp_path / "m", flatten_fc))
+
+    def test_structure(self, mininet, tmp_path):
+        def drop_add_input(manifest):
+            next(n for n in manifest["nodes"] if n["id"] == "b4_add")["inputs"].pop()
+        with pytest.raises(InvalidAttribute, match="2 inputs"):
+            mq.load_model(edited_manifest(mininet, tmp_path / "a", drop_add_input))
+
+        def rename_kind(manifest):
+            manifest["nodes"][1]["kind"] = "Conv3d"
+        with pytest.raises(InvalidAttribute, match="unknown kind"):
+            mq.load_model(edited_manifest(mininet, tmp_path / "b", rename_kind))
+
+        def duplicate_id(manifest):
+            manifest["nodes"][2]["id"] = manifest["nodes"][1]["id"]
+        with pytest.raises(InvalidAttribute, match="twice"):
+            mq.load_model(edited_manifest(mininet, tmp_path / "c", duplicate_id))
+
+        def second_output(manifest):
+            manifest["nodes"][-2]["kind"] = "Output"
+        with pytest.raises(InvalidAttribute, match="one Input and one Output"):
+            mq.load_model(edited_manifest(mininet, tmp_path / "d", second_output))
+
+    def test_bad_quant_params(self, mininet, mininet_calib, tmp_path):
+        qg = mq.apply_mixed_precision(mininet, [], mininet_calib)
+
+        def bad_step(manifest):
+            node = next(n for n in manifest["nodes"] if n["kind"] == "Quantize")
+            node["attrs"]["qparams"]["__qparams__"]["step"] = -1.0
+        with pytest.raises(InvalidAttribute, match="quantization parameters"):
+            mq.load_model(edited_manifest(qg, tmp_path / "a", bad_step))
+        with pytest.raises(InvalidAttribute, match="in_qparams"):
+            mq.load_model(edited_manifest(qg, tmp_path / "b", set_attr("b1_conv", "in_qparams", [])))
+
+        # 32-bit parameters parse, but int8 codes cannot hold them
+        wide = {"__qparams__": {"bit_width": 32, "step": 1.0, "zero_point": 0, "symmetric": False}}
+        quantize_id = next(n.id for n in qg.nodes if n.kind == "Quantize")
+        for i, (node_id, key, value) in enumerate([
+                (quantize_id, "qparams", wide), ("b1_conv", "out_qparams", wide),
+                ("b1_conv", "in_qparams", [wide])]):
+            with pytest.raises(InvalidAttribute, match="8-bit"):
+                mq.load_model(edited_manifest(qg, tmp_path / f"w{i}", set_attr(node_id, key, value)))
 
 
 class TestImageIo:
