@@ -3,7 +3,7 @@
 Sweeps the normalized BOPs reduction target and compares ordering methods on
 a model with one deliberately fragile layer. The better the sensitivity list,
 the more accuracy survives at every compression level. Writes
-recovery_curve.csv next to this script.
+recovery_curve.csv into the working directory.
 """
 
 import csv
@@ -46,7 +46,7 @@ for name, sens in orders.items():
                      "accuracy": acc, "qdq_count": mq.count_qdq(qg)})
     print(f"{name:12s} " + " ".join(f"{a:5.3f}" for a in accs))
 
-out = Path(__file__).with_name("recovery_curve.csv")
+out = Path("recovery_curve.csv")
 with out.open("w", newline="") as fh:
     writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
     writer.writeheader()

@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -22,8 +23,9 @@ import numpy as np
 from . import model_io
 from .bops import bops, macs_by_node
 from .calibration import CalibrationProfile, profile_activations
-from .errors import InvariantViolation, MissingLabels, MixQuantError, UnknownNodeInList
-from .executor import Executor, image_batches
+from .errors import (CorruptBlob, InvariantViolation, MissingLabels, MixQuantError,
+                     NonFiniteValue, UnknownNodeInList)
+from .executor import Executor
 from .fusion import STAGES, discover_fusion_groups, lower_to_stage
 from .ir import Graph
 from .metrics import sqnr
@@ -37,11 +39,14 @@ from .quantizer import (
 )
 from .sensitivity import (
     DEFAULT_MIXUP,
+    Reference,
     SensitivityList,
+    _predictions,
     baseline_order,
     generate_sensitivity_list,
+    logits_node_id,
+    reference_pass,
     save_metrics_csv,
-    teacher_labels,
 )
 
 METHODS = {"delta-mixup": "delta_mixup", "in-order": "in_order",
@@ -70,34 +75,59 @@ def _require(path, produced_by: str) -> Path:
     return p
 
 
-def logits_node_id(graph: Graph) -> str:
-    """The node producing the pre-softmax scores (softmax's input, or the
-    output's input when there is no softmax)."""
-    softmax = [n for n in graph.nodes if n.kind == "Softmax"]
-    return softmax[0].inputs[0] if softmax else graph.output_node.inputs[0]
+def reference_path(images) -> Path:
+    """Where synth writes, and evaluate looks for, the FP32 reference outputs
+    of an image file: next to it, with `.ref` appended to its name."""
+    return Path(str(images) + ".ref")
 
 
-def _paired_passes(q_graph: Graph, ref_graph: Graph, images: np.ndarray, ex: Executor):
-    """One FP32 and one quantized pass per image, capturing only the logits;
-    yields both outputs and the logit SQNR of the quantized model against
-    FP32, image by image."""
-    node_ref = logits_node_id(ref_graph)
-    node_q = node_ref if node_ref in q_graph else logits_node_id(q_graph)
-    for batch in image_batches(images, (ref_graph, [node_ref]), (q_graph, [node_q])):
-        ref_out, ref_trace = ex.run_fp32(ref_graph, batch, capture=[node_ref])
-        q_out, q_trace = ex.run_quantized(q_graph, batch, capture=[node_q])
-        ref_logits, q_logits = ref_trace.outputs[node_ref].data, q_trace.outputs[node_q].data
-        for j in range(batch.shape[0]):
-            yield ref_out.data[j], q_out.data[j], sqnr(ref_logits[j:j + 1], q_logits[j:j + 1])
+def save_reference(ref: Reference, path, digests: dict[str, str]) -> None:
+    """u32 LE header length, a sorted-key JSON header (`digests`, the logits node
+    id and shape, the per-image predictions), then the logits as float32 LE."""
+    header = json.dumps({**digests, "node": ref.node, "shape": list(ref.logits.shape),
+                         "preds": ref.preds}, sort_keys=True).encode()
+    Path(path).write_bytes(struct.pack("<I", len(header)) + header + ref.logits.astype("<f4").tobytes())
+
+
+def load_reference(path, digests: dict[str, str], count: int) -> Reference | None:
+    """The reference in `path`; None when there is no such file or its digests
+    differ from `digests`. A match must hold finite logits of `count` images."""
+    if not Path(path).is_file():
+        return None
+    raw = Path(path).read_bytes()
+    try:
+        (size,) = struct.unpack_from("<I", raw)
+        head = json.loads(raw[4:4 + size])
+        if any(head[k] != v for k, v in digests.items()):
+            return None
+        logits = np.frombuffer(raw, "<f4", offset=4 + size).reshape(head["shape"])
+        ref = Reference(str(head["node"]), logits, [int(k) for k in head["preds"]])
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise CorruptBlob(f"reference file {path} is malformed: {exc}") from None
+    if logits.ndim < 2 or logits.shape[0] != count or len(ref.preds) != count:
+        raise CorruptBlob(f"reference file {path} holds logits {logits.shape} and "
+                          f"{len(ref.preds)} predictions, for {count} images")
+    if not np.isfinite(logits).all():
+        raise NonFiniteValue(f"reference file {path} holds NaN or infinite logits")
+    return ref
+
+
+def _quantized_pass(q_graph: Graph, ref: Reference, images: np.ndarray, ex: Executor):
+    """One quantized pass per image, capturing only the logits: each image's
+    argmax and the mean logit SQNR against `ref`, summed image by image."""
+    node = ref.node if ref.node in q_graph else logits_node_id(q_graph)
+    preds, logits = _predictions(ex.run_quantized, q_graph, images, node)
+    total = 0.0
+    for j in range(images.shape[0]):
+        total += sqnr(ref.logits[j:j + 1], logits[j:j + 1])
+    return preds, total / images.shape[0]
 
 
 def final_logit_sqnr(q_graph: Graph, ref_graph: Graph, images: np.ndarray,
                      executor: Executor | None = None) -> float:
     """Mean SQNR of the quantized model's logits against FP32, over images."""
-    total = 0.0
-    for _, _, db in _paired_passes(q_graph, ref_graph, images, executor or Executor()):
-        total += db
-    return total / images.shape[0]
+    ex = executor or Executor()
+    return _quantized_pass(q_graph, reference_pass(ref_graph, images, ex), images, ex)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +145,10 @@ def cmd_synth(args) -> int:
     evalset = model_io.gen_images(args.eval_count, shape, args.seed + 2)
     model_io.save_images(calib, out / "calib_images.bin")
     model_io.save_images(evalset, out / "eval_images.bin")
-    model_io.save_labels(teacher_labels(graph, evalset), out / "labels.json")
+    ref = reference_pass(graph, evalset)
+    model_io.save_labels(ref.preds, out / "labels.json")
+    save_reference(ref, reference_path(out / "eval_images.bin"),
+                   {"model": model_digest(out / "model"), "images": _sha256(out / "eval_images.bin")})
     print(f"synth: wrote {args.arch} (seed {args.seed}) with {len(graph.nodes)} nodes to {out}")
     return 0
 
@@ -192,15 +225,19 @@ def cmd_quantize(args) -> int:
 
 def cmd_evaluate(args) -> int:
     qg = model_io.load_model(_require(args.model, "quantize"))
-    ref = model_io.load_model(_require(args.ref_model, "synth"))
     images = model_io.load_images(_require(args.images, "synth"))
     labels = model_io.load_labels(_require(args.labels, "synth"))
-    report = evaluate_model(qg, ref, images, labels)
-    report["digests"] = {
+    digests = {
         "model": model_digest(args.model),
-        "ref_model": model_digest(args.ref_model),
+        "ref_model": model_digest(_require(args.ref_model, "synth")),
         "images": _sha256(args.images),
     }
+    ref = load_reference(reference_path(args.images), {
+        "model": digests["ref_model"], "images": digests["images"]}, images.shape[0])
+    if ref is None:
+        ref = reference_pass(model_io.load_model(args.ref_model), images)
+    report = evaluate_model(qg, ref, images, labels)
+    report["digests"] = digests
     meta_path = Path(args.model).parent / "meta.json"
     if meta_path.exists():
         report["run"] = json.loads(meta_path.read_text())
@@ -211,25 +248,19 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def evaluate_model(qg: Graph, ref: Graph, images: np.ndarray, labels,
+def evaluate_model(qg: Graph, ref: Reference, images: np.ndarray, labels,
                    executor: Executor | None = None) -> dict:
-    """Accuracy of both models and the quantized model's logit SQNR, from one
-    FP32 and one quantized pass per image."""
+    """Accuracy of both models and the quantized model's logit SQNR, from the
+    FP32 reference outputs and one quantized pass per image."""
     labels = list(labels)
     if images.shape[0] != len(labels):
         raise MissingLabels(f"{images.shape[0]} images but {len(labels)} labels")
-    hits = ref_hits = 0
-    total_db = 0.0
-    passes = _paired_passes(qg, ref, images, executor or Executor())
-    for label, (ref_out, q_out, db) in zip(labels, passes):
-        hits += int(np.argmax(q_out) == label)
-        ref_hits += int(np.argmax(ref_out) == label)
-        total_db += db
+    preds, db = _quantized_pass(qg, ref, images, executor or Executor())
     report = bops(qg, precision_config(qg))
     return {
-        "accuracy": hits / images.shape[0],
-        "ref_accuracy": ref_hits / images.shape[0],
-        "final_logit_sqnr_db": total_db / images.shape[0],
+        "accuracy": sum(int(p == label) for p, label in zip(preds, labels)) / images.shape[0],
+        "ref_accuracy": sum(int(p == label) for p, label in zip(ref.preds, labels)) / images.shape[0],
+        "final_logit_sqnr_db": db,
         "qdq_count": count_qdq(qg),
         "bops": report.to_json(),
     }

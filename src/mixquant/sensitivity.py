@@ -22,6 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,22 +279,48 @@ def evaluate_accuracy(graph: Graph, images: np.ndarray, labels, executor: Execut
     labels = list(labels)
     if images.shape[0] != len(labels):
         raise MissingLabels(f"{images.shape[0]} images but {len(labels)} labels")
-    preds = _predictions(ex.run_quantized if quantized else ex.run_fp32, graph, images)
+    preds, _ = _predictions(ex.run_quantized if quantized else ex.run_fp32, graph, images)
     return sum(int(p == label) for p, label in zip(preds, labels)) / images.shape[0]
+
+
+def logits_node_id(graph: Graph) -> str:
+    """The node producing the pre-softmax scores (softmax's input, or the
+    output's input when there is no softmax)."""
+    softmax = [n for n in graph.nodes if n.kind == "Softmax"]
+    return softmax[0].inputs[0] if softmax else graph.output_node.inputs[0]
+
+
+class Reference(NamedTuple):
+    """A model's outputs over an image set: the logits node id, that node's
+    float32 outputs (one row per image) and each image's argmax of the output."""
+
+    node: str
+    logits: np.ndarray
+    preds: list[int]
+
+
+def reference_pass(graph: Graph, images: np.ndarray, executor: Executor | None = None) -> Reference:
+    """One FP32 pass per image, capturing only the logits."""
+    node = logits_node_id(graph)
+    preds, logits = _predictions((executor or Executor()).run_fp32, graph, images, node)
+    return Reference(node, logits, preds)
 
 
 def teacher_labels(graph: Graph, images: np.ndarray, executor: Executor | None = None) -> list[int]:
     """Argmax of the FP32 model's own outputs: the 100%-baseline labeling."""
-    return _predictions((executor or Executor()).run_fp32, graph, images)
+    return reference_pass(graph, images, executor).preds
 
 
-def _predictions(run, graph: Graph, images: np.ndarray) -> list[int]:
-    """Per-image argmax of the graph's output over batched passes of `run`."""
-    preds: list[int] = []
-    for batch in image_batches(images, (graph, False)):
-        out, _ = run(graph, batch)
+def _predictions(run, graph: Graph, images: np.ndarray, logits: str | None = None):
+    """Per-image argmax of the graph's output over batched passes of `run`,
+    and node `logits`'s float32 outputs, one row per image, when it is named."""
+    capture = [logits] if logits else []
+    preds, rows = [], []
+    for batch in image_batches(images, (graph, capture)):
+        out, trace = run(graph, batch, capture=capture)
         preds.extend(int(k) for k in np.argmax(out.data.reshape(batch.shape[0], -1), axis=1))
-    return preds
+        rows.extend(t.data for t in trace.outputs.values())
+    return preds, np.concatenate(rows) if rows else None
 
 
 CSV_COLUMNS = ["id", "layer_index", "weight_sqnr", "act_sqnr", "weight_delta",

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 import mixquant as mq
 from mixquant import executor
-from mixquant.cli import METHODS, evaluate_model, final_logit_sqnr, main
-from mixquant.errors import MissingLabels
+from mixquant import cli, model_io
+from mixquant.cli import (METHODS, evaluate_model, final_logit_sqnr, load_reference, main,
+                          model_digest, reference_path, save_reference)
+from mixquant.errors import CorruptBlob, MissingLabels, NonFiniteValue
 from mixquant.fusion import discover_fusion_groups
 from mixquant.quantizer import load_node_list
-from mixquant.sensitivity import evaluate_accuracy
+from mixquant.sensitivity import Reference, evaluate_accuracy, reference_pass
 
 
 def run_pipeline(root: Path, seed=42, method="delta-mixup", targets="40",
@@ -112,7 +114,7 @@ class TestBatchSizeInvariance:
         monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 1)
         assert executor.batch_size(graph) == 1
         single = run_all_methods(tmp_path / "single")
-        assert len(batched) == 64
+        assert len(batched) == 65
         assert batched.keys() == single.keys()
         for rel in batched:
             assert batched[rel] == single[rel], rel
@@ -260,7 +262,8 @@ class TestEvaluate:
         images = eval_images[:12]
         labels = [i % 10 for i in range(12)]
         ex = mq.Executor()
-        report = evaluate_model(qg, mininet, images, labels, executor=ex)
+        report = evaluate_model(qg, reference_pass(mininet, images, executor=ex), images, labels,
+                                executor=ex)
         assert ex.passes == 2 * images.shape[0]
         assert report["accuracy"] == evaluate_accuracy(qg, images, labels, quantized=True)
         assert report["ref_accuracy"] == evaluate_accuracy(mininet, images, labels, quantized=False)
@@ -269,6 +272,131 @@ class TestEvaluate:
     def test_label_count_mismatch(self, mininet, eval_images):
         with pytest.raises(MissingLabels):
             evaluate_model(mininet, mininet, eval_images[:4], [0, 1, 2])
+
+
+EVAL_COUNT = 4
+
+
+@pytest.fixture(scope="module")
+def reference_runs(tmp_path_factory):
+    """Two mininet synth runs (seeds 1 and 2) with as many calibration as eval
+    images, and seed 1's model quantized at 60 %."""
+    runs = {}
+    for seed in (1, 2):
+        d = tmp_path_factory.mktemp(f"seed{seed}")
+        assert main(["synth", "--arch", "mininet", "--seed", str(seed), "--calib-count",
+                     str(EVAL_COUNT), "--eval-count", str(EVAL_COUNT), "--out-dir", str(d)]) == 0
+        runs[seed] = d
+    d = runs[1]
+    assert main(["calibrate", "--model", f"{d}/model", "--images", f"{d}/calib_images.bin",
+                 "--out", f"{d}/calib.json"]) == 0
+    assert main(["analyze", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                 "--method", "in-order", "--out-list", f"{d}/list.txt"]) == 0
+    assert main(["quantize", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                 "--list", f"{d}/list.txt", "--target-reduction", "60", "--out-dir", str(d)]) == 0
+    return runs
+
+
+class TestReferenceFile:
+    """synth writes the FP32 outputs over the eval images next to them;
+    evaluate uses them when both digests match and fails loudly when such a
+    file is malformed."""
+
+    @staticmethod
+    def evaluate(run, images, out, monkeypatch=None):
+        """Run evaluate on seed 1's q60 model; return its exit code, the
+        image-passes it made and the model directories it loaded."""
+        passes, loaded = [0], []
+        if monkeypatch:
+            run_pass, load = mq.Executor._run, model_io.load_model
+
+            def counted(self, graph, inp, capture):
+                passes[0] += inp.shape[0]
+                return run_pass(self, graph, inp, capture)
+
+            monkeypatch.setattr(mq.Executor, "_run", counted)
+            monkeypatch.setattr(model_io, "load_model", lambda p: loaded.append(Path(p)) or load(p))
+        code = main(["evaluate", "--model", f"{run}/q60/model", "--ref-model", f"{run}/model",
+                     "--images", str(images), "--labels", f"{run}/labels.json", "--out", str(out)])
+        return code, passes[0], loaded
+
+    @staticmethod
+    def images_without_reference(tmp_path, source):
+        """A copy of the image file `source` with no reference file beside it."""
+        tmp_path.mkdir(parents=True, exist_ok=True)
+        images = tmp_path / source.name
+        images.write_bytes(source.read_bytes())
+        return images
+
+    def test_synth_writes_the_fp32_outputs(self, reference_runs):
+        d = reference_runs[1]
+        images = mq.load_images(d / "eval_images.bin")
+        digests = {"model": model_digest(d / "model"), "images": cli._sha256(d / "eval_images.bin")}
+        ref = load_reference(reference_path(d / "eval_images.bin"), digests, EVAL_COUNT)
+        fresh = reference_pass(mq.load_model(d / "model"), images)
+        assert reference_path(d / "eval_images.bin") == d / "eval_images.bin.ref"
+        assert ref.node == fresh.node == "fc"
+        assert ref.logits.dtype == np.float32 and ref.logits.shape == (EVAL_COUNT, 10)
+        assert np.array_equal(ref.logits, fresh.logits)
+        assert ref.preds == fresh.preds == model_io.load_labels(d / "labels.json")
+
+    def test_one_pass_per_image_with_the_file(self, reference_runs, tmp_path, monkeypatch):
+        d = reference_runs[1]
+        code, passes, loaded = self.evaluate(d, d / "eval_images.bin", tmp_path / "with.json",
+                                             monkeypatch)
+        assert code == 0
+        assert passes == EVAL_COUNT
+        assert loaded == [d / "q60/model"]
+        images = self.images_without_reference(tmp_path / "bare", d / "eval_images.bin")
+        code, passes, loaded = self.evaluate(d, images, tmp_path / "without.json", monkeypatch)
+        assert code == 0
+        assert passes == 2 * EVAL_COUNT
+        assert loaded == [d / "q60/model", d / "model"]
+        assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
+
+    @pytest.mark.parametrize("foreign", ["other_seed", "other_images"])
+    def test_digest_mismatch_falls_back(self, reference_runs, tmp_path, monkeypatch, foreign):
+        """A reference file made from another model, or from other images,
+        is passed over: evaluate runs the FP32 pass itself and writes the
+        report it writes without the file."""
+        d = reference_runs[1]
+        source = d / ("calib_images.bin" if foreign == "other_images" else "eval_images.bin")
+        images = self.images_without_reference(tmp_path / "bare", source)
+        assert self.evaluate(d, images, tmp_path / "bare.json")[0] == 0
+        images = self.images_without_reference(tmp_path / "foreign", source)
+        donor = reference_runs[2] if foreign == "other_seed" else d
+        reference_path(images).write_bytes(reference_path(donor / "eval_images.bin").read_bytes())
+        code, passes, loaded = self.evaluate(d, images, tmp_path / "foreign.json", monkeypatch)
+        assert code == 0
+        assert passes == 2 * EVAL_COUNT
+        assert loaded == [d / "q60/model", d / "model"]
+        assert (tmp_path / "foreign.json").read_bytes() == (tmp_path / "bare.json").read_bytes()
+
+    @pytest.mark.parametrize("defect", ["truncated", "image_count", "garbled_header", "nan_logits"])
+    def test_malformed_file_is_3(self, reference_runs, tmp_path, capsys, defect):
+        d = reference_runs[1]
+        images = self.images_without_reference(tmp_path, d / "eval_images.bin")
+        raw = reference_path(d / "eval_images.bin").read_bytes()
+        digests = {"model": model_digest(d / "model"), "images": cli._sha256(images)}
+        ref = load_reference(reference_path(d / "eval_images.bin"), digests, EVAL_COUNT)
+        path = reference_path(images)
+        if defect == "truncated":
+            path.write_bytes(raw[:-4])
+        elif defect == "image_count":
+            save_reference(Reference(ref.node, ref.logits[1:], ref.preds[1:]), path, digests)
+        elif defect == "garbled_header":
+            end = 4 + int.from_bytes(raw[:4], "little")
+            path.write_bytes(raw[:end - 1] + b"!" + raw[end:])
+        else:
+            logits = ref.logits.copy()
+            logits[2, 3] = np.nan
+            save_reference(Reference(ref.node, logits, ref.preds), path, digests)
+        assert self.evaluate(d, images, tmp_path / "report.json")[0] == 3
+        assert "reference file" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        error = NonFiniteValue if defect == "nan_logits" else CorruptBlob
+        with pytest.raises(error):
+            load_reference(path, digests, EVAL_COUNT)
 
 
 class TestQuantizeListCoverage:

@@ -566,9 +566,8 @@ class TestImageBatches:
 def caller_passes(graph):
     """Per caller, the (graph, capture) passes it runs on each batch, as the
     pipeline commands build them."""
-    from mixquant.cli import logits_node_id
     from mixquant.fusion import lower_to_stage
-    from mixquant.sensitivity import quantizable_in_topo_order
+    from mixquant.sensitivity import logits_node_id, quantizable_in_topo_order
 
     shape = tuple(int(d) for d in graph.input_node.attrs["shape"])
     calib = mq.profile_activations(graph, mq.gen_images(2, shape, 5))
@@ -579,21 +578,21 @@ def caller_passes(graph):
     qids_fused = quantizable_in_topo_order(fused)
     logits = logits_node_id(graph)
     return {
-        "evaluate": [(graph, [logits]), (all_int8, [logits_node_id(all_int8)])],
-        "evaluate_mixed": [(graph, [logits]), (mixed, [logits_node_id(mixed)])],
+        "evaluate": [(all_int8, [logits_node_id(all_int8)])],
+        "evaluate_mixed": [(mixed, [logits_node_id(mixed)])],
         "calibrate": [(graph, [n.id for n in graph.nodes if n.kind not in ("Input", "Output")])],
         "analyze": [(graph, qids), (mq.apply_mixed_precision(graph, [], calib), qids)],
         "analyze_fused": [(fused, qids_fused), (all_int8, qids_fused)],
-        "teacher": [(graph, False)],
+        "reference": [(graph, [logits])],
         "top1": [(mixed, False)],
     }
 
 
 # images per pass of each caller at the 1 MiB budget, min over its passes
 BATCH_TABLE = {
-    "mininet": {"evaluate": 2, "calibrate": 2, "analyze": 1, "teacher": 4},
-    "mini_resnet": {"evaluate": 7, "calibrate": 9, "analyze": 5, "teacher": 18},
-    "mini_mobilenet": {"evaluate": 2, "calibrate": 3, "analyze": 2, "teacher": 5},
+    "mininet": {"evaluate": 2, "calibrate": 2, "analyze": 1, "reference": 4},
+    "mini_resnet": {"evaluate": 7, "calibrate": 9, "analyze": 5, "reference": 18},
+    "mini_mobilenet": {"evaluate": 2, "calibrate": 3, "analyze": 2, "reference": 5},
 }
 
 

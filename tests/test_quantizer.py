@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mixquant as mq
@@ -322,6 +322,38 @@ def quantizable_ids(graph):
     return [n.id for n in graph.nodes if n.kind in mq.ir.QUANTIZABLE_KINDS]
 
 
+RANDOM_QPARAMS = (QuantParams(8, 0.05, 4), QuantParams(8, 0.02, 0, symmetric=True))
+
+
+def random_qdq_graph(steps, out_pick: int) -> Graph:
+    """A graph on (1, 2, 2) tensors built from (kind, pick, pick, qparams index)
+    steps. A pick counts back from the newest node of the type the step
+    reads, so 0 chains onto the newest one. Quantize reads a float node,
+    Dequantize an int8 node with that node's qparams, ReLU and Add float
+    nodes; the Output reads a float node. Nodes nothing reads stay in."""
+    g = Graph("random")
+    g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))
+    floats, codes = ["input"], []
+    qparams = {}
+    for i, (kind, a, b, k) in enumerate(steps):
+        nid = f"n{i}"
+        if kind == "Dequantize" and codes:
+            src = codes[-1 - a % len(codes)]
+            g.add(Node(nid, kind, [src], attrs={"qparams": qparams[src]}))
+        elif kind in ("Quantize", "Dequantize"):
+            qparams[nid] = RANDOM_QPARAMS[k]
+            g.add(Node(nid, "Quantize", [floats[-1 - a % len(floats)]],
+                       attrs={"qparams": qparams[nid]}))
+            codes.append(nid)
+            continue
+        else:
+            picks = (a, b) if kind == "Add" else (a,)
+            g.add(Node(nid, kind, [floats[-1 - p % len(floats)] for p in picks]))
+        floats.append(nid)
+    g.add(Node("output", "Output", [floats[-1 - out_pick % len(floats)]]))
+    return g
+
+
 class TestTransformProperties:
     @given(st.sampled_from(ARCHS), st.sampled_from(["unfused", "fused"]), st.data())
     @settings(max_examples=30, deadline=None)
@@ -332,6 +364,40 @@ class TestTransformProperties:
         once = dce_cse(qg)
         assert graph_signature(once) == graph_signature(qg)
         assert graph_signature(dce_cse(once)) == graph_signature(once)
+
+    @given(st.lists(st.tuples(st.sampled_from(["Quantize", "Dequantize", "ReLU", "Add"]),
+                              st.integers(0, 5), st.integers(0, 5), st.integers(0, 1)),
+                    max_size=12),
+           st.integers(0, 5))
+    # a back-to-back Q/DQ chain with equal qparams, then one with unequal ones
+    @example([("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 0)] * 2, 0)
+    @example([("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 0),
+              ("Quantize", 0, 0, 1), ("Dequantize", 0, 0, 0)], 0)
+    # two Quantize nodes on one producer, both read
+    @example([("Quantize", 0, 0, 0), ("Quantize", 1, 0, 0), ("Dequantize", 0, 0, 0),
+              ("Dequantize", 1, 0, 0), ("Add", 0, 1, 0)], 0)
+    # dead branches: a ReLU and a Q/DQ pair that the Output does not read
+    @example([("ReLU", 0, 0, 0), ("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 0),
+              ("ReLU", 3, 0, 0)], 0)
+    @settings(max_examples=200, deadline=None)
+    def test_dce_cse_idempotent_on_random_graphs(self, steps, out_pick):
+        """Graphs apply_mixed_precision cannot produce: one cleanup reaches
+        the fixpoint, leaves no dead node, no equal Dequantize -> Quantize
+        pair and no two equal nodes, and the graph computes the same bits."""
+        g = random_qdq_graph(steps, out_pick)
+        once = dce_cse(g)
+        assert graph_signature(dce_cse(once)) == graph_signature(once)
+        read = {src for n in once.nodes for src in n.inputs}
+        assert all(n.id in read for n in once.nodes if n.kind not in ("Input", "Output"))
+        for n in once.nodes:
+            if n.kind == "Quantize":
+                src = once.node(n.inputs[0])
+                assert not (src.kind == "Dequantize" and src.attrs["qparams"] == n.attrs["qparams"])
+        signatures = [graph_signature(Graph("one", [n]))[0][1:] for n in once.nodes]
+        assert len(set(signatures)) == len(signatures)
+        x = Tensor.f32(np.array([[[[0.3, -0.1], [5.0, -7.0]]]], np.float32))
+        ex = mq.Executor()
+        assert np.array_equal(ex.run_quantized(g, x)[0].data, ex.run_quantized(once, x)[0].data)
 
     @given(st.sampled_from(ARCHS), st.sampled_from(["unfused", "fused"]), st.data(),
            st.floats(0, 100), st.floats(0, 100))
