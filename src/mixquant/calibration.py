@@ -70,7 +70,7 @@ class HistogramProfile:
         self._grow_to(max(-lo, hi))
         width = 2.0 * self.hist_range / self.bins
         idx = np.clip(((v + self.hist_range) / width).astype(np.int64), 0, self.bins - 1)
-        np.add.at(self.counts, idx, 1)
+        self.counts += np.bincount(idx, minlength=self.bins)
 
     def merge(self, other: "HistogramProfile") -> "HistogramProfile":
         """Combine two profiles; exact and order-independent."""
@@ -112,7 +112,7 @@ class HistogramProfile:
             "max": self.max if self.total else None,
             "total": int(self.total),
             "hist_range": self.hist_range,
-            "bins": [int(c) for c in self.counts],
+            "bins": self.counts.tolist(),
         }
 
     @classmethod
@@ -128,11 +128,13 @@ class HistogramProfile:
 
 @dataclass
 class CalibrationProfile:
-    """Per-node activation histograms for one graph, plus the Input tensor's."""
+    """Per-node activation histograms for one graph, plus the Input tensor's,
+    and the sha256 digest of the model they were profiled on ("" if unknown)."""
 
     profiles: dict[str, HistogramProfile] = field(default_factory=dict)
     image_count: int = 0
     bins: int = DEFAULT_BINS
+    model_digest: str = ""
 
     def for_node(self, node_id: str) -> HistogramProfile:
         if node_id not in self.profiles:
@@ -144,18 +146,24 @@ class CalibrationProfile:
             and graph.input_node.id in self.profiles
 
     def save(self, path) -> None:
-        doc = {
-            "image_count": self.image_count,
-            "bin_count": self.bins,
-            "nodes": {nid: p.to_json() for nid, p in sorted(self.profiles.items())},
-        }
-        with open(path, "w") as fh:  # streamed: dumps would build the whole text first
-            json.dump(doc, fh, indent=1, sort_keys=True)
+        """Compact sorted-key JSON, with the `model` key only when the digest is
+        known; `nodes` sorts after every header key and is written node by node,
+        so the whole text is never held at once."""
+        head = {"image_count": self.image_count, "bin_count": self.bins}
+        if self.model_digest:
+            head["model"] = self.model_digest
+        with open(path, "w") as fh:
+            fh.write(json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"nodes":{')
+            for i, (nid, p) in enumerate(sorted(self.profiles.items())):
+                fh.write(("," if i else "") + json.dumps(nid) + ":"
+                         + json.dumps(p.to_json(), sort_keys=True, separators=(",", ":")))
+            fh.write("}}")
 
     @classmethod
     def load(cls, path) -> "CalibrationProfile":
         doc = json.loads(Path(path).read_text())
-        prof = cls(image_count=int(doc["image_count"]), bins=int(doc["bin_count"]))
+        prof = cls(image_count=int(doc["image_count"]), bins=int(doc["bin_count"]),
+                   model_digest=str(doc.get("model", "")))
         prof.profiles = {nid: HistogramProfile.from_json(d) for nid, d in doc["nodes"].items()}
         return prof
 

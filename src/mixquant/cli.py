@@ -24,7 +24,7 @@ from . import model_io
 from .bops import bops, macs_by_node
 from .calibration import CalibrationProfile, profile_activations
 from .errors import (CorruptBlob, InvariantViolation, MissingLabels, MixQuantError,
-                     NonFiniteValue, UnknownNodeInList)
+                     NonFiniteValue, ProvenanceMismatch, UnknownNodeInList)
 from .executor import Executor
 from .fusion import STAGES, discover_fusion_groups, lower_to_stage
 from .ir import Graph
@@ -66,6 +66,14 @@ def model_digest(model_dir) -> str:
 
 def _write_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+
+
+def _load_calib(calib, model) -> CalibrationProfile:
+    """The profile at `calib`, which must come from `model` when it names one."""
+    profile = CalibrationProfile.load(_require(calib, "calibrate"))
+    if profile.model_digest and profile.model_digest != model_digest(model):
+        raise ProvenanceMismatch(f"{calib} was calibrated on another model than {model}")
+    return profile
 
 
 def _require(path, produced_by: str) -> Path:
@@ -157,6 +165,7 @@ def cmd_calibrate(args) -> int:
     graph = model_io.load_model(_require(args.model, "synth"))
     images = model_io.load_images(_require(args.images, "synth"))
     profile = profile_activations(graph, images, bins=args.bins)
+    profile.model_digest = model_digest(args.model)
     profile.save(args.out)
     print(f"calibrate: profiled {profile.image_count} images over "
           f"{len(profile.profiles)} tensors -> {args.out}")
@@ -165,7 +174,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_analyze(args) -> int:
     graph = model_io.load_model(_require(args.model, "synth"))
-    calib = CalibrationProfile.load(_require(args.calib, "calibrate"))
+    calib = _load_calib(args.calib, args.model)
     method = METHODS[args.method]
     if method in ("delta_mixup", "top1") and not args.images:
         raise ValueError(f"--images is required for --method {args.method}")
@@ -175,7 +184,8 @@ def cmd_analyze(args) -> int:
     if method == "delta_mixup":
         images = model_io.load_images(_require(args.images, "synth"))
         sens, samples = generate_sensitivity_list(
-            graph, calib, images, mixup=args.mixup_weights, ir_stage=args.ir_stage)
+            graph, calib, images, mixup=args.mixup_weights, ir_stage=args.ir_stage,
+            diagnostics=bool(args.out_metrics))
         if args.out_metrics:
             save_metrics_csv(samples, args.out_metrics)
     else:
@@ -186,6 +196,8 @@ def cmd_analyze(args) -> int:
         sens = baseline_order(graph, method, images=images, labels=labels, calib=calib,
                               top1_budget=args.top1_images)
         sens.ir_stage = args.ir_stage
+    if method in ("delta_mixup", "top1"):  # the orderings that read the profile
+        sens.calib_digest = _sha256(args.calib)
     sens.save(args.out_list)
     print(f"analyze: method {method}, {len(sens.ids)} layers -> {args.out_list}")
     return 0
@@ -193,8 +205,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_quantize(args) -> int:
     graph = model_io.load_model(_require(args.model, "synth"))
-    calib = CalibrationProfile.load(_require(args.calib, "calibrate"))
+    calib = _load_calib(args.calib, args.model)
     sens = SensitivityList.load(_require(args.list, "analyze"))
+    calib_sha = _sha256(args.calib)
+    if sens.calib_digest and sens.calib_digest != calib_sha:
+        raise ProvenanceMismatch(f"{args.list} was analyzed with another calibration than {args.calib}")
     staged = lower_to_stage(graph, args.apply_stage)
     listed = set(sens.ids)
     uncovered = [g.anchor for g in discover_fusion_groups(staged) if listed.isdisjoint(g.members)]
@@ -216,7 +231,7 @@ def cmd_quantize(args) -> int:
             "method": sens.method,
             "target_reduction_pct": target,
             "list_digest": _sha256(args.list),
-            "calib_digest": _sha256(args.calib),
+            "calib_digest": calib_sha,
         }, tdir / "meta.json")
         print(f"quantize: target {target}% -> {tdir} "
               f"({len(keep)} nodes kept at 32-bit, {count_qdq(qg)} Q-DQ)")

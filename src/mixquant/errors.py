@@ -79,6 +79,10 @@ class MissingCalibration(MixQuantError):
     pass
 
 
+class ProvenanceMismatch(MixQuantError):
+    """An artifact records the digest of another model or calibration file."""
+
+
 # metrics / sensitivity
 class KeyMismatch(MixQuantError):
     pass

@@ -294,8 +294,9 @@ def dce_cse(graph: Graph) -> Graph:
     """Cleanup pass: drop dead nodes, merge duplicate nodes, cancel no-op Q/DQ.
 
     Three sub-passes run to a fixpoint:
-      * peephole: a Quantize fed by a Dequantize with identical qparams is an
-        exact int8 identity; both collapse to the original producer;
+      * peephole: a Quantize fed by a Dequantize with identical qparams, whose
+        input codes were made with those qparams too, is an exact int8
+        identity; both collapse to the original producer;
       * CSE: nodes with identical (kind, attrs, inputs, weights, precision)
         merge into the first occurrence;
       * DCE: nodes unreachable from Output are removed.
@@ -306,16 +307,18 @@ def dce_cse(graph: Graph) -> Graph:
     while changed:
         changed = False
 
-        # peephole: Dequantize -> Quantize with identical params is exact identity
+        # peephole: codes(p) -> Dequantize(p) -> Quantize(p) is an exact identity
         rewire: dict[str, str] = {}
         for n in g.nodes:
-            if n.kind != "Quantize" or len(n.inputs) != 1:
+            if n.kind != "Quantize" or len(n.inputs) != 1 or n.inputs[0] not in g:
                 continue
-            src = n.inputs[0]
-            if src not in g:
+            producer = g.node(n.inputs[0])
+            if producer.kind != "Dequantize" or producer.inputs[0] not in g:
                 continue
-            producer = g.node(src)
-            if producer.kind == "Dequantize" and producer.attrs.get("qparams") == n.attrs.get("qparams"):
+            codes = g.node(producer.inputs[0])
+            made_with = codes.attrs.get("qparams") if codes.kind == "Quantize" \
+                else codes.attrs.get("out_qparams") if codes.precision == 8 else None
+            if producer.attrs.get("qparams") == n.attrs.get("qparams") == made_with:
                 rewire[n.id] = producer.inputs[0]
         if rewire:
             for n in g.nodes:

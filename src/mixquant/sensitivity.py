@@ -18,7 +18,6 @@ worst first, ahead of the delta ordering.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,17 +83,6 @@ class SensitivityList:
                    meta.get("calib_digest", ""), tuple(meta.get("mixup", DEFAULT_MIXUP)))
 
 
-def calib_digest(calib: CalibrationProfile) -> str:
-    """First 16 hex digits of the sha256 of the profiles' sorted-key JSON,
-    hashed node by node so that the whole text is never held at once."""
-    h = hashlib.sha256(b"{")
-    for i, (nid, p) in enumerate(sorted(calib.profiles.items())):
-        entry = f"{json.dumps(nid)}: {json.dumps(p.to_json(), sort_keys=True)}"
-        h.update(((", " if i else "") + entry).encode())
-    h.update(b"}")
-    return h.hexdigest()[:16]
-
-
 def quantizable_in_topo_order(graph: Graph) -> list[str]:
     order = topo_sort(graph)
     return [nid for nid in order if graph.node(nid).kind in QUANTIZABLE_KINDS]
@@ -156,12 +144,15 @@ def _group_adjusted(graph: Graph, ranked: list[str]) -> list[str]:
 def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: np.ndarray,
                               mixup: tuple[float, float] = DEFAULT_MIXUP,
                               executor: Executor | None = None,
-                              ir_stage: str = "unfused",
+                              ir_stage: str = "unfused", diagnostics: bool = False,
                               ) -> tuple[SensitivityList, list[MetricSample]]:
     """Two-inference sensitivity analysis over the whole model.
 
     Exactly 2 * image_count full-graph passes are performed regardless of
-    layer count: one FP32 and one fully-int8 pass per image.
+    layer count: one FP32 and one fully-int8 pass per image. The ranking reads
+    only SQNR and MSE; activation cosine and KL, which only metrics.csv shows,
+    are computed when `diagnostics` is set and stay None otherwise. The list's
+    calib_digest is left for the caller, who knows the profile's file.
     """
     if images.ndim != 4 or images.shape[0] < 1:
         raise EmptyImageBatch("sensitivity analysis needs at least one image")
@@ -183,8 +174,9 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
                 got = q_trace.outputs[nid].data[j:j + 1]
                 act_sqnr_acc[nid] += sqnr(ref, got)
                 act_mse_acc[nid] += mse(ref, got)
-                act_cos_acc[nid] += cosine_similarity(ref, got)
-                act_kl_acc[nid] += kl_divergence(ref, got)
+                if diagnostics:
+                    act_cos_acc[nid] += cosine_similarity(ref, got)
+                    act_kl_acc[nid] += kl_divergence(ref, got)
 
     samples: list[MetricSample] = []
     for layer_index, nid in enumerate(qids):
@@ -200,11 +192,10 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
             weight_sqnr=w_sqnr, weight_mse=w_mse,
             act_sqnr=act_sqnr_acc[nid] / n_images,
             act_mse=act_mse_acc[nid] / n_images,
-            act_cosine=act_cos_acc[nid] / n_images,
-            act_kl=act_kl_acc[nid] / n_images,
+            act_cosine=act_cos_acc[nid] / n_images if diagnostics else None,
+            act_kl=act_kl_acc[nid] / n_images if diagnostics else None,
         ))
 
-    by_id = {s.node_id: s for s in samples}
     weighted = [s for s in samples if graph.node(s.node_id).kind in WEIGHTED_KINDS]
     for s, delta in zip(weighted, sqnr_delta([(s.layer_index, s.weight_sqnr) for s in weighted])):
         s.weight_delta = delta
@@ -220,8 +211,7 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
         mixup=mixup,
     )
     ids = _group_adjusted(graph, ranked)
-    sens = SensitivityList(ids, method="delta_mixup", ir_stage=ir_stage,
-                           calib_digest=calib_digest(calib), mixup=mixup)
+    sens = SensitivityList(ids, method="delta_mixup", ir_stage=ir_stage, mixup=mixup)
     return sens, samples
 
 

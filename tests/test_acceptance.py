@@ -353,9 +353,10 @@ def test_criterion_9_pipeline_reproducibility(tmp_path):
     pipeline(tmp_path / "b")
     checked = []
     for rel in ("model/manifest.json", "model/weights.bin", "labels.json", "eval_images.bin",
-                "eval_images.bin.ref", "calib.json", "sensitivity.txt", "metrics.csv",
-                "q40/model/manifest.json", "q40/model/weights.bin", "q40/dequant_list.txt",
-                "q40/precision.json", "report.json"):
+                "eval_images.bin.ref", "calib.json", "sensitivity.txt",
+                "sensitivity.txt.meta.json", "metrics.csv", "q40/model/manifest.json",
+                "q40/model/weights.bin", "q40/dequant_list.txt", "q40/precision.json",
+                "q40/meta.json", "report.json"):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
         checked.append(rel)
     digest = json.loads((tmp_path / "a/report.json").read_text())["digests"]["model"]

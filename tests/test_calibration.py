@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,54 @@ class TestHistogramProfile:
         assert (back.min, back.max, back.total, back.hist_range) == (h.min, h.max, h.total, h.hist_range)
 
 
+class AddAtProfile(HistogramProfile):
+    """The oracle: one bin increment per value through np.add.at."""
+
+    def update(self, values) -> None:
+        v = np.asarray(values, dtype=np.float64).ravel()
+        self.total += v.size
+        self._grow_to(max(-float(v.min()), float(v.max())))
+        width = 2.0 * self.hist_range / self.bins
+        idx = np.clip(((v + self.hist_range) / width).astype(np.int64), 0, self.bins - 1)
+        np.add.at(self.counts, idx, 1)
+
+
+@st.composite
+def update_batches(draw):
+    """A bin count and 1-4 value batches whose range grows or shrinks from
+    batch to batch: random values, bin edges of a [-R, R] grid including
+    +-R itself, or a constant; each float64 or float32."""
+    bins = draw(st.sampled_from([4, 16, 2048]))
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        r = 2.0 ** draw(st.integers(-3, 8))
+        kind = draw(st.sampled_from(["random", "edges", "constant"]))
+        if kind == "edges":
+            j = draw(st.lists(st.integers(0, bins), min_size=1, max_size=16))
+            v = -r + np.asarray(j) * (2 * r / bins)
+        elif kind == "constant":
+            v = np.full(draw(st.integers(1, 8)), draw(st.floats(-r, r)))
+        else:
+            v = np.asarray(draw(st.lists(st.floats(-r, r), min_size=1, max_size=64)))
+        batches.append(v.astype(np.float32) if draw(st.booleans()) else v)
+    return bins, batches
+
+
+class TestBincountUpdate:
+    @given(update_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_equal_add_at(self, case):
+        bins, batches = case
+        h, oracle = HistogramProfile(bins), AddAtProfile(bins)
+        for v in batches:
+            h.update(v)
+            oracle.update(v)
+            assert h.hist_range == oracle.hist_range
+            assert h.counts.dtype == np.int64
+            assert np.array_equal(h.counts, oracle.counts)
+        assert h.counts.sum() == h.total == sum(v.size for v in batches)
+
+
 class TestNonFiniteUpdate:
     @staticmethod
     def state(h):
@@ -137,6 +187,27 @@ class TestProfileActivations:
         back.save(tmp_path / "calib2.json")
         assert (tmp_path / "calib.json").read_bytes() == (tmp_path / "calib2.json").read_bytes()
         assert back.image_count == mininet_calib.image_count
+        assert back.model_digest == ""
+
+    @pytest.mark.parametrize("model", ["", "ab" * 32])
+    def test_saved_document_is_the_indented_one(self, mininet_calib, tmp_path, model):
+        """The compact file parses to the document the indent-1 writer wrote,
+        plus the `model` key when the digest is known, and is that document's
+        compact sorted-key text byte for byte."""
+        prof = CalibrationProfile(mininet_calib.profiles, mininet_calib.image_count,
+                                  mininet_calib.bins, model)
+        prof.save(tmp_path / "calib.json")
+        doc = {"image_count": prof.image_count, "bin_count": prof.bins,
+               "nodes": {nid: {"min": p.min, "max": p.max, "total": p.total,
+                               "hist_range": p.hist_range, "bins": [int(c) for c in p.counts]}
+                         for nid, p in sorted(prof.profiles.items())}}
+        if model:
+            doc["model"] = model
+        old = json.loads(json.dumps(doc, indent=1, sort_keys=True))
+        text = (tmp_path / "calib.json").read_text()
+        assert json.loads(text) == old
+        assert text == json.dumps(old, sort_keys=True, separators=(",", ":"))
+        assert CalibrationProfile.load(tmp_path / "calib.json").model_digest == model
 
 
 class TestActivationQparams:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mixquant as mq
 from mixquant import executor
-from mixquant import cli, model_io
+from mixquant import cli, model_io, sensitivity
 from mixquant.cli import (METHODS, evaluate_model, final_logit_sqnr, load_reference, main,
                           model_digest, reference_path, save_reference)
 from mixquant.errors import CorruptBlob, MissingLabels, NonFiniteValue
@@ -418,6 +418,95 @@ class TestQuantizeListCoverage:
         assert "no member of 8 fusion groups" in capsys.readouterr().err
         assert not (tmp_path / "out" / "q20").exists()
         assert main(args + ["--list", str(lists["mininet"])]) == 0
+
+
+class TestProvenance:
+    """calib.json records the digest of the model it profiled and a list the
+    sha256 of the calib.json it was analyzed with; analyze and quantize exit 3
+    when what they are given does not match."""
+
+    @staticmethod
+    def calibrate(run, out):
+        assert main(["calibrate", "--model", f"{run}/model", "--images", f"{run}/calib_images.bin",
+                     "--out", str(out)]) == 0
+
+    def test_calib_of_another_model_is_3(self, reference_runs, tmp_path, capsys):
+        d = reference_runs[1]
+        foreign = tmp_path / "calib.json"
+        self.calibrate(reference_runs[2], foreign)
+        assert json.loads(foreign.read_text())["model"] == model_digest(reference_runs[2] / "model")
+        assert main(["analyze", "--model", f"{d}/model", "--calib", str(foreign),
+                     "--images", f"{d}/calib_images.bin", "--out-list", str(tmp_path / "s.txt")]) == 3
+        assert "calibrated on another model" in capsys.readouterr().err
+        assert not (tmp_path / "s.txt").exists()
+        assert main(["quantize", "--model", f"{d}/model", "--calib", str(foreign),
+                     "--list", f"{d}/list.txt", "--target-reduction", "40,60",
+                     "--out-dir", str(tmp_path)]) == 3
+        assert "calibrated on another model" in capsys.readouterr().err
+        assert not list(tmp_path.glob("q*"))
+
+    def test_list_of_another_calibration_is_3(self, reference_runs, tmp_path, capsys, monkeypatch):
+        d = reference_runs[1]
+        assert main(["analyze", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                     "--images", f"{d}/calib_images.bin", "--out-list", str(tmp_path / "s.txt")]) == 0
+        digest = json.loads((tmp_path / "s.txt.meta.json").read_text())["calib_digest"]
+        assert digest == cli._sha256(d / "calib.json")
+        other = tmp_path / "other.json"
+        assert main(["calibrate", "--model", f"{d}/model", "--images", f"{d}/eval_images.bin",
+                     "--out", str(other)]) == 0
+        args = ["quantize", "--model", f"{d}/model", "--list", str(tmp_path / "s.txt"),
+                "--target-reduction", "40,60", "--out-dir", str(tmp_path / "out")]
+        assert main(args + ["--calib", str(other)]) == 3
+        assert "analyzed with another calibration" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        hashed, sha256 = [], cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda *p: hashed.append(p) or sha256(*p))
+        assert main(args + ["--calib", f"{d}/calib.json"]) == 0
+        assert hashed.count((f"{d}/calib.json",)) == 1
+        for t in ("q40", "q60"):
+            assert json.loads((tmp_path / "out" / t / "meta.json").read_text())["calib_digest"] == digest
+
+    def test_library_profile_without_model_digest_is_accepted(self, reference_runs, tmp_path):
+        d = reference_runs[1]
+        graph, images = mq.load_model(d / "model"), mq.load_images(d / "calib_images.bin")
+        mq.profile_activations(graph, images).save(tmp_path / "calib.json")
+        assert "model" not in json.loads((tmp_path / "calib.json").read_text())
+        assert main(["analyze", "--model", f"{d}/model", "--calib", str(tmp_path / "calib.json"),
+                     "--method", "in-order", "--out-list", str(tmp_path / "s.txt")]) == 0
+        assert main(["quantize", "--model", f"{d}/model", "--calib", str(tmp_path / "calib.json"),
+                     "--list", str(tmp_path / "s.txt"), "--target-reduction", "40",
+                     "--out-dir", str(tmp_path)]) == 0
+
+
+class TestAnalyzeDiagnostics:
+    def test_kl_and_cosine_only_for_metrics_csv(self, reference_runs, tmp_path, monkeypatch):
+        """Without --out-metrics analyze computes neither KL nor cosine, still
+        makes two passes per calibration image and writes the same list."""
+        d = reference_runs[1]
+        argv = ["analyze", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                "--images", f"{d}/calib_images.bin"]
+        assert main(argv + ["--out-list", str(tmp_path / "with.txt"),
+                            "--out-metrics", str(tmp_path / "metrics.csv")]) == 0
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[-1] and row.split(",")[-2] for row in rows)
+
+        def boom(*args):
+            raise AssertionError("diagnostic metric computed without --out-metrics")
+
+        passes, run_pass = [0], mq.Executor._run
+
+        def counted(self, graph, inp, capture):
+            passes[0] += inp.shape[0]
+            return run_pass(self, graph, inp, capture)
+
+        monkeypatch.setattr(sensitivity, "kl_divergence", boom)
+        monkeypatch.setattr(sensitivity, "cosine_similarity", boom)
+        monkeypatch.setattr(mq.Executor, "_run", counted)
+        assert main(argv + ["--out-list", str(tmp_path / "without.txt")]) == 0
+        assert passes[0] == 2 * EVAL_COUNT
+        for suffix in ("", ".meta.json"):
+            assert (tmp_path / f"with.txt{suffix}").read_bytes() == \
+                (tmp_path / f"without.txt{suffix}").read_bytes()
 
 
 class TestPathologySynth:

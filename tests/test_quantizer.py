@@ -254,6 +254,25 @@ class TestDqQPeephole:
         g.add(Node("output", "Output", ["d2"]))
         assert count_qdq(dce_cse(g)) == 4
 
+    def test_pair_on_codes_of_other_params_not_cancelled(self):
+        """Quantize(step 0.05, zp 4) clamps -9.0 to code -128; the symmetric
+        Dequantize -> Quantize pair after it clamps that to -127, so it is no
+        identity and the cleanup must keep it: -6.35, not -6.4."""
+        sym = QuantParams(8, 0.05, 0, symmetric=True)
+        g = Graph("mismatch")
+        g.add(Node("input", "Input", attrs={"shape": [1, 1, 1]}))
+        g.add(Node("q1", "Quantize", ["input"], attrs={"qparams": QuantParams(8, 0.05, 4)}))
+        g.add(Node("d1", "Dequantize", ["q1"], attrs={"qparams": sym}))
+        g.add(Node("q2", "Quantize", ["d1"], attrs={"qparams": sym}))
+        g.add(Node("d2", "Dequantize", ["q2"], attrs={"qparams": sym}))
+        g.add(Node("output", "Output", ["d2"]))
+        out = dce_cse(g)
+        assert count_qdq(out) == 4
+        x = Tensor.f32(np.full((1, 1, 1, 1), -9.0, np.float32))
+        ex = mq.Executor()
+        for graph in (g, out):
+            assert ex.run_quantized(graph, x)[0].data.item() == pytest.approx(-6.35)
+
 
 class TestSelectDequantSet:
     def test_target_100_empty(self, mininet):
@@ -329,8 +348,10 @@ def random_qdq_graph(steps, out_pick: int) -> Graph:
     """A graph on (1, 2, 2) tensors built from (kind, pick, pick, qparams index)
     steps. A pick counts back from the newest node of the type the step
     reads, so 0 chains onto the newest one. Quantize reads a float node,
-    Dequantize an int8 node with that node's qparams, ReLU and Add float
-    nodes; the Output reads a float node. Nodes nothing reads stay in."""
+    Dequantize an int8 node, ReLU and Add float nodes; the Output reads a
+    float node. Index 2 gives a Dequantize its input's qparams, 0 and 1 pick
+    from RANDOM_QPARAMS (a Quantize takes the index mod 2), so a Dequantize
+    may read codes made with other qparams. Nodes nothing reads stay in."""
     g = Graph("random")
     g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))
     floats, codes = ["input"], []
@@ -339,9 +360,10 @@ def random_qdq_graph(steps, out_pick: int) -> Graph:
         nid = f"n{i}"
         if kind == "Dequantize" and codes:
             src = codes[-1 - a % len(codes)]
-            g.add(Node(nid, kind, [src], attrs={"qparams": qparams[src]}))
+            qp = qparams[src] if k == 2 else RANDOM_QPARAMS[k]
+            g.add(Node(nid, kind, [src], attrs={"qparams": qp}))
         elif kind in ("Quantize", "Dequantize"):
-            qparams[nid] = RANDOM_QPARAMS[k]
+            qparams[nid] = RANDOM_QPARAMS[k % 2]
             g.add(Node(nid, "Quantize", [floats[-1 - a % len(floats)]],
                        attrs={"qparams": qparams[nid]}))
             codes.append(nid)
@@ -366,24 +388,28 @@ class TestTransformProperties:
         assert graph_signature(dce_cse(once)) == graph_signature(once)
 
     @given(st.lists(st.tuples(st.sampled_from(["Quantize", "Dequantize", "ReLU", "Add"]),
-                              st.integers(0, 5), st.integers(0, 5), st.integers(0, 1)),
+                              st.integers(0, 5), st.integers(0, 5), st.integers(0, 2)),
                     max_size=12),
            st.integers(0, 5))
     # a back-to-back Q/DQ chain with equal qparams, then one with unequal ones
-    @example([("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 0)] * 2, 0)
-    @example([("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 0),
-              ("Quantize", 0, 0, 1), ("Dequantize", 0, 0, 0)], 0)
+    @example([("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 2)] * 2, 0)
+    @example([("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 2),
+              ("Quantize", 0, 0, 1), ("Dequantize", 0, 0, 2)], 0)
+    # a Dequantize -> Quantize pair with equal qparams on codes made with others
+    @example([("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 1),
+              ("Quantize", 0, 0, 1), ("Dequantize", 0, 0, 2)], 0)
     # two Quantize nodes on one producer, both read
-    @example([("Quantize", 0, 0, 0), ("Quantize", 1, 0, 0), ("Dequantize", 0, 0, 0),
-              ("Dequantize", 1, 0, 0), ("Add", 0, 1, 0)], 0)
+    @example([("Quantize", 0, 0, 0), ("Quantize", 1, 0, 0), ("Dequantize", 0, 0, 2),
+              ("Dequantize", 1, 0, 2), ("Add", 0, 1, 0)], 0)
     # dead branches: a ReLU and a Q/DQ pair that the Output does not read
-    @example([("ReLU", 0, 0, 0), ("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 0),
+    @example([("ReLU", 0, 0, 0), ("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 2),
               ("ReLU", 3, 0, 0)], 0)
     @settings(max_examples=200, deadline=None)
     def test_dce_cse_idempotent_on_random_graphs(self, steps, out_pick):
         """Graphs apply_mixed_precision cannot produce: one cleanup reaches
-        the fixpoint, leaves no dead node, no equal Dequantize -> Quantize
-        pair and no two equal nodes, and the graph computes the same bits."""
+        the fixpoint, leaves no dead node, no Quantize(p) fed by Dequantize(p)
+        of codes made with p and no two equal nodes, and the graph computes
+        the same bits."""
         g = random_qdq_graph(steps, out_pick)
         once = dce_cse(g)
         assert graph_signature(dce_cse(once)) == graph_signature(once)
@@ -392,7 +418,8 @@ class TestTransformProperties:
         for n in once.nodes:
             if n.kind == "Quantize":
                 src = once.node(n.inputs[0])
-                assert not (src.kind == "Dequantize" and src.attrs["qparams"] == n.attrs["qparams"])
+                assert not (src.kind == "Dequantize" and src.attrs["qparams"] == n.attrs["qparams"]
+                            == once.node(src.inputs[0]).attrs["qparams"])
         signatures = [graph_signature(Graph("one", [n]))[0][1:] for n in once.nodes]
         assert len(set(signatures)) == len(signatures)
         x = Tensor.f32(np.array([[[[0.3, -0.1], [5.0, -7.0]]]], np.float32))

@@ -143,6 +143,7 @@ class TestGenerateSensitivityList:
 
     def test_list_file_round_trip(self, mininet, mininet_calib, calib_images, tmp_path):
         sens, _ = generate_sensitivity_list(mininet, mininet_calib, calib_images)
+        sens.calib_digest = "ab" * 32
         sens.save(tmp_path / "sens.txt")
         back = SensitivityList.load(tmp_path / "sens.txt")
         assert back.ids == sens.ids
@@ -155,6 +156,18 @@ class TestGenerateSensitivityList:
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[0] == "id,layer_index,weight_sqnr,act_sqnr,weight_delta,act_delta,act_mse,weight_mse,act_cosine,act_kl"
         assert len(lines) == 1 + len(samples)
+        assert all(line.endswith(",,") for line in lines[1:])  # no diagnostics asked for
+
+    def test_diagnostics_change_no_other_metric(self, mininet, mininet_calib, calib_images):
+        sens, plain = generate_sensitivity_list(mininet, mininet_calib, calib_images[:8])
+        full, diag = generate_sensitivity_list(mininet, mininet_calib, calib_images[:8],
+                                               diagnostics=True)
+        assert sens.ids == full.ids
+        assert all(s.act_cosine is None and s.act_kl is None for s in plain)
+        assert all(s.act_cosine is not None and s.act_kl is not None for s in diag)
+        for s, t in zip(plain, diag):
+            t.act_cosine = t.act_kl = None
+            assert s == t
 
 
 class TestBaselines:
