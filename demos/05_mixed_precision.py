@@ -1,9 +1,10 @@
 """Mixed-precision application: converting a graph to int8 except for a
 dequantized node list, with Quantize/Dequantize adapters at every boundary.
 
-The transform walks nodes last-to-first, keeps listed fusion groups at 32
-bits, attaches calibrated scales to everything else, and lets the cleanup
-pass cancel redundant adapter pairs.
+The transform keeps listed fusion groups at 32 bits and makes one forward
+pass over the rest: it attaches calibrated scales to every int8 node and puts
+one adapter on each value that crosses a precision boundary, so the graph it
+writes has no redundant adapter pair to clean up.
 """
 
 import numpy as np

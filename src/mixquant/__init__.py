@@ -16,7 +16,7 @@ from .calibration import (
 )
 from .executor import Executor, LayerTrace
 from .fusion import FusionGroup, discover_fusion_groups, fuse_conv_bn, fuse_conv_relu, lower_to_stage
-from .ir import Graph, Node, QuantParams, Tensor, dce_cse, infer_shapes, topo_sort
+from .ir import Graph, Node, QuantParams, Tensor, infer_shapes, topo_sort
 from .metrics import SENTINEL_DB, cosine_similarity, kl_divergence, mse, sqnr, sqnr_delta
 from .model_io import gen_images, gen_synthetic, load_images, load_model, save_images, save_model
 from .quantizer import (

@@ -79,6 +79,11 @@ class MissingCalibration(MixQuantError):
     pass
 
 
+class AlreadyQuantized(MixQuantError):
+    """The transform was given a graph that already holds int8 nodes or
+    Quantize/Dequantize adapters."""
+
+
 class ProvenanceMismatch(MixQuantError):
     """An artifact records the digest of another model or calibration file."""
 

@@ -4,17 +4,18 @@ Every node kind except Input, Output, Quantize and Dequantize has one entry in
 a kernel table that both precisions share; the precisions differ only in the
 operands they hand the entry and in how they finish its output. FP32 nodes
 pass their float32 arrays, apply a fused ReLU through kernel_relu and keep
-the float32 result. int8 Conv2d, DepthwiseConv2d and Gemm pass the
-zero-point-offset input and the int8 weight cast to float64, with the bias in
-accumulator units round(b / (s_in * s_w)), and scale the accumulator by
-s_in * s_w. That float64 accumulation is exact integer arithmetic: offset
-inputs lie in [-255, 255] and weights in [-127, 127], so every partial sum is
-an integer of magnitude at most 255 * 127 * K < 2**53 for K up to MAX_EXACT_K
-multiply-adds per output. The other int8 kinds pass dequantized float64
-operands. Every int8 output is requantized once, q_out = clamp(round(real /
-s_out) + zp_out) with round-half-away-from-zero, clamped at the zero point
-under a fused ReLU, which keeps the interpreter deterministic on every
-platform.
+the float32 result. int8 Conv2d, DepthwiseConv2d and Gemm (a 1x1 conv) pass
+the input codes offset by their zero point and the int8 weight cast to
+float64, with the bias in accumulator units round(b / (s_in * s_w)), and
+scale the accumulator by s_in * s_w. That float64 accumulation is exact
+integer arithmetic: offset inputs lie in [-255, 255] and weights in
+[-127, 127], so every partial sum is an integer of magnitude at most
+255 * 127 * K < 2**53 for K up to MAX_EXACT_K multiply-adds per output. The
+other int8 kinds pass dequantized float64 operands. Every int8 input,
+Dequantize's included, is read with the qparams its codes carry. Every int8
+output is requantized once, q_out = clamp(round(real / s_out) + zp_out) with
+round-half-away-from-zero, clamped at the zero point under a fused ReLU,
+which keeps the interpreter deterministic on every platform.
 
 A pass runs a batch of images, and every kernel gives each image the same
 bits whatever the batch size, so batching never moves a result. A pass
@@ -166,16 +167,6 @@ def kernel_global_avgpool(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=(2, 3), dtype=x.dtype)
 
 
-def kernel_gemm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    """y = x @ weight.T + bias; weight is (out_features, in_features)."""
-    if x.shape[1] != weight.shape[1]:
-        raise ShapeMismatch(f"gemm input has K={x.shape[1]}, weight expects K={weight.shape[1]}")
-    # one (1, K) @ (K, N) product per row: `x @ weight.T` would take another
-    # BLAS path at M > 1 and move results with the batch size
-    y = np.matmul(x[:, None, :], weight.T)[:, 0]
-    return y + bias if bias is not None else y
-
-
 def kernel_flatten(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
@@ -206,7 +197,10 @@ _KERNELS = {
     "AvgPool": lambda n, xs, w: kernel_avgpool(xs[0], n.attrs["kernel"], n.attrs.get("stride"),
                                                n.attrs.get("padding", 0)),
     "GlobalAvgPool": lambda n, xs, w: kernel_global_avgpool(xs[0]),
-    "Gemm": lambda n, xs, w: kernel_gemm(xs[0], w["weight"], w.get("bias")),
+    # y = x @ weight.T + bias as a 1x1 conv: one (N, K) @ (K, 1) product per
+    # image, so every row keeps its batch-1 bits
+    "Gemm": lambda n, xs, w: kernel_conv2d(xs[0][:, :, None, None], w["weight"][:, :, None, None],
+                                           w.get("bias")).reshape(xs[0].shape[0], -1),
     "Flatten": lambda n, xs, w: kernel_flatten(xs[0]),
     "Softmax": lambda n, xs, w: kernel_softmax(xs[0]),
 }
@@ -350,7 +344,7 @@ class Executor:
         if kind == "Dequantize":
             if ins[0].qparams is None:
                 raise MissingQuantParams(f"{node.id}: dequantize of non-quantized tensor")
-            return dequantize(ins[0], node.attrs["qparams"])
+            return dequantize(ins[0])
 
         relu = bool(node.attrs.get("fused_relu"))
         if node.precision != 8:
@@ -370,7 +364,7 @@ class Executor:
                                   {k: t.data.astype(np.float64) for k, t in node.weights.items()})
             return _requantize(real, node.attrs["out_qparams"], relu)
 
-        in_qp: QuantParams = node.attrs["in_qparams"][0]
+        in_qp: QuantParams = ins[0].qparams
         wt = node.weights["weight"]
         if wt.qparams is None:
             raise MissingQuantParams(f"{node.id}: weight tensor is not quantized")

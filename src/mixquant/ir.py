@@ -9,7 +9,6 @@ reproducible across runs.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,12 +90,9 @@ class QuantParams:
         return cls(int(d["bit_width"]), float(d["step"]), int(d["zero_point"]), bool(d["symmetric"]))
 
 
-_DTYPES = {"f32": np.float32, "i8": np.int8, "i32": np.int32}
-
-
 @dataclass
 class Tensor:
-    """An n-d numeric array (f32 | i8 | i32), row-major, plus optional qparams.
+    """An n-d numeric array (f32 | i8), row-major, plus optional qparams.
 
     int8 tensors always carry the QuantParams they were produced with; float
     tensors never do.
@@ -112,7 +108,7 @@ class Tensor:
         elif self.data.dtype == np.int8:
             if self.qparams is None:
                 raise InvariantViolation("i8 tensor requires qparams")
-        elif self.data.dtype != np.int32:
+        else:
             raise InvariantViolation(f"unsupported tensor dtype {self.data.dtype}")
 
     @property
@@ -121,7 +117,7 @@ class Tensor:
 
     @property
     def dtype(self) -> str:
-        return {np.float32: "f32", np.int8: "i8", np.int32: "i32"}[self.data.dtype.type]
+        return "i8" if self.data.dtype == np.int8 else "f32"
 
     @classmethod
     def f32(cls, values) -> "Tensor":
@@ -257,101 +253,6 @@ def _topo_order(edges: tuple[tuple[str, tuple[str, ...]], ...], name: str = "gra
     if len(result) != len(edges):
         raise CycleDetected(f"graph {name!r} contains a cycle")
     return result
-
-
-def _tensor_digest(t: Tensor) -> str:
-    h = hashlib.sha256()
-    h.update(str(t.shape).encode())
-    h.update(t.data.tobytes())
-    if t.qparams is not None:
-        h.update(repr(t.qparams.to_json()).encode())
-    return h.hexdigest()
-
-
-def _node_signature(node: Node) -> tuple:
-    """Content signature for CSE: kind, attrs, inputs, weight digests, precision.
-
-    Weight equality is bit-exact by digest; determinism over cleverness.
-    """
-    attr_items = []
-    for k in sorted(node.attrs):
-        v = node.attrs[k]
-        if isinstance(v, QuantParams):
-            v = ("qp", tuple(sorted(v.to_json().items())))
-        elif isinstance(v, (list, tuple)):
-            v = tuple(
-                ("qp", tuple(sorted(x.to_json().items()))) if isinstance(x, QuantParams) else x
-                for x in v
-            )
-        elif isinstance(v, np.ndarray):
-            v = ("arr", v.shape, hashlib.sha256(v.tobytes()).hexdigest())
-        attr_items.append((k, v))
-    weight_items = tuple((k, _tensor_digest(node.weights[k])) for k in sorted(node.weights))
-    return (node.kind, tuple(attr_items), tuple(node.inputs), weight_items, node.precision)
-
-
-def dce_cse(graph: Graph) -> Graph:
-    """Cleanup pass: drop dead nodes, merge duplicate nodes, cancel no-op Q/DQ.
-
-    Three sub-passes run to a fixpoint:
-      * peephole: a Quantize fed by a Dequantize with identical qparams, whose
-        input codes were made with those qparams too, is an exact int8
-        identity; both collapse to the original producer;
-      * CSE: nodes with identical (kind, attrs, inputs, weights, precision)
-        merge into the first occurrence;
-      * DCE: nodes unreachable from Output are removed.
-    Semantics are preserved exactly; the pass is idempotent.
-    """
-    g = graph.copy()
-    changed = True
-    while changed:
-        changed = False
-
-        # peephole: codes(p) -> Dequantize(p) -> Quantize(p) is an exact identity
-        rewire: dict[str, str] = {}
-        for n in g.nodes:
-            if n.kind != "Quantize" or len(n.inputs) != 1 or n.inputs[0] not in g:
-                continue
-            producer = g.node(n.inputs[0])
-            if producer.kind != "Dequantize" or producer.inputs[0] not in g:
-                continue
-            codes = g.node(producer.inputs[0])
-            made_with = codes.attrs.get("qparams") if codes.kind == "Quantize" \
-                else codes.attrs.get("out_qparams") if codes.precision == 8 else None
-            if producer.attrs.get("qparams") == n.attrs.get("qparams") == made_with:
-                rewire[n.id] = producer.inputs[0]
-        if rewire:
-            for n in g.nodes:
-                n.inputs = [rewire.get(src, src) for src in n.inputs]
-            changed = True
-
-        # CSE
-        seen: dict[tuple, str] = {}
-        merge: dict[str, str] = {}
-        for n in g.nodes:
-            sig = _node_signature(n)
-            if sig in seen:
-                merge[n.id] = seen[sig]
-            else:
-                seen[sig] = n.id
-        if merge:
-            for n in g.nodes:
-                n.inputs = [merge.get(src, src) for src in n.inputs]
-            changed = True
-
-        # DCE: keep everything reachable backwards from Output, plus Input
-        live: set[str] = set()
-        stack = [n.id for n in g.nodes if n.kind in ("Output", "Input")]
-        while stack:
-            nid = stack.pop()
-            if nid in live:
-                continue
-            live.add(nid)
-            stack.extend(g.node(nid).inputs)
-        if len(live) != len(g.nodes):
-            changed = True
-        g = Graph(g.name, [n.copy() for n in g.nodes if n.id in live])
-    return g
 
 
 # ---------------------------------------------------------------------------

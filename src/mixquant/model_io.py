@@ -230,7 +230,7 @@ def scale_node_weights(graph: Graph, node_id: str, factor: float, stride: int = 
 # ---------------------------------------------------------------------------
 # serialization
 
-_DTYPE_CODES = {"f32": ("<f4", 4), "i8": ("<i1", 1), "i32": ("<i4", 4)}
+_DTYPE_CODES = {"f32": ("<f4", 4), "i8": ("<i1", 1)}
 
 
 def _attr_to_json(v):
@@ -385,6 +385,8 @@ def load_model(path) -> Graph:
         if name not in blobs:
             raise CorruptBlob(f"manifest references missing blob {name!r}")
         meta = blobs[name]
+        if meta["dtype"] not in _DTYPE_CODES:
+            raise CorruptBlob(f"blob {name!r} has unsupported dtype {meta['dtype']!r}")
         code, unit = _DTYPE_CODES[meta["dtype"]]
         expected = unit * int(np.prod(meta["shape"])) if meta["shape"] else unit
         if meta["length"] != expected:
@@ -416,7 +418,31 @@ def load_model(path) -> Graph:
         _check_node(node)
         g.add(node)
     g.validate()
+    for n in g.nodes:
+        for slot, src in enumerate(n.inputs):
+            made, read = _codes_made(g.node(src)), _codes_read(n, slot)
+            if made != read:
+                raise InvalidAttribute(f"node {n.id!r} reads {src!r} as {_describe(read)}, "
+                                       f"but {src!r} writes {_describe(made)}")
     return g
+
+
+def _codes_made(node: Node) -> QuantParams | None:
+    """The qparams of the int8 codes a node writes; None for float output."""
+    if node.kind == "Quantize":
+        return node.attrs["qparams"]
+    return node.attrs["out_qparams"] if node.precision == 8 else None
+
+
+def _codes_read(node: Node, slot: int) -> QuantParams | None:
+    """The qparams of the int8 codes a node expects on an input; None for float."""
+    if node.kind == "Dequantize":
+        return node.attrs["qparams"]
+    return node.attrs["in_qparams"][slot] if node.precision == 8 else None
+
+
+def _describe(qp: QuantParams | None) -> str:
+    return "float" if qp is None else f"int8 codes of {qp.to_json()}"
 
 
 def save_images(images: np.ndarray, path) -> None:

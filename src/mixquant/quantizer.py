@@ -1,11 +1,12 @@
 """Tensor quantize/dequantize primitives and the mixed-precision graph transform.
 
-The transform walks the node list from last to first, converting every
+The transform makes one forward pass over an FP32 graph. It converts every
 quantizable node that is not on the keep-at-32-bit list into its int8
 counterpart: output scale from the node's calibrated activation range, input
-scales from each producer's range, weights quantized symmetrically. A second
-pass inserts Quantize/Dequantize adapter nodes at every F32<->I8 boundary,
-and a final cleanup removes dead nodes and cancels redundant adapter pairs.
+scales from each producer's range, weights quantized symmetrically. On every
+edge between an FP32 and an int8 node it inserts one Quantize or Dequantize
+adapter, shared by all readers of that value, so the graph it writes holds
+no dead node and no redundant adapter pair by construction.
 
 Entries on the keep list name fusion-group anchors; membership expands here
 so a whole conv[+bn][+add][+relu] group always shares one precision.
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationProfile, activation_qparams, weight_qparams
-from .errors import UnknownNodeInList
+from .errors import AlreadyQuantized, UnknownNodeInList
 from .fusion import discover_fusion_groups
 from .ir import (
     Graph,
@@ -28,7 +29,6 @@ from .ir import (
     QuantParams,
     Tensor,
     WEIGHTED_KINDS,
-    dce_cse,
 )
 
 
@@ -58,11 +58,11 @@ def _requantize(real: np.ndarray, qp: QuantParams, clamp_at_zero: bool = False) 
     return Tensor(np.clip(q, qp.qmin, qp.qmax, out=q).astype(np.int8), qp)
 
 
-def dequantize(q: Tensor, qp: QuantParams | None = None) -> Tensor:
-    """x_hat = (q - zero_point) * step; the zero_point itself maps to exactly 0."""
-    qp = qp or q.qparams
-    data = q.data if isinstance(q, Tensor) else np.asarray(q)
-    return Tensor(((data.astype(np.float64) - qp.zero_point) * qp.step).astype(np.float32))
+def dequantize(q: Tensor) -> Tensor:
+    """x_hat = (q - zero_point) * step with the codes' own qparams; the
+    zero_point itself maps to exactly 0."""
+    qp = q.qparams
+    return Tensor(((q.data.astype(np.float64) - qp.zero_point) * qp.step).astype(np.float32))
 
 
 def _profile_id(node: Node) -> str:
@@ -90,9 +90,10 @@ def expand_to_groups(graph: Graph, node_ids) -> list[str]:
 
 
 def apply_mixed_precision(graph: Graph, dequant_list, calib: CalibrationProfile) -> Graph:
-    """Quantize the graph to int8 except for the fusion groups named in
-    `dequant_list`, inserting Quantize/Dequantize adapters at every precision
-    boundary. Returns a new executable graph."""
+    """Quantize an FP32 graph to int8 except for the fusion groups named in
+    `dequant_list`. One forward pass copies each node, converting those that
+    go int8, and puts one Quantize or Dequantize adapter on every input edge
+    that crosses a precision boundary. Returns a new executable graph."""
     ids = list(dequant_list)
     if len(set(ids)) != len(ids):
         raise ValueError("dequantized node list contains duplicates")
@@ -101,82 +102,46 @@ def apply_mixed_precision(graph: Graph, dequant_list, calib: CalibrationProfile)
             raise UnknownNodeInList(f"dequantized node list names unknown node {nid!r}")
         if graph.node(nid).kind not in QUANTIZABLE_KINDS:
             raise UnknownNodeInList(f"node {nid!r} ({graph.node(nid).kind}) is not quantizable")
+    for n in graph.nodes:
+        if n.kind in ("Quantize", "Dequantize") or n.precision == 8:
+            raise AlreadyQuantized(f"model {graph.name!r} is already quantized ({n.kind} node "
+                                   f"{n.id!r}{' at 8 bits' if n.precision == 8 else ''}); "
+                                   f"quantize its FP32 model")
     keep32 = set(expand_to_groups(graph, ids))
+    int8 = {n.id for n in graph.nodes if n.kind in QUANTIZABLE_KINDS and n.id not in keep32}
 
-    g = graph.copy()
-    # last-to-first sweep: convert each quantizable node not kept at 32 bits
-    for node in reversed(g.nodes):
-        if node.kind not in QUANTIZABLE_KINDS or node.id in keep32:
-            continue
-        out_qp = activation_qparams(calib.for_node(_profile_id(node)))
-        in_qps = [activation_qparams(calib.for_node(_profile_id(g.node(src))))
-                  for src in node.inputs]
-        node.attrs = dict(node.attrs)
-        node.attrs["out_qparams"] = out_qp
-        node.attrs["in_qparams"] = in_qps
-        if node.kind in WEIGHTED_KINDS:
-            node.weights = dict(node.weights)
-            node.weights["weight"] = quantize_affine(
-                node.weights["weight"], weight_qparams(node.weights["weight"]))
-        node.precision = 8
-    g = _insert_adapters(g, calib)
-    g = dce_cse(g)
-    g.validate()
-    return g
+    # A value's codes are written and read with the qparams of its one
+    # calibrated range, so adjacent int8 nodes always agree and no edge needs
+    # a requantize.
+    qparams: dict[str, QuantParams] = {}
 
+    def codes_of(nid: str) -> QuantParams:
+        if nid not in qparams:
+            qparams[nid] = activation_qparams(calib.for_node(_profile_id(graph.node(nid))))
+        return qparams[nid]
 
-def _yields_i8(node: Node) -> bool:
-    if node.kind == "Quantize":
-        return True
-    return node.precision == 8 and node.kind in QUANTIZABLE_KINDS
-
-
-def _expects_i8(node: Node) -> bool:
-    if node.kind == "Dequantize":
-        return True
-    return node.precision == 8 and node.kind in QUANTIZABLE_KINDS
-
-
-def _out_qparams(node: Node) -> QuantParams:
-    return node.attrs["qparams"] if node.kind == "Quantize" else node.attrs["out_qparams"]
-
-
-def _insert_adapters(g: Graph, calib: CalibrationProfile) -> Graph:
-    out = Graph(g.name)
-    cache: dict[tuple, str] = {}
-
-    def adapter(kind: str, src: str, qp: QuantParams) -> str:
-        key = (kind, src, qp)
-        if key not in cache:
-            aid = f"{src}__{'q' if kind == 'Quantize' else 'dq'}{len(cache)}"
-            out.add(Node(aid, kind, [src], attrs={"qparams": qp}))
-            cache[key] = aid
-        return cache[key]
-
-    for node in g.nodes:
-        node = node.copy()
-        new_inputs = []
+    out = Graph(graph.name)
+    adapters: dict[tuple, str] = {}
+    for node in graph.nodes:
+        node, i8 = node.copy(), node.id in int8
+        if i8:
+            node.attrs["out_qparams"] = codes_of(node.id)
+            node.attrs["in_qparams"] = [codes_of(src) for src in node.inputs]
+            if node.kind in WEIGHTED_KINDS:
+                node.weights["weight"] = quantize_affine(
+                    node.weights["weight"], weight_qparams(node.weights["weight"]))
+            node.precision = 8
         for slot, src in enumerate(node.inputs):
-            producer = g.node(src)
-            if _expects_i8(node) and not _yields_i8(producer):
-                want = node.attrs["in_qparams"][slot] if node.kind != "Dequantize" \
-                    else node.attrs["qparams"]
-                new_inputs.append(adapter("Quantize", src, want))
-            elif not _expects_i8(node) and _yields_i8(producer):
-                new_inputs.append(adapter("Dequantize", src, _out_qparams(producer)))
-            elif _expects_i8(node) and _yields_i8(producer):
-                have = _out_qparams(producer)
-                want = node.attrs["in_qparams"][slot]
-                if have != want:
-                    # requantize expressed as an explicit DQ -> Q pair
-                    mid = adapter("Dequantize", src, have)
-                    new_inputs.append(adapter("Quantize", mid, want))
-                else:
-                    new_inputs.append(src)
-            else:
-                new_inputs.append(src)
-        node.inputs = new_inputs
+            if i8 == (src in int8):
+                continue
+            kind = "Quantize" if i8 else "Dequantize"
+            key = (kind, src, codes_of(src))
+            if key not in adapters:
+                adapters[key] = f"{src}__{'q' if kind == 'Quantize' else 'dq'}{len(adapters)}"
+                out.add(Node(adapters[key], kind, [src], attrs={"qparams": key[2]}))
+            node.inputs[slot] = adapters[key]
         out.add(node)
+    out.validate()
     return out
 
 

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 
 import mixquant as mq
@@ -32,9 +35,11 @@ def all_archs():
 
 
 def graph_signature(graph):
-    """Structural identity: ids, kinds, wiring, attrs, precisions, weight bytes."""
-    from mixquant.ir import _node_signature
-    return [(n.id,) + _node_signature(n) for n in graph.nodes]
+    """Structural identity: the manifest and weight bytes save_model writes
+    (name, ids, kinds, wiring, attrs, precisions, weights)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mq.save_model(graph, tmp)
+        return tuple((Path(tmp) / f).read_bytes() for f in ("manifest.json", "weights.bin"))
 
 
 def run_f32(graph, image_batch, idx=0, capture=False, executor=None):

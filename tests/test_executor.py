@@ -16,7 +16,6 @@ from mixquant.executor import (
     kernel_conv2d,
     kernel_depthwise_conv2d,
     kernel_flatten,
-    kernel_gemm,
     kernel_global_avgpool,
     kernel_maxpool,
     kernel_relu,
@@ -33,6 +32,12 @@ MININET_GOLDEN = np.array([
     0.159620196, 0.031039290, 0.164319858, 0.041680433, 0.280350566,
     0.039827872, 0.050020613, 0.102116905, 0.059311889, 0.071712330,
 ], dtype=np.float32)
+
+
+def gemm(x, w, b=None):
+    """The kernel table's Gemm entry: y = x @ w.T + b, run as a 1x1 conv."""
+    weights = {"weight": w} if b is None else {"weight": w, "bias": b}
+    return mq.executor._KERNELS["Gemm"](Node("fc", "Gemm"), [x], weights)
 
 
 def scipy_conv2d(x, w, b, stride, padding):
@@ -136,7 +141,7 @@ class TestFp32Kernels:
         assert np.array_equal(kernel_global_avgpool(x), [[1.5, 5.5]])
 
     def test_gemm_hand_value(self):
-        y = kernel_gemm(np.array([[1.0, 2.0]], np.float32),
+        y = gemm(np.array([[1.0, 2.0]], np.float32),
                         np.array([[1.0, 0.0], [0.0, 1.0]], np.float32),
                         np.array([1.0, 1.0], np.float32))
         assert np.array_equal(y, [[2.0, 3.0]])
@@ -504,9 +509,12 @@ class TestBatchInvariance:
         x = rng.standard_normal((m, k)).astype(dtype)
         w = rng.standard_normal((n, k)).astype(dtype)
         b = rng.standard_normal(n).astype(dtype) if with_bias else None
-        y = kernel_gemm(x, w, b)
+        y = gemm(x, w, b)
+        # the stacked (1, K) @ (K, N) product per row is the reference
+        want = np.matmul(x[:, None, :], w.T)[:, 0]
+        np.testing.assert_array_equal(y, want + b if with_bias else want)
         for j in range(m):
-            assert np.array_equal(y[j:j + 1], kernel_gemm(x[j:j + 1], w, b))
+            assert np.array_equal(y[j:j + 1], gemm(x[j:j + 1], w, b))
 
     def test_capture_keeps_named_nodes_only(self, mininet, calib_images):
         _, trace = run_f32(mininet, calib_images, capture=["b2_conv", "fc"])
@@ -635,16 +643,16 @@ class TestExecutionPlan:
     @pytest.mark.parametrize("quantized", [False, True])
     def test_intermediate_released_after_last_reader(self, arch_graphs, monkeypatch, quantized):
         """The array b1_conv's node holds (the conv kernel's result in FP32,
-        the requantized int8 codes in int8) is gone by the time fc's kernel
+        the requantized int8 codes in int8) is gone by the time the softmax
         runs, unless the trace captures it."""
         import weakref
 
         from mixquant import executor
         shape, graphs = arch_graphs["mininet"]
         graph = graphs[1][0] if quantized else graphs[0][0]
-        first, alive_at_fc = [], []
+        first, alive_at_softmax = [], []
         producer = "_requantize" if quantized else "kernel_conv2d"
-        make, gemm = getattr(executor, producer), executor.kernel_gemm
+        make, softmax = getattr(executor, producer), executor.kernel_softmax
 
         def recording(*args, **kwargs):
             y = make(*args, **kwargs)
@@ -652,19 +660,19 @@ class TestExecutionPlan:
                 first.append(weakref.ref(y.data if quantized else y))
             return y
 
-        def checking_gemm(*args, **kwargs):
-            alive_at_fc.append(first[0]() is not None)
-            return gemm(*args, **kwargs)
+        def checking_softmax(*args, **kwargs):
+            alive_at_softmax.append(first[0]() is not None)
+            return softmax(*args, **kwargs)
 
         monkeypatch.setattr(executor, producer, recording)
-        monkeypatch.setattr(executor, "kernel_gemm", checking_gemm)
+        monkeypatch.setattr(executor, "kernel_softmax", checking_softmax)
         ex = Executor()
         run = ex.run_quantized if quantized else ex.run_fp32
         images = Tensor.f32(np.ones((2, *shape), np.float32))
         run(graph, images)
         first.clear()
         _, trace = run(graph, images, capture=["b1_conv"])
-        assert alive_at_fc == [False, not quantized]  # int8 captures keep a dequantized copy
+        assert alive_at_softmax == [False, not quantized]  # int8 captures keep a dequantized copy
         assert (trace.outputs["b1_conv"].data is first[0]()) == (not quantized)
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -721,7 +729,7 @@ def padded_pool_windows(x, k, s, p, pad_value):
 KIND_KERNELS = {"Conv2d": "kernel_conv2d", "DepthwiseConv2d": "kernel_depthwise_conv2d",
                 "BatchNorm": "kernel_batchnorm", "ReLU": "kernel_relu", "Add": "kernel_add",
                 "MaxPool": "kernel_maxpool", "AvgPool": "kernel_avgpool",
-                "GlobalAvgPool": "kernel_global_avgpool", "Gemm": "kernel_gemm",
+                "GlobalAvgPool": "kernel_global_avgpool", "Gemm": "kernel_conv2d",
                 "Flatten": "kernel_flatten", "Softmax": "kernel_softmax"}
 
 

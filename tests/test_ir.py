@@ -5,7 +5,7 @@ import mixquant as mq
 from mixquant.errors import CycleDetected, InvariantViolation, ShapeMismatch
 from mixquant.ir import Graph, Node, QuantParams, Tensor, round_half_away
 
-from conftest import graph_signature, run_f32
+from conftest import run_f32
 
 
 def chain_graph():
@@ -55,45 +55,15 @@ class TestTopoSort:
             assert all(pos[src] < pos[n.id] for src in n.inputs)
 
 
-class TestDceCse:
-    def test_orphan_removed(self):
-        g = chain_graph()
-        g.add(Node("orphan", "ReLU", ["input"]))
-        out = mq.dce_cse(g)
-        assert "orphan" not in out and len(out.nodes) == 3
-
-    def test_duplicate_quantize_merged(self, calib_images):
-        qp = QuantParams(8, 0.01, 0)
-        g = Graph("dup")
-        g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))
-        g.add(Node("q1", "Quantize", ["input"], attrs={"qparams": qp}))
-        g.add(Node("q2", "Quantize", ["input"], attrs={"qparams": qp}))
-        g.add(Node("d1", "Dequantize", ["q1"], attrs={"qparams": qp}))
-        g.add(Node("d2", "Dequantize", ["q2"], attrs={"qparams": qp}))
-        g.add(Node("add", "Add", ["d1", "d2"]))
-        g.add(Node("output", "Output", ["add"]))
-        out = mq.dce_cse(g)
-        assert sum(1 for n in out.nodes if n.kind == "Quantize") == 1
-        x = mq.Tensor.f32(np.array([[[[0.5, -0.25], [1.0, 0.0]]]], dtype=np.float32))
-        ex = mq.Executor()
-        ref, _ = ex.run_quantized(g, x)
-        got, _ = ex.run_quantized(out, x)
-        assert np.array_equal(ref.data, got.data)
-
-    def test_idempotent(self, mininet):
-        once = mq.dce_cse(mininet)
-        twice = mq.dce_cse(once)
-        assert graph_signature(once) == graph_signature(twice)
-
-    def test_minimal_graph_unchanged(self):
-        g = chain_graph()
-        assert graph_signature(mq.dce_cse(g)) == graph_signature(g)
-
-
 class TestTypes:
     def test_i8_tensor_requires_qparams(self):
         with pytest.raises(InvariantViolation):
             Tensor(np.zeros(3, dtype=np.int8))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float16, np.float64])
+    def test_only_f32_and_i8_tensors(self, dtype):
+        with pytest.raises(InvariantViolation, match="unsupported tensor dtype"):
+            Tensor(np.zeros(3, dtype=dtype))
 
     def test_f32_tensor_rejects_qparams(self):
         with pytest.raises(InvariantViolation):

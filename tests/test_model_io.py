@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import mixquant as mq
+from mixquant.cli import main
 from mixquant.errors import CorruptBlob, EmptyImageBatch, FormatVersionMismatch, InvalidAttribute, UnknownArch
+from mixquant.ir import Graph, Node, QuantParams, Tensor
 from mixquant.model_io import Lcg, gen_synthetic, load_labels, save_labels, scale_node_weights
 
 from conftest import graph_signature, run_f32
@@ -113,6 +115,15 @@ class TestModelRoundTrip:
         with pytest.raises(CorruptBlob):
             mq.load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("dtype", ["f16", "i32"])
+    def test_unsupported_blob_dtype(self, mininet, tmp_path, dtype):
+        mq.save_model(mininet, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m/manifest.json").read_text())
+        manifest["blobs"]["b1_conv.weight"]["dtype"] = dtype
+        (tmp_path / "m/manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptBlob, match=f"'b1_conv.weight' has unsupported dtype '{dtype}'"):
+            mq.load_model(tmp_path / "m")
+
     def test_format_version_mismatch(self, mininet, tmp_path):
         mq.save_model(mininet, tmp_path / "m")
         manifest = json.loads((tmp_path / "m/manifest.json").read_text())
@@ -209,6 +220,56 @@ class TestManifestAttributes:
                 ("b1_conv", "in_qparams", [wide])]):
             with pytest.raises(InvalidAttribute, match="8-bit"):
                 mq.load_model(edited_manifest(qg, tmp_path / f"w{i}", set_attr(node_id, key, value)))
+
+
+MADE, RECORDED = QuantParams(8, 0.05, 10), QuantParams(8, 0.02, 0)
+
+
+def misrecorded_graph():
+    """Quantize(MADE) codes read by an int8 Conv2d and a Dequantize that both
+    record RECORDED, and by an int8 ReLU that records MADE."""
+    g = Graph("misrecorded")
+    g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))
+    g.add(Node("q", "Quantize", ["input"], attrs={"qparams": MADE}))
+    g.add(Node("conv", "Conv2d", ["q"], precision=8,
+               attrs={"stride": 1, "padding": 0, "in_qparams": [RECORDED], "out_qparams": MADE},
+               weights={"weight": Tensor.i8(np.ones((1, 1, 1, 1)), QuantParams(8, 1.0, 0, symmetric=True))}))
+    g.add(Node("relu", "ReLU", ["q"], precision=8, attrs={"in_qparams": [MADE], "out_qparams": MADE}))
+    g.add(Node("dq", "Dequantize", ["q"], attrs={"qparams": RECORDED}))
+    g.add(Node("add", "Add", ["conv", "relu"], precision=8,
+               attrs={"in_qparams": [MADE, MADE], "out_qparams": MADE}))
+    g.add(Node("dq_add", "Dequantize", ["add"], attrs={"qparams": MADE}))
+    g.add(Node("output", "Output", ["dq_add"]))
+    return g
+
+
+class TestCodesQParams:
+    def test_readers_use_the_qparams_codes_carry(self):
+        x = Tensor.f32(np.array([[[[0.5, 1.0], [1.5, 2.0]]]], np.float32))
+        y, trace = mq.Executor().run_quantized(misrecorded_graph(), x, capture=["conv", "relu", "dq"])
+        for nid in ("conv", "relu", "dq"):
+            np.testing.assert_allclose(trace.outputs[nid].data.ravel(), [0.5, 1.0, 1.5, 2.0], err_msg=nid)
+        np.testing.assert_allclose(y.data.ravel(), [1.0, 2.0, 3.0, 4.0])
+
+    def test_load_rejects_misrecorded_qparams(self, tmp_path):
+        mq.save_model(misrecorded_graph(), tmp_path / "model")
+        with pytest.raises(InvalidAttribute, match="'conv' reads 'q' as int8 codes of"):
+            mq.load_model(tmp_path / "model")
+        assert main(["evaluate", "--model", str(tmp_path / "model"), "--ref-model", str(tmp_path),
+                     "--images", "x", "--labels", "x", "--out", str(tmp_path / "r.json")]) == 3
+
+    @pytest.mark.parametrize("node_id, inputs, reads", [
+        ("softmax", ["fc"], "as float"),        # the Dequantize bypassed
+        ("b1_conv", ["input"], "as int8 codes"),  # the Quantize bypassed
+    ])
+    def test_load_rejects_codes_on_a_float_edge(self, mininet, mininet_calib, tmp_path,
+                                                node_id, inputs, reads):
+        qg = mq.apply_mixed_precision(mininet, [], mininet_calib)
+
+        def rewire(manifest):
+            next(n for n in manifest["nodes"] if n["id"] == node_id)["inputs"] = inputs
+        with pytest.raises(InvalidAttribute, match=f"{node_id!r} reads {inputs[0]!r} {reads}"):
+            mq.load_model(edited_manifest(qg, tmp_path / "m", rewire))
 
 
 class TestImageIo:

@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixquant as mq
 from mixquant.calibration import profile_activations
-from mixquant.errors import MissingCalibration, UnknownNodeInList
-from mixquant.ir import Graph, Node, QuantParams, Tensor, dce_cse
+from mixquant.cli import main
+from mixquant.errors import AlreadyQuantized, MissingCalibration, UnknownNodeInList
+from mixquant.ir import Graph, Node, QuantParams, Tensor
 from mixquant.model_io import Lcg
 from mixquant.quantizer import (
     count_qdq,
@@ -19,8 +20,6 @@ from mixquant.quantizer import (
     save_precision_config,
     select_dequant_set,
 )
-
-from conftest import graph_signature
 
 
 def chain_model():
@@ -136,6 +135,20 @@ class TestApplyMixedPrecision:
         with pytest.raises(ValueError):
             mq.apply_mixed_precision(chain, ["c2", "c2"], chain_calib)
 
+    def test_already_quantized_graph_rejected(self, mininet, mininet_calib, tmp_path, capsys):
+        """A quantized model, given back to the transform, fails as such (exit 3)
+        rather than as a calibration gap on its adapters."""
+        qg = mq.apply_mixed_precision(mininet, ["b3_conv"], mininet_calib)
+        with pytest.raises(AlreadyQuantized, match="already quantized"):
+            mq.apply_mixed_precision(qg, [], mininet_calib)
+        mq.save_model(qg, tmp_path / "model")
+        mininet_calib.save(tmp_path / "calib.json")
+        mq.baseline_order(mininet, "in_order").save(tmp_path / "list.txt")
+        assert main(["quantize", "--model", str(tmp_path / "model"), "--calib",
+                     str(tmp_path / "calib.json"), "--list", str(tmp_path / "list.txt"),
+                     "--target-reduction", "100", "--out-dir", str(tmp_path / "out")]) == 3
+        assert "already quantized" in capsys.readouterr().err
+
     def test_missing_calibration(self, chain, chain_images):
         partial = profile_activations(chain, chain_images)
         del partial.profiles["c1"]
@@ -182,96 +195,6 @@ class TestApplyMixedPrecision:
                     producer = qg.node(n.inputs[0])
                     assert not (producer.kind == "Dequantize"
                                 and producer.attrs["qparams"] == n.attrs["qparams"])
-
-
-class TestRequantPair:
-    def test_mismatched_int8_scales_get_dq_q_pair(self, chain_calib):
-        """When adjacent int8 regions disagree on scale, the boundary becomes an
-        explicit Dequantize -> Quantize pair (white-box: the pipeline itself
-        always derives matching scales from one calibration profile)."""
-        from mixquant.quantizer import _insert_adapters
-        from mixquant.ir import dce_cse as cleanup
-
-        qa = QuantParams(8, 0.02, 0)
-        qb = QuantParams(8, 0.015, -7)
-        wqp = QuantParams(8, 0.01, 0, symmetric=True)
-        g = Graph("requant")
-        g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))
-        g.add(Node("c1", "Conv2d", ["input"],
-                   attrs={"stride": 1, "padding": 0, "in_qparams": [qa], "out_qparams": qa},
-                   weights={"weight": Tensor.i8(np.full((1, 1, 1, 1), 50, np.int8), wqp)},
-                   precision=8))
-        g.add(Node("c2", "Conv2d", ["c1"],
-                   attrs={"stride": 1, "padding": 0, "in_qparams": [qb], "out_qparams": qb},
-                   weights={"weight": Tensor.i8(np.full((1, 1, 1, 1), 50, np.int8), wqp)},
-                   precision=8))
-        g.add(Node("output", "Output", ["c2"]))
-        out = cleanup(_insert_adapters(g, chain_calib))
-        kinds = {n.kind for n in qg_path(out, "c1", "c2")}
-        assert kinds == {"Dequantize", "Quantize"}
-        out.validate()
-        # input also gains a Quantize, the Output side a Dequantize
-        y, _ = mq.Executor().run_quantized(out, Tensor.f32(np.full((1, 1, 2, 2), 0.4, np.float32)))
-        assert y.dtype == "f32"
-        assert count_qdq(out) == 4
-
-
-def qg_path(graph, src, dst):
-    """Nodes strictly between src and dst along single-consumer edges."""
-    path = []
-    cur = graph.node(dst).inputs[0]
-    while cur != src:
-        path.append(graph.node(cur))
-        cur = graph.node(cur).inputs[0]
-    return path
-
-
-class TestDqQPeephole:
-    def test_cancel_exact_pair(self):
-        qp = QuantParams(8, 0.05, 4)
-        g = Graph("peep")
-        g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))
-        g.add(Node("q1", "Quantize", ["input"], attrs={"qparams": qp}))
-        g.add(Node("d1", "Dequantize", ["q1"], attrs={"qparams": qp}))
-        g.add(Node("q2", "Quantize", ["d1"], attrs={"qparams": qp}))
-        g.add(Node("d2", "Dequantize", ["q2"], attrs={"qparams": qp}))
-        g.add(Node("output", "Output", ["d2"]))
-        out = dce_cse(g)
-        assert count_qdq(out) == 2
-        x = Tensor.f32(np.array([[[[0.3, -0.1], [5.0, 0.0]]]], np.float32))
-        ex = mq.Executor()
-        ref, _ = ex.run_quantized(g, x)
-        got, _ = ex.run_quantized(out, x)
-        assert np.array_equal(ref.data, got.data)
-
-    def test_different_params_not_cancelled(self):
-        g = Graph("keep")
-        g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))
-        g.add(Node("q1", "Quantize", ["input"], attrs={"qparams": QuantParams(8, 0.05, 4)}))
-        g.add(Node("d1", "Dequantize", ["q1"], attrs={"qparams": QuantParams(8, 0.05, 4)}))
-        g.add(Node("q2", "Quantize", ["d1"], attrs={"qparams": QuantParams(8, 0.02, 0)}))
-        g.add(Node("d2", "Dequantize", ["q2"], attrs={"qparams": QuantParams(8, 0.02, 0)}))
-        g.add(Node("output", "Output", ["d2"]))
-        assert count_qdq(dce_cse(g)) == 4
-
-    def test_pair_on_codes_of_other_params_not_cancelled(self):
-        """Quantize(step 0.05, zp 4) clamps -9.0 to code -128; the symmetric
-        Dequantize -> Quantize pair after it clamps that to -127, so it is no
-        identity and the cleanup must keep it: -6.35, not -6.4."""
-        sym = QuantParams(8, 0.05, 0, symmetric=True)
-        g = Graph("mismatch")
-        g.add(Node("input", "Input", attrs={"shape": [1, 1, 1]}))
-        g.add(Node("q1", "Quantize", ["input"], attrs={"qparams": QuantParams(8, 0.05, 4)}))
-        g.add(Node("d1", "Dequantize", ["q1"], attrs={"qparams": sym}))
-        g.add(Node("q2", "Quantize", ["d1"], attrs={"qparams": sym}))
-        g.add(Node("d2", "Dequantize", ["q2"], attrs={"qparams": sym}))
-        g.add(Node("output", "Output", ["d2"]))
-        out = dce_cse(g)
-        assert count_qdq(out) == 4
-        x = Tensor.f32(np.full((1, 1, 1, 1), -9.0, np.float32))
-        ex = mq.Executor()
-        for graph in (g, out):
-            assert ex.run_quantized(graph, x)[0].data.item() == pytest.approx(-6.35)
 
 
 class TestSelectDequantSet:
@@ -341,90 +264,45 @@ def quantizable_ids(graph):
     return [n.id for n in graph.nodes if n.kind in mq.ir.QUANTIZABLE_KINDS]
 
 
-RANDOM_QPARAMS = (QuantParams(8, 0.05, 4), QuantParams(8, 0.02, 0, symmetric=True))
-
-
-def random_qdq_graph(steps, out_pick: int) -> Graph:
-    """A graph on (1, 2, 2) tensors built from (kind, pick, pick, qparams index)
-    steps. A pick counts back from the newest node of the type the step
-    reads, so 0 chains onto the newest one. Quantize reads a float node,
-    Dequantize an int8 node, ReLU and Add float nodes; the Output reads a
-    float node. Index 2 gives a Dequantize its input's qparams, 0 and 1 pick
-    from RANDOM_QPARAMS (a Quantize takes the index mod 2), so a Dequantize
-    may read codes made with other qparams. Nodes nothing reads stay in."""
-    g = Graph("random")
-    g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))
-    floats, codes = ["input"], []
-    qparams = {}
-    for i, (kind, a, b, k) in enumerate(steps):
-        nid = f"n{i}"
-        if kind == "Dequantize" and codes:
-            src = codes[-1 - a % len(codes)]
-            qp = qparams[src] if k == 2 else RANDOM_QPARAMS[k]
-            g.add(Node(nid, kind, [src], attrs={"qparams": qp}))
-        elif kind in ("Quantize", "Dequantize"):
-            qparams[nid] = RANDOM_QPARAMS[k % 2]
-            g.add(Node(nid, "Quantize", [floats[-1 - a % len(floats)]],
-                       attrs={"qparams": qparams[nid]}))
-            codes.append(nid)
-            continue
-        else:
-            picks = (a, b) if kind == "Add" else (a,)
-            g.add(Node(nid, kind, [floats[-1 - p % len(floats)] for p in picks]))
-        floats.append(nid)
-    g.add(Node("output", "Output", [floats[-1 - out_pick % len(floats)]]))
-    return g
-
-
 class TestTransformProperties:
     @given(st.sampled_from(ARCHS), st.sampled_from(["unfused", "fused"]), st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_dce_cse_idempotent_on_mixed_graphs(self, staged, arch, stage, data):
+    @settings(max_examples=60, deadline=None)
+    def test_adapters_minimal_by_construction(self, staged, arch, stage, data):
+        """The Output reaches every node; there is one adapter per (kind,
+        source, qparams), none fed by another adapter, each on an edge between
+        an FP32 and an int8 node; every reader of int8 codes records the
+        qparams the codes were made with."""
         g, calib = staged[arch][stage]
         keep = data.draw(st.lists(st.sampled_from(quantizable_ids(g)), unique=True))
         qg = mq.apply_mixed_precision(g, keep, calib)
-        once = dce_cse(qg)
-        assert graph_signature(once) == graph_signature(qg)
-        assert graph_signature(dce_cse(once)) == graph_signature(once)
 
-    @given(st.lists(st.tuples(st.sampled_from(["Quantize", "Dequantize", "ReLU", "Add"]),
-                              st.integers(0, 5), st.integers(0, 5), st.integers(0, 2)),
-                    max_size=12),
-           st.integers(0, 5))
-    # a back-to-back Q/DQ chain with equal qparams, then one with unequal ones
-    @example([("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 2)] * 2, 0)
-    @example([("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 2),
-              ("Quantize", 0, 0, 1), ("Dequantize", 0, 0, 2)], 0)
-    # a Dequantize -> Quantize pair with equal qparams on codes made with others
-    @example([("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 1),
-              ("Quantize", 0, 0, 1), ("Dequantize", 0, 0, 2)], 0)
-    # two Quantize nodes on one producer, both read
-    @example([("Quantize", 0, 0, 0), ("Quantize", 1, 0, 0), ("Dequantize", 0, 0, 2),
-              ("Dequantize", 1, 0, 2), ("Add", 0, 1, 0)], 0)
-    # dead branches: a ReLU and a Q/DQ pair that the Output does not read
-    @example([("ReLU", 0, 0, 0), ("Quantize", 0, 0, 0), ("Dequantize", 0, 0, 2),
-              ("ReLU", 3, 0, 0)], 0)
-    @settings(max_examples=200, deadline=None)
-    def test_dce_cse_idempotent_on_random_graphs(self, steps, out_pick):
-        """Graphs apply_mixed_precision cannot produce: one cleanup reaches
-        the fixpoint, leaves no dead node, no Quantize(p) fed by Dequantize(p)
-        of codes made with p and no two equal nodes, and the graph computes
-        the same bits."""
-        g = random_qdq_graph(steps, out_pick)
-        once = dce_cse(g)
-        assert graph_signature(dce_cse(once)) == graph_signature(once)
-        read = {src for n in once.nodes for src in n.inputs}
-        assert all(n.id in read for n in once.nodes if n.kind not in ("Input", "Output"))
-        for n in once.nodes:
-            if n.kind == "Quantize":
-                src = once.node(n.inputs[0])
-                assert not (src.kind == "Dequantize" and src.attrs["qparams"] == n.attrs["qparams"]
-                            == once.node(src.inputs[0]).attrs["qparams"])
-        signatures = [graph_signature(Graph("one", [n]))[0][1:] for n in once.nodes]
-        assert len(set(signatures)) == len(signatures)
-        x = Tensor.f32(np.array([[[[0.3, -0.1], [5.0, -7.0]]]], np.float32))
-        ex = mq.Executor()
-        assert np.array_equal(ex.run_quantized(g, x)[0].data, ex.run_quantized(once, x)[0].data)
+        reached, stack = set(), [qg.output_node.id]
+        while stack:
+            nid = stack.pop()
+            if nid not in reached:
+                reached.add(nid)
+                stack.extend(qg.node(nid).inputs)
+        assert reached == {n.id for n in qg.nodes}
+
+        adapters = [n for n in qg.nodes if n.kind in ("Quantize", "Dequantize")]
+        keys = [(n.kind, n.inputs[0], n.attrs["qparams"]) for n in adapters]
+        assert len(set(keys)) == len(keys)
+        for n in adapters:
+            src = qg.node(n.inputs[0])
+            assert not (n.kind == "Quantize" and src.kind == "Dequantize")
+            assert src.kind not in ("Quantize", "Dequantize")
+            assert (src.precision == 8) == (n.kind == "Dequantize")
+            assert all((r.precision == 8) == (n.kind == "Quantize") for r in qg.consumers(n.id))
+
+        def made_with(nid):
+            p = qg.node(nid)
+            return p.attrs["qparams"] if p.kind == "Quantize" else p.attrs["out_qparams"]
+
+        for n in qg.nodes:
+            if n.precision == 8:
+                assert n.attrs["in_qparams"] == [made_with(src) for src in n.inputs]
+            elif n.kind == "Dequantize":
+                assert n.attrs["qparams"] == made_with(n.inputs[0])
 
     @given(st.sampled_from(ARCHS), st.sampled_from(["unfused", "fused"]), st.data(),
            st.floats(0, 100), st.floats(0, 100))
