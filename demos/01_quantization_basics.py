@@ -19,7 +19,7 @@ q = mq.quantize_affine(w, wqp)
 print("quantized codes:", q.data, "-> dequantized:", mq.dequantize(q).data)
 
 # asymmetric activation-style parameters over an arbitrary range
-qp = QuantParams(bit_width=8, step=0.02, zero_point=-5)
+qp = QuantParams(step=0.02, zero_point=-5)
 x = np.linspace(-2.4, 2.6, 11).astype(np.float32)
 back = mq.dequantize(mq.quantize_affine(x, qp)).data
 print("\nactivation range [-2.46, 2.64]:")

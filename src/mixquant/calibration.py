@@ -5,8 +5,8 @@ set (one FP32 pass per image). Histogram ranges are symmetric powers of two
 and grow by exact bin-pair coalescing, so partial profiles from concurrent
 workers merge associatively with no resolution loss beyond the shared grid.
 
-Weights are quantized symmetrically per tensor: step = max|W| / 127 for
-8 bits, zero_point 0. Activations are asymmetric affine with the range
+Weights are quantized symmetrically per tensor: step = max|W| / 127,
+zero_point 0. Activations are asymmetric affine with the range
 extended through zero so that real zero is always exactly representable and
 the zero_point stays inside [-128, 127].
 """
@@ -168,8 +168,7 @@ class CalibrationProfile:
         return prof
 
 
-def profile_activations(graph: Graph, images: np.ndarray, bins: int = DEFAULT_BINS,
-                        executor=None) -> CalibrationProfile:
+def profile_activations(graph: Graph, images: np.ndarray, executor=None) -> CalibrationProfile:
     """Run every calibration image through the FP32 graph and histogram each
     node's output. The Input node is profiled from the raw images so the first
     quantized layer has an input scale. Histograms take one image at a time,
@@ -181,8 +180,8 @@ def profile_activations(graph: Graph, images: np.ndarray, bins: int = DEFAULT_BI
     ex = executor or Executor()
     input_id = graph.input_node.id
     nodes = [n.id for n in graph.nodes if n.kind not in ("Input", "Output")]
-    prof = CalibrationProfile({nid: HistogramProfile(bins) for nid in [input_id, *nodes]},
-                              image_count=images.shape[0], bins=bins)
+    prof = CalibrationProfile({nid: HistogramProfile() for nid in [input_id, *nodes]},
+                              image_count=images.shape[0])
     for batch in image_batches(images, (graph, nodes)):
         _, trace = ex.run_fp32(graph, batch, capture=nodes)
         for j in range(batch.shape[0]):
@@ -192,16 +191,15 @@ def profile_activations(graph: Graph, images: np.ndarray, bins: int = DEFAULT_BI
     return prof
 
 
-def activation_qparams(profile: HistogramProfile, bits: int = 8, mode: str = "minmax",
+def activation_qparams(profile: HistogramProfile, mode: str = "minmax",
                        p: float = 0.001) -> QuantParams:
     """Asymmetric affine params from a profiled range.
 
     minmax uses the exact observed [min, max]; percentile clips the range to
     the central [p, 1-p] histogram mass first. The range is then extended
-    through zero, step = (max-min)/(2^bits - 1), and zero_point is chosen so
-    min maps to the bottom of the int8 range and zero is exact. A constant
-    range thus spans [0, value]; only an all-zero range falls back to step 1,
-    zero_point 0.
+    through zero, step = (max-min)/255, and zero_point is chosen so min maps
+    to -128 and zero is exact. A constant range thus spans [0, value]; only
+    an all-zero range falls back to step 1, zero_point 0.
     """
     if profile.total == 0:
         raise EmptyProfile("cannot derive qparams from an empty profile")
@@ -213,21 +211,19 @@ def activation_qparams(profile: HistogramProfile, bits: int = 8, mode: str = "mi
         raise ValueError(f"unknown calibration mode {mode!r}")
     lo, hi = min(lo, 0.0), max(hi, 0.0)
     if hi == lo:
-        return QuantParams(bits, 1.0, 0, symmetric=False)
-    levels = 2 ** bits - 1
-    step = (hi - lo) / levels
-    qmin, qmax = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
-    zero_point = int(qmin + round_half_away(-lo / step))
-    zero_point = max(qmin, min(qmax, zero_point))
-    return QuantParams(bits, step, zero_point, symmetric=False)
+        return QuantParams(1.0, 0, symmetric=False)
+    step = (hi - lo) / 255
+    zero_point = int(-128 + round_half_away(-lo / step))
+    zero_point = max(-128, min(127, zero_point))
+    return QuantParams(step, zero_point, symmetric=False)
 
 
-def weight_qparams(weights, bits: int = 8) -> QuantParams:
-    """Symmetric per-tensor params: step = max|W| / (2^(b-1) - 1), zero_point 0.
+def weight_qparams(weights) -> QuantParams:
+    """Symmetric per-tensor params: step = max|W| / 127, zero_point 0.
 
     All-zero weights fall back to step 1 so the step stays positive.
     """
     data = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
     amax = float(np.abs(data).max()) if data.size else 0.0
-    step = amax / (2 ** (bits - 1) - 1) if amax > 0 else 1.0
-    return QuantParams(bits, step, 0, symmetric=True)
+    step = amax / 127 if amax > 0 else 1.0
+    return QuantParams(step, 0, symmetric=True)

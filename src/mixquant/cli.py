@@ -164,7 +164,7 @@ def cmd_synth(args) -> int:
 def cmd_calibrate(args) -> int:
     graph = model_io.load_model(_require(args.model, "synth"))
     images = model_io.load_images(_require(args.images, "synth"))
-    profile = profile_activations(graph, images, bins=args.bins)
+    profile = profile_activations(graph, images)
     profile.model_digest = model_digest(args.model)
     profile.save(args.out)
     print(f"calibrate: profiled {profile.image_count} images over "
@@ -309,8 +309,17 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _percent_list(text: str) -> list[float]:
     values = [float(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one reduction, got {text!r}")
     bad = [v for v in values if not 0.0 <= v <= 100.0]
     if bad:
         raise argparse.ArgumentTypeError(f"reductions must lie in [0, 100], got {bad[0]:g}")
@@ -321,6 +330,8 @@ def _weight_pair(text: str) -> tuple[float, float]:
     values = tuple(float(x) for x in text.split(","))
     if len(values) != 2:
         raise argparse.ArgumentTypeError(f"expected two comma-separated weights, got {text!r}")
+    if not all(0.0 <= v < float("inf") for v in values):
+        raise argparse.ArgumentTypeError(f"weights must be finite and >= 0, got {text!r}")
     return values
 
 
@@ -333,12 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic model plus image sets")
     p.add_argument("--arch", required=True, choices=["mininet", "mini_resnet", "mini_mobilenet"])
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--calib-count", type=int, default=100)
-    p.add_argument("--eval-count", type=int, default=64)
+    p.add_argument("--calib-count", type=_positive_int, default=100)
+    p.add_argument("--eval-count", type=_positive_int, default=64)
     p.add_argument("--scale-layer", default=None,
                    help="scale one node's weights (pathology construction)")
     p.add_argument("--scale-factor", type=float, default=50.0)
-    p.add_argument("--scale-stride", type=int, default=64,
+    p.add_argument("--scale-stride", type=_positive_int, default=64,
                    help="scale every N-th weight element; >1 makes the tail heavy")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_synth)
@@ -346,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="profile activation histograms")
     p.add_argument("--model", required=True)
     p.add_argument("--images", required=True)
-    p.add_argument("--bins", type=int, default=2048)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_calibrate)
 
@@ -359,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ir-stage", default="unfused", choices=STAGES)
     p.add_argument("--mixup-weights", type=_weight_pair, default=DEFAULT_MIXUP,
                    metavar="W_WEIGHT,W_ACT")
-    p.add_argument("--top1-images", type=int, default=50)
+    p.add_argument("--top1-images", type=_positive_int, default=50)
     p.add_argument("--out-list", required=True)
     p.add_argument("--out-metrics", default=None)
     p.set_defaults(fn=cmd_analyze)

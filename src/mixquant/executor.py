@@ -12,10 +12,12 @@ integer arithmetic: offset inputs lie in [-255, 255] and weights in
 [-127, 127], so every partial sum is an integer of magnitude at most
 255 * 127 * K < 2**53 for K up to MAX_EXACT_K multiply-adds per output. The
 other int8 kinds pass dequantized float64 operands. Every int8 input,
-Dequantize's included, is read with the qparams its codes carry. Every int8
-output is requantized once, q_out = clamp(round(real / s_out) + zp_out) with
-round-half-away-from-zero, clamped at the zero point under a fused ReLU,
-which keeps the interpreter deterministic on every platform.
+Dequantize's included, is read with the qparams its codes carry; a node
+records only the qparams of the codes it writes (`out_qparams` on int8
+nodes and Quantize). Every int8 output is requantized once,
+q_out = clamp(round(real / s_out) + zp_out) with round-half-away-from-zero,
+clamped at the zero point under a fused ReLU, which keeps the interpreter
+deterministic on every platform.
 
 A pass runs a batch of images, and every kernel gives each image the same
 bits whatever the batch size, so batching never moves a result. A pass
@@ -340,7 +342,7 @@ class Executor:
         if kind == "Output":
             return ins[0]
         if kind == "Quantize":
-            return quantize_affine(ins[0], node.attrs["qparams"])
+            return quantize_affine(ins[0], node.attrs["out_qparams"])
         if kind == "Dequantize":
             if ins[0].qparams is None:
                 raise MissingQuantParams(f"{node.id}: dequantize of non-quantized tensor")

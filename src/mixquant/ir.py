@@ -50,20 +50,17 @@ def round_half_away(x):
 
 @dataclass(frozen=True)
 class QuantParams:
-    """Per-tensor affine quantization parameters.
+    """Per-tensor affine parameters of int8 codes.
 
     real value = (q - zero_point) * step. Symmetric params pin zero_point
     to 0 and use the narrowed range [-127, 127] so negation stays exact.
     """
 
-    bit_width: int
     step: float
     zero_point: int
     symmetric: bool = False
 
     def __post_init__(self):
-        if self.bit_width not in (8, 32):
-            raise InvariantViolation(f"unsupported bit width {self.bit_width}")
         if not self.step > 0:
             raise InvariantViolation(f"quantization step must be positive, got {self.step}")
         if self.symmetric and self.zero_point != 0:
@@ -71,23 +68,21 @@ class QuantParams:
 
     @property
     def qmin(self) -> int:
-        return -(2 ** (self.bit_width - 1) - 1) if self.symmetric else -(2 ** (self.bit_width - 1))
+        return -127 if self.symmetric else -128
 
     @property
     def qmax(self) -> int:
-        return 2 ** (self.bit_width - 1) - 1
+        return 127
 
     def to_json(self) -> dict:
-        return {
-            "bit_width": self.bit_width,
-            "step": float(self.step),
-            "zero_point": int(self.zero_point),
-            "symmetric": bool(self.symmetric),
-        }
+        return {"step": float(self.step), "zero_point": int(self.zero_point),
+                "symmetric": bool(self.symmetric)}
 
     @classmethod
     def from_json(cls, d: dict) -> "QuantParams":
-        return cls(int(d["bit_width"]), float(d["step"]), int(d["zero_point"]), bool(d["symmetric"]))
+        if sorted(d) != ["step", "symmetric", "zero_point"]:
+            raise ValueError(f"expected the keys step, zero_point and symmetric, got {sorted(d)}")
+        return cls(float(d["step"]), int(d["zero_point"]), bool(d["symmetric"]))
 
 
 @dataclass

@@ -248,15 +248,13 @@ def _attr_to_json(v):
 def _qparams_from_json(d) -> QuantParams:
     try:
         return QuantParams.from_json(d)
-    except (InvariantViolation, KeyError, TypeError, ValueError) as exc:
+    except (InvariantViolation, TypeError, ValueError) as exc:
         raise InvalidAttribute(f"malformed quantization parameters {d!r}: {exc}") from None
 
 
 def _attr_from_json(v):
     if isinstance(v, dict) and "__qparams__" in v:
         return _qparams_from_json(v["__qparams__"])
-    if isinstance(v, list):
-        return [_attr_from_json(x) for x in v]
     return v
 
 
@@ -265,9 +263,9 @@ def _check_node(node: Node) -> None:
     input count, a kernel, stride or padding of the wrong type, arity or sign
     (a pool's padding must also stay below its kernel, or a window could hold
     padding alone), an Input shape other than three positive ints, a missing
-    weight or one of the wrong rank, malformed flags, and quantization
-    parameters that are missing or not 8-bit where int8 codes are read or
-    written. Each raises InvalidAttribute."""
+    weight or one of the wrong rank, malformed flags, and `out_qparams`
+    missing where int8 codes are written or present where they are not.
+    Each raises InvalidAttribute."""
     def bad(what: str):
         raise InvalidAttribute(f"node {node.id!r} ({node.kind}): {what}")
 
@@ -313,16 +311,8 @@ def _check_node(node: Node) -> None:
         bad(f"fused_relu must be true or false, got {node.attrs['fused_relu']!r}")
     if type(node.attrs.get("profile_id", "")) is not str:
         bad(f"profile_id must be a string, got {node.attrs['profile_id']!r}")
-    def int8(qp) -> bool:
-        return isinstance(qp, QuantParams) and qp.bit_width == 8
-
-    if node.kind in ("Quantize", "Dequantize") and not int8(node.attrs.get("qparams")):
-        bad("needs 8-bit qparams")
-    if node.precision == 8:
-        in_qps = node.attrs.get("in_qparams")
-        if not (int8(node.attrs.get("out_qparams")) and isinstance(in_qps, list)
-                and len(in_qps) == arity and all(int8(q) for q in in_qps)):
-            bad("an int8 node needs 8-bit out_qparams and one 8-bit in_qparams entry per input")
+    if isinstance(node.attrs.get("out_qparams"), QuantParams) != _writes_codes(node):
+        bad("int8 nodes and Quantize, and only they, carry QuantParams out_qparams")
 
 
 def save_model(graph: Graph, path) -> None:
@@ -419,30 +409,19 @@ def load_model(path) -> Graph:
         g.add(node)
     g.validate()
     for n in g.nodes:
-        for slot, src in enumerate(n.inputs):
-            made, read = _codes_made(g.node(src)), _codes_read(n, slot)
-            if made != read:
-                raise InvalidAttribute(f"node {n.id!r} reads {src!r} as {_describe(read)}, "
-                                       f"but {src!r} writes {_describe(made)}")
+        for src in n.inputs:
+            made = _writes_codes(g.node(src))
+            if made != (n.precision == 8 or n.kind == "Dequantize"):
+                raise InvalidAttribute(f"node {n.id!r} reads {src!r} as "
+                                       f"{'float' if made else 'int8 codes'}, but {src!r} "
+                                       f"writes {'int8 codes' if made else 'float'}")
     return g
 
 
-def _codes_made(node: Node) -> QuantParams | None:
-    """The qparams of the int8 codes a node writes; None for float output."""
-    if node.kind == "Quantize":
-        return node.attrs["qparams"]
-    return node.attrs["out_qparams"] if node.precision == 8 else None
-
-
-def _codes_read(node: Node, slot: int) -> QuantParams | None:
-    """The qparams of the int8 codes a node expects on an input; None for float."""
-    if node.kind == "Dequantize":
-        return node.attrs["qparams"]
-    return node.attrs["in_qparams"][slot] if node.precision == 8 else None
-
-
-def _describe(qp: QuantParams | None) -> str:
-    return "float" if qp is None else f"int8 codes of {qp.to_json()}"
+def _writes_codes(node: Node) -> bool:
+    """Whether a node writes int8 codes (int8 nodes and Quantize do); int8
+    nodes and Dequantize read them."""
+    return node.precision == 8 or node.kind == "Quantize"
 
 
 def save_images(images: np.ndarray, path) -> None:

@@ -2,11 +2,13 @@
 
 The transform makes one forward pass over an FP32 graph. It converts every
 quantizable node that is not on the keep-at-32-bit list into its int8
-counterpart: output scale from the node's calibrated activation range, input
-scales from each producer's range, weights quantized symmetrically. On every
-edge between an FP32 and an int8 node it inserts one Quantize or Dequantize
-adapter, shared by all readers of that value, so the graph it writes holds
-no dead node and no redundant adapter pair by construction.
+counterpart, with weights quantized symmetrically. On every edge between an
+FP32 and an int8 node it inserts one Quantize or Dequantize adapter, shared
+by all readers of that value, so the graph it writes holds no dead node and
+no redundant adapter pair by construction. The qparams of a value's codes
+come from its calibrated activation range and are recorded once, as
+`out_qparams` on the node that writes the codes (an int8 node or a
+Quantize); readers take them from the codes, so Dequantize has no attrs.
 
 Entries on the keep list name fusion-group anchors; membership expands here
 so a whole conv[+bn][+add][+relu] group always shares one precision.
@@ -110,23 +112,15 @@ def apply_mixed_precision(graph: Graph, dequant_list, calib: CalibrationProfile)
     keep32 = set(expand_to_groups(graph, ids))
     int8 = {n.id for n in graph.nodes if n.kind in QUANTIZABLE_KINDS and n.id not in keep32}
 
-    # A value's codes are written and read with the qparams of its one
-    # calibrated range, so adjacent int8 nodes always agree and no edge needs
-    # a requantize.
-    qparams: dict[str, QuantParams] = {}
-
     def codes_of(nid: str) -> QuantParams:
-        if nid not in qparams:
-            qparams[nid] = activation_qparams(calib.for_node(_profile_id(graph.node(nid))))
-        return qparams[nid]
+        return activation_qparams(calib.for_node(_profile_id(graph.node(nid))))
 
     out = Graph(graph.name)
-    adapters: dict[tuple, str] = {}
+    adapters: dict[tuple[str, str], str] = {}
     for node in graph.nodes:
         node, i8 = node.copy(), node.id in int8
         if i8:
             node.attrs["out_qparams"] = codes_of(node.id)
-            node.attrs["in_qparams"] = [codes_of(src) for src in node.inputs]
             if node.kind in WEIGHTED_KINDS:
                 node.weights["weight"] = quantize_affine(
                     node.weights["weight"], weight_qparams(node.weights["weight"]))
@@ -134,11 +128,11 @@ def apply_mixed_precision(graph: Graph, dequant_list, calib: CalibrationProfile)
         for slot, src in enumerate(node.inputs):
             if i8 == (src in int8):
                 continue
-            kind = "Quantize" if i8 else "Dequantize"
-            key = (kind, src, codes_of(src))
+            key = ("Quantize" if i8 else "Dequantize", src)
             if key not in adapters:
-                adapters[key] = f"{src}__{'q' if kind == 'Quantize' else 'dq'}{len(adapters)}"
-                out.add(Node(adapters[key], kind, [src], attrs={"qparams": key[2]}))
+                adapters[key] = f"{src}__{'q' if i8 else 'dq'}{len(adapters)}"
+                attrs = {"out_qparams": codes_of(src)} if i8 else {}
+                out.add(Node(adapters[key], key[0], [src], attrs=attrs))
             node.inputs[slot] = adapters[key]
         out.add(node)
     out.validate()

@@ -123,7 +123,7 @@ class TestBatchSizeInvariance:
 # Values no attribute accepts, except where `accepted` says so.
 CORRUPT_VALUES = [None, "2", 1.5, True, False, -1, 0, [], [1], [1, 2, 3], [[1], [1]], {"a": 1},
                   {"__qparams__": {"bit_width": 7, "step": 1.0, "zero_point": 0, "symmetric": False}},
-                  {"__qparams__": {"bit_width": 32, "step": 1.0, "zero_point": 0, "symmetric": False}}]
+                  {"__qparams__": {"bit_width": 8, "step": 1.0, "zero_point": 0, "symmetric": False}}]
 
 
 def accepted(kind, key, value):
@@ -203,6 +203,33 @@ class TestExitCodes:
                   "--out-dir", str(tmp_path / "out")])
         assert err.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("analyze", "--top1-images", "0"), ("analyze", "--top1-images", "-2"),
+        ("synth", "--scale-stride", "-1"), ("synth", "--scale-stride", "0"),
+        ("synth", "--calib-count", "0"), ("synth", "--eval-count", "0"),
+        ("quantize", "--target-reduction", ","),
+        ("analyze", "--mixup-weights", "nan,1"), ("analyze", "--mixup-weights", "0.5,inf"),
+        ("analyze", "--mixup-weights", "-0.5,1"),
+        ("calibrate", "--bins", "0"), ("calibrate", "--bins", "6"), ("calibrate", "--bins", "-4"),
+    ])
+    def test_bad_numeric_argument_is_2(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        args = {
+            "synth": ["--arch", "mininet", "--out-dir", out],
+            "calibrate": ["--model", tmp_path / "model", "--images", tmp_path / "i.bin",
+                          "--out", out],
+            "analyze": ["--model", tmp_path / "model", "--calib", tmp_path / "c.json",
+                        "--method", "top1", "--images", tmp_path / "i.bin",
+                        "--labels", tmp_path / "l.json", "--out-list", out],
+            "quantize": ["--model", tmp_path / "model", "--calib", tmp_path / "c.json",
+                         "--list", tmp_path / "s.txt", "--out-dir", out],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            main([command, *map(str, args), f"{flag}={value}"])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_image_is_3(self, tmp_path, capsys, bad):

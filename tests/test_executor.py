@@ -222,11 +222,11 @@ class TestGraphExecution:
 
 class TestQuantizedExecution:
     def test_quantize_dequantize_roundtrip_bound(self):
-        qp = QuantParams(8, 0.02, -5)
+        qp = QuantParams(0.02, -5)
         g = Graph("qdq")
         g.add(Node("input", "Input", attrs={"shape": [1, 1, 64]}))
-        g.add(Node("q", "Quantize", ["input"], attrs={"qparams": qp}))
-        g.add(Node("d", "Dequantize", ["q"], attrs={"qparams": qp}))
+        g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": qp}))
+        g.add(Node("d", "Dequantize", ["q"]))
         g.add(Node("output", "Output", ["d"]))
         x = Lcg(3).uniform(-2.0, 2.0, (1, 1, 1, 64)).astype(np.float32)
         x = np.clip(x, (qp.qmin - qp.zero_point) * qp.step, (qp.qmax - qp.zero_point) * qp.step)
@@ -234,14 +234,14 @@ class TestQuantizedExecution:
         assert np.abs(y.data - x).max() <= qp.step / 2 + 1e-9
 
     def test_unit_scale_conv_hand_value(self):
-        qp1 = QuantParams(8, 1.0, 0)
+        qp1 = QuantParams(1.0, 0)
         g = Graph("c1x1")
         g.add(Node("input", "Input", attrs={"shape": [1, 1, 1]}))
-        g.add(Node("q", "Quantize", ["input"], attrs={"qparams": qp1}))
+        g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": qp1}))
         conv = Node("c", "Conv2d", ["q"],
-                    attrs={"stride": 1, "padding": 0, "in_qparams": [qp1], "out_qparams": qp1},
+                    attrs={"stride": 1, "padding": 0, "out_qparams": qp1},
                     weights={"weight": Tensor.i8(np.array([[[[3]]]], np.int8),
-                                                 QuantParams(8, 1.0, 0, symmetric=True))},
+                                                 QuantParams(1.0, 0, symmetric=True))},
                     precision=8)
         g.add(conv)
         g.add(Node("output", "Output", ["c"]))
@@ -253,17 +253,16 @@ class TestQuantizedExecution:
         rng = Lcg(9)
         xi = np.floor(rng.uniform(-5, 6, (1, 2, 5, 5))).astype(np.float32)
         wi = np.floor(rng.uniform(-3, 4, (3, 2, 3, 3))).astype(np.float32)
-        qp_act = QuantParams(8, 1.0, 0)
+        qp_act = QuantParams(1.0, 0)
         fp = mq.executor.kernel_conv2d(xi, wi, None, 1, 1)
         g = Graph("int")
         g.add(Node("input", "Input", attrs={"shape": [2, 5, 5]}))
-        g.add(Node("q", "Quantize", ["input"], attrs={"qparams": qp_act}))
+        g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": qp_act}))
         g.add(Node("c", "Conv2d", ["q"],
-                   attrs={"stride": 1, "padding": 1, "in_qparams": [qp_act],
-                          "out_qparams": QuantParams(8, 1.0, 0)},
-                   weights={"weight": Tensor.i8(wi.astype(np.int8), QuantParams(8, 1.0, 0, symmetric=True))},
+                   attrs={"stride": 1, "padding": 1, "out_qparams": QuantParams(1.0, 0)},
+                   weights={"weight": Tensor.i8(wi.astype(np.int8), QuantParams(1.0, 0, symmetric=True))},
                    precision=8))
-        g.add(Node("d", "Dequantize", ["c"], attrs={"qparams": QuantParams(8, 1.0, 0)}))
+        g.add(Node("d", "Dequantize", ["c"]))
         g.add(Node("output", "Output", ["d"]))
         y, _ = Executor().run_quantized(g, Tensor.f32(xi))
         np.testing.assert_array_equal(y.data, np.clip(fp, -128, 127))
@@ -284,10 +283,10 @@ class TestQuantizedExecution:
         for qn in quantize_nodes:
             src = values[qn.inputs[0]].data
             back = mq.dequantize(values[qn.id]).data
-            in_range = np.abs(src) <= (qn.attrs["qparams"].qmax - qn.attrs["qparams"].zero_point) \
-                * qn.attrs["qparams"].step
+            qp = qn.attrs["out_qparams"]
+            in_range = np.abs(src) <= (qp.qmax - qp.zero_point) * qp.step
             err = np.abs(back - src)[in_range]
-            assert err.max() <= qn.attrs["qparams"].step / 2 + 1e-9
+            assert err.max() <= qp.step / 2 + 1e-9
 
     def test_fully_int8_mininet_logit_sqnr(self, mininet, mininet_calib, calib_images):
         from mixquant.cli import final_logit_sqnr
@@ -390,8 +389,8 @@ def int8_linear_cases(draw):
     xq = draw(hnp.arrays(np.int8, x_shape, elements=st.integers(-128, 127)))
     wq = draw(hnp.arrays(np.int8, w_shape, elements=st.sampled_from([-127, 127]) | st.integers(-127, 127)))
     bias = draw(st.none() | hnp.arrays(np.float32, (w_shape[0],), elements=st.floats(-2, 2, width=32)))
-    in_qp = QuantParams(8, draw(steps), draw(zero_points))
-    out_qp = QuantParams(8, draw(steps), draw(zero_points))
+    in_qp = QuantParams(draw(steps), draw(zero_points))
+    out_qp = QuantParams(draw(steps), draw(zero_points))
     return kind, xq, in_qp, wq, draw(steps), bias, stride, padding, out_qp, draw(st.booleans())
 
 
@@ -400,14 +399,14 @@ class TestExactInt8Accumulation:
     @settings(max_examples=150, deadline=None)
     def test_int8_linear_matches_int64_loop_oracle(self, case):
         kind, xq, in_qp, wq, w_step, bias, stride, padding, out_qp, fused_relu = case
-        weights = {"weight": Tensor(wq, QuantParams(8, w_step, 0, symmetric=True))}
+        weights = {"weight": Tensor(wq, QuantParams(w_step, 0, symmetric=True))}
         if bias is not None:
             weights["bias"] = Tensor(bias)
         g = Graph("int8")
         g.add(Node("input", "Input", attrs={"shape": list(xq.shape[1:])}))
         g.add(Node("op", kind, ["input"], weights=weights, precision=8,
                    attrs={"stride": stride, "padding": padding, "fused_relu": fused_relu,
-                          "in_qparams": [in_qp], "out_qparams": out_qp}))
+                          "out_qparams": out_qp}))
         g.add(Node("output", "Output", ["op"]))
         y, _ = Executor().run_quantized(g, Tensor(xq, in_qp))
         want = int_linear_oracle(kind, xq, in_qp, wq, w_step, bias, stride, padding, out_qp, fused_relu)
@@ -416,12 +415,12 @@ class TestExactInt8Accumulation:
 
     def test_accumulation_bound_guard(self):
         assert 255 * 127 * MAX_EXACT_K < 2 ** 53 <= 255 * 127 * (MAX_EXACT_K + 1)
-        qp = QuantParams(8, 0.1, 0)
+        qp = QuantParams(0.1, 0)
         # a zero-stride view: K is past the bound without allocating it
         wide = np.broadcast_to(np.int8(1), (1, MAX_EXACT_K + 1))
         node = Node("fc", "Gemm", ["input"], precision=8,
-                    attrs={"in_qparams": [qp], "out_qparams": qp},
-                    weights={"weight": Tensor(wide, QuantParams(8, 0.1, 0, symmetric=True))})
+                    attrs={"out_qparams": qp},
+                    weights={"weight": Tensor(wide, QuantParams(0.1, 0, symmetric=True))})
         x = Tensor(np.zeros((1, 4), np.int8), qp)
         with pytest.raises(InvariantViolation):
             Executor()._exec_node(Graph("g"), node, [x], x)
@@ -759,21 +758,21 @@ class TestKernelTable:
             pool(np.zeros((1, 1, 2, 2), np.float32), 5, 1, 1)
 
     def test_int8_softmax_is_unsupported(self):
-        qp = QuantParams(8, 0.1, 0)
+        qp = QuantParams(0.1, 0)
         g = Graph("softmax8")
         g.add(Node("input", "Input", attrs={"shape": [4]}))
-        g.add(Node("q", "Quantize", ["input"], attrs={"qparams": qp}))
+        g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": qp}))
         g.add(Node("sm", "Softmax", ["q"], precision=8,
-                   attrs={"in_qparams": [qp], "out_qparams": qp}))
+                   attrs={"out_qparams": qp}))
         g.add(Node("output", "Output", ["sm"]))
         with pytest.raises(UnsupportedKind):
             Executor().run_quantized(g, Tensor.f32(np.zeros((1, 4), np.float32)))
 
     def test_fp32_node_rejects_int8_input(self):
-        qp = QuantParams(8, 0.1, 0)
+        qp = QuantParams(0.1, 0)
         g = Graph("no_dequantize")
         g.add(Node("input", "Input", attrs={"shape": [4]}))
-        g.add(Node("q", "Quantize", ["input"], attrs={"qparams": qp}))
+        g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": qp}))
         g.add(Node("flat", "Flatten", ["q"]))
         g.add(Node("output", "Output", ["flat"]))
         with pytest.raises(MissingQuantParams):

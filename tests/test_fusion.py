@@ -86,7 +86,7 @@ class TestFuseConvRelu:
         """Fused int8 path computes max(0, round(y / out_step)) in levels."""
         from mixquant.executor import _requantize
         from mixquant.ir import QuantParams
-        qp = QuantParams(8, 0.5, -128)  # relu output range [0, ~63.75]
+        qp = QuantParams(0.5, -128)  # relu output range [0, ~63.75]
         y = np.array([-3.0, 0.5])
         q = _requantize(y, qp, clamp_at_zero=True)
         assert list(q.data.astype(np.int64) - qp.zero_point) == [0, 1]

@@ -67,19 +67,19 @@ class TestTypes:
 
     def test_f32_tensor_rejects_qparams(self):
         with pytest.raises(InvariantViolation):
-            Tensor(np.zeros(3, dtype=np.float32), QuantParams(8, 1.0, 0))
+            Tensor(np.zeros(3, dtype=np.float32), QuantParams(1.0, 0))
 
     def test_qparams_step_positive(self):
         with pytest.raises(InvariantViolation):
-            QuantParams(8, 0.0, 0)
+            QuantParams(0.0, 0)
 
     def test_symmetric_zero_point_pinned(self):
         with pytest.raises(InvariantViolation):
-            QuantParams(8, 1.0, 3, symmetric=True)
+            QuantParams(1.0, 3, symmetric=True)
 
     def test_ranges(self):
-        assert (QuantParams(8, 1.0, 0, symmetric=True).qmin, QuantParams(8, 1.0, 0, symmetric=True).qmax) == (-127, 127)
-        assert (QuantParams(8, 1.0, 0).qmin, QuantParams(8, 1.0, 0).qmax) == (-128, 127)
+        assert (QuantParams(1.0, 0, symmetric=True).qmin, QuantParams(1.0, 0, symmetric=True).qmax) == (-127, 127)
+        assert (QuantParams(1.0, 0).qmin, QuantParams(1.0, 0).qmax) == (-128, 127)
 
     def test_duplicate_node_id_rejected(self):
         g = Graph("dup")

@@ -203,42 +203,75 @@ class TestManifestAttributes:
 
     def test_bad_quant_params(self, mininet, mininet_calib, tmp_path):
         qg = mq.apply_mixed_precision(mininet, [], mininet_calib)
+        quantize_id = next(n.id for n in qg.nodes if n.kind == "Quantize")
+        dequantize_id = next(n.id for n in qg.nodes if n.kind == "Dequantize")
 
         def bad_step(manifest):
-            node = next(n for n in manifest["nodes"] if n["kind"] == "Quantize")
-            node["attrs"]["qparams"]["__qparams__"]["step"] = -1.0
+            node = next(n for n in manifest["nodes"] if n["id"] == quantize_id)
+            node["attrs"]["out_qparams"]["__qparams__"]["step"] = -1.0
         with pytest.raises(InvalidAttribute, match="quantization parameters"):
             mq.load_model(edited_manifest(qg, tmp_path / "a", bad_step))
-        with pytest.raises(InvalidAttribute, match="in_qparams"):
-            mq.load_model(edited_manifest(qg, tmp_path / "b", set_attr("b1_conv", "in_qparams", [])))
 
-        # 32-bit parameters parse, but int8 codes cannot hold them
-        wide = {"__qparams__": {"bit_width": 32, "step": 1.0, "zero_point": 0, "symmetric": False}}
-        quantize_id = next(n.id for n in qg.nodes if n.kind == "Quantize")
-        for i, (node_id, key, value) in enumerate([
-                (quantize_id, "qparams", wide), ("b1_conv", "out_qparams", wide),
-                ("b1_conv", "in_qparams", [wide])]):
-            with pytest.raises(InvalidAttribute, match="8-bit"):
-                mq.load_model(edited_manifest(qg, tmp_path / f"w{i}", set_attr(node_id, key, value)))
+        # the key set is exact: a record that still names a bit width is malformed
+        with_bits = {"__qparams__": {"bit_width": 8, "step": 1.0, "zero_point": 0, "symmetric": False}}
+        for i, node_id in enumerate([quantize_id, "b1_conv"]):
+            with pytest.raises(InvalidAttribute, match="quantization parameters"):
+                mq.load_model(edited_manifest(qg, tmp_path / f"w{i}",
+                                              set_attr(node_id, "out_qparams", with_bits)))
+
+        # int8 nodes and Quantize, and only they, record the qparams of their codes
+        plain = {"__qparams__": {"step": 1.0, "zero_point": 0, "symmetric": False}}
+        for i, (node_id, value) in enumerate([(quantize_id, None), ("b1_conv", 0.5),
+                                              (dequantize_id, plain), ("softmax", plain)]):
+            with pytest.raises(InvalidAttribute, match="only they"):
+                mq.load_model(edited_manifest(qg, tmp_path / f"o{i}",
+                                              set_attr(node_id, "out_qparams", value)))
+
+    def test_parent_format_exits_3(self, mininet, mininet_calib, tmp_path):
+        """A quantized manifest that records every qparams with its bit width,
+        the Quantize's under `qparams`, an int8 reader's copies under
+        `in_qparams` and a Dequantize's copy, as written before each value's
+        qparams were recorded once, is rejected."""
+        qg = mq.apply_mixed_precision(mininet, [], mininet_calib)
+
+        def old_format(manifest):
+            def old(attr):
+                return {"__qparams__": {"bit_width": 8, **attr["__qparams__"]}}
+            made = {n["id"]: n["attrs"].get("out_qparams") for n in manifest["nodes"]}
+            for n in manifest["nodes"]:
+                if n["kind"] == "Quantize":
+                    n["attrs"]["qparams"] = old(n["attrs"].pop("out_qparams"))
+                elif n["kind"] == "Dequantize":
+                    n["attrs"]["qparams"] = old(made[n["inputs"][0]])
+                elif n["precision"] == 8:
+                    n["attrs"]["out_qparams"] = old(n["attrs"]["out_qparams"])
+                    n["attrs"]["in_qparams"] = [old(made[src]) for src in n["inputs"]]
+                for ref in n["weights"].values():
+                    if "qparams" in ref:
+                        ref["qparams"]["bit_width"] = 8
+        path = edited_manifest(qg, tmp_path / "model", old_format)
+        with pytest.raises(InvalidAttribute, match="bit_width"):
+            mq.load_model(path)
+        assert main(["evaluate", "--model", str(path), "--ref-model", str(tmp_path),
+                     "--images", "x", "--labels", "x", "--out", str(tmp_path / "r.json")]) == 3
 
 
-MADE, RECORDED = QuantParams(8, 0.05, 10), QuantParams(8, 0.02, 0)
+MADE = QuantParams(0.05, 10)
 
 
-def misrecorded_graph():
-    """Quantize(MADE) codes read by an int8 Conv2d and a Dequantize that both
-    record RECORDED, and by an int8 ReLU that records MADE."""
-    g = Graph("misrecorded")
+def codes_graph():
+    """Quantize(MADE) codes read by an int8 Conv2d, an int8 ReLU and a
+    Dequantize, none of which records them."""
+    g = Graph("codes")
     g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))
-    g.add(Node("q", "Quantize", ["input"], attrs={"qparams": MADE}))
+    g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": MADE}))
     g.add(Node("conv", "Conv2d", ["q"], precision=8,
-               attrs={"stride": 1, "padding": 0, "in_qparams": [RECORDED], "out_qparams": MADE},
-               weights={"weight": Tensor.i8(np.ones((1, 1, 1, 1)), QuantParams(8, 1.0, 0, symmetric=True))}))
-    g.add(Node("relu", "ReLU", ["q"], precision=8, attrs={"in_qparams": [MADE], "out_qparams": MADE}))
-    g.add(Node("dq", "Dequantize", ["q"], attrs={"qparams": RECORDED}))
-    g.add(Node("add", "Add", ["conv", "relu"], precision=8,
-               attrs={"in_qparams": [MADE, MADE], "out_qparams": MADE}))
-    g.add(Node("dq_add", "Dequantize", ["add"], attrs={"qparams": MADE}))
+               attrs={"stride": 1, "padding": 0, "out_qparams": MADE},
+               weights={"weight": Tensor.i8(np.ones((1, 1, 1, 1)), QuantParams(1.0, 0, symmetric=True))}))
+    g.add(Node("relu", "ReLU", ["q"], precision=8, attrs={"out_qparams": MADE}))
+    g.add(Node("dq", "Dequantize", ["q"]))
+    g.add(Node("add", "Add", ["conv", "relu"], precision=8, attrs={"out_qparams": MADE}))
+    g.add(Node("dq_add", "Dequantize", ["add"]))
     g.add(Node("output", "Output", ["dq_add"]))
     return g
 
@@ -246,17 +279,10 @@ def misrecorded_graph():
 class TestCodesQParams:
     def test_readers_use_the_qparams_codes_carry(self):
         x = Tensor.f32(np.array([[[[0.5, 1.0], [1.5, 2.0]]]], np.float32))
-        y, trace = mq.Executor().run_quantized(misrecorded_graph(), x, capture=["conv", "relu", "dq"])
+        y, trace = mq.Executor().run_quantized(codes_graph(), x, capture=["conv", "relu", "dq"])
         for nid in ("conv", "relu", "dq"):
             np.testing.assert_allclose(trace.outputs[nid].data.ravel(), [0.5, 1.0, 1.5, 2.0], err_msg=nid)
         np.testing.assert_allclose(y.data.ravel(), [1.0, 2.0, 3.0, 4.0])
-
-    def test_load_rejects_misrecorded_qparams(self, tmp_path):
-        mq.save_model(misrecorded_graph(), tmp_path / "model")
-        with pytest.raises(InvalidAttribute, match="'conv' reads 'q' as int8 codes of"):
-            mq.load_model(tmp_path / "model")
-        assert main(["evaluate", "--model", str(tmp_path / "model"), "--ref-model", str(tmp_path),
-                     "--images", "x", "--labels", "x", "--out", str(tmp_path / "r.json")]) == 3
 
     @pytest.mark.parametrize("node_id, inputs, reads", [
         ("softmax", ["fc"], "as float"),        # the Dequantize bypassed

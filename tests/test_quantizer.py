@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixquant as mq
-from mixquant.calibration import profile_activations
+from mixquant.calibration import activation_qparams, profile_activations
 from mixquant.cli import main
 from mixquant.errors import AlreadyQuantized, MissingCalibration, UnknownNodeInList
 from mixquant.ir import Graph, Node, QuantParams, Tensor
@@ -56,32 +56,32 @@ def chain_calib(chain, chain_images):
 
 class TestQuantizeDequantize:
     def test_zero_maps_to_zero_point(self):
-        q = mq.quantize_affine(np.array([0.0], np.float32), QuantParams(8, 1.0, 0))
+        q = mq.quantize_affine(np.array([0.0], np.float32), QuantParams(1.0, 0))
         assert q.data[0] == 0
 
     def test_symmetric_half_rounds_away(self):
-        qp = QuantParams(8, 1.0 / 127.0, 0, symmetric=True)
+        qp = QuantParams(1.0 / 127.0, 0, symmetric=True)
         q = mq.quantize_affine(np.array([-1.0, 0.5, 1.0], np.float32), qp)
         assert list(q.data) == [-127, 64, 127]
 
     def test_saturation(self):
-        q = mq.quantize_affine(np.array([10.0], np.float32), QuantParams(8, 1.0 / 127.0, 0))
+        q = mq.quantize_affine(np.array([10.0], np.float32), QuantParams(1.0 / 127.0, 0))
         assert q.data[0] == 127
 
     def test_dequantize_value(self):
-        qp = QuantParams(8, 1.0 / 127.0, 0)
+        qp = QuantParams(1.0 / 127.0, 0)
         x = mq.dequantize(Tensor.i8(np.array([64], np.int8), qp))
         assert np.isclose(x.data[0], 0.50394, atol=5e-6)
 
     def test_zero_point_dequantizes_to_zero(self):
-        qp = QuantParams(8, 0.037, -3)
+        qp = QuantParams(0.037, -3)
         assert mq.dequantize(Tensor.i8(np.array([-3], np.int8), qp)).data[0] == 0.0
 
     @given(st.floats(1e-4, 10.0), st.integers(-128, 127),
            st.lists(st.floats(-500, 500, width=32), min_size=1, max_size=32))
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_within_half_step(self, step, zp, values):
-        qp = QuantParams(8, step, zp)
+        qp = QuantParams(step, zp)
         x = np.asarray(values, np.float32)
         lo, hi = (qp.qmin - zp) * step, (qp.qmax - zp) * step
         x = np.clip(x, lo, hi).astype(np.float32)
@@ -192,9 +192,7 @@ class TestApplyMixedPrecision:
             qg = mq.apply_mixed_precision(mininet, keep, mininet_calib)
             for n in qg.nodes:
                 if n.kind == "Quantize":
-                    producer = qg.node(n.inputs[0])
-                    assert not (producer.kind == "Dequantize"
-                                and producer.attrs["qparams"] == n.attrs["qparams"])
+                    assert qg.node(n.inputs[0]).kind != "Dequantize"
 
 
 class TestSelectDequantSet:
@@ -269,9 +267,10 @@ class TestTransformProperties:
     @settings(max_examples=60, deadline=None)
     def test_adapters_minimal_by_construction(self, staged, arch, stage, data):
         """The Output reaches every node; there is one adapter per (kind,
-        source, qparams), none fed by another adapter, each on an edge between
-        an FP32 and an int8 node; every reader of int8 codes records the
-        qparams the codes were made with."""
+        source), none fed by another adapter, each on an edge between an FP32
+        and an int8 node; every node reads codes iff its producer writes them,
+        and every writer of codes records the qparams of the value's
+        calibrated range."""
         g, calib = staged[arch][stage]
         keep = data.draw(st.lists(st.sampled_from(quantizable_ids(g)), unique=True))
         qg = mq.apply_mixed_precision(g, keep, calib)
@@ -285,7 +284,7 @@ class TestTransformProperties:
         assert reached == {n.id for n in qg.nodes}
 
         adapters = [n for n in qg.nodes if n.kind in ("Quantize", "Dequantize")]
-        keys = [(n.kind, n.inputs[0], n.attrs["qparams"]) for n in adapters]
+        keys = [(n.kind, n.inputs[0]) for n in adapters]
         assert len(set(keys)) == len(keys)
         for n in adapters:
             src = qg.node(n.inputs[0])
@@ -294,15 +293,18 @@ class TestTransformProperties:
             assert (src.precision == 8) == (n.kind == "Dequantize")
             assert all((r.precision == 8) == (n.kind == "Quantize") for r in qg.consumers(n.id))
 
-        def made_with(nid):
-            p = qg.node(nid)
-            return p.attrs["qparams"] if p.kind == "Quantize" else p.attrs["out_qparams"]
+        def writes_codes(node):
+            return node.precision == 8 or node.kind == "Quantize"
 
         for n in qg.nodes:
-            if n.precision == 8:
-                assert n.attrs["in_qparams"] == [made_with(src) for src in n.inputs]
-            elif n.kind == "Dequantize":
-                assert n.attrs["qparams"] == made_with(n.inputs[0])
+            reads_codes = n.precision == 8 or n.kind == "Dequantize"
+            assert all(writes_codes(qg.node(src)) == reads_codes for src in n.inputs)
+            if writes_codes(n):
+                value = qg.node(n.inputs[0]) if n.kind == "Quantize" else n
+                profile = calib.for_node(value.attrs.get("profile_id", value.id))
+                assert n.attrs["out_qparams"] == activation_qparams(profile)
+            else:
+                assert "out_qparams" not in n.attrs
 
     @given(st.sampled_from(ARCHS), st.sampled_from(["unfused", "fused"]), st.data(),
            st.floats(0, 100), st.floats(0, 100))
