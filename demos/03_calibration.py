@@ -1,14 +1,15 @@
-"""Calibration: profiling activation ranges into histograms and deriving
-quantization parameters from them.
+"""Calibration: profiling activation ranges and deriving quantization
+parameters from them.
 
-One FP32 pass per calibration image feeds per-node histograms; min/max (or a
-percentile-clipped range) then becomes an asymmetric affine step/zero-point.
+One FP32 pass per calibration image feeds one exact range record per node
+(min, max and element count); min/max then becomes an asymmetric affine
+step/zero-point.
 """
 
 import numpy as np
 
 import mixquant as mq
-from mixquant.calibration import HistogramProfile, activation_qparams
+from mixquant.calibration import RangeProfile, activation_qparams
 
 graph = mq.gen_synthetic("mininet", seed=42)
 images = mq.gen_images(32, (3, 16, 16), seed=7)
@@ -19,23 +20,18 @@ print(f"profiled {calib.image_count} images, {len(calib.profiles)} tensors, "
 
 print("\nper-node activation ranges:")
 for nid in ("input", "b1_conv", "b1_relu", "b4_add", "fc", "softmax"):
-    h = calib.for_node(nid)
-    qp = activation_qparams(h)
-    print(f"  {nid:10s} [{h.min:+8.3f}, {h.max:+8.3f}]  step={qp.step:.5f} zp={qp.zero_point:+4d}")
+    r = calib.for_node(nid)
+    qp = activation_qparams(r)
+    print(f"  {nid:10s} [{r.min:+8.3f}, {r.max:+8.3f}]  step={qp.step:.5f} zp={qp.zero_point:+4d}")
 
 # ReLU outputs are nonnegative, so their ranges start at 0
 assert calib.for_node("b1_relu").min >= 0.0
 
-# percentile mode shrinks the range when the tail is heavy
-h = HistogramProfile()
-h.update(np.concatenate([np.random.default_rng(0).normal(0, 1, 10000), [40.0]]))
-print("\nheavy-tailed example:")
-print("  minmax     step:", activation_qparams(h, mode="minmax").step)
-print("  percentile step:", activation_qparams(h, mode="percentile", p=0.001).step)
-
-# profiles from parallel workers merge exactly, in any order
-h1, h2 = HistogramProfile(), HistogramProfile()
-h1.update(images[:16])
-h2.update(images[16:])
-merged = h1.merge(h2)
-print("\nmerge is exact:", bool(np.array_equal(merged.counts, h2.merge(h1).counts)))
+# a range does not depend on how the values are split into updates
+whole, parts = RangeProfile(), RangeProfile()
+whole.update(images)
+for img in images[::-1]:
+    parts.update(img)
+print("\nsplit updates give the same range:",
+      (whole.min, whole.max, whole.total) == (parts.min, parts.max, parts.total))
+assert whole.total == images.size and whole.min == float(np.min(images))

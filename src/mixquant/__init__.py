@@ -9,7 +9,7 @@ precision on a fused graph IR at any target BOPs reduction.
 from .bops import BopsReport, bops, count_macs, macs_by_node
 from .calibration import (
     CalibrationProfile,
-    HistogramProfile,
+    RangeProfile,
     activation_qparams,
     profile_activations,
     weight_qparams,

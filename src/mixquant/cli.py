@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import struct
 import sys
 from pathlib import Path
@@ -23,8 +24,9 @@ import numpy as np
 from . import model_io
 from .bops import bops, macs_by_node
 from .calibration import CalibrationProfile, profile_activations
-from .errors import (CorruptBlob, InvariantViolation, MissingLabels, MixQuantError,
-                     NonFiniteValue, ProvenanceMismatch, UnknownNodeInList)
+from .errors import (CorruptBlob, InvalidAttribute, InvariantViolation, MissingLabels,
+                     MixQuantError, NonFiniteValue, ProvenanceMismatch, UnknownNode,
+                     UnknownNodeInList)
 from .executor import Executor
 from .fusion import STAGES, discover_fusion_groups, lower_to_stage
 from .ir import Graph
@@ -68,10 +70,11 @@ def _write_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
-def _load_calib(calib, model) -> CalibrationProfile:
-    """The profile at `calib`, which must come from `model` when it names one."""
+def _load_calib(calib, model, digest: str) -> CalibrationProfile:
+    """The profile at `calib`, which must come from `model` (whose model_digest
+    is `digest`) when it names one."""
     profile = CalibrationProfile.load(_require(calib, "calibrate"))
-    if profile.model_digest and profile.model_digest != model_digest(model):
+    if profile.model_digest and profile.model_digest != digest:
         raise ProvenanceMismatch(f"{calib} was calibrated on another model than {model}")
     return profile
 
@@ -145,6 +148,10 @@ def cmd_synth(args) -> int:
     out = Path(args.out_dir)
     graph = model_io.gen_synthetic(args.arch, args.seed)
     if args.scale_layer:
+        if args.scale_layer not in graph:
+            raise UnknownNode(f"--scale-layer {args.scale_layer!r}: {args.arch} has no such node")
+        if "weight" not in graph.node(args.scale_layer).weights:
+            raise InvalidAttribute(f"--scale-layer {args.scale_layer!r}: that node has no weight")
         graph = model_io.scale_node_weights(graph, args.scale_layer, args.scale_factor,
                                             stride=args.scale_stride)
     model_io.save_model(graph, out / "model")
@@ -174,7 +181,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_analyze(args) -> int:
     graph = model_io.load_model(_require(args.model, "synth"))
-    calib = _load_calib(args.calib, args.model)
+    digest = model_digest(args.model)
+    calib = _load_calib(args.calib, args.model, digest)
     method = METHODS[args.method]
     if method in ("delta_mixup", "top1") and not args.images:
         raise ValueError(f"--images is required for --method {args.method}")
@@ -198,6 +206,7 @@ def cmd_analyze(args) -> int:
         sens.ir_stage = args.ir_stage
     if method in ("delta_mixup", "top1"):  # the orderings that read the profile
         sens.calib_digest = _sha256(args.calib)
+    sens.model_digest = digest
     sens.save(args.out_list)
     print(f"analyze: method {method}, {len(sens.ids)} layers -> {args.out_list}")
     return 0
@@ -205,8 +214,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_quantize(args) -> int:
     graph = model_io.load_model(_require(args.model, "synth"))
-    calib = _load_calib(args.calib, args.model)
+    digest = model_digest(args.model)
+    calib = _load_calib(args.calib, args.model, digest)
     sens = SensitivityList.load(_require(args.list, "analyze"))
+    if sens.model_digest and sens.model_digest != digest:
+        raise ProvenanceMismatch(f"{args.list} was analyzed on another model than {args.model}")
     calib_sha = _sha256(args.calib)
     if sens.calib_digest and sens.calib_digest != calib_sha:
         raise ProvenanceMismatch(f"{args.list} was analyzed with another calibration than {args.calib}")
@@ -316,6 +328,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _percent_list(text: str) -> list[float]:
     values = [float(x) for x in text.split(",") if x]
     if not values:
@@ -348,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-count", type=_positive_int, default=64)
     p.add_argument("--scale-layer", default=None,
                    help="scale one node's weights (pathology construction)")
-    p.add_argument("--scale-factor", type=float, default=50.0)
+    p.add_argument("--scale-factor", type=_finite_float, default=50.0)
     p.add_argument("--scale-stride", type=_positive_int, default=64,
                    help="scale every N-th weight element; >1 makes the tail heavy")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("calibrate", help="profile activation histograms")
+    p = sub.add_parser("calibrate", help="profile activation ranges")
     p.add_argument("--model", required=True)
     p.add_argument("--images", required=True)
     p.add_argument("--out", required=True)

@@ -67,7 +67,7 @@ class EmptyProfile(MixQuantError):
 
 
 class NonFiniteValue(MixQuantError):
-    """An image or an activation holds NaN or an infinity."""
+    """An image, an activation or a weight holds NaN or an infinity."""
 
 
 # quantization transform

@@ -222,6 +222,8 @@ def scale_node_weights(graph: Graph, node_id: str, factor: float, stride: int = 
     w = n.weights["weight"].data.copy()
     flat = w.reshape(-1)
     flat[::stride] *= np.float32(factor)
+    if not np.isfinite(flat).all():
+        raise NonFiniteValue(f"scaling {node_id!r} by {factor:g} makes its weights non-finite")
     n.weights = dict(n.weights)
     n.weights["weight"] = Tensor(w.astype(np.float32))
     return g
@@ -385,6 +387,8 @@ def load_model(path) -> Graph:
         if hi > len(payload) or lo < 0:
             raise CorruptBlob(f"blob {name!r} spans [{lo}, {hi}) beyond payload of {len(payload)} bytes")
         arr = np.frombuffer(payload[lo:hi], dtype=code).reshape(meta["shape"])
+        if code == "<f4" and not np.isfinite(arr).all():
+            raise NonFiniteValue(f"blob {name!r} holds NaN or infinite values")
         return np.ascontiguousarray(arr)
 
     kinds = [nj["kind"] for nj in manifest["nodes"]]

@@ -63,6 +63,7 @@ class SensitivityList:
     ir_stage: str = "unfused"
     calib_digest: str = ""
     mixup: tuple[float, float] = DEFAULT_MIXUP
+    model_digest: str = ""
 
     def save(self, path) -> None:
         save_node_list(self.ids, path)
@@ -71,6 +72,7 @@ class SensitivityList:
             "ir_stage": self.ir_stage,
             "calib_digest": self.calib_digest,
             "mixup": list(self.mixup),
+            "model_digest": self.model_digest,
         }
         Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
 
@@ -80,7 +82,8 @@ class SensitivityList:
         meta_path = Path(str(path) + ".meta.json")
         meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
         return cls(ids, meta.get("method", "unknown"), meta.get("ir_stage", "unfused"),
-                   meta.get("calib_digest", ""), tuple(meta.get("mixup", DEFAULT_MIXUP)))
+                   meta.get("calib_digest", ""), tuple(meta.get("mixup", DEFAULT_MIXUP)),
+                   meta.get("model_digest", ""))
 
 
 def quantizable_in_topo_order(graph: Graph) -> list[str]:

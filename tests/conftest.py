@@ -1,6 +1,7 @@
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mixquant as mq
@@ -45,3 +46,16 @@ def graph_signature(graph):
 def run_f32(graph, image_batch, idx=0, capture=False, executor=None):
     ex = executor or mq.Executor()
     return ex.run_fp32(graph, mq.Tensor.f32(image_batch[idx:idx + 1]), capture=capture)
+
+
+def histogram_layout(doc: dict) -> dict:
+    """`doc` in the older calib.json layout: a top-level `bin_count` of 2048,
+    and per node a power-of-two `hist_range` and 2,048 `bins` that sum to
+    `total`."""
+    old = {**doc, "bin_count": 2048, "nodes": {}}
+    for nid, d in doc["nodes"].items():
+        r = max(abs(d["min"]), abs(d["max"]), 1.0)
+        counts = [0] * 2048
+        counts[1024] = d["total"]
+        old["nodes"][nid] = {**d, "hist_range": 2.0 ** np.ceil(np.log2(r)), "bins": counts}
+    return old

@@ -54,10 +54,10 @@ def test_criterion_1_quantization_roundtrip():
     n = 1_000_000
     lo, hi = np.float32(-3.7), np.float32(9.2)
     prof_edges = np.array([lo, hi], np.float32)
-    from mixquant.calibration import HistogramProfile
-    h = HistogramProfile()
-    h.update(prof_edges)
-    qp = activation_qparams(h)
+    from mixquant.calibration import RangeProfile
+    r = RangeProfile()
+    r.update(prof_edges)
+    qp = activation_qparams(r)
     x = rng.uniform(float(lo), float(hi), (n,)).astype(np.float32)
     q = mq.quantize_affine(x, qp)
     exact = (q.data.astype(np.float64) - qp.zero_point) * qp.step

@@ -6,143 +6,113 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixquant as mq
+from mixquant import executor
 from mixquant.calibration import (
     CalibrationProfile,
     HistogramProfile,
+    RangeProfile,
     activation_qparams,
     profile_activations,
     weight_qparams,
 )
-from mixquant.errors import EmptyCalibrationSet, EmptyProfile, NonFiniteValue
+from mixquant.errors import EmptyCalibrationSet, EmptyProfile, MissingCalibration, NonFiniteValue
 from mixquant.ir import Graph, Node, Tensor
-from mixquant.model_io import Lcg
+
+from conftest import histogram_layout
 
 
-def profile_of(values, bins=2048):
-    h = HistogramProfile(bins)
-    h.update(np.asarray(values, dtype=np.float64))
-    return h
+def profile_of(values):
+    r = RangeProfile()
+    r.update(np.asarray(values, dtype=np.float64))
+    return r
 
 
-class TestHistogramProfile:
+def state(r):
+    return (r.min, r.max, r.total)
+
+
+class TestRangeProfile:
     def test_min_max_total(self):
-        h = profile_of([-1.5, 0.0, 3.0, 2.0])
-        assert (h.min, h.max, h.total) == (-1.5, 3.0, 4)
-        assert h.counts.sum() == 4
+        assert state(profile_of([-1.5, 0.0, 3.0, 2.0])) == (-1.5, 3.0, 4)
 
     def test_update_widens_monotonically(self):
-        h = profile_of([0.5])
-        lo, hi = h.min, h.max
-        h.update(np.array([2.0, -3.0]))
-        assert h.min <= lo and h.max >= hi
-        assert h.counts.sum() == h.total == 3
-
-    def test_range_growth_preserves_counts(self):
-        h = profile_of(np.linspace(-1, 1, 1000))
-        before = h.total
-        h.update(np.array([100.0]))
-        assert h.counts.sum() == before + 1
-        assert h.hist_range >= 100.0
-
-    def test_merge_exact_and_order_independent(self):
-        rng = Lcg(31)
-        parts = [profile_of(rng.uniform(-(2 ** k), 2 ** k, (100,))) for k in range(5)]
-        forward = parts[0]
-        for p in parts[1:]:
-            forward = forward.merge(p)
-        backward = parts[-1]
-        for p in reversed(parts[:-1]):
-            backward = p.merge(backward)
-        assert np.array_equal(forward.counts, backward.counts)
-        assert (forward.min, forward.max, forward.total) == (backward.min, backward.max, backward.total)
-        assert forward.hist_range == backward.hist_range
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
-           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_merge_commutes(self, a, b):
-        pa, pb = profile_of(a, bins=64), profile_of(b, bins=64)
-        ab, ba = pa.merge(pb), pb.merge(pa)
-        assert np.array_equal(ab.counts, ba.counts)
-        assert ab.min == ba.min and ab.max == ba.max
-
-    def test_percentile_range_clips_outlier(self):
-        h = profile_of(np.concatenate([np.linspace(-1, 1, 998), [1000.0, -1000.0]]))
-        lo, hi = h.percentile_range(0.01)
-        assert -2.0 < lo < hi < 2.0
+        r = profile_of([0.5])
+        r.update(np.array([2.0, -3.0]))
+        assert state(r) == (-3.0, 2.0, 3)
 
     def test_json_round_trip(self):
-        h = profile_of([-0.5, 0.25, 3.0])
-        back = HistogramProfile.from_json(h.to_json())
-        assert np.array_equal(back.counts, h.counts)
-        assert (back.min, back.max, back.total, back.hist_range) == (h.min, h.max, h.total, h.hist_range)
+        for r in (profile_of([-0.5, 0.25, 3.0]), RangeProfile()):
+            assert state(RangeProfile.from_json(r.to_json())) == state(r)
 
-
-class AddAtProfile(HistogramProfile):
-    """The oracle: one bin increment per value through np.add.at."""
-
-    def update(self, values) -> None:
-        v = np.asarray(values, dtype=np.float64).ravel()
-        self.total += v.size
-        self._grow_to(max(-float(v.min()), float(v.max())))
-        width = 2.0 * self.hist_range / self.bins
-        idx = np.clip(((v + self.hist_range) / width).astype(np.int64), 0, self.bins - 1)
-        np.add.at(self.counts, idx, 1)
-
-
-@st.composite
-def update_batches(draw):
-    """A bin count and 1-4 value batches whose range grows or shrinks from
-    batch to batch: random values, bin edges of a [-R, R] grid including
-    +-R itself, or a constant; each float64 or float32."""
-    bins = draw(st.sampled_from([4, 16, 2048]))
-    batches = []
-    for _ in range(draw(st.integers(1, 4))):
-        r = 2.0 ** draw(st.integers(-3, 8))
-        kind = draw(st.sampled_from(["random", "edges", "constant"]))
-        if kind == "edges":
-            j = draw(st.lists(st.integers(0, bins), min_size=1, max_size=16))
-            v = -r + np.asarray(j) * (2 * r / bins)
-        elif kind == "constant":
-            v = np.full(draw(st.integers(1, 8)), draw(st.floats(-r, r)))
-        else:
-            v = np.asarray(draw(st.lists(st.floats(-r, r), min_size=1, max_size=64)))
-        batches.append(v.astype(np.float32) if draw(st.booleans()) else v)
-    return bins, batches
-
-
-class TestBincountUpdate:
-    @given(update_batches())
-    @settings(max_examples=200, deadline=None)
-    def test_counts_equal_add_at(self, case):
-        bins, batches = case
-        h, oracle = HistogramProfile(bins), AddAtProfile(bins)
-        for v in batches:
-            h.update(v)
-            oracle.update(v)
-            assert h.hist_range == oracle.hist_range
-            assert h.counts.dtype == np.int64
-            assert np.array_equal(h.counts, oracle.counts)
-        assert h.counts.sum() == h.total == sum(v.size for v in batches)
+    def test_older_name_is_the_same_class(self):
+        assert HistogramProfile is RangeProfile
 
 
 class TestNonFiniteUpdate:
-    @staticmethod
-    def state(h):
-        return (h.counts.tolist(), h.min, h.max, h.total, h.hist_range)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("first", [True, False])
     def test_rejected_and_profile_unchanged(self, bad, first):
-        h = HistogramProfile(64) if first else profile_of([-0.5, 0.25, 3.0], bins=64)
-        before = self.state(h)
+        r = RangeProfile() if first else profile_of([-0.5, 0.25, 3.0])
+        before = state(r)
         with pytest.raises(NonFiniteValue):
-            h.update(np.array([1.0, bad, -2.0]))
-        assert self.state(h) == before
+            r.update(np.array([1.0, bad, -2.0]))
+        assert state(r) == before
 
     def test_finite_extremes_accepted(self):
-        h = profile_of([-1e300, 1e300], bins=64)
-        assert (h.min, h.max, h.total) == (-1e300, 1e300, 2)
+        assert state(profile_of([-1e300, 1e300])) == (-1e300, 1e300, 2)
+
+
+BUDGETS = {"1 byte": 1, "default": executor.ACTIVATION_BUDGET_BYTES, "1e9 bytes": 10 ** 9}
+
+
+class TestRangeRecordProperty:
+    """The record of every node equals the float64 min, max and size of its
+    outputs, taken image by image, at every batch size the budget gives."""
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @given(arch=st.sampled_from(["mininet", "mini_resnet", "mini_mobilenet"]),
+           count=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=12, deadline=None)
+    def test_record_equals_float64_reduction(self, all_archs, budget, arch, count, seed):
+        graph = all_archs[arch]
+        images = mq.gen_images(count, tuple(graph.input_node.attrs["shape"]), seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(executor, "ACTIVATION_BUDGET_BYTES", BUDGETS[budget])
+            prof = profile_activations(graph, images)
+        nodes = [n.id for n in graph.nodes if n.kind not in ("Input", "Output")]
+        want = {nid: (np.inf, -np.inf, 0) for nid in [graph.input_node.id, *nodes]}
+        for j in range(count):
+            _, trace = mq.Executor().run_fp32(graph, Tensor.f32(images[j:j + 1]), capture=nodes)
+            outs = {graph.input_node.id: images[j], **{nid: trace.outputs[nid].data for nid in nodes}}
+            for nid, out in outs.items():
+                v = out.astype(np.float64)
+                lo, hi, total = want[nid]
+                want[nid] = (min(lo, float(v.min())), max(hi, float(v.max())), total + v.size)
+        assert {nid: state(r) for nid, r in prof.profiles.items()} == want
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @given(count=st.integers(1, 6), data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_non_finite_image_raises(self, all_archs, budget, count, data):
+        graph = all_archs["mini_resnet"]
+        images = mq.gen_images(count, tuple(graph.input_node.attrs["shape"]), 3)
+        j = data.draw(st.integers(0, count - 1), label="image")
+        flat = data.draw(st.integers(0, images[j].size - 1), label="element")
+        images[j].reshape(-1)[flat] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(executor, "ACTIVATION_BUDGET_BYTES", BUDGETS[budget])
+            with pytest.raises(NonFiniteValue), np.errstate(invalid="ignore", over="ignore"):
+                profile_activations(graph, images)
+
+    @given(count=st.integers(1, 6), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_non_finite_in_any_image_of_a_batch_raises(self, count, data):
+        batch = np.asarray(mq.gen_images(count, (2, 3, 3), 5), np.float32)
+        j = data.draw(st.integers(0, count - 1), label="image")
+        batch[j].reshape(-1)[data.draw(st.integers(0, 17))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(NonFiniteValue):
+            RangeProfile().update(batch)
 
 
 class TestProfileActivations:
@@ -162,9 +132,7 @@ class TestProfileActivations:
                             "bias": Tensor.f32(np.zeros(1))}))
         g.add(Node("output", "Output", ["c"]))
         prof = profile_activations(g, np.zeros((2, 1, 2, 2), np.float32))
-        h = prof.for_node("c")
-        assert h.min == h.max == 0.0
-        assert (h.counts > 0).sum() == 1  # single hot bin
+        assert state(prof.for_node("c")) == (0.0, 0.0, 8)
 
     def test_pass_counter_equals_image_count(self, mininet):
         ex = mq.Executor()
@@ -191,15 +159,13 @@ class TestProfileActivations:
 
     @pytest.mark.parametrize("model", ["", "ab" * 32])
     def test_saved_document_is_the_indented_one(self, mininet_calib, tmp_path, model):
-        """The compact file parses to the document the indent-1 writer wrote,
-        plus the `model` key when the digest is known, and is that document's
-        compact sorted-key text byte for byte."""
-        prof = CalibrationProfile(mininet_calib.profiles, mininet_calib.image_count,
-                                  mininet_calib.bins, model)
+        """The compact file parses to the document an indent-1 writer would
+        write, plus the `model` key when the digest is known, and is that
+        document's compact sorted-key text byte for byte."""
+        prof = CalibrationProfile(mininet_calib.profiles, mininet_calib.image_count, model)
         prof.save(tmp_path / "calib.json")
-        doc = {"image_count": prof.image_count, "bin_count": prof.bins,
-               "nodes": {nid: {"min": p.min, "max": p.max, "total": p.total,
-                               "hist_range": p.hist_range, "bins": [int(c) for c in p.counts]}
+        doc = {"image_count": prof.image_count,
+               "nodes": {nid: {"min": p.min, "max": p.max, "total": p.total}
                          for nid, p in sorted(prof.profiles.items())}}
         if model:
             doc["model"] = model
@@ -208,6 +174,36 @@ class TestProfileActivations:
         assert json.loads(text) == old
         assert text == json.dumps(old, sort_keys=True, separators=(",", ":"))
         assert CalibrationProfile.load(tmp_path / "calib.json").model_digest == model
+
+
+class TestHistogramLayout:
+    """A calib.json written with per-node histograms loads to the same
+    profile; a node record without min, max or total does not."""
+
+    @pytest.mark.parametrize("model", ["", "ab" * 32])
+    def test_old_layout_gives_the_same_qparams(self, mininet_calib, tmp_path, model):
+        CalibrationProfile(mininet_calib.profiles, mininet_calib.image_count, model).save(
+            tmp_path / "new.json")
+        doc = json.loads((tmp_path / "new.json").read_text())
+        (tmp_path / "old.json").write_text(json.dumps(histogram_layout(doc), indent=1, sort_keys=True))
+        new = CalibrationProfile.load(tmp_path / "new.json")
+        old = CalibrationProfile.load(tmp_path / "old.json")
+        assert (old.image_count, old.model_digest) == (new.image_count, model)
+        assert old.profiles.keys() == new.profiles.keys() == mininet_calib.profiles.keys()
+        for nid, r in new.profiles.items():
+            assert state(old.profiles[nid]) == state(r) == state(mininet_calib.profiles[nid])
+            assert activation_qparams(old.profiles[nid]) == activation_qparams(r)
+        old.save(tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "new.json").read_bytes()
+
+    @pytest.mark.parametrize("key", ["min", "max", "total"])
+    def test_record_without_a_range_key_is_rejected(self, mininet_calib, tmp_path, key):
+        mininet_calib.save(tmp_path / "calib.json")
+        doc = json.loads((tmp_path / "calib.json").read_text())
+        del doc["nodes"]["fc"][key]
+        (tmp_path / "calib.json").write_text(json.dumps(doc))
+        with pytest.raises(MissingCalibration, match="'fc'"):
+            CalibrationProfile.load(tmp_path / "calib.json")
 
 
 class TestActivationQparams:
@@ -257,15 +253,9 @@ class TestActivationQparams:
         bound = qp.step / 2 + max(abs(lo), abs(hi)) * 2.0 ** -23 + 1e-12
         assert np.abs(back - xs.astype(np.float64)).max() <= bound
 
-    def test_percentile_mode_tightens_step(self):
-        h = profile_of(np.concatenate([np.linspace(-1, 1, 998), [1000.0, -1000.0]]))
-        qp_minmax = activation_qparams(h, mode="minmax")
-        qp_pct = activation_qparams(h, mode="percentile", p=0.01)
-        assert qp_pct.step < qp_minmax.step
-
     def test_empty_profile_rejected(self):
         with pytest.raises(EmptyProfile):
-            activation_qparams(HistogramProfile(64))
+            activation_qparams(RangeProfile())
 
 
 class TestWeightQparams:

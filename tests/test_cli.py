@@ -16,6 +16,8 @@ from mixquant.fusion import discover_fusion_groups
 from mixquant.quantizer import load_node_list
 from mixquant.sensitivity import Reference, evaluate_accuracy, reference_pass
 
+from conftest import histogram_layout
+
 
 def run_pipeline(root: Path, seed=42, method="delta-mixup", targets="40",
                  calib_count=16, eval_count=16, extra_synth=()):
@@ -208,6 +210,8 @@ class TestExitCodes:
         ("analyze", "--top1-images", "0"), ("analyze", "--top1-images", "-2"),
         ("synth", "--scale-stride", "-1"), ("synth", "--scale-stride", "0"),
         ("synth", "--calib-count", "0"), ("synth", "--eval-count", "0"),
+        ("synth", "--scale-factor", "nan"), ("synth", "--scale-factor", "inf"),
+        ("synth", "--scale-factor", "-inf"),
         ("quantize", "--target-reduction", ","),
         ("analyze", "--mixup-weights", "nan,1"), ("analyze", "--mixup-weights", "0.5,inf"),
         ("analyze", "--mixup-weights", "-0.5,1"),
@@ -239,6 +243,23 @@ class TestExitCodes:
         images = mq.load_images(d / "calib_images.bin")
         images[1, 2, 3, 4] = bad
         mq.save_images(images, d / "calib_images.bin")
+        code = main(["calibrate", "--model", str(d / "model"),
+                     "--images", str(d / "calib_images.bin"), "--out", str(d / "calib.json")])
+        assert code == 3
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not (d / "calib.json").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_3(self, tmp_path, capsys, bad):
+        d = tmp_path / "run"
+        assert main(["synth", "--arch", "mininet", "--seed", "1", "--calib-count", "2",
+                     "--eval-count", "2", "--out-dir", str(d)]) == 0
+        manifest = json.loads((d / "model/manifest.json").read_text())
+        fc = next(n for n in manifest["nodes"] if n["id"] == "fc")
+        blob = manifest["blobs"][fc["weights"]["weight"]["blob"]]
+        raw = bytearray((d / "model/weights.bin").read_bytes())
+        raw[blob["offset"] + 4:blob["offset"] + 8] = np.float32(bad).tobytes()
+        (d / "model/weights.bin").write_bytes(bytes(raw))
         code = main(["calibrate", "--model", str(d / "model"),
                      "--images", str(d / "calib_images.bin"), "--out", str(d / "calib.json")])
         assert code == 3
@@ -442,6 +463,10 @@ class TestQuantizeListCoverage:
         args = ["quantize", "--model", str(d / "model"), "--calib", str(d / "calib.json"),
                 "--target-reduction", "20", "--out-dir", str(tmp_path / "out")]
         assert main(args + ["--list", str(lists["mini_resnet"])]) == 3
+        assert "analyzed on another model" in capsys.readouterr().err
+        meta = Path(str(lists["mini_resnet"]) + ".meta.json")
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "model_digest": ""}))
+        assert main(args + ["--list", str(lists["mini_resnet"])]) == 3
         assert "no member of 8 fusion groups" in capsys.readouterr().err
         assert not (tmp_path / "out" / "q20").exists()
         assert main(args + ["--list", str(lists["mininet"])]) == 0
@@ -492,6 +517,61 @@ class TestProvenance:
         assert hashed.count((f"{d}/calib.json",)) == 1
         for t in ("q40", "q60"):
             assert json.loads((tmp_path / "out" / t / "meta.json").read_text())["calib_digest"] == digest
+
+    def test_list_of_another_model_is_3(self, reference_runs, tmp_path, capsys, monkeypatch):
+        """A list records the digest of the model it was analyzed on, hashed
+        once per command; quantize exits 3 on another model's list, and a list
+        without the digest still loads."""
+        d, other = reference_runs[1], reference_runs[2]
+        hashed, sha256 = [], cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda *p: hashed.append(p) or sha256(*p))
+        self.calibrate(other, tmp_path / "c.json")
+        hashed.clear()
+        assert main(["analyze", "--model", f"{other}/model", "--calib", str(tmp_path / "c.json"),
+                     "--method", "weight-sqnr", "--out-list", str(tmp_path / "s.txt")]) == 0
+        assert hashed.count((other / "model/manifest.json", other / "model/weights.bin")) == 1
+        meta_path = tmp_path / "s.txt.meta.json"
+        assert json.loads(meta_path.read_text())["model_digest"] == model_digest(other / "model")
+        capsys.readouterr()
+        args = ["quantize", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                "--list", str(tmp_path / "s.txt"), "--target-reduction", "40",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(args) == 3
+        assert "analyzed on another model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        meta = json.loads(meta_path.read_text())
+        del meta["model_digest"]
+        meta_path.write_text(json.dumps(meta))
+        hashed.clear()
+        assert main(args) == 0
+        assert hashed.count((Path(f"{d}/model/manifest.json"), Path(f"{d}/model/weights.bin"))) == 1
+
+    def test_histogram_layout_calib_keeps_its_digest(self, reference_runs, tmp_path, capsys):
+        """A calib.json in the older layout loads: the list analyzed with it
+        and the quantized model match those of the range layout, and both
+        record that file's sha256; a node without min, max or total is 3."""
+        d = reference_runs[1]
+        doc = json.loads((d / "calib.json").read_text())
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(histogram_layout(doc), indent=1, sort_keys=True))
+        for calib, out in ((d / "calib.json", tmp_path / "new"), (old, tmp_path / "old")):
+            assert main(["analyze", "--model", f"{d}/model", "--calib", str(calib),
+                         "--images", f"{d}/calib_images.bin", "--out-list", f"{out}.txt"]) == 0
+            assert main(["quantize", "--model", f"{d}/model", "--calib", str(calib),
+                         "--list", f"{out}.txt", "--target-reduction", "40",
+                         "--out-dir", str(out)]) == 0
+            assert json.loads((out / "q40/meta.json").read_text())["calib_digest"] == cli._sha256(calib)
+        assert (tmp_path / "old.txt").read_bytes() == (tmp_path / "new.txt").read_bytes()
+        for rel in ("model/manifest.json", "model/weights.bin", "precision.json", "dequant_list.txt"):
+            assert (tmp_path / "old/q40" / rel).read_bytes() == (tmp_path / "new/q40" / rel).read_bytes()
+        del doc["nodes"]["fc"]["max"]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["quantize", "--model", f"{d}/model", "--calib", str(tmp_path / "bad.json"),
+                     "--list", f"{d}/list.txt", "--target-reduction", "40",
+                     "--out-dir", str(tmp_path / "bad")]) == 3
+        assert "'fc'" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_library_profile_without_model_digest_is_accepted(self, reference_runs, tmp_path):
         d = reference_runs[1]
@@ -547,3 +627,21 @@ class TestPathologySynth:
         w_scaled = scaled.node("b6_conv").weights["weight"].data
         w_plain = plain.node("b6_conv").weights["weight"].data
         assert (w_scaled != w_plain).any()
+
+    @pytest.mark.parametrize("layer, says", [("b1_relu", "that node has no weight"),
+                                             ("nosuch", "mininet has no such node")])
+    def test_scale_layer_without_weight_is_3(self, tmp_path, capsys, layer, says):
+        code = main(["synth", "--arch", "mininet", "--seed", "1", "--calib-count", "2",
+                     "--eval-count", "2", "--scale-layer", layer, "--out-dir", str(tmp_path / "p")])
+        assert code == 3
+        assert f"--scale-layer {layer!r}: {says}" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_scale_factor_is_3(self, tmp_path, capsys):
+        code = main(["synth", "--arch", "mininet", "--seed", "1", "--calib-count", "2",
+                     "--eval-count", "2", "--scale-layer", "fc", "--scale-factor", "1e300",
+                     "--out-dir", str(tmp_path / "p")])
+        assert code == 3
+        assert "makes its weights non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
