@@ -5,13 +5,13 @@ a kernel table that both precisions share; the precisions differ only in the
 operands they hand the entry and in how they finish its output. FP32 nodes
 pass their float32 arrays, apply a fused ReLU through kernel_relu and keep
 the float32 result. int8 Conv2d, DepthwiseConv2d and Gemm (a 1x1 conv) pass
-the input codes offset by their zero point and the int8 weight cast to
-float64, with the bias in accumulator units round(b / (s_in * s_w)), and
-scale the accumulator by s_in * s_w. That float64 accumulation is exact
-integer arithmetic: offset inputs lie in [-255, 255] and weights in
-[-127, 127], so every partial sum is an integer of magnitude at most
-255 * 127 * K < 2**53 for K up to MAX_EXACT_K multiply-adds per output. The
-other int8 kinds pass dequantized float64 operands. Every int8 input,
+the input codes offset by their zero point and the int8 weight, in float32
+for K <= MAX_F32_K multiply-adds per output and in float64 up to MAX_EXACT_K.
+Offset inputs lie in [-255, 255] and weights in [-127, 127], so every partial
+sum is an integer of magnitude at most 255 * 127 * K < 2**24 or 2**53: exact
+in any summation order. The accumulator is widened to float64, takes the
+bias in accumulator units round(b / (s_in * s_w)) and is scaled by s_in * s_w.
+The other int8 kinds pass dequantized float64 operands. Every int8 input,
 Dequantize's included, is read with the qparams its codes carry; a node
 records only the qparams of the codes it writes (`out_qparams` on int8
 nodes and Quantize). Every int8 output is requantized once,
@@ -35,11 +35,11 @@ ACTIVATION_BUDGET_BYTES. `batch_size` walks the plan over the
 inferred shapes and charges an image, at each step, the values live there at
 their working width (4 bytes for FP32 outputs, 8 for int8 and Quantize
 outputs, which are computed in float64), the captured outputs held so far as
-float32, and the step's scratch: window columns and a padded copy for
-Conv2d, DepthwiseConv2d, MaxPool and AvgPool, and an int8 node's float64
-input copies. An image costs its largest step. The executor counts
-image-passes (a pass adds its batch size) so callers can verify how many
-inferences an analysis actually performed.
+float32, and the step's scratch in the dtype of the node's kernel: window
+columns and a padded copy for Conv2d, DepthwiseConv2d, MaxPool and AvgPool,
+and an int8 node's input copies. An image costs its largest step. The
+executor counts image-passes (a pass adds its batch size) so callers can
+verify how many inferences an analysis actually performed.
 """
 
 from __future__ import annotations
@@ -62,16 +62,17 @@ from .ir import (QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Te
                  _conv_out_hw, _pair, _topo_order, _wiring, infer_shapes, round_half_away)
 from .quantizer import _requantize, dequantize, quantize_affine
 
-# Largest multiply-add count per output for which float64 accumulation of
-# offset int8 activations and int8 weights stays exact.
+# Largest multiply-add counts per output for which float64 and float32
+# accumulation of offset int8 activations and int8 weights stay exact.
 MAX_EXACT_K = (2 ** 53 - 1) // (255 * 127)
+MAX_F32_K = (2 ** 24 - 1) // (255 * 127)
 
 # Bytes one batched pass may hold at its peak, as batch_size counts them.
 ACTIVATION_BUDGET_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# kernels: float32 operands for FP32 nodes, float64 for int8 nodes
+# kernels: float32 operands for FP32 nodes and most int8 weighted ones, else float64
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding, fill=0):
     """Columns (n, c*kh*kw, oh*ow) of the input padded with `fill`, channel-major."""
@@ -240,15 +241,22 @@ def _captured(graph: Graph, capture: bool | Iterable[str]) -> set[str]:
     return set(capture or ())
 
 
+def _operand_dtype(node: Node):
+    """The dtype a node's kernel runs in: float32, except float64 for int8
+    nodes that are not weighted or whose K passes MAX_F32_K."""
+    k = node.weights["weight"].data[0].size if node.kind in WEIGHTED_KINDS else math.inf
+    return np.float64 if node.precision == 8 and k > MAX_F32_K else np.float32
+
+
 def _width(node: Node) -> int:
     """Bytes per element of a node's output while it is live: int8 nodes and
-    Quantize compute it in float64."""
+    Quantize requantize it from float64."""
     return 8 if node.precision == 8 or node.kind == "Quantize" else 4
 
 
 def _scratch(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
-    """Elements a node allocates only while it runs: the window columns and
-    the padded copy of a windowed kind, and an int8 node's float64 inputs."""
+    """Bytes a node allocates only while it runs, in its kernel's dtype: a
+    windowed kind's columns and padded copy, and an int8 node's input copies."""
     elems = 0
     if node.kind in ("Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"):
         _, c, h, w = shapes[node.inputs[0]]
@@ -258,7 +266,7 @@ def _scratch(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
         elems += c * kh * kw * math.prod(shapes[node.id][2:]) + c * (h + 2 * ph) * (w + 2 * pw)
     if node.precision == 8:
         elems += sum(math.prod(shapes[s]) for s in node.inputs)
-    return elems
+    return elems * np.dtype(_operand_dtype(node)).itemsize
 
 
 def batch_size(graph: Graph, capture: bool | Iterable[str] = False) -> int:
@@ -274,7 +282,7 @@ def batch_size(graph: Graph, capture: bool | Iterable[str] = False) -> int:
         width, size, captured = _width(node), math.prod(shapes[nid]), nid in wanted
         held += 4 * size if captured else 0
         live[nid] = 0 if captured and width == 4 else width * size
-        per_image = max(per_image, sum(live.values()) + held + width * _scratch(node, shapes))
+        per_image = max(per_image, sum(live.values()) + held + _scratch(node, shapes))
         for s in last_reads:
             del live[s]
     return max(1, ACTIVATION_BUDGET_BYTES // per_image)
@@ -374,11 +382,14 @@ class Executor:
             raise InvariantViolation(f"{node.id}: {wt.data[0].size} multiply-adds per output exceed "
                                      f"the exact float64 accumulation bound {MAX_EXACT_K}")
         scale = in_qp.step * wt.qparams.step
-        w = {"weight": wt.data.astype(np.float64)}
-        if "bias" in node.weights:  # in accumulator units
-            w["bias"] = round_half_away(node.weights["bias"].data.astype(np.float64) / scale)
         # offset before padding, so that zero padding stays exact; the offset
         # copy dies with the call
-        acc = _KERNELS[kind](node, [np.subtract(ins[0].data, in_qp.zero_point, dtype=np.float64)], w)
+        acc = _KERNELS[kind](node, [np.subtract(ins[0].data, in_qp.zero_point, dtype=_operand_dtype(node))],
+                             {"weight": wt.data.astype(_operand_dtype(node))})
+        if "bias" in node.weights:  # in accumulator units, which may pass 2**24: added once widened
+            bias = round_half_away(node.weights["bias"].data.astype(np.float64) / scale)
+            acc = np.add(acc, bias.reshape((-1,) + (1,) * (acc.ndim - 2)), dtype=np.float64)
+        else:
+            acc = acc.astype(np.float64, copy=False)
         acc *= scale
         return _requantize(acc, node.attrs["out_qparams"], relu)

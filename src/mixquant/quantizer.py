@@ -46,18 +46,14 @@ def quantize_affine(x, qp: QuantParams) -> Tensor:
 def _requantize(real: np.ndarray, qp: QuantParams, clamp_at_zero: bool = False) -> Tensor:
     """clamp(round_half_away(real / step) + zero_point), clamped below at the
     zero point under a fused ReLU. The rounding runs in place on the one fresh
-    float64 quotient, so the operand is left alone and no other temporary
-    than the sign is made."""
+    float64 quotient as trunc(q + copysign(0.5, q)), which equals
+    sign(q) * floor(|q| + 0.5) exactly, so the operand is left alone."""
     q = np.divide(real, qp.step, dtype=np.float64)
-    sign = np.sign(q)
-    np.abs(q, out=q)
-    q += 0.5
-    np.floor(q, out=q)
-    q *= sign
+    q += np.copysign(0.5, q)
+    np.trunc(q, out=q)
     q += qp.zero_point
-    if clamp_at_zero:
-        np.maximum(q, qp.zero_point, out=q)
-    return Tensor(np.clip(q, qp.qmin, qp.qmax, out=q).astype(np.int8), qp)
+    lo = max(qp.qmin, qp.zero_point) if clamp_at_zero else qp.qmin
+    return Tensor(np.clip(q, lo, qp.qmax, out=q).astype(np.int8), qp)
 
 
 def dequantize(q: Tensor) -> Tensor:

@@ -166,6 +166,18 @@ def corruptible_runs(tmp_path_factory):
     return runs
 
 
+def test_python_m_mixquant_help(tmp_path):
+    """`python -m mixquant` runs the CLI from a source tree, without an install."""
+    import os
+    import subprocess
+    import sys
+    env = {**os.environ, "PYTHONPATH": str(Path(mq.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "mixquant", "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: mixquant") and "calibrate" in done.stdout
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as err:

@@ -10,6 +10,7 @@ from mixquant.errors import (InvariantViolation, MissingQuantParams, NonPositive
                              UnsupportedKind)
 from mixquant.executor import (
     MAX_EXACT_K,
+    MAX_F32_K,
     Executor,
     kernel_avgpool,
     kernel_batchnorm,
@@ -394,24 +395,111 @@ def int8_linear_cases(draw):
     return kind, xq, in_qp, wq, draw(steps), bias, stride, padding, out_qp, draw(st.booleans())
 
 
+def int8_linear_graph(kind, xq, in_qp, wq, w_step, bias, stride, padding, out_qp, fused_relu):
+    weights = {"weight": Tensor(wq, QuantParams(w_step, 0, symmetric=True))}
+    if bias is not None:
+        weights["bias"] = Tensor(bias)
+    g = Graph("int8")
+    g.add(Node("input", "Input", attrs={"shape": list(xq.shape[1:])}))
+    g.add(Node("op", kind, ["input"], weights=weights, precision=8,
+               attrs={"stride": stride, "padding": padding, "fused_relu": fused_relu,
+                      "out_qparams": out_qp}))
+    g.add(Node("output", "Output", ["op"]))
+    return g
+
+
+@st.composite
+def worst_case_near_f32_bound(draw):
+    """Gemm or Conv2d with K in [515, 521], every input offset by +255 or by
+    -255 and weights +-127, mostly of one sign per filter. With power-of-two
+    steps, a bias of minus the full-window accumulator plus a small delta
+    leaves output codes that read the accumulator's last units, which a
+    float32 sum past 2**24 would round."""
+    kind = draw(st.sampled_from(["Gemm", "Conv2d"]))
+    k = draw(st.integers(515, 521))
+    code, zp = draw(st.sampled_from([(-128, 127), (127, -128)]))
+    co = draw(st.integers(1, 2))
+    if kind == "Gemm":
+        x_shape, w_shape, padding = (draw(st.integers(1, 2)), k), (co, k), 0
+    else:
+        kh, kw = draw(st.sampled_from([(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if k % (a * b) == 0]))
+        padding = draw(st.integers(0, 1))
+        h = draw(st.integers(max(1, kh - 2 * padding), max(1, kh - 2 * padding) + 1))
+        w = draw(st.integers(max(1, kw - 2 * padding), max(1, kw - 2 * padding) + 1))
+        x_shape, w_shape = (1, k // (kh * kw), h, w), (co, k // (kh * kw), kh, kw)
+    wq = np.empty((co, k), np.int8)
+    for o in range(co):
+        wq[o] = draw(st.sampled_from([-127, 127]))
+        wq[o, draw(st.lists(st.integers(0, k - 1), max_size=2))] *= -1
+    in_step, w_step = 2.0 ** -draw(st.integers(0, 8)), 2.0 ** -draw(st.integers(0, 8))
+    bias = None
+    if draw(st.integers(0, 3)):
+        full = (code - zp) * wq.astype(np.int64).sum(axis=1)
+        bias = ((draw(st.integers(-100, 100)) - full) * in_step * w_step).astype(np.float32)
+    out_qp = QuantParams(in_step * w_step, draw(st.integers(-27, 27)))
+    return (kind, np.full(x_shape, code, np.int8), QuantParams(in_step, zp), wq.reshape(w_shape), w_step,
+            bias, 1, padding, out_qp, draw(st.booleans()))
+
+
 class TestExactInt8Accumulation:
     @given(int8_linear_cases())
     @settings(max_examples=150, deadline=None)
     def test_int8_linear_matches_int64_loop_oracle(self, case):
-        kind, xq, in_qp, wq, w_step, bias, stride, padding, out_qp, fused_relu = case
-        weights = {"weight": Tensor(wq, QuantParams(w_step, 0, symmetric=True))}
-        if bias is not None:
-            weights["bias"] = Tensor(bias)
-        g = Graph("int8")
-        g.add(Node("input", "Input", attrs={"shape": list(xq.shape[1:])}))
-        g.add(Node("op", kind, ["input"], weights=weights, precision=8,
-                   attrs={"stride": stride, "padding": padding, "fused_relu": fused_relu,
-                          "out_qparams": out_qp}))
-        g.add(Node("output", "Output", ["op"]))
-        y, _ = Executor().run_quantized(g, Tensor(xq, in_qp))
-        want = int_linear_oracle(kind, xq, in_qp, wq, w_step, bias, stride, padding, out_qp, fused_relu)
+        y, _ = Executor().run_quantized(int8_linear_graph(*case), Tensor(case[1], case[2]))
         assert y.dtype == "i8"
+        np.testing.assert_array_equal(y.data, int_linear_oracle(*case))
+
+    @given(worst_case_near_f32_bound())
+    @settings(max_examples=60, deadline=None)
+    def test_worst_case_operands_at_the_float32_bound(self, case):
+        y, _ = Executor().run_quantized(int8_linear_graph(*case), Tensor(case[1], case[2]))
+        np.testing.assert_array_equal(y.data, int_linear_oracle(*case))
+
+    @pytest.mark.parametrize("kind", ["Gemm", "Conv2d"])
+    @pytest.mark.parametrize("k", [515, 517])
+    def test_bias_past_2_24_is_added_in_float64(self, kind, k):
+        """A float32-exact accumulator (odd, below 2**24) plus a bias that
+        takes the sum past 2**24, to one unit under a rounding boundary: a
+        float32 add would round the sum up onto the boundary and the code
+        away from it."""
+        in_qp, w_step = QuantParams(2.0 ** -4, -128), 2.0 ** -6
+        scale = in_qp.step * w_step
+        acc = 255 * 127 * k
+        total = 301 * 2 ** 16 - 1
+        assert acc % 2 == 1 and acc < 2 ** 24 < total
+        x_shape, w_shape = ((1, k), (1, k)) if kind == "Gemm" else ((1, k, 1, 1), (1, k, 1, 1))
+        xq, wq = np.full(x_shape, 127, np.int8), np.full(w_shape, 127, np.int8)
+        case = (kind, xq, in_qp, wq, w_step, np.array([(total - acc) * scale], np.float32), 1, 0,
+                QuantParams(scale * 2 ** 17, -128), False)
+        y, _ = Executor().run_quantized(int8_linear_graph(*case), Tensor(xq, in_qp))
+        want = int_linear_oracle(*case)
+        assert want.ravel()[0] == 150 - 128
         np.testing.assert_array_equal(y.data, want)
+
+    def test_float32_bound(self):
+        assert MAX_F32_K == 518
+        assert 255 * 127 * MAX_F32_K < 2 ** 24 <= 255 * 127 * (MAX_F32_K + 1)
+
+    @pytest.mark.parametrize("kind", ["Gemm", "Conv2d"])
+    def test_operands_are_float32_up_to_the_bound(self, monkeypatch, kind):
+        """The kernel sees float32 operands at K = MAX_F32_K and float64 one
+        past it."""
+        from mixquant import executor
+        seen = []
+        conv = executor.kernel_conv2d
+
+        def recording(x, weight, *args, **kwargs):
+            seen.append((x.dtype, weight.dtype))
+            return conv(x, weight, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "kernel_conv2d", recording)
+        qp = QuantParams(0.5, 3)
+        for k in (MAX_F32_K, MAX_F32_K + 1):
+            x_shape, w_shape = ((1, k), (2, k)) if kind == "Gemm" else ((1, k, 2, 2), (2, k, 1, 1))
+            xq = np.zeros(x_shape, np.int8)
+            g = int8_linear_graph(kind, xq, qp, np.ones(w_shape, np.int8), 0.5, None, 1, 0, qp, False)
+            Executor().run_quantized(g, Tensor(xq, qp))
+        assert seen == [(np.float32, np.float32), (np.float64, np.float64)]
 
     def test_accumulation_bound_guard(self):
         assert 255 * 127 * MAX_EXACT_K < 2 ** 53 <= 255 * 127 * (MAX_EXACT_K + 1)
@@ -539,8 +627,9 @@ class TestImageBatches:
         at 4 bytes, plus 9*16 window columns and a 6x6 padded copy at 4 bytes:
         64 + 128 + 720 = 912. All-int8: input 64, then Quantize 16 x 8 = 128,
         then the conv: its input 128 and output 32 x 8 = 256, plus columns,
-        padded copy and the float64 input copy (144 + 36 + 16) x 8 = 1568:
-        1952 bytes. A captured FP32 output counts once, as the trace's."""
+        padded copy and the offset input copy, float32 at K = 9:
+        (144 + 36 + 16) x 4 = 784; 1168 bytes. A captured FP32 output counts
+        once, as the trace's."""
         from mixquant import executor
 
         g = tiny_conv_graph()
@@ -548,7 +637,7 @@ class TestImageBatches:
         q = mq.apply_mixed_precision(g, [], calib)
         assert [n.kind for n in q.nodes if n.precision == 8] == ["Conv2d", "ReLU"]
         for graph, capture, per_image in ((g, False, 912), (g, ["conv"], 912), (g, True, 912),
-                                          (q, False, 1952)):
+                                          (q, False, 1168)):
             monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 3 * per_image + per_image - 1)
             assert executor.batch_size(graph, capture) == 3, (capture, per_image)
             monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 4 * per_image)
@@ -597,9 +686,9 @@ def caller_passes(graph):
 
 # images per pass of each caller at the 1 MiB budget, min over its passes
 BATCH_TABLE = {
-    "mininet": {"evaluate": 2, "calibrate": 2, "analyze": 1, "reference": 4},
+    "mininet": {"evaluate": 3, "calibrate": 2, "analyze": 2, "reference": 4},
     "mini_resnet": {"evaluate": 7, "calibrate": 9, "analyze": 5, "reference": 18},
-    "mini_mobilenet": {"evaluate": 2, "calibrate": 3, "analyze": 2, "reference": 5},
+    "mini_mobilenet": {"evaluate": 4, "calibrate": 3, "analyze": 3, "reference": 5},
 }
 
 

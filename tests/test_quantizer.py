@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mixquant as mq
@@ -12,6 +12,7 @@ from mixquant.errors import AlreadyQuantized, MissingCalibration, UnknownNodeInL
 from mixquant.ir import Graph, Node, QuantParams, Tensor
 from mixquant.model_io import Lcg
 from mixquant.quantizer import (
+    _requantize,
     count_qdq,
     expand_to_groups,
     load_node_list,
@@ -87,6 +88,44 @@ class TestQuantizeDequantize:
         x = np.clip(x, lo, hi).astype(np.float32)
         back = mq.dequantize(mq.quantize_affine(x, qp)).data.astype(np.float64)
         assert np.abs(back - x).max() <= step / 2 * (1 + 1e-6) + 1e-12
+
+
+def requantize_oracle(real, qp, relu):
+    """sign(q) * floor(|q| + 0.5) + zp, raised to zp under a fused ReLU, then
+    clipped: the requantization formula as first written."""
+    q = np.asarray(real, np.float64) / qp.step
+    q = np.sign(q) * np.floor(np.abs(q) + 0.5) + qp.zero_point
+    if relu:
+        q = np.maximum(q, qp.zero_point)
+    return np.clip(q, qp.qmin, qp.qmax).astype(np.int8)
+
+
+requant_qparams = st.builds(
+    QuantParams, st.sampled_from([2.0 ** e for e in range(-12, 4)]) | st.floats(1e-6, 1e3),
+    st.sampled_from([-128, 0, 127]) | st.integers(-128, 127)) | st.builds(
+    lambda step: QuantParams(step, 0, symmetric=True), st.floats(1e-6, 1e3))
+
+
+class TestRequantize:
+    @given(requant_qparams, st.lists(st.integers(-300, 300), min_size=1, max_size=24),
+           st.lists(st.floats(-1e4, 1e4), max_size=16), st.booleans())
+    @example(QuantParams(0.5, -128), [-3, 0, 2], [], True)
+    @example(QuantParams(0.5, 127), [-3, 0, 2], [], True)
+    @example(QuantParams(2.0 ** -4, 0, symmetric=True), [-1, 0], [], False)
+    @settings(max_examples=300, deadline=None)
+    def test_codes_equal_sign_floor_formula(self, qp, halves, others, relu):
+        """Exact halves of the step and their float neighbours, +-0, +-1e300
+        and arbitrary values requantize to the formula's codes, with and
+        without a fused ReLU, whatever the zero point."""
+        half = (np.asarray(halves, np.float64) + 0.5) * qp.step
+        real = np.concatenate([half, np.nextafter(half, np.inf), np.nextafter(half, -np.inf),
+                               [0.0, -0.0, 1e300, -1e300], others])
+        with np.errstate(over="ignore"):  # +-1e300 become +-inf in float32
+            narrow = real.astype(np.float32)
+        for x in (real, narrow):
+            got = _requantize(x, qp, relu)
+            assert got.qparams == qp
+            np.testing.assert_array_equal(got.data, requantize_oracle(x, qp, relu))
 
 
 class TestApplyMixedPrecision:
