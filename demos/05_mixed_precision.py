@@ -10,7 +10,6 @@ writes has no redundant adapter pair to clean up.
 import numpy as np
 
 import mixquant as mq
-from mixquant.cli import final_logit_sqnr
 from mixquant.quantizer import expand_to_groups
 
 graph = mq.gen_synthetic("mininet", seed=42)
@@ -35,7 +34,9 @@ ref, _ = ex.run_fp32(graph, x)
 got, _ = ex.run_quantized(qg, x)
 print("\nfp32 probabilities :", np.round(ref.data, 4))
 print("int8 probabilities :", np.round(got.data, 4))
-print("final-logit SQNR   : %.1f dB" % final_logit_sqnr(qg, graph, images[:8]))
+ref_logits = mq.reference_pass(graph, images[:8]).logits
+print("final-logit SQNR   : %.1f dB"
+      % mq.mean_logit_sqnr(ref_logits, mq.reference_pass(qg, images[:8]).logits))
 
 # precision config file, as emitted next to every quantized model
 config = mq.precision_config(qg)

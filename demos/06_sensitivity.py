@@ -35,6 +35,6 @@ for method in ("in_order", "weight_sqnr"):
     baseline = mq.baseline_order(graph, method)
     print(f"{method:12s} head:", baseline.ids[:4])
 
-labels = mq.teacher_labels(graph, images)
+labels = mq.reference_pass(graph, images).preds
 top1 = mq.baseline_order(graph, "top1", images=images, labels=labels, calib=calib, top1_budget=8)
 print(f"{'top1':12s} head:", top1.ids[:4], "(costs one sweep per layer)")

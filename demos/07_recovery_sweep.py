@@ -10,7 +10,7 @@ import csv
 from pathlib import Path
 
 import mixquant as mq
-from mixquant.bops import bops, macs_by_node
+from mixquant.bops import bops
 from mixquant.fusion import lower_to_stage
 from mixquant.model_io import scale_node_weights
 from mixquant.quantizer import precision_config, select_dequant_set
@@ -19,7 +19,7 @@ graph = scale_node_weights(mq.gen_synthetic("mininet", 42), "fc", 50.0, stride=6
 calib_images = mq.gen_images(32, (3, 16, 16), seed=7)
 eval_images = mq.gen_images(128, (3, 16, 16), seed=9)
 calib = mq.profile_activations(graph, calib_images)
-labels = mq.teacher_labels(graph, eval_images)
+labels = mq.reference_pass(graph, eval_images).preds
 
 ours, _ = mq.generate_sensitivity_list(graph, calib, calib_images)
 orders = {
@@ -29,17 +29,16 @@ orders = {
 }
 
 staged = lower_to_stage(graph, "fused")
-macs = macs_by_node(staged)
 targets = [0.0, 20.0, 40.0, 60.0, 80.0, 100.0]
 rows = []
 print(f"{'method':12s} " + " ".join(f"@{t:>3.0f}%" for t in targets))
 for name, sens in orders.items():
     accs = []
     for target in targets:
-        keep = select_dequant_set(sens, staged, target, macs=macs)
+        keep = select_dequant_set(sens, staged, target)
         qg = mq.apply_mixed_precision(staged, keep, calib)
         acc = mq.evaluate_accuracy(qg, eval_images, labels)
-        reached = bops(qg, precision_config(qg), macs=macs_by_node(qg)).normalized_reduction_pct
+        reached = bops(qg, precision_config(qg)).normalized_reduction_pct
         accs.append(acc)
         rows.append({"method": name, "target_pct": target,
                      "normalized_reduction_pct": round(reached, 2),

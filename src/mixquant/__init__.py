@@ -33,8 +33,9 @@ from .sensitivity import (
     baseline_order,
     evaluate_accuracy,
     generate_sensitivity_list,
+    mean_logit_sqnr,
     rank_layers_by_sensitivity,
-    teacher_labels,
+    reference_pass,
 )
 
 __version__ = "0.1.0"

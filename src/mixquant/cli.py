@@ -22,15 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import model_io
-from .bops import bops, macs_by_node
+from .bops import bops
 from .calibration import CalibrationProfile, profile_activations
-from .errors import (CorruptBlob, InvalidAttribute, InvariantViolation, MissingLabels,
-                     MixQuantError, NonFiniteValue, ProvenanceMismatch, UnknownNode,
-                     UnknownNodeInList)
+from .errors import (CorruptBlob, InvalidAttribute, InvariantViolation, MixQuantError,
+                     NonFiniteValue, ProvenanceMismatch, UnknownNode, UnknownNodeInList)
 from .executor import Executor
 from .fusion import STAGES, discover_fusion_groups, lower_to_stage
 from .ir import Graph
-from .metrics import sqnr
 from .quantizer import (
     apply_mixed_precision,
     count_qdq,
@@ -43,12 +41,12 @@ from .sensitivity import (
     DEFAULT_MIXUP,
     Reference,
     SensitivityList,
-    _predictions,
     baseline_order,
     generate_sensitivity_list,
-    logits_node_id,
+    mean_logit_sqnr,
     reference_pass,
     save_metrics_csv,
+    top1_accuracy,
 )
 
 METHODS = {"delta-mixup": "delta_mixup", "in-order": "in_order",
@@ -123,24 +121,6 @@ def load_reference(path, digests: dict[str, str], count: int) -> Reference | Non
     return ref
 
 
-def _quantized_pass(q_graph: Graph, ref: Reference, images: np.ndarray, ex: Executor):
-    """One quantized pass per image, capturing only the logits: each image's
-    argmax and the mean logit SQNR against `ref`, summed image by image."""
-    node = ref.node if ref.node in q_graph else logits_node_id(q_graph)
-    preds, logits = _predictions(ex.run_quantized, q_graph, images, node)
-    total = 0.0
-    for j in range(images.shape[0]):
-        total += sqnr(ref.logits[j:j + 1], logits[j:j + 1])
-    return preds, total / images.shape[0]
-
-
-def final_logit_sqnr(q_graph: Graph, ref_graph: Graph, images: np.ndarray,
-                     executor: Executor | None = None) -> float:
-    """Mean SQNR of the quantized model's logits against FP32, over images."""
-    ex = executor or Executor()
-    return _quantized_pass(q_graph, reference_pass(ref_graph, images, ex), images, ex)[1]
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -192,8 +172,7 @@ def cmd_analyze(args) -> int:
     if method == "delta_mixup":
         images = model_io.load_images(_require(args.images, "synth"))
         sens, samples = generate_sensitivity_list(
-            graph, calib, images, mixup=args.mixup_weights, ir_stage=args.ir_stage,
-            diagnostics=bool(args.out_metrics))
+            graph, calib, images, mixup=args.mixup_weights, diagnostics=bool(args.out_metrics))
         if args.out_metrics:
             save_metrics_csv(samples, args.out_metrics)
     else:
@@ -203,7 +182,7 @@ def cmd_analyze(args) -> int:
             labels = model_io.load_labels(_require(args.labels, "synth"))
         sens = baseline_order(graph, method, images=images, labels=labels, calib=calib,
                               top1_budget=args.top1_images)
-        sens.ir_stage = args.ir_stage
+    sens.ir_stage = args.ir_stage
     if method in ("delta_mixup", "top1"):  # the orderings that read the profile
         sens.calib_digest = _sha256(args.calib)
     sens.model_digest = digest
@@ -229,9 +208,8 @@ def cmd_quantize(args) -> int:
         raise UnknownNodeInList(
             f"{args.list} names no member of {len(uncovered)} fusion groups of the model "
             f"({', '.join(uncovered)}); was it made for another model?")
-    macs = macs_by_node(staged)
     for target in args.target_reduction:
-        keep = select_dequant_set(sens, staged, target, macs=macs)
+        keep = select_dequant_set(sens, staged, target)
         qg = apply_mixed_precision(staged, keep, calib)
         tdir = Path(args.out_dir) / f"q{target:g}"
         model_io.save_model(qg, tdir / "model")
@@ -278,18 +256,17 @@ def cmd_evaluate(args) -> int:
 def evaluate_model(qg: Graph, ref: Reference, images: np.ndarray, labels,
                    executor: Executor | None = None) -> dict:
     """Accuracy of both models and the quantized model's logit SQNR, from the
-    FP32 reference outputs and one quantized pass per image."""
+    FP32 reference outputs and one pass of `qg` per image; a label count that
+    differs from the reference's image count fails before the pass."""
     labels = list(labels)
-    if images.shape[0] != len(labels):
-        raise MissingLabels(f"{images.shape[0]} images but {len(labels)} labels")
-    preds, db = _quantized_pass(qg, ref, images, executor or Executor())
-    report = bops(qg, precision_config(qg))
+    ref_accuracy = top1_accuracy(ref.preds, labels)
+    got = reference_pass(qg, images, executor)
     return {
-        "accuracy": sum(int(p == label) for p, label in zip(preds, labels)) / images.shape[0],
-        "ref_accuracy": sum(int(p == label) for p, label in zip(ref.preds, labels)) / images.shape[0],
-        "final_logit_sqnr_db": db,
+        "accuracy": top1_accuracy(got.preds, labels),
+        "ref_accuracy": ref_accuracy,
+        "final_logit_sqnr_db": mean_logit_sqnr(ref.logits, got.logits),
         "qdq_count": count_qdq(qg),
-        "bops": report.to_json(),
+        "bops": bops(qg, precision_config(qg)).to_json(),
     }
 
 

@@ -442,6 +442,8 @@ def load_images(path) -> np.ndarray:
     if len(raw) < 16:
         raise CorruptBlob(f"image file {path} too short for header")
     count, c, h, w = struct.unpack("<4I", raw[:16])
+    if count == 0:
+        raise EmptyImageBatch(f"image file {path} holds no images")
     expected = 16 + 4 * count * c * h * w
     if len(raw) != expected:
         raise CorruptBlob(f"image file {path} has {len(raw)} bytes, header implies {expected}")

@@ -145,15 +145,15 @@ def precision_config(graph: Graph) -> dict[str, int]:
     return {n.id: n.precision for n in graph.nodes if n.kind in QUANTIZABLE_KINDS}
 
 
-def select_dequant_set(sens_list, graph: Graph, target_reduction_pct: float,
-                       macs: dict[str, int] | None = None) -> list[str]:
+def select_dequant_set(sens_list, graph: Graph, target_reduction_pct: float) -> list[str]:
     """Walk a sensitivity list head-first, moving whole fusion groups to 32
     bits until the normalized BOPs reduction first drops to the target.
 
     100 keeps everything int8 (empty list); 0 dequantizes every group.
     """
-    from .bops import bops  # local import: bops is pure accounting over ir
+    from .bops import bops, macs_by_node  # local import: bops is pure accounting over ir
 
+    macs = macs_by_node(graph)
     ids = list(getattr(sens_list, "ids", sens_list))
     member_of = {m: g for g in discover_fusion_groups(graph) for m in g.members}
     quantizable = [n.id for n in graph.nodes if n.kind in QUANTIZABLE_KINDS]

@@ -146,8 +146,7 @@ def _group_adjusted(graph: Graph, ranked: list[str]) -> list[str]:
 
 def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: np.ndarray,
                               mixup: tuple[float, float] = DEFAULT_MIXUP,
-                              executor: Executor | None = None,
-                              ir_stage: str = "unfused", diagnostics: bool = False,
+                              executor: Executor | None = None, diagnostics: bool = False,
                               ) -> tuple[SensitivityList, list[MetricSample]]:
     """Two-inference sensitivity analysis over the whole model.
 
@@ -155,7 +154,8 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
     layer count: one FP32 and one fully-int8 pass per image. The ranking reads
     only SQNR and MSE; activation cosine and KL, which only metrics.csv shows,
     are computed when `diagnostics` is set and stay None otherwise. The list's
-    calib_digest is left for the caller, who knows the profile's file.
+    calib_digest and ir_stage are left for the caller, who knows the profile's
+    file and the graph's stage.
     """
     if images.ndim != 4 or images.shape[0] < 1:
         raise EmptyImageBatch("sensitivity analysis needs at least one image")
@@ -214,7 +214,7 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
         mixup=mixup,
     )
     ids = _group_adjusted(graph, ranked)
-    sens = SensitivityList(ids, method="delta_mixup", ir_stage=ir_stage, mixup=mixup)
+    sens = SensitivityList(ids, method="delta_mixup", mixup=mixup)
     return sens, samples
 
 
@@ -250,30 +250,19 @@ def baseline_order(graph: Graph, method: str, images: np.ndarray | None = None,
         ex = executor or Executor()
         images = images[:top1_budget]
         labels = list(labels)[:images.shape[0]]
-        base_acc = evaluate_accuracy(graph, images, labels, ex, quantized=False)
+        base_acc = evaluate_accuracy(graph, images, labels, ex)
         all_q = quantizable_in_topo_order(graph)
         drops = []
         for idx, g in enumerate(groups):
             keep = [nid for nid in all_q if nid not in set(g.members)]
             qg = apply_mixed_precision(graph, keep, calib)
-            acc = evaluate_accuracy(qg, images, labels, ex, quantized=True)
+            acc = evaluate_accuracy(qg, images, labels, ex)
             drops.append((base_acc - acc, idx))
         ranked = sorted(range(len(groups)), key=lambda i: (-drops[i][0], i))
         ids = [m for i in ranked for m in groups[i].members]
         return SensitivityList(ids, method="top1")
 
     raise ValueError(f"unknown baseline method {method!r}")
-
-
-def evaluate_accuracy(graph: Graph, images: np.ndarray, labels, executor: Executor | None = None,
-                      quantized: bool = True) -> float:
-    """Top-1 accuracy of the graph's argmax against the given labels."""
-    ex = executor or Executor()
-    labels = list(labels)
-    if images.shape[0] != len(labels):
-        raise MissingLabels(f"{images.shape[0]} images but {len(labels)} labels")
-    preds, _ = _predictions(ex.run_quantized if quantized else ex.run_fp32, graph, images)
-    return sum(int(p == label) for p, label in zip(preds, labels)) / images.shape[0]
 
 
 def logits_node_id(graph: Graph) -> str:
@@ -293,27 +282,40 @@ class Reference(NamedTuple):
 
 
 def reference_pass(graph: Graph, images: np.ndarray, executor: Executor | None = None) -> Reference:
-    """One FP32 pass per image, capturing only the logits."""
+    """Any graph's outputs over `images`, one pass per image in batches that
+    capture only the logits: run_fp32 when every node is FP32, run_quantized
+    otherwise. Int8 scores reach Softmax through a Dequantize adapter, which
+    is then the logits node."""
+    ex = executor or Executor()
+    run = ex.run_fp32 if all(n.precision == 32 for n in graph.nodes) else ex.run_quantized
     node = logits_node_id(graph)
-    preds, logits = _predictions((executor or Executor()).run_fp32, graph, images, node)
-    return Reference(node, logits, preds)
-
-
-def teacher_labels(graph: Graph, images: np.ndarray, executor: Executor | None = None) -> list[int]:
-    """Argmax of the FP32 model's own outputs: the 100%-baseline labeling."""
-    return reference_pass(graph, images, executor).preds
-
-
-def _predictions(run, graph: Graph, images: np.ndarray, logits: str | None = None):
-    """Per-image argmax of the graph's output over batched passes of `run`,
-    and node `logits`'s float32 outputs, one row per image, when it is named."""
-    capture = [logits] if logits else []
     preds, rows = [], []
-    for batch in image_batches(images, (graph, capture)):
-        out, trace = run(graph, batch, capture=capture)
+    for batch in image_batches(images, (graph, [node])):
+        out, trace = run(graph, batch, capture=[node])
         preds.extend(int(k) for k in np.argmax(out.data.reshape(batch.shape[0], -1), axis=1))
-        rows.extend(t.data for t in trace.outputs.values())
-    return preds, np.concatenate(rows) if rows else None
+        rows.append(trace.outputs[node].data)
+    return Reference(node, np.concatenate(rows), preds)
+
+
+def top1_accuracy(preds: list[int], labels: list[int]) -> float:
+    """Share of images whose prediction equals their label."""
+    if len(preds) != len(labels):
+        raise MissingLabels(f"{len(preds)} images but {len(labels)} labels")
+    return sum(int(p == label) for p, label in zip(preds, labels)) / len(preds)
+
+
+def mean_logit_sqnr(ref_logits: np.ndarray, logits: np.ndarray) -> float:
+    """Mean over images of the SQNR of `logits` against `ref_logits`, one row
+    per image, summed left to right (`sum` compensates from Python 3.12)."""
+    total = 0.0
+    for j in range(ref_logits.shape[0]):
+        total += sqnr(ref_logits[j:j + 1], logits[j:j + 1])
+    return total / ref_logits.shape[0]
+
+
+def evaluate_accuracy(graph: Graph, images: np.ndarray, labels, executor: Executor | None = None) -> float:
+    """Top-1 accuracy of the graph's argmax against the given labels."""
+    return top1_accuracy(reference_pass(graph, images, executor).preds, list(labels))
 
 
 CSV_COLUMNS = ["id", "layer_index", "weight_sqnr", "act_sqnr", "weight_delta",

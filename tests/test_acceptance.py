@@ -14,7 +14,7 @@ import pytest
 import mixquant as mq
 from mixquant.bops import bops, macs_by_node
 from mixquant.calibration import activation_qparams, profile_activations, weight_qparams
-from mixquant.cli import final_logit_sqnr, main
+from mixquant.cli import main
 from mixquant.fusion import discover_fusion_groups, lower_to_stage
 from mixquant.ir import Graph, Node, Tensor
 from mixquant.metrics import cosine_similarity, mse, sqnr
@@ -24,8 +24,9 @@ from mixquant.sensitivity import (
     baseline_order,
     evaluate_accuracy,
     generate_sensitivity_list,
+    mean_logit_sqnr,
     rank_layers_by_sensitivity,
-    teacher_labels,
+    reference_pass,
 )
 
 from conftest import run_f32
@@ -44,7 +45,7 @@ def pathology_setup():
     calib_images = mq.gen_images(32, (3, 16, 16), 7)
     eval_images = mq.gen_images(128, (3, 16, 16), 9)
     calib = profile_activations(graph, calib_images)
-    labels = teacher_labels(graph, eval_images)
+    labels = reference_pass(graph, eval_images).preds
     return graph, calib, calib_images, eval_images, labels
 
 
@@ -229,13 +230,12 @@ def test_criterion_6_pathology_recovery(pathology_setup):
         "delta_mixup": ours,
     }
     staged = lower_to_stage(graph, "fused")
-    macs = macs_by_node(staged)
     targets = [20.0, 40.0, 60.0, 80.0]
     curves = {}
     for name, sens in orders.items():
         accs = []
         for target in targets:
-            keep = select_dequant_set(sens, staged, target, macs=macs)
+            keep = select_dequant_set(sens, staged, target)
             qg = mq.apply_mixed_precision(staged, keep, calib)
             accs.append(evaluate_accuracy(qg, eval_images, labels))
         curves[name] = accs
@@ -257,6 +257,7 @@ def test_criterion_7_delta_recovery_steps(pathology_setup):
     ours, _ = generate_sensitivity_list(graph, calib, calib_images)
     raw = baseline_order(graph, "weight_sqnr")
     member_of = {m: g for g in discover_fusion_groups(graph) for m in g.members}
+    ref_logits = reference_pass(graph, images).logits
 
     def curve(ids):
         anchors, seen = [], set()
@@ -268,7 +269,7 @@ def test_criterion_7_delta_recovery_steps(pathology_setup):
         values, keep = [], []
         for k in range(len(anchors) + 1):
             qg = mq.apply_mixed_precision(graph, keep, calib)
-            values.append(final_logit_sqnr(qg, graph, images))
+            values.append(mean_logit_sqnr(ref_logits, reference_pass(qg, images).logits))
             if k < len(anchors):
                 keep.extend(anchors[k].members)
         return values
@@ -320,7 +321,7 @@ def test_criterion_8_bops_accounting():
         order = sorted((n.id for n in graph.nodes if n.kind == "Conv2d"),
                        key=lambda nid: rng.uniform())
         target = float(rng.uniform(0, 100))
-        got = select_dequant_set(order, graph, target, macs=macs_g)
+        got = select_dequant_set(order, graph, target)
         want = helper.exhaustive_minimal_prefix(order, graph, target, macs_g)
         assert got == want, f"seed {seed}"
     report(8, "hand BOPs oracles exact (75/100, 25/33.3, 0/0); greedy frontier matches "

@@ -171,7 +171,7 @@ class TestGreedyFrontier:
             # shuffle deterministically
             order = sorted(order, key=lambda nid: rng.uniform())
             target = float(rng.uniform(0, 100))
-            got = select_dequant_set(order, g, target, macs=macs)
+            got = select_dequant_set(order, g, target)
             want = self.exhaustive_minimal_prefix(order, g, target, macs)
             assert got == want
 
@@ -180,7 +180,7 @@ class TestGreedyFrontier:
         sens = mq.baseline_order(mininet, "in_order")
         quantizable = [n.id for n in mininet.nodes if n.kind in mq.ir.QUANTIZABLE_KINDS]
         for target in (10.0, 30.0, 50.0, 70.0, 90.0):
-            keep = select_dequant_set(sens, mininet, target, macs=macs)
+            keep = select_dequant_set(sens, mininet, target)
             config = {nid: (32 if nid in keep else 8) for nid in quantizable}
             assert bops(mininet, config, macs=macs).normalized_reduction_pct <= target
             if keep:

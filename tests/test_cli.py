@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 import mixquant as mq
 from mixquant import executor
 from mixquant import cli, model_io, sensitivity
-from mixquant.cli import (METHODS, evaluate_model, final_logit_sqnr, load_reference, main,
-                          model_digest, reference_path, save_reference)
+from mixquant.cli import (METHODS, evaluate_model, load_reference, main, model_digest,
+                          reference_path, save_reference)
 from mixquant.errors import CorruptBlob, MissingLabels, NonFiniteValue
 from mixquant.fusion import discover_fusion_groups
 from mixquant.quantizer import load_node_list
-from mixquant.sensitivity import Reference, evaluate_accuracy, reference_pass
+from mixquant.sensitivity import Reference, evaluate_accuracy, mean_logit_sqnr, reference_pass
 
 from conftest import histogram_layout
 
@@ -325,13 +326,19 @@ class TestEvaluate:
         report = evaluate_model(qg, reference_pass(mininet, images, executor=ex), images, labels,
                                 executor=ex)
         assert ex.passes == 2 * images.shape[0]
-        assert report["accuracy"] == evaluate_accuracy(qg, images, labels, quantized=True)
-        assert report["ref_accuracy"] == evaluate_accuracy(mininet, images, labels, quantized=False)
-        assert report["final_logit_sqnr_db"] == final_logit_sqnr(qg, mininet, images)
+        assert report["accuracy"] == evaluate_accuracy(qg, images, labels)
+        assert report["ref_accuracy"] == evaluate_accuracy(mininet, images, labels)
+        assert report["final_logit_sqnr_db"] == mean_logit_sqnr(
+            reference_pass(mininet, images).logits, reference_pass(qg, images).logits)
 
-    def test_label_count_mismatch(self, mininet, eval_images):
+    def test_label_count_mismatch(self, mininet, mininet_calib, eval_images):
+        images = eval_images[:4]
+        ref = reference_pass(mininet, images)
+        qg = mq.apply_mixed_precision(mininet, ["b2_conv"], mininet_calib)
+        ex = mq.Executor()
         with pytest.raises(MissingLabels):
-            evaluate_model(mininet, mininet, eval_images[:4], [0, 1, 2])
+            evaluate_model(qg, ref, images, [0, 1, 2], executor=ex)
+        assert ex.passes == 0
 
 
 EVAL_COUNT = 4
@@ -457,6 +464,26 @@ class TestReferenceFile:
         error = NonFiniteValue if defect == "nan_logits" else CorruptBlob
         with pytest.raises(error):
             load_reference(path, digests, EVAL_COUNT)
+
+
+@pytest.mark.parametrize("command", ["calibrate", "analyze", "evaluate"])
+def test_empty_image_file_is_3(reference_runs, tmp_path, capsys, command):
+    """An image file whose header counts 0 images exits 3 in every command
+    that reads one, before any pass runs."""
+    d = reference_runs[1]
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(struct.pack("<4I", 0, 3, 16, 16))
+    (tmp_path / "labels.json").write_text("[]")
+    args = {
+        "calibrate": ["--model", d / "model", "--images", empty, "--out", tmp_path / "c.json"],
+        "analyze": ["--model", d / "model", "--calib", d / "calib.json", "--images", empty,
+                    "--out-list", tmp_path / "s.txt"],
+        "evaluate": ["--model", d / "q60/model", "--ref-model", d / "model", "--images", empty,
+                     "--labels", tmp_path / "labels.json", "--out", tmp_path / "r.json"],
+    }[command]
+    assert main([command, *map(str, args)]) == 3
+    assert "holds no images" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.bin", "labels.json"]
 
 
 class TestQuantizeListCoverage:

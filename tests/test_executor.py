@@ -290,9 +290,9 @@ class TestQuantizedExecution:
             assert err.max() <= qp.step / 2 + 1e-9
 
     def test_fully_int8_mininet_logit_sqnr(self, mininet, mininet_calib, calib_images):
-        from mixquant.cli import final_logit_sqnr
         qg = mq.apply_mixed_precision(mininet, [], mininet_calib)
-        assert final_logit_sqnr(qg, mininet, calib_images[:8]) > 10.0
+        ref, got = (mq.reference_pass(g, calib_images[:8]) for g in (mininet, qg))
+        assert mq.mean_logit_sqnr(ref.logits, got.logits) > 10.0
 
     def test_quantized_deterministic(self, mininet, mininet_calib, calib_images):
         qg = mq.apply_mixed_precision(mininet, [], mininet_calib)

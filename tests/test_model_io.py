@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -311,6 +312,11 @@ class TestImageIo:
     def test_gen_images_empty_rejected(self):
         with pytest.raises(EmptyImageBatch):
             mq.gen_images(0, (1, 2, 2), 5)
+
+    def test_zero_count_rejected(self, tmp_path):
+        (tmp_path / "images.bin").write_bytes(struct.pack("<4I", 0, 3, 16, 16))
+        with pytest.raises(EmptyImageBatch, match="holds no images"):
+            mq.load_images(tmp_path / "images.bin")
 
     def test_truncated_image_file(self, tmp_path):
         imgs = mq.gen_images(2, (1, 2, 2), 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from mixquant.sensitivity import (
     SensitivityList,
     baseline_order,
     generate_sensitivity_list,
+    mean_logit_sqnr,
     rank_layers_by_sensitivity,
+    reference_pass,
     save_metrics_csv,
-    teacher_labels,
+    top1_accuracy,
 )
 
 
@@ -188,7 +192,7 @@ class TestBaselines:
 
     def test_top1_pass_count_and_shape(self, mininet, mininet_calib):
         images = mq.gen_images(6, (3, 16, 16), 33)
-        labels = teacher_labels(mininet, images)
+        labels = reference_pass(mininet, images).preds
         groups = discover_fusion_groups(mininet)
         ex = mq.Executor()
         sens = baseline_order(mininet, "top1", images=images, labels=labels,
@@ -199,6 +203,73 @@ class TestBaselines:
     def test_unknown_method(self, mininet):
         with pytest.raises(ValueError):
             baseline_order(mininet, "hessian")
+
+
+class TestScoringPass:
+    """reference_pass scores any graph; top1_accuracy and mean_logit_sqnr
+    read its outputs."""
+
+    @staticmethod
+    def count_runs(monkeypatch):
+        calls = {"run_fp32": 0, "run_quantized": 0}
+        for name in calls:
+            original = getattr(mq.Executor, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(mq.Executor, name, counted)
+        return calls
+
+    def test_executor_method_follows_precision(self, mininet, mininet_calib, eval_images,
+                                               monkeypatch):
+        quantizable = [n.id for n in mininet.nodes if n.kind in mq.ir.QUANTIZABLE_KINDS]
+        graphs = {
+            "fp32": (mininet, "run_fp32"),
+            "mixed": (mq.apply_mixed_precision(mininet, ["b2_conv"], mininet_calib), "run_quantized"),
+            "all kept": (mq.apply_mixed_precision(mininet, quantizable, mininet_calib), "run_fp32"),
+        }
+        calls = self.count_runs(monkeypatch)
+        for name, (graph, method) in graphs.items():
+            calls.update(dict.fromkeys(calls, 0))
+            reference_pass(graph, eval_images[:4])
+            assert calls[method] >= 1, name
+            assert sum(calls.values()) == calls[method], name
+
+    @pytest.mark.parametrize("keep", [[], ["b2_conv"]])
+    def test_quantized_logits_are_the_dequantized_fc_codes(self, mininet, mininet_calib,
+                                                           eval_images, keep):
+        qg = mq.apply_mixed_precision(mininet, keep, mininet_calib)
+        images = eval_images[:5]
+        ref = reference_pass(qg, images)
+        out, trace = mq.Executor().run_quantized(qg, Tensor.f32(images), capture=["fc"])
+        assert qg.node("fc").precision == 8
+        assert qg.node(ref.node).kind == "Dequantize" and qg.node(ref.node).inputs == ["fc"]
+        assert ref.logits.dtype == np.float32
+        assert np.array_equal(ref.logits, trace.outputs["fc"].data)
+        assert ref.preds == [int(k) for k in np.argmax(out.data, axis=1)]
+
+    def test_fc_kept_at_fp32_is_the_logits_node(self, mininet, mininet_calib, eval_images):
+        qg = mq.apply_mixed_precision(mininet, ["fc"], mininet_calib)
+        assert reference_pass(qg, eval_images[:2]).node == "fc"
+
+    def test_logit_sqnr_sums_left_to_right(self):
+        rng = np.random.default_rng(0)
+        ref = rng.standard_normal((16, 10)).astype(np.float32)
+        noise = rng.standard_normal((16, 10)) * 10.0 ** rng.uniform(-4, 0, (16, 1))
+        got = (ref + noise).astype(np.float32)
+        per_image = [mq.sqnr(ref[j:j + 1], got[j:j + 1]) for j in range(16)]
+        total = 0.0
+        for value in per_image:
+            total += value
+        assert math.fsum(per_image) != total  # compensated summation would move the bits
+        assert mean_logit_sqnr(ref, got) == total / 16
+
+    def test_top1_accuracy(self):
+        assert top1_accuracy([1, 2, 3, 4], [1, 0, 3, 0]) == 0.5
+        with pytest.raises(MissingLabels):
+            top1_accuracy([1, 2, 3], [1, 2])
 
 
 class TestDualPathology:
