@@ -286,6 +286,8 @@ def reference_pass(graph: Graph, images: np.ndarray, executor: Executor | None =
     capture only the logits: run_fp32 when every node is FP32, run_quantized
     otherwise. Int8 scores reach Softmax through a Dequantize adapter, which
     is then the logits node."""
+    if images.ndim != 4 or images.shape[0] < 1:
+        raise EmptyImageBatch("a scoring pass needs at least one image")
     ex = executor or Executor()
     run = ex.run_fp32 if all(n.precision == 32 for n in graph.nodes) else ex.run_quantized
     node = logits_node_id(graph)

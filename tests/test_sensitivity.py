@@ -271,6 +271,18 @@ class TestScoringPass:
         with pytest.raises(MissingLabels):
             top1_accuracy([1, 2, 3], [1, 2])
 
+    def test_no_images_is_rejected_before_any_pass(self, mininet, mininet_calib, eval_images,
+                                                   monkeypatch):
+        calls = self.count_runs(monkeypatch)
+        empty = eval_images[:0]
+        assert empty.shape == (0, *eval_images.shape[1:])
+        for graph in (mininet, mq.apply_mixed_precision(mininet, ["b2_conv"], mininet_calib)):
+            with pytest.raises(EmptyImageBatch):
+                reference_pass(graph, empty)
+            with pytest.raises(EmptyImageBatch):
+                mq.evaluate_accuracy(graph, empty, [])
+        assert calls == {"run_fp32": 0, "run_quantized": 0}
+
 
 class TestDualPathology:
     def test_mse_mixup_beats_weight_only_ranking(self, calib_images):

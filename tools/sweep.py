@@ -1,11 +1,11 @@
 """Byte-identity sweep: run a fixed grid of pipeline commands and hash every
 file they write, so that two checkouts can be compared artifact by artifact.
 
-    python tools/sweep.py CHECKOUT OUT [--budget BYTES] [--arch ARCH ...]
+    python tools/sweep.py CHECKOUT OUT [--budget BYTES]
     cmp OUT_A/SHA256SUMS OUT_B/SHA256SUMS
 
 Everything runs in this one process through `mixquant.cli.main`, imported
-from CHECKOUT/src. For each arch (all three by default) and synth seed 3 and
+from CHECKOUT/src. For each of the three archs and synth seed 3 and
 106 (mininet 106 with `--scale-layer fc --scale-factor 50 --scale-stride 64`),
 with 16 calibration and 16 eval images:
 
@@ -59,7 +59,7 @@ def load_cli(checkout: Path, budget: int | None):
     return cli
 
 
-def sweep(cli, out: Path, archs) -> None:
+def sweep(cli, out: Path, archs=ARCHS) -> None:
     def run(*argv) -> None:
         argv = [str(a) for a in argv]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -118,13 +118,11 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path, help="directory to create for the artifacts")
     parser.add_argument("--budget", type=lambda s: int(float(s)), default=None,
                         help="activation budget in bytes (default: the checkout's)")
-    parser.add_argument("--arch", action="append", choices=ARCHS,
-                        help="sweep only this arch (repeatable; default: all three)")
     args = parser.parse_args(argv)
     if args.out.exists():
         parser.error(f"{args.out} exists; the sweep writes into a new directory")
     cli = load_cli(args.checkout, args.budget)
-    sweep(cli, args.out, args.arch or ARCHS)
+    sweep(cli, args.out)
     print(f"sweep: {write_sums(args.out)} files -> {args.out / 'SHA256SUMS'}")
     return 0
 
