@@ -7,6 +7,9 @@ tensor blobs). Round-trips are bit-exact.
 Synthetic models are generated from a fixed 64-bit linear congruential
 generator (Knuth's MMIX multiplier), not a library RNG, so the same
 (arch, seed) pair yields byte-identical weights on any platform forever.
+Array draws jump ahead in blocks of 4,096 states with one uint64
+multiply-add each (F. Brown, "Random Number Generation with Arbitrary
+Strides", 1994), and give the same stream as one `next_u64` call per value.
 """
 
 from __future__ import annotations
@@ -27,12 +30,35 @@ FORMAT_VERSION = 1
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
+_BLOCK = 4096
+
+
+def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A[j-1] = a^j and C[j-1] = c * (a^(j-1) + ... + 1) (mod 2^64) for
+    j = 1..n, so the j-th state after s is A[j-1] * s + C[j-1]. Built by
+    doubling: A_(m+j) = A_j * A_m, C_(m+j) = A_j * C_m + C_j."""
+    a = np.empty(n, dtype=np.uint64)
+    c = np.empty(n, dtype=np.uint64)
+    a[0], c[0] = _LCG_MUL, _LCG_INC
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        a[m:m + k] = a[:k] * a[m - 1]  # uint64 arrays wrap mod 2^64
+        c[m:m + k] = a[:k] * c[m - 1] + c[:k]
+        m += k
+    return a, c
+
+
+_JUMP_A, _JUMP_C = _jump_tables(_BLOCK)
 
 
 class Lcg:
     """64-bit LCG: state' = state * 6364136223846793005 + 1442695040888963407 (mod 2^64).
 
-    uniform() uses the top 53 bits, giving floats in [0, 1).
+    uniform() uses the top 53 bits, giving floats in [0, 1). An array draw
+    computes its states in blocks of up to 4,096 from the state before the
+    block by jump-ahead; values and end state equal those of one next_u64()
+    call per element.
     """
 
     def __init__(self, seed: int):
@@ -46,10 +72,18 @@ class Lcg:
         if size is None:
             return lo + (hi - lo) * ((self.next_u64() >> 11) / float(1 << 53))
         n = int(np.prod(size))
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = (self.next_u64() >> 11) / float(1 << 53)
-        return (lo + (hi - lo) * out).reshape(size)
+        states = np.empty(n, dtype=np.uint64)
+        for start in range(0, n, _BLOCK):
+            block = states[start:start + _BLOCK]
+            np.multiply(_JUMP_A[:block.size], np.uint64(self.state), out=block)
+            block += _JUMP_C[:block.size]
+            self.state = int(block[-1])
+        states >>= 11
+        out = states.astype(np.float64)
+        out /= float(1 << 53)
+        out *= hi - lo
+        out += lo
+        return out.reshape(size)
 
 
 # ---------------------------------------------------------------------------

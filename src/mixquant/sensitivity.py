@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import CalibrationProfile, weight_qparams
-from .errors import EmptyImageBatch, KeyMismatch, MissingLabels
+from .errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
 from .executor import Executor, image_batches
 from .fusion import discover_fusion_groups
 from .ir import Graph, QUANTIZABLE_KINDS, WEIGHTED_KINDS, topo_sort
@@ -303,12 +303,18 @@ def top1_accuracy(preds: list[int], labels: list[int]) -> float:
     """Share of images whose prediction equals their label."""
     if len(preds) != len(labels):
         raise MissingLabels(f"{len(preds)} images but {len(labels)} labels")
+    if not preds:
+        raise EmptyImageBatch("top-1 accuracy needs at least one image")
     return sum(int(p == label) for p, label in zip(preds, labels)) / len(preds)
 
 
 def mean_logit_sqnr(ref_logits: np.ndarray, logits: np.ndarray) -> float:
     """Mean over images of the SQNR of `logits` against `ref_logits`, one row
     per image, summed left to right (`sum` compensates from Python 3.12)."""
+    if ref_logits.shape != logits.shape:
+        raise ShapeMismatch(f"reference logits {ref_logits.shape} against {logits.shape}")
+    if ref_logits.shape[0] == 0:
+        raise EmptyImageBatch("logit SQNR needs at least one image")
     total = 0.0
     for j in range(ref_logits.shape[0]):
         total += sqnr(ref_logits[j:j + 1], logits[j:j + 1])

@@ -1,10 +1,14 @@
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixquant as mq
+from mixquant import model_io
 from mixquant.cli import main
 from mixquant.errors import CorruptBlob, EmptyImageBatch, FormatVersionMismatch, InvalidAttribute, UnknownArch
 from mixquant.ir import Graph, Node, QuantParams, Tensor
@@ -27,6 +31,59 @@ class TestLcg:
         assert np.array_equal(a, b)
         assert a.min() >= -1.0 and a.max() < 1.0
         assert abs(a.mean()) < 0.1
+
+    @staticmethod
+    def stepwise(rng: Lcg, lo: float, hi: float, n: int) -> np.ndarray:
+        """One next_u64() call per value, with the scalar draw's formula."""
+        out = np.empty(n, dtype=np.float64)
+        for i in range(n):
+            out[i] = (rng.next_u64() >> 11) / float(1 << 53)
+        return lo + (hi - lo) * out
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**64, -1), st.just(2**64 - 1)),
+           size=st.sampled_from([0, 1, 4095, 4096, 4097, 3 * 4096 + 1,
+                                 (2, 3, 4, 5), (7, 1, 3, 3), (0, 3, 2, 2), (3, 3, 16, 16)]),
+           lo=st.sampled_from([0.0, -1.0, -0.25]), hi=st.sampled_from([1.0, 0.125]))
+    def test_array_draw_is_the_stepwise_stream(self, seed, size, lo, hi):
+        rng, ref = Lcg(seed), Lcg(seed)
+        got = rng.uniform(lo, hi, size)
+        want = self.stepwise(ref, lo, hi, int(np.prod(size))).reshape(size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.state == ref.state
+        assert rng.uniform(lo, hi) == ref.uniform(lo, hi)  # a scalar draw continues the stream
+        assert rng.uniform(lo, hi, 5).tobytes() == self.stepwise(ref, lo, hi, 5).tobytes()
+
+    def test_jump_tables_keep_a_fixed_size(self):
+        Lcg(7).uniform(size=10 * 4096)
+        assert model_io._JUMP_A.shape == model_io._JUMP_C.shape == (4096,)
+
+
+def weights_digest(g: Graph) -> str:
+    """sha256 of the weights in save_model's order, which is weights.bin."""
+    return hashlib.sha256(b"".join(t.data.tobytes() for n in g.nodes
+                                   for _, t in sorted(n.weights.items()))).hexdigest()
+
+
+class TestPinnedStream:
+    """Any change to the generator moves these digests."""
+
+    @pytest.mark.parametrize("arch, digest", [
+        ("mininet", "9daa864927bd668f220d4357ab775a9c6c1033ad94c9a9f074298406fa12ae70"),
+        ("mini_resnet", "fee6889452acfc52db479202cab00904a3f6da624e93d4d6a14e308789d21515"),
+        ("mini_mobilenet", "00fcded93e5dfd9f31c7b2d46fef56655489c10761815cb11776a8e7970761a2"),
+    ])
+    def test_synthetic_weights(self, arch, digest, tmp_path):
+        g = gen_synthetic(arch, 42)
+        assert weights_digest(g) == digest
+        mq.save_model(g, tmp_path)
+        assert hashlib.sha256((tmp_path / "weights.bin").read_bytes()).hexdigest() == digest
+
+    def test_images(self):
+        images = mq.gen_images(16, (3, 16, 16), 43)
+        assert (hashlib.sha256(images.tobytes()).hexdigest()
+                == "7876beff871fefbdb799d54f8e8324d8f6367168e08fa2d9b98400a3d01ece50")
 
 
 class TestGenSynthetic:

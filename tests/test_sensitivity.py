@@ -5,7 +5,7 @@ import pytest
 
 import mixquant as mq
 from mixquant.calibration import profile_activations
-from mixquant.errors import EmptyImageBatch, KeyMismatch, MissingLabels
+from mixquant.errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
 from mixquant.fusion import discover_fusion_groups
 from mixquant.ir import Graph, Node, Tensor
 from mixquant.model_io import scale_node_weights
@@ -270,6 +270,21 @@ class TestScoringPass:
         assert top1_accuracy([1, 2, 3, 4], [1, 0, 3, 0]) == 0.5
         with pytest.raises(MissingLabels):
             top1_accuracy([1, 2, 3], [1, 2])
+
+    def test_top1_accuracy_rejects_no_images(self):
+        with pytest.raises(EmptyImageBatch):
+            top1_accuracy([], [])
+        with pytest.raises(MissingLabels):  # the count check comes first
+            top1_accuracy([], [1])
+
+    def test_logit_sqnr_rejects_no_rows(self):
+        with pytest.raises(EmptyImageBatch):
+            mean_logit_sqnr(np.zeros((0, 10), np.float32), np.zeros((0, 10), np.float32))
+
+    def test_logit_sqnr_rejects_row_count_mismatch(self):
+        ref = np.ones((2, 10), np.float32)
+        with pytest.raises(ShapeMismatch):
+            mean_logit_sqnr(ref, np.ones((3, 10), np.float32))
 
     def test_no_images_is_rejected_before_any_pass(self, mininet, mininet_calib, eval_images,
                                                    monkeypatch):
