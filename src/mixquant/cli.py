@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -164,10 +165,6 @@ def cmd_analyze(args) -> int:
     digest = model_digest(args.model)
     calib = _load_calib(args.calib, args.model, digest)
     method = METHODS[args.method]
-    if method in ("delta_mixup", "top1") and not args.images:
-        raise ValueError(f"--images is required for --method {args.method}")
-    if method == "top1" and not args.labels:
-        raise ValueError("--labels is required for --method top1")
     graph = lower_to_stage(graph, args.ir_stage)
     if method == "delta_mixup":
         images = model_io.load_images(_require(args.images, "synth"))
@@ -319,6 +316,9 @@ def _percent_list(text: str) -> list[float]:
     bad = [v for v in values if not 0.0 <= v <= 100.0]
     if bad:
         raise argparse.ArgumentTypeError(f"reductions must lie in [0, 100], got {bad[0]:g}")
+    names = [f"{v:g}" for v in values]
+    if len(set(names)) < len(names):  # each target writes q<T>, so a repeat overwrites
+        raise argparse.ArgumentTypeError(f"each reduction may appear once, got {text!r}")
     return values
 
 
@@ -331,7 +331,10 @@ def _weight_pair(text: str) -> tuple[float, float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; `main` runs the
+    `cmd_<command>` bound in this module at call time."""
     parser = argparse.ArgumentParser(
         prog="mixquant",
         description="Mixed-precision post-training quantization pipeline.")
@@ -348,13 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-stride", type=_positive_int, default=64,
                    help="scale every N-th weight element; >1 makes the tail heavy")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("calibrate", help="profile activation ranges")
     p.add_argument("--model", required=True)
     p.add_argument("--images", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_calibrate)
 
     p = sub.add_parser("analyze", help="generate a sensitivity list")
     p.add_argument("--model", required=True)
@@ -368,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top1-images", type=_positive_int, default=50)
     p.add_argument("--out-list", required=True)
     p.add_argument("--out-metrics", default=None)
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("quantize", help="apply mixed precision at target reductions")
     p.add_argument("--model", required=True)
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PCT[,PCT...]")
     p.add_argument("--apply-stage", default="fused", choices=STAGES)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(fn=cmd_quantize)
 
     p = sub.add_parser("evaluate", help="accuracy / logit SQNR / Q-DQ / BOPs of a model")
     p.add_argument("--model", required=True, help="quantized model directory")
@@ -386,20 +385,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("report", help="aggregate evaluate outputs into a recovery curve")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_report)
     return parser
+
+
+def _usage_error(args) -> str | None:
+    """A flag the chosen command needs that argparse cannot require alone."""
+    if args.command == "analyze":
+        if args.method in ("delta-mixup", "top1") and not args.images:
+            return f"--images is required for --method {args.method}"
+        if args.method == "top1" and not args.labels:
+            return "--labels is required for --method top1"
+    return None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _usage_error(args)
+    if problem:
+        parser.error(problem)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4

@@ -21,19 +21,39 @@ from .ir import Tensor
 SENTINEL_DB = 200.0
 
 
-def _pair64(reference, test) -> tuple[np.ndarray, np.ndarray]:
+def _pair(reference, test) -> tuple[np.ndarray, np.ndarray]:
     a = reference.data if isinstance(reference, Tensor) else np.asarray(reference)
     b = test.data if isinstance(test, Tensor) else np.asarray(test)
     if a.shape != b.shape:
         raise ShapeMismatch(f"metric operands {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _pair64(reference, test) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _pair(reference, test)
     return a.astype(np.float64).ravel(), b.astype(np.float64).ravel()
 
 
-def sqnr(reference, test) -> float:
-    """Signal-to-quantization-noise ratio in dB; higher means less noise."""
-    ref, tst = _pair64(reference, test)
-    p_signal = float(np.mean(ref * ref))
-    p_noise = float(np.mean((ref - tst) ** 2))
+def row_powers(reference, test, rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row signal power mean(ref**2) and noise power mean((ref - test)**2).
+
+    The operands must share a shape. Each is cast to float64 once and read as
+    `rows` C-order rows (default: one per index of axis 0, so one per image
+    of a batch); each row is reduced as its own raveled array would be, so
+    row j of a batch has the bits of the one-image slice j.
+    """
+    a, b = _pair(reference, test)
+    shape = (a.shape[0] if rows is None else rows, -1)
+    ref = a.astype(np.float64, order="C").reshape(shape)
+    diff = b.astype(np.float64, order="C").reshape(shape)
+    np.subtract(ref, diff, out=diff)
+    np.square(diff, out=diff)
+    np.square(ref, out=ref)
+    return ref.mean(axis=1), diff.mean(axis=1)
+
+
+def sqnr_db(p_signal: float, p_noise: float) -> float:
+    """SQNR in dB of one signal and noise power, with the +/-200 dB sentinels."""
     if p_noise == 0.0:
         return SENTINEL_DB
     if p_signal == 0.0:
@@ -41,9 +61,14 @@ def sqnr(reference, test) -> float:
     return float(10.0 * np.log10(p_signal / p_noise))
 
 
+def sqnr(reference, test) -> float:
+    """Signal-to-quantization-noise ratio in dB; higher means less noise."""
+    (p_signal,), (p_noise,) = row_powers(reference, test, rows=1)
+    return sqnr_db(float(p_signal), float(p_noise))
+
+
 def mse(reference, test) -> float:
-    ref, tst = _pair64(reference, test)
-    return float(np.mean((ref - tst) ** 2))
+    return float(row_powers(reference, test, rows=1)[1][0])
 
 
 def cosine_similarity(a, b) -> float:

@@ -30,7 +30,8 @@ from .errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
 from .executor import Executor, image_batches
 from .fusion import discover_fusion_groups
 from .ir import Graph, QUANTIZABLE_KINDS, WEIGHTED_KINDS, topo_sort
-from .metrics import SENTINEL_DB, cosine_similarity, kl_divergence, mse, sqnr, sqnr_delta
+from .metrics import (SENTINEL_DB, cosine_similarity, kl_divergence, row_powers, sqnr, sqnr_db,
+                      sqnr_delta)
 from .quantizer import (apply_mixed_precision, dequantize, load_node_list, quantize_affine,
                         save_node_list)
 
@@ -171,15 +172,16 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
     for batch in image_batches(images, (graph, qids), (q_graph, qids)):
         _, ref_trace = ex.run_fp32(graph, batch, capture=qids)
         _, q_trace = ex.run_quantized(q_graph, batch, capture=qids)
-        for j in range(batch.shape[0]):
-            for nid in qids:
-                ref = ref_trace.outputs[nid].data[j:j + 1]
-                got = q_trace.outputs[nid].data[j:j + 1]
-                act_sqnr_acc[nid] += sqnr(ref, got)
-                act_mse_acc[nid] += mse(ref, got)
-                if diagnostics:
-                    act_cos_acc[nid] += cosine_similarity(ref, got)
-                    act_kl_acc[nid] += kl_divergence(ref, got)
+        for nid in qids:
+            ref, got = ref_trace.outputs[nid].data, q_trace.outputs[nid].data
+            signal, noise = row_powers(ref, got)
+            for p_signal, p_noise in zip(signal.tolist(), noise.tolist()):
+                act_sqnr_acc[nid] += sqnr_db(p_signal, p_noise)
+                act_mse_acc[nid] += p_noise
+            if diagnostics:
+                for j in range(batch.shape[0]):
+                    act_cos_acc[nid] += cosine_similarity(ref[j:j + 1], got[j:j + 1])
+                    act_kl_acc[nid] += kl_divergence(ref[j:j + 1], got[j:j + 1])
 
     samples: list[MetricSample] = []
     for layer_index, nid in enumerate(qids):
@@ -187,7 +189,8 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
         if node.kind in WEIGHTED_KINDS:
             w = node.weights["weight"]
             w_hat = dequantize(quantize_affine(w, weight_qparams(w)))
-            w_sqnr, w_mse = sqnr(w, w_hat), mse(w, w_hat)
+            signal, noise = row_powers(w, w_hat, rows=1)
+            w_sqnr, w_mse = sqnr_db(float(signal[0]), float(noise[0])), float(noise[0])
         else:
             w_sqnr, w_mse = SENTINEL_DB, 0.0  # no quantized weights, no weight noise
         samples.append(MetricSample(
@@ -315,9 +318,10 @@ def mean_logit_sqnr(ref_logits: np.ndarray, logits: np.ndarray) -> float:
         raise ShapeMismatch(f"reference logits {ref_logits.shape} against {logits.shape}")
     if ref_logits.shape[0] == 0:
         raise EmptyImageBatch("logit SQNR needs at least one image")
+    signal, noise = row_powers(ref_logits, logits)
     total = 0.0
-    for j in range(ref_logits.shape[0]):
-        total += sqnr(ref_logits[j:j + 1], logits[j:j + 1])
+    for p_signal, p_noise in zip(signal.tolist(), noise.tolist()):
+        total += sqnr_db(p_signal, p_noise)
     return total / ref_logits.shape[0]
 
 

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 import mixquant as mq
+from mixquant import executor
 
 MININET_SHAPE = (3, 16, 16)
+# Activation budgets that give one image per pass, the default batches, and
+# every image in one pass.
+BUDGETS = {"1 byte": 1, "default": executor.ACTIVATION_BUDGET_BYTES, "1e9 bytes": 10 ** 9}
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from mixquant.calibration import (
 from mixquant.errors import EmptyCalibrationSet, EmptyProfile, MissingCalibration, NonFiniteValue
 from mixquant.ir import Graph, Node, Tensor
 
-from conftest import histogram_layout
+from conftest import BUDGETS, histogram_layout
 
 
 def profile_of(values):
@@ -60,9 +60,6 @@ class TestNonFiniteUpdate:
 
     def test_finite_extremes_accepted(self):
         assert state(profile_of([-1e300, 1e300])) == (-1e300, 1e300, 2)
-
-
-BUDGETS = {"1 byte": 1, "default": executor.ACTIVATION_BUDGET_BYTES, "1e9 bytes": 10 ** 9}
 
 
 class TestRangeRecordProperty:

@@ -248,6 +248,28 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, args", [
+        ("--images", ["--method", "delta-mixup"]),
+        ("--images", []),  # delta-mixup is the default method
+        ("--images", ["--method", "top1", "--labels", "{d}/l.json"]),
+        ("--labels", ["--method", "top1", "--images", "{d}/i.bin"]),
+        ("--target-reduction", ["20,20.0"]),
+        ("--target-reduction", ["40,20,40"]),
+    ])
+    def test_missing_or_repeated_input_is_2(self, tmp_path, capsys, flag, args):
+        """Checked before any file is read: none of the named files exists."""
+        out = tmp_path / "out"
+        common = ["--model", f"{tmp_path}/model", "--calib", f"{tmp_path}/c.json"]
+        argv = (["quantize", *common, "--list", f"{tmp_path}/s.txt", "--out-dir", str(out),
+                 "--target-reduction"] if flag == "--target-reduction"
+                else ["analyze", *common, "--out-list", str(out)])
+        with pytest.raises(SystemExit) as err:
+            main(argv + [a.format(d=tmp_path) for a in args])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_image_is_3(self, tmp_path, capsys, bad):
         d = tmp_path / "run"
@@ -315,6 +337,35 @@ class TestExitCodes:
     def test_ok_is_0(self, tmp_path):
         assert main(["synth", "--arch", "mininet", "--seed", "1", "--calib-count", "2",
                      "--eval-count", "2", "--out-dir", str(tmp_path / "m")]) == 0
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_command_is_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        """A cmd_* rebound after the parser was built (as a tracer does) is the
+        one main runs."""
+        out = str(tmp_path / "curve.csv")
+        with pytest.raises(SystemExit):  # builds the parser
+            main(["report"])
+        calls = []
+
+        def fake_report(args):
+            calls.append(args.out)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_report", fake_report)
+        assert main(["report", "--runs", "a.json", "--out", out]) == 7
+        assert calls == [out]
+
+    def test_reused_parser_still_exits_2(self, tmp_path, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["synth", "--arch", "resnet152", "--out-dir", str(tmp_path / "x")])
+            assert err.value.code == 2
+            assert "--arch" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestEvaluate:

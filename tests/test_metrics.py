@@ -12,7 +12,9 @@ from mixquant.metrics import (
     kl_divergence,
     kl_from_histograms,
     mse,
+    row_powers,
     sqnr,
+    sqnr_db,
     sqnr_delta,
 )
 from mixquant.model_io import Lcg
@@ -94,6 +96,68 @@ class TestMse:
         pairs.sort(key=lambda p: p[0])
         sqnrs = [p[1] for p in pairs]
         assert sqnrs == sorted(sqnrs, reverse=True)
+
+
+# Row lengths at the edges of numpy's pairwise-summation blocks (8 and 128).
+ROW_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 4096, 4097)
+
+
+def oracle_powers(ref, test):
+    """Signal and noise power of each row, one raveled float64 row at a time."""
+    signal, noise = [], []
+    for a, b in zip(ref, test):
+        a, b = np.asarray(a, np.float64).ravel(), np.asarray(b, np.float64).ravel()
+        signal.append(float(np.mean(a * a)))
+        noise.append(float(np.mean((a - b) ** 2)))
+    return signal, noise
+
+
+class TestRowPowers:
+    @given(rows=st.integers(1, 9), length=st.sampled_from(ROW_LENGTHS),
+           dtype=st.sampled_from([np.float32, np.float64]), nested=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_scalar_oracle(self, rows, length, dtype, nested, seed, data):
+        """Bit for bit, each row's powers are those of its own raveled row;
+        zero rows and equal rows give the -/+200 dB sentinels."""
+        kinds = data.draw(st.lists(st.sampled_from(["noisy", "zero", "equal"]),
+                                   min_size=rows, max_size=rows), label="kinds")
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        ref = (rng.standard_normal((rows, length)) * scale).astype(dtype)
+        test = (ref + rng.standard_normal((rows, length)) * scale * 0.01).astype(dtype)
+        for j, kind in enumerate(kinds):
+            if kind == "zero":
+                ref[j] = 0.0
+            elif kind == "equal":
+                test[j] = ref[j]
+        shape = (rows, 1, length) if nested else (rows, length)
+        ref, test = ref.reshape(shape), test.reshape(shape)
+        ref_before, test_before = ref.copy(), test.copy()
+
+        signal, noise = row_powers(ref, test)
+
+        want_signal, want_noise = oracle_powers(ref, test)
+        assert signal.dtype == noise.dtype == np.float64
+        assert [x.hex() for x in signal.tolist()] == [x.hex() for x in want_signal]
+        assert [x.hex() for x in noise.tolist()] == [x.hex() for x in want_noise]
+        assert np.array_equal(ref, ref_before) and np.array_equal(test, test_before)
+        for j, kind in enumerate(kinds):
+            db = sqnr_db(signal[j], noise[j])
+            assert db == sqnr(ref[j], test[j])
+            assert float(noise[j]) == mse(ref[j], test[j])
+            if kind == "equal":
+                assert db == SENTINEL_DB
+            elif kind == "zero":
+                assert db == -SENTINEL_DB
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((2, 3), (2, 4)), ((1, 6), (6,))])
+    def test_shape_mismatch(self, shapes):
+        a, b = (np.ones(shape, np.float32) for shape in shapes)
+        with pytest.raises(ShapeMismatch):
+            row_powers(a, b)
+        with pytest.raises(ShapeMismatch):
+            row_powers(a, b, rows=1)
 
 
 class TestCosine:

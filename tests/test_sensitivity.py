@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import mixquant as mq
+from mixquant import executor
 from mixquant.calibration import profile_activations
 from mixquant.errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
 from mixquant.fusion import discover_fusion_groups
@@ -19,6 +21,8 @@ from mixquant.sensitivity import (
     save_metrics_csv,
     top1_accuracy,
 )
+
+from conftest import BUDGETS
 
 
 class TestRankLayers:
@@ -172,6 +176,42 @@ class TestGenerateSensitivityList:
         for s, t in zip(plain, diag):
             t.act_cosine = t.act_kl = None
             assert s == t
+
+
+class BatchRecorder(mq.Executor):
+    """An executor that records the batch size of every FP32 pass."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def run_fp32(self, graph, inp, capture=False):
+        self.batches.append(inp.data.shape[0])
+        return super().run_fp32(graph, inp, capture)
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("arch", ["mininet", "mini_resnet", "mini_mobilenet"])
+    def test_every_metric_equal_at_every_budget(self, all_archs, arch):
+        """Batching never moves a metric: one image per pass, the default
+        batches and all images in one pass give the same bits."""
+        graph = all_archs[arch]
+        images = mq.gen_images(7, tuple(graph.input_node.attrs["shape"]), 23)
+        calib = profile_activations(graph, images)
+        results = {}
+        for name, budget in BUDGETS.items():
+            ex = BatchRecorder()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(executor, "ACTIVATION_BUDGET_BYTES", budget)
+                sens, samples = generate_sensitivity_list(graph, calib, images, executor=ex,
+                                                          diagnostics=True)
+            results[name] = (sens.ids, [repr(dataclasses.astuple(s)) for s in samples])
+            assert sum(ex.batches) == images.shape[0]
+            if name == "1 byte":
+                assert ex.batches == [1] * images.shape[0]
+            elif name == "1e9 bytes":
+                assert ex.batches == [images.shape[0]]
+        assert results["default"] == results["1 byte"] == results["1e9 bytes"]
 
 
 class TestBaselines:
