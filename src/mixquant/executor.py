@@ -29,6 +29,15 @@ rewired. A pass frees each value after its last reader; values nothing reads
 (True keeps every non-Input node), stored as float32 (int8 outputs are
 dequantized) so metrics always compare in one domain.
 
+An FP32 pass can pause just before chosen steps and hand a callable the
+values live there. A quantized pass can resume from such values: `given`
+maps node ids to outputs it then neither computes nor captures, and its plan
+is pruned to the nodes that the Output still needs, cached by the wiring and
+the given ids. Values that only FP32 nodes computed from the input equal
+the paused pass's bit for bit, which is how top1 runs each fusion group's
+graph from one FP32 pass per batch. A resumed pass still takes the whole
+batch as its input and counts as one pass of it, like any other.
+
 Callers feed batches from `image_batches`, sized by the smallest
 `batch_size` of the passes each batch feeds, so that no pass holds more than
 ACTIVATION_BUDGET_BYTES. `batch_size` walks the plan over the
@@ -37,7 +46,8 @@ their working width (4 bytes for FP32 outputs, 8 for int8 and Quantize
 outputs, which are computed in float64), the captured outputs held so far as
 float32, and the step's scratch in the dtype of the node's kernel: window
 columns and a padded copy for Conv2d, DepthwiseConv2d, MaxPool and AvgPool,
-and an int8 node's input copies. An image costs its largest step. The
+and an int8 node's input copies. A resumed pass is also charged, at every
+step, the values its paused pass holds. An image costs its largest step. The
 executor counts image-passes (a pass adds its batch size) so callers can
 verify how many inferences an analysis actually performed.
 """
@@ -45,7 +55,7 @@ verify how many inferences an analysis actually performed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -217,9 +227,20 @@ def _deq64(t: Tensor) -> np.ndarray:
 # execution plan and activation budget
 
 @lru_cache(maxsize=256)
-def _plan_of(edges: tuple[tuple[str, tuple[str, ...]], ...]) -> tuple[tuple[str, tuple[str, ...]], ...]:
+def _plan_of(edges: tuple[tuple[str, tuple[str, ...]], ...],
+             given: frozenset[str]) -> tuple[tuple[str, tuple[str, ...]], ...]:
     inputs = dict(edges)
     order = _topo_order(edges)
+    # walked backwards, each node comes after its readers: it runs when it is
+    # not given and is a sink (the Output) or read by a node that runs
+    read = {src for _, srcs in edges for src in srcs}
+    needed = {nid for nid in order if nid not in read}
+    runs = []
+    for nid in reversed(order):
+        if nid in needed and nid not in given:
+            runs.append(nid)
+            needed.update(inputs[nid])
+    order = runs[::-1]
     # in topological order, each value's last entry names its last reader
     last_reader = {src: nid for nid in order for src in inputs[nid]}
     freed: dict[str, list[str]] = {nid: [] for nid in order}
@@ -228,11 +249,23 @@ def _plan_of(edges: tuple[tuple[str, tuple[str, ...]], ...]) -> tuple[tuple[str,
     return tuple((nid, tuple(freed[nid])) for nid in order)
 
 
-def _plan(graph: Graph) -> tuple[tuple[str, tuple[str, ...]], ...]:
+def _plan(graph: Graph, given: Iterable[str] = ()) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """(node id, values read there for the last time) per step, in topological
-    order. Cached by the graph's wiring alone, so a rewired graph gets a new plan
-    and an equal wiring shares one."""
-    return _plan_of(_wiring(graph))
+    order, over the nodes that the Output needs when the `given` values are
+    supplied. Cached by the graph's wiring and the given ids alone, so a
+    rewired graph gets a new plan and an equal wiring shares one."""
+    return _plan_of(_wiring(graph), frozenset(given))
+
+
+def live_before(graph: Graph, nid: str) -> tuple[str, ...]:
+    """Ids of the values a full pass over `graph` holds just before step `nid`."""
+    live: list[str] = []
+    for step, last_reads in _plan(graph):
+        if step == nid:
+            break
+        live.append(step)
+        live = [s for s in live if s not in last_reads]
+    return tuple(live)
 
 
 def _captured(graph: Graph, capture: bool | Iterable[str]) -> set[str]:
@@ -269,29 +302,33 @@ def _scratch(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
     return elems * np.dtype(_operand_dtype(node)).itemsize
 
 
-def batch_size(graph: Graph, capture: bool | Iterable[str] = False) -> int:
+def batch_size(graph: Graph, capture: bool | Iterable[str] = False, given: Iterable[str] = ()) -> int:
     """Images per pass that keep one pass within ACTIVATION_BUDGET_BYTES, at
     least one; the module docstring lists what an image costs. A captured
-    FP32 output shares its array with the trace, so it counts once."""
+    FP32 output shares its array with the trace, so it counts once. A pass
+    resumed from the `given` values of a paused pass is charged them at every
+    step, since the paused pass holds them until the resumed one ends."""
     shapes = infer_shapes(graph)
     wanted = _captured(graph, capture)
+    paused = sum(_width(graph.node(s)) * math.prod(shapes[s]) for s in given)
     live: dict[str, int] = {}
     held = per_image = 0
-    for nid, last_reads in _plan(graph):
+    for nid, last_reads in _plan(graph, given):
         node = graph.node(nid)
         width, size, captured = _width(node), math.prod(shapes[nid]), nid in wanted
         held += 4 * size if captured else 0
         live[nid] = 0 if captured and width == 4 else width * size
-        per_image = max(per_image, sum(live.values()) + held + _scratch(node, shapes))
+        per_image = max(per_image, paused + sum(live.values()) + held + _scratch(node, shapes))
         for s in last_reads:
-            del live[s]
+            live.pop(s, None)  # a given value stays in `paused`
     return max(1, ACTIVATION_BUDGET_BYTES // per_image)
 
 
-def image_batches(images: np.ndarray, *passes: tuple[Graph, bool | Iterable[str]]):
-    """Consecutive float32 batches of `images`, sized for the (graph, capture)
-    passes that each batch feeds: the smallest batch_size among them."""
-    step = min(batch_size(graph, capture) for graph, capture in passes)
+def image_batches(images: np.ndarray, *passes: tuple):
+    """Consecutive float32 batches of `images`, sized for the passes that
+    each batch feeds, given as batch_size's (graph, capture[, given])
+    arguments: the smallest batch_size among them."""
+    step = min(batch_size(*p) for p in passes)
     for start in range(0, images.shape[0], step):
         yield Tensor.f32(images[start:start + step])
 
@@ -313,23 +350,33 @@ class Executor:
     def __init__(self):
         self.passes = 0
 
-    def run_fp32(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False):
+    def run_fp32(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False,
+                 pause: dict[str, Callable[[dict[str, Tensor]], object]] | None = None):
+        """One FP32 pass. `pause` maps node ids to callables that the pass
+        calls just before those steps, with the values live there."""
         for n in graph.nodes:
             if n.precision != 32:
                 raise InvariantViolation(f"run_fp32 on graph with int8 node {n.id!r}")
-        return self._run(graph, inp, capture)
+        return self._run(graph, inp, capture, {}, pause or {})
 
-    def run_quantized(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False):
+    def run_quantized(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False,
+                      given: dict[str, Tensor] | None = None):
+        """One pass over a mixed-precision graph. `given` supplies node
+        outputs, which the pass then neither computes nor captures; it runs
+        only the nodes the Output still needs. `inp` stays the whole batch."""
         for n in graph.nodes:
             if n.precision == 8 and "out_qparams" not in n.attrs:
                 raise MissingQuantParams(f"int8 node {n.id!r} lacks quantization parameters")
-        return self._run(graph, inp, capture)
+        return self._run(graph, inp, capture, given or {}, {})
 
-    def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str]):
+    def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str],
+             given: dict[str, Tensor], pause: dict[str, Callable[[dict[str, Tensor]], object]]):
         wanted = _captured(graph, capture)
-        values: dict[str, Tensor] = {}
+        values = dict(given)
         trace = LayerTrace()
-        for nid, last_reads in _plan(graph):
+        for nid, last_reads in _plan(graph, given):
+            if nid in pause:
+                pause[nid](values)
             node = graph.node(nid)
             t = self._exec_node(graph, node, [values[s] for s in node.inputs], inp)
             values[nid] = t

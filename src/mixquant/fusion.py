@@ -18,11 +18,12 @@ calibration profiles gathered on the unfused graph stay valid after fusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonPositiveVariance
-from .ir import Graph, Node, QUANTIZABLE_KINDS, Tensor, topo_sort
+from .ir import Graph, Node, QUANTIZABLE_KINDS, Tensor, _topo_order, _wiring, topo_sort
 
 _CONV_KINDS = ("Conv2d", "DepthwiseConv2d")
 
@@ -39,53 +40,51 @@ class FusionGroup:
     members: tuple[str, ...]
 
 
-def _consumer_index(graph: Graph) -> dict[str, list[str]]:
+def _consumer_index(edges: tuple[tuple[str, tuple[str, ...]], ...]) -> dict[str, list[str]]:
     """node id -> ids of the distinct nodes that read it, in node order."""
-    index: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for n in graph.nodes:
-        for src in dict.fromkeys(n.inputs):
-            index[src].append(n.id)
+    index: dict[str, list[str]] = {nid: [] for nid, _ in edges}
+    for nid, inputs in edges:
+        for src in dict.fromkeys(inputs):
+            index[src].append(nid)
     return index
 
 
-def discover_fusion_groups(graph: Graph) -> list[FusionGroup]:
-    """Partition the quantizable nodes into fusion groups, anchors in topo order."""
-    order = topo_sort(graph)
-    consumers = _consumer_index(graph)
+def discover_fusion_groups(graph: Graph) -> tuple[FusionGroup, ...]:
+    """Partition the quantizable nodes into fusion groups, anchors in topo
+    order. Cached by what the partition reads: ((id, kind, input ids), ...)."""
+    return _groups_of(tuple((n.id, n.kind, tuple(n.inputs)) for n in graph.nodes))
+
+
+@lru_cache(maxsize=256)
+def _groups_of(structure: tuple[tuple[str, str, tuple[str, ...]], ...]) -> tuple[FusionGroup, ...]:
+    kind = {nid: k for nid, k, _ in structure}
+    edges = tuple((nid, inputs) for nid, _, inputs in structure)
+    order = _topo_order(edges)
+    consumers = _consumer_index(edges)
     taken: set[str] = set()
     groups: list[FusionGroup] = []
 
-    def sole_consumer(node_id: str):
+    def sole_consumer(node_id: str, want: str):
         ids = consumers[node_id]
-        return graph.node(ids[0]) if len(ids) == 1 else None
+        return ids[0] if len(ids) == 1 and kind[ids[0]] == want and ids[0] not in taken else None
 
     for nid in order:
-        node = graph.node(nid)
-        if node.kind not in _CONV_KINDS or nid in taken:
+        if kind[nid] not in _CONV_KINDS or nid in taken:
             continue
         members = [nid]
-        tail = nid
-        nxt = sole_consumer(tail)
-        if nxt is not None and nxt.kind == "BatchNorm" and nxt.id not in taken:
-            members.append(nxt.id)
-            tail = nxt.id
-            nxt = sole_consumer(tail)
-        if nxt is not None and nxt.kind == "Add" and nxt.id not in taken:
-            members.append(nxt.id)
-            tail = nxt.id
-            nxt = sole_consumer(tail)
-        if nxt is not None and nxt.kind == "ReLU" and nxt.id not in taken:
-            members.append(nxt.id)
+        for want in ("BatchNorm", "Add", "ReLU"):
+            nxt = sole_consumer(members[-1], want)
+            if nxt is not None:
+                members.append(nxt)
         taken.update(members)
         groups.append(FusionGroup(nid, tuple(members)))
     for nid in order:
-        node = graph.node(nid)
-        if node.kind in QUANTIZABLE_KINDS and nid not in taken:
+        if kind[nid] in QUANTIZABLE_KINDS and nid not in taken:
             taken.add(nid)
             groups.append(FusionGroup(nid, (nid,)))
     pos = {nid: i for i, nid in enumerate(order)}
     groups.sort(key=lambda g: pos[g.anchor])
-    return groups
+    return tuple(groups)
 
 
 def _fold_into_convs(graph: Graph, kind: str, fold) -> Graph:
@@ -96,7 +95,7 @@ def _fold_into_convs(graph: Graph, kind: str, fold) -> Graph:
     conv from then on, so a chain such as conv -> BN -> BN folds completely.
     Nodes keep their order; folded ones are dropped.
     """
-    consumer_count = {nid: len(ids) for nid, ids in _consumer_index(graph).items()}
+    consumer_count = {nid: len(ids) for nid, ids in _consumer_index(_wiring(graph)).items()}
     convs: dict[str, Node] = {}   # conv id -> conv with every fold so far
     rename: dict[str, str] = {}   # folded node id -> conv id
     for nid in topo_sort(graph):

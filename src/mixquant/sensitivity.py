@@ -27,9 +27,9 @@ import numpy as np
 
 from .calibration import CalibrationProfile, weight_qparams
 from .errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
-from .executor import Executor, image_batches
+from .executor import Executor, image_batches, live_before
 from .fusion import discover_fusion_groups
-from .ir import Graph, QUANTIZABLE_KINDS, WEIGHTED_KINDS, topo_sort
+from .ir import Graph, QUANTIZABLE_KINDS, Tensor, WEIGHTED_KINDS, topo_sort
 from .metrics import (SENTINEL_DB, cosine_similarity, kl_divergence, row_powers, sqnr, sqnr_db,
                       sqnr_delta)
 from .quantizer import (apply_mixed_precision, dequantize, load_node_list, quantize_affine,
@@ -226,7 +226,9 @@ def baseline_order(graph: Graph, method: str, images: np.ndarray | None = None,
                    executor: Executor | None = None, top1_budget: int = 50) -> SensitivityList:
     """The comparison orderings: in_order (plain topological group order),
     weight_sqnr (groups ascending by anchor weight SQNR), and top1 (quantize
-    one group at a time, biggest labeled-accuracy drop first)."""
+    one group at a time, biggest labeled-accuracy drop first). top1 makes one
+    FP32 pass per batch, paused at each group's anchor, where the graph with
+    only that group int8 resumes: groups + 1 image-passes per image."""
     groups = discover_fusion_groups(graph)
     if method == "in_order":
         ids = [m for g in groups for m in g.members]
@@ -253,15 +255,22 @@ def baseline_order(graph: Graph, method: str, images: np.ndarray | None = None,
         ex = executor or Executor()
         images = images[:top1_budget]
         labels = list(labels)[:images.shape[0]]
-        base_acc = evaluate_accuracy(graph, images, labels, ex)
         all_q = quantizable_in_topo_order(graph)
-        drops = []
-        for idx, g in enumerate(groups):
-            keep = [nid for nid in all_q if nid not in set(g.members)]
-            qg = apply_mixed_precision(graph, keep, calib)
-            acc = evaluate_accuracy(qg, images, labels, ex)
-            drops.append((base_acc - acc, idx))
-        ranked = sorted(range(len(groups)), key=lambda i: (-drops[i][0], i))
+        # each group's graph differs from the FP32 one from the group's anchor,
+        # its first step, on: it resumes from the FP32 values live there
+        qgs = {g.anchor: apply_mixed_precision(graph, [n for n in all_q if n not in g.members], calib)
+               for g in groups}
+        live = {a: live_before(graph, a) for a in qgs}
+        preds: dict[str | None, list[int]] = {a: [] for a in [None, *qgs]}
+        for batch in image_batches(images, (graph, False), *((qgs[a], False, live[a]) for a in qgs)):
+            def resume(anchor):
+                return lambda values: preds[anchor].extend(
+                    _argmax(ex.run_quantized(qgs[anchor], batch, given=values)[0]))
+            out, _ = ex.run_fp32(graph, batch, pause={a: resume(a) for a in qgs})
+            preds[None].extend(_argmax(out))
+        base_acc = top1_accuracy(preds[None], labels)
+        drops = [base_acc - top1_accuracy(preds[g.anchor], labels) for g in groups]
+        ranked = sorted(range(len(groups)), key=lambda i: (-drops[i], i))
         ids = [m for i in ranked for m in groups[i].members]
         return SensitivityList(ids, method="top1")
 
@@ -297,9 +306,14 @@ def reference_pass(graph: Graph, images: np.ndarray, executor: Executor | None =
     preds, rows = [], []
     for batch in image_batches(images, (graph, [node])):
         out, trace = run(graph, batch, capture=[node])
-        preds.extend(int(k) for k in np.argmax(out.data.reshape(batch.shape[0], -1), axis=1))
+        preds.extend(_argmax(out))
         rows.append(trace.outputs[node].data)
     return Reference(node, np.concatenate(rows), preds)
+
+
+def _argmax(out: Tensor) -> list[int]:
+    """Each image's argmax of a pass's output."""
+    return [int(k) for k in np.argmax(out.data.reshape(out.shape[0], -1), axis=1)]
 
 
 def top1_accuracy(preds: list[int], labels: list[int]) -> float:

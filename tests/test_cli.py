@@ -428,9 +428,9 @@ class TestReferenceFile:
         if monkeypatch:
             run_pass, load = mq.Executor._run, model_io.load_model
 
-            def counted(self, graph, inp, capture):
+            def counted(self, graph, inp, *args):
                 passes[0] += inp.shape[0]
-                return run_pass(self, graph, inp, capture)
+                return run_pass(self, graph, inp, *args)
 
             monkeypatch.setattr(mq.Executor, "_run", counted)
             monkeypatch.setattr(model_io, "load_model", lambda p: loaded.append(Path(p)) or load(p))
@@ -692,9 +692,9 @@ class TestAnalyzeDiagnostics:
 
         passes, run_pass = [0], mq.Executor._run
 
-        def counted(self, graph, inp, capture):
+        def counted(self, graph, inp, *args):
             passes[0] += inp.shape[0]
-            return run_pass(self, graph, inp, capture)
+            return run_pass(self, graph, inp, *args)
 
         monkeypatch.setattr(sensitivity, "kl_divergence", boom)
         monkeypatch.setattr(sensitivity, "cosine_similarity", boom)

@@ -629,19 +629,22 @@ class TestImageBatches:
         then the conv: its input 128 and output 32 x 8 = 256, plus columns,
         padded copy and the offset input copy, float32 at K = 9:
         (144 + 36 + 16) x 4 = 784; 1168 bytes. A captured FP32 output counts
-        once, as the trace's."""
+        once, as the trace's. The int8 graph resumed from an FP32 pass paused
+        at the conv is charged the input that pass still holds: 1232 bytes."""
         from mixquant import executor
 
         g = tiny_conv_graph()
         calib = mq.profile_activations(g, mq.gen_images(2, (1, 4, 4), 3))
         q = mq.apply_mixed_precision(g, [], calib)
         assert [n.kind for n in q.nodes if n.precision == 8] == ["Conv2d", "ReLU"]
-        for graph, capture, per_image in ((g, False, 912), (g, ["conv"], 912), (g, True, 912),
-                                          (q, False, 1168)):
+        assert executor.live_before(g, "conv") == ("input",)
+        for graph, capture, given, per_image in ((g, False, (), 912), (g, ["conv"], (), 912),
+                                                 (g, True, (), 912), (q, False, (), 1168),
+                                                 (q, False, ("input",), 1232)):
             monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 3 * per_image + per_image - 1)
-            assert executor.batch_size(graph, capture) == 3, (capture, per_image)
+            assert executor.batch_size(graph, capture, given) == 3, (capture, per_image)
             monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 4 * per_image)
-            assert executor.batch_size(graph, capture) == 4, (capture, per_image)
+            assert executor.batch_size(graph, capture, given) == 4, (capture, per_image)
         monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 1)
         assert executor.batch_size(mininet) == 1
 
@@ -796,6 +799,37 @@ class TestExecutionPlan:
                     tracemalloc.stop()
                 del out, trace
         assert max(peaks.values()) <= ACTIVATION_BUDGET_BYTES, peaks
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_paused_pass_peak_stays_within_budget(self, all_archs, arch):
+        """top1's batch: an FP32 pass that pauses at every fusion group's
+        anchor, where that group's graph resumes from the values live there,
+        allocates at most ACTIVATION_BUDGET_BYTES at its peak."""
+        import tracemalloc
+
+        from mixquant.executor import ACTIVATION_BUDGET_BYTES, image_batches, live_before
+        from mixquant.fusion import discover_fusion_groups
+        from mixquant.sensitivity import quantizable_in_topo_order
+
+        graph = all_archs[arch]
+        shape = tuple(graph.input_node.attrs["shape"])
+        calib = mq.profile_activations(graph, mq.gen_images(2, shape, 5))
+        all_q = quantizable_in_topo_order(graph)
+        qgs = {g.anchor: mq.apply_mixed_precision(graph, [n for n in all_q if n not in g.members], calib)
+               for g in discover_fusion_groups(graph)}
+        passes = [(graph, False)] + [(qg, False, live_before(graph, a)) for a, qg in qgs.items()]
+        batch = next(image_batches(mq.gen_images(64, shape, 17), *passes))
+        assert 1 < batch.shape[0] < 64
+        ex = Executor()
+        pause = {a: lambda values, qg=qg: ex.run_quantized(qg, batch, given=values) for a, qg in qgs.items()}
+        ex.run_fp32(graph, batch, pause=pause)  # warm the plan cache
+        tracemalloc.start()
+        try:
+            ex.run_fp32(graph, batch, pause=pause)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ACTIVATION_BUDGET_BYTES, peak
 
 
 # ---------------------------------------------------------------------------

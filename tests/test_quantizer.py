@@ -198,7 +198,7 @@ class TestApplyMixedPrecision:
         groups = mq.discover_fusion_groups(mininet)
         counts = []
         keep: list[str] = []
-        for g in [None] + groups:
+        for g in (None, *groups):
             if g is not None:
                 keep.extend(g.members)
             qg = mq.apply_mixed_precision(mininet, list(keep), mininet_calib)

@@ -11,11 +11,15 @@ from mixquant.errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMi
 from mixquant.fusion import discover_fusion_groups
 from mixquant.ir import Graph, Node, Tensor
 from mixquant.model_io import scale_node_weights
+from mixquant.quantizer import apply_mixed_precision
 from mixquant.sensitivity import (
     SensitivityList,
     baseline_order,
+    evaluate_accuracy,
     generate_sensitivity_list,
+    logits_node_id,
     mean_logit_sqnr,
+    quantizable_in_topo_order,
     rank_layers_by_sensitivity,
     reference_pass,
     save_metrics_csv,
@@ -214,6 +218,25 @@ class TestBatchInvariance:
         assert results["default"] == results["1 byte"] == results["1e9 bytes"]
 
 
+def top1_case(arch):
+    """A seed-3 model, 24 images, its teacher labels and a profile of the
+    images at a tenth of their range."""
+    graph = mq.gen_synthetic(arch, 3)
+    images = mq.gen_images(24, tuple(graph.input_node.attrs["shape"]), 31)
+    return graph, images, profile_activations(graph, images[:4] * 0.1), reference_pass(graph, images).preds
+
+
+def per_group_top1(graph, images, labels, calib):
+    """top1 as one full pass of each group's graph: the reference ordering."""
+    groups = discover_fusion_groups(graph)
+    all_q = quantizable_in_topo_order(graph)
+    base = evaluate_accuracy(graph, images, labels)
+    drops = [base - evaluate_accuracy(apply_mixed_precision(
+        graph, [n for n in all_q if n not in g.members], calib), images, labels) for g in groups]
+    ranked = sorted(range(len(groups)), key=lambda i: (-drops[i], i))
+    return [m for i in ranked for m in groups[i].members]
+
+
 class TestBaselines:
     def test_in_order_is_group_topo(self, mininet):
         sens = baseline_order(mininet, "in_order")
@@ -230,15 +253,57 @@ class TestBaselines:
         with pytest.raises(MissingLabels):
             baseline_order(mininet, "top1", images=calib_images, calib=mininet_calib)
 
-    def test_top1_pass_count_and_shape(self, mininet, mininet_calib):
+    def test_top1_pass_count_and_shape(self, mininet, mininet_calib, monkeypatch):
         images = mq.gen_images(6, (3, 16, 16), 33)
         labels = reference_pass(mininet, images).preds
         groups = discover_fusion_groups(mininet)
+        for budget in (executor.ACTIVATION_BUDGET_BYTES, 1):
+            monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", budget)
+            ex = mq.Executor()
+            sens = baseline_order(mininet, "top1", images=images, labels=labels,
+                                  calib=mininet_calib, executor=ex, top1_budget=6)
+            assert ex.passes == (len(groups) + 1) * images.shape[0]
+            assert sorted(sens.ids) == sorted(m for g in groups for m in g.members)
+
+    @pytest.mark.parametrize("arch", ["mininet", "mini_resnet", "mini_mobilenet"])
+    def test_top1_equals_per_group_loop(self, arch, monkeypatch):
+        """Resuming each group from the paused FP32 pass ranks exactly as one
+        full pass per group graph did, at every budget. A calibration on
+        dimmed images clips hard, so the group accuracies differ."""
+        graph, images, calib, labels = top1_case(arch)
+        want = per_group_top1(graph, images, labels, calib)
+        assert want != baseline_order(graph, "in_order").ids
+        for budget in BUDGETS.values():
+            monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", budget)
+            sens = baseline_order(graph, "top1", images=images, labels=labels, calib=calib)
+            assert sens.ids == want, budget
+
+    @pytest.mark.parametrize("arch", ["mininet", "mini_resnet", "mini_mobilenet"])
+    def test_resumed_logits_equal_a_full_pass(self, arch):
+        """Each group's graph, resumed at its anchor from the FP32 values live
+        there, gives the logits of a full run_quantized pass bit for bit."""
+        graph, images, calib, _ = top1_case(arch)
+        batch = Tensor.f32(images[:5])
+        all_q = quantizable_in_topo_order(graph)
+        resumed, full = {}, {}
+        qgs = {g.anchor: apply_mixed_precision(graph, [n for n in all_q if n not in g.members], calib)
+               for g in discover_fusion_groups(graph)}
         ex = mq.Executor()
-        sens = baseline_order(mininet, "top1", images=images, labels=labels,
-                              calib=mininet_calib, executor=ex, top1_budget=6)
-        assert ex.passes == (len(groups) + 1) * images.shape[0]
-        assert sorted(sens.ids) == sorted(m for g in groups for m in g.members)
+
+        def resume(anchor):
+            def run(values):
+                assert set(values) == set(executor.live_before(graph, anchor))
+                node = logits_node_id(qgs[anchor])
+                resumed[anchor] = ex.run_quantized(qgs[anchor], batch, [node], given=values)[1].outputs[node]
+            return run
+
+        ex.run_fp32(graph, batch, pause={a: resume(a) for a in qgs})
+        assert ex.passes == (len(qgs) + 1) * 5
+        for anchor, qg in qgs.items():
+            node = logits_node_id(qg)
+            full[anchor] = mq.Executor().run_quantized(qg, batch, [node])[1].outputs[node]
+            assert np.array_equal(resumed[anchor].data, full[anchor].data), anchor
+
 
     def test_unknown_method(self, mininet):
         with pytest.raises(ValueError):
