@@ -1,8 +1,9 @@
 """Model serialization and deterministic synthetic test models.
 
 A model on disk is a directory holding `manifest.json` (graph structure,
-format version, blob table) and `weights.bin` (concatenated little-endian
-tensor blobs). Round-trips are bit-exact.
+format version, blob table, as compact sorted-key JSON; any JSON layout
+loads) and `weights.bin` (concatenated little-endian tensor blobs).
+Round-trips are bit-exact.
 
 Synthetic models are generated from a fixed 64-bit linear congruential
 generator (Knuth's MMIX multiplier), not a library RNG, so the same
@@ -390,7 +391,8 @@ def save_model(graph: Graph, path) -> None:
         "nodes": nodes_json,
         "blobs": blob_table,
     }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    # compact, so that json writes it through its C encoder
+    (path / "manifest.json").write_text(json.dumps(manifest, separators=(",", ":"), sort_keys=True))
     (path / "weights.bin").write_bytes(bytes(payload))
 
 

@@ -191,6 +191,25 @@ class TestModelRoundTrip:
             mq.load_model(tmp_path / "m")
 
 
+    @pytest.mark.parametrize("quantized, indent1_sha256", [
+        (False, "d55abbaefe328d447eb2681dc59a2a22c685e1a56cd185b657774974d6341f61"),
+        (True, "7e391f3aa86c4bcceb5e0f8acf566f49411846b06cf174c1ed99a8fb9c1db676")])
+    def test_compact_manifest(self, mininet, mininet_calib, tmp_path, quantized, indent1_sha256):
+        """The manifest is sorted-key JSON with no whitespace. It parses to the
+        document that the earlier indent-1 writer gave (its bytes are pinned),
+        and a manifest in that layout still loads to an equal graph."""
+        graph = mq.apply_mixed_precision(mininet, [], mininet_calib) if quantized else mininet
+        mq.save_model(graph, tmp_path / "m")
+        text = (tmp_path / "m/manifest.json").read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True)
+        assert not any(c.isspace() for c in text)
+        indent1 = json.dumps(doc, indent=1, sort_keys=True)
+        assert hashlib.sha256(indent1.encode()).hexdigest() == indent1_sha256
+        (tmp_path / "m/manifest.json").write_text(indent1)
+        assert graph_signature(mq.load_model(tmp_path / "m")) == graph_signature(graph)
+
+
 def edited_manifest(graph, path, edit):
     """Save the graph under `path`, apply edit(manifest) to its manifest."""
     mq.save_model(graph, path)

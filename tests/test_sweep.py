@@ -38,3 +38,19 @@ def test_existing_out_is_2(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert "exists" in done.stderr
+
+
+def test_diff_lists_paths_that_differ(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.write_text("11  x/model/manifest.json\n22  x/model/weights.bin\n33  y/model/manifest.json\n"
+                 "44  gone.txt\n")
+    b.write_text("1f  x/model/manifest.json\n22  x/model/weights.bin\n3f  y/model/manifest.json\n"
+                 "55  new.txt\n")
+    assert sweep_tool.diff_sums(a, b) == ["gone.txt", "new.txt", "x/model/manifest.json",
+                                          "y/model/manifest.json"]
+    assert sweep_tool.main(["--diff", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == sweep_tool.diff_sums(a, b)
+    assert [line.split() for line in out[4:7]] == [["1", "gone.txt"], ["2", "manifest.json"],
+                                                   ["1", "new.txt"]]
+    assert sweep_tool.main(["--diff", str(a), str(a)]) == 0

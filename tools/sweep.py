@@ -2,7 +2,7 @@
 file they write, so that two checkouts can be compared artifact by artifact.
 
     python tools/sweep.py CHECKOUT OUT [--budget BYTES]
-    cmp OUT_A/SHA256SUMS OUT_B/SHA256SUMS
+    python tools/sweep.py --diff OUT_A/SHA256SUMS OUT_B/SHA256SUMS
 
 Everything runs in this one process through `mixquant.cli.main`, imported
 from CHECKOUT/src. For each of the three archs and synth seed 3 and
@@ -25,11 +25,16 @@ to 1 image (`--budget 1`) or to the whole image set (`--budget 1e9`). No file
 records a path, so OUT may differ between the runs being compared. OUT must
 not exist yet; the sweep writes OUT/SHA256SUMS last, one `sha256  path` line
 per file, sorted by path.
+
+`--diff A B` compares two such files: it lists every path whose hash differs
+or that only one file lists, then how many of them carry each file name, and
+exits 1 if any path differs, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import importlib
@@ -112,13 +117,35 @@ def write_sums(out: Path) -> int:
     return len(files)
 
 
+def diff_sums(a: Path, b: Path) -> list[str]:
+    """Paths whose hash differs between two SHA256SUMS files, or that only one lists."""
+    def read(path: Path) -> dict[str, str]:
+        return {name: digest for digest, name in
+                (line.split("  ", 1) for line in path.read_text().splitlines())}
+
+    x, y = read(a), read(b)
+    return sorted(p for p in x.keys() | y.keys() if x.get(p) != y.get(p))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("checkout", type=Path, help="source tree whose src/ is swept")
-    parser.add_argument("out", type=Path, help="directory to create for the artifacts")
+    parser.add_argument("checkout", type=Path, nargs="?", help="source tree whose src/ is swept")
+    parser.add_argument("out", type=Path, nargs="?", help="directory to create for the artifacts")
     parser.add_argument("--budget", type=lambda s: int(float(s)), default=None,
                         help="activation budget in bytes (default: the checkout's)")
+    parser.add_argument("--diff", type=Path, nargs=2, metavar=("SUMS_A", "SUMS_B"),
+                        help="compare two SHA256SUMS files instead of sweeping")
     args = parser.parse_args(argv)
+    if args.diff:
+        differ = diff_sums(*args.diff)
+        for path in differ:
+            print(path)
+        for name, count in sorted(collections.Counter(Path(p).name for p in differ).items()):
+            print(f"{count:6d}  {name}")
+        print(f"sweep: {len(differ)} paths differ")
+        return 1 if differ else 0
+    if args.out is None:
+        parser.error("give CHECKOUT and OUT, or --diff SUMS_A SUMS_B")
     if args.out.exists():
         parser.error(f"{args.out} exists; the sweep writes into a new directory")
     cli = load_cli(args.checkout, args.budget)
