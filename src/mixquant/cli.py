@@ -219,6 +219,7 @@ def cmd_quantize(args) -> int:
             "target_reduction_pct": target,
             "list_digest": _sha256(args.list),
             "calib_digest": calib_sha,
+            "model_digest": digest,
         }, tdir / "meta.json")
         print(f"quantize: target {target}% -> {tdir} "
               f"({len(keep)} nodes kept at 32-bit, {count_qdq(qg)} Q-DQ)")
@@ -234,15 +235,19 @@ def cmd_evaluate(args) -> int:
         "ref_model": model_digest(_require(args.ref_model, "synth")),
         "images": _sha256(args.images),
     }
+    meta_path = Path(args.model).parent / "meta.json"
+    run = json.loads(meta_path.read_text()) if meta_path.exists() else None
+    if run and run.get("model_digest", digests["ref_model"]) != digests["ref_model"]:
+        raise ProvenanceMismatch(f"{args.model} was quantized from another model than "
+                                 f"--ref-model {args.ref_model}")
     ref = load_reference(reference_path(args.images), {
         "model": digests["ref_model"], "images": digests["images"]}, images.shape[0])
     if ref is None:
         ref = reference_pass(model_io.load_model(args.ref_model), images)
     report = evaluate_model(qg, ref, images, labels)
     report["digests"] = digests
-    meta_path = Path(args.model).parent / "meta.json"
-    if meta_path.exists():
-        report["run"] = json.loads(meta_path.read_text())
+    if run is not None:
+        report["run"] = run
     _write_json(report, args.out)
     print(f"evaluate: accuracy {report['accuracy']:.4f}, "
           f"logit SQNR {report['final_logit_sqnr_db']:.2f} dB, "
@@ -268,10 +273,20 @@ def evaluate_model(qg: Graph, ref: Reference, images: np.ndarray, labels,
 
 
 def cmd_report(args) -> int:
-    rows = []
+    """One row per run; the runs must share one FP32 model and may not repeat
+    a (method, target) pair."""
+    rows, models, pairs = [], set(), set()
     for path in args.runs:
         doc = json.loads(_require(path, "evaluate").read_text())
         run = doc.get("run", {})
+        models.add(doc.get("digests", {}).get("ref_model"))
+        if len(models - {None}) > 1:
+            raise ProvenanceMismatch(f"{path} was evaluated against another FP32 model than "
+                                     f"the runs before it")
+        pair = (run.get("method"), run.get("target_reduction_pct"))
+        if run and pair in pairs:
+            raise ProvenanceMismatch(f"{path} repeats method {pair[0]} at target {pair[1]}")
+        pairs.add(pair)
         rows.append({
             "method": run.get("method", "unknown"),
             "target_reduction_pct": run.get("target_reduction_pct", ""),

@@ -675,6 +675,74 @@ class TestProvenance:
                      "--out-dir", str(tmp_path)]) == 0
 
 
+@pytest.fixture(scope="module")
+def two_models(tmp_path_factory):
+    """mininet synth seeds 3 and 4, each quantized at 40 and 80 % from an
+    in-order list."""
+    runs = {}
+    for seed in (3, 4):
+        d = runs[seed] = tmp_path_factory.mktemp(f"model{seed}")
+        assert main(["synth", "--arch", "mininet", "--seed", str(seed), "--calib-count",
+                     str(EVAL_COUNT), "--eval-count", str(EVAL_COUNT), "--out-dir", str(d)]) == 0
+        assert main(["calibrate", "--model", f"{d}/model", "--images", f"{d}/calib_images.bin",
+                     "--out", f"{d}/calib.json"]) == 0
+        assert main(["analyze", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                     "--method", "in-order", "--out-list", f"{d}/list.txt"]) == 0
+        assert main(["quantize", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
+                     "--list", f"{d}/list.txt", "--target-reduction", "40,80", "--out-dir", str(d)]) == 0
+    return runs
+
+
+def evaluate_against(run, target, ref_run, out):
+    return main(["evaluate", "--model", f"{run}/q{target}/model", "--ref-model", f"{ref_run}/model",
+                 "--images", f"{ref_run}/eval_images.bin", "--labels", f"{ref_run}/labels.json",
+                 "--out", str(out)])
+
+
+class TestEndToEndProvenance:
+    """quantize records the FP32 model's digest in q<T>/meta.json; evaluate
+    exits 3 before any pass when --ref-model is another model, and report
+    exits 3 on runs of two FP32 models or a repeated (method, target)."""
+
+    def test_reference_of_another_model_is_3(self, two_models, tmp_path, capsys, monkeypatch):
+        d, other = two_models[3], two_models[4]
+        meta_path = d / "q40/meta.json"
+        assert json.loads(meta_path.read_text())["model_digest"] == model_digest(d / "model")
+        passes, run_pass = [0], mq.Executor._run
+
+        def counted(self, graph, inp, *args):
+            passes[0] += inp.shape[0]
+            return run_pass(self, graph, inp, *args)
+
+        monkeypatch.setattr(mq.Executor, "_run", counted)
+        capsys.readouterr()
+        assert evaluate_against(d, 40, other, tmp_path / "r.json") == 3
+        assert "--ref-model" in capsys.readouterr().err
+        assert passes[0] == 0 and not (tmp_path / "r.json").exists()
+        assert evaluate_against(d, 40, d, tmp_path / "own.json") == 0
+        meta = json.loads(meta_path.read_text())
+        try:  # a meta.json without the digest, as quantize wrote before, still evaluates
+            meta_path.write_text(json.dumps({k: v for k, v in meta.items() if k != "model_digest"}))
+            assert evaluate_against(d, 40, other, tmp_path / "r.json") == 0
+        finally:
+            meta_path.write_text(json.dumps(meta))
+
+    def test_report_over_two_models_or_a_repeated_pair_is_3(self, two_models, tmp_path, capsys):
+        reports = {}
+        for seed, target in ((3, 40), (3, 80), (4, 80)):
+            reports[seed, target] = tmp_path / f"r{seed}_{target}.json"
+            assert evaluate_against(two_models[seed], target, two_models[seed], reports[seed, target]) == 0
+        out = tmp_path / "curve.csv"
+        capsys.readouterr()
+        assert main(["report", "--runs", str(reports[3, 40]), str(reports[4, 80]), "--out", str(out)]) == 3
+        assert "another FP32 model" in capsys.readouterr().err
+        assert main(["report", "--runs", str(reports[3, 40]), str(reports[3, 40]), "--out", str(out)]) == 3
+        assert "repeats method in_order" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["report", "--runs", str(reports[3, 40]), str(reports[3, 80]), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+
 class TestAnalyzeDiagnostics:
     def test_kl_and_cosine_only_for_metrics_csv(self, reference_runs, tmp_path, monkeypatch):
         """Without --out-metrics analyze computes neither KL nor cosine, still
