@@ -10,6 +10,7 @@ reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -217,11 +218,13 @@ def topo_sort(graph: Graph) -> list[str]:
 
     Kahn's algorithm; among simultaneously-ready nodes the one inserted first
     wins, so repeated runs (and reruns of the whole pipeline) agree exactly.
+    The order is cached by the wiring, as the executor's plan is.
     """
-    return _topo_order(_wiring(graph), graph.name)
+    return list(_topo_order(_wiring(graph), graph.name))
 
 
-def _topo_order(edges: tuple[tuple[str, tuple[str, ...]], ...], name: str = "graph") -> list[str]:
+@lru_cache(maxsize=256)
+def _topo_order(edges: tuple[tuple[str, tuple[str, ...]], ...], name: str = "graph") -> tuple[str, ...]:
     order_idx = {nid: i for i, (nid, _) in enumerate(edges)}
     indeg = dict.fromkeys(order_idx, 0)
     out_edges: dict[str, list[str]] = {nid: [] for nid in order_idx}
@@ -247,7 +250,7 @@ def _topo_order(edges: tuple[tuple[str, tuple[str, ...]], ...], name: str = "gra
             ready.sort(key=order_idx.__getitem__)
     if len(result) != len(edges):
         raise CycleDetected(f"graph {name!r} contains a cycle")
-    return result
+    return tuple(result)
 
 
 # ---------------------------------------------------------------------------
