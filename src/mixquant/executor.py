@@ -263,8 +263,7 @@ def live_before(graph: Graph, nid: str) -> tuple[str, ...]:
     for step, last_reads in _plan(graph):
         if step == nid:
             break
-        live.append(step)
-        live = [s for s in live if s not in last_reads]
+        live = [s for s in [*live, step] if s not in last_reads]
     return tuple(live)
 
 
@@ -369,8 +368,7 @@ class Executor:
                 raise MissingQuantParams(f"int8 node {n.id!r} lacks quantization parameters")
         return self._run(graph, inp, capture, given or {}, {})
 
-    def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str],
-             given: dict[str, Tensor], pause: dict[str, Callable[[dict[str, Tensor]], object]]):
+    def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str], given: dict, pause: dict):
         wanted = _captured(graph, capture)
         values = dict(given)
         trace = LayerTrace()

@@ -261,16 +261,15 @@ def baseline_order(graph: Graph, method: str, images: np.ndarray | None = None,
         qgs = {g.anchor: apply_mixed_precision(graph, [n for n in all_q if n not in g.members], calib)
                for g in groups}
         live = {a: live_before(graph, a) for a in qgs}
-        preds: dict[str | None, list[int]] = {a: [] for a in [None, *qgs]}
+        preds: dict[str, list[int]] = {a: [] for a in qgs}
         for batch in image_batches(images, (graph, False), *((qgs[a], False, live[a]) for a in qgs)):
             def resume(anchor):
                 return lambda values: preds[anchor].extend(
                     _argmax(ex.run_quantized(qgs[anchor], batch, given=values)[0]))
-            out, _ = ex.run_fp32(graph, batch, pause={a: resume(a) for a in qgs})
-            preds[None].extend(_argmax(out))
-        base_acc = top1_accuracy(preds[None], labels)
-        drops = [base_acc - top1_accuracy(preds[g.anchor], labels) for g in groups]
-        ranked = sorted(range(len(groups)), key=lambda i: (-drops[i], i))
+            ex.run_fp32(graph, batch, pause={a: resume(a) for a in qgs})
+        # every drop is from the same FP32 accuracy: the lowest accuracy drops most
+        accs = [top1_accuracy(preds[g.anchor], labels) for g in groups]
+        ranked = sorted(range(len(groups)), key=lambda i: (accs[i], i))
         ids = [m for i in ranked for m in groups[i].members]
         return SensitivityList(ids, method="top1")
 

@@ -281,7 +281,8 @@ class TestBaselines:
     @pytest.mark.parametrize("arch", ["mininet", "mini_resnet", "mini_mobilenet"])
     def test_resumed_logits_equal_a_full_pass(self, arch):
         """Each group's graph, resumed at its anchor from the FP32 values live
-        there, gives the logits of a full run_quantized pass bit for bit."""
+        there, runs no node that the FP32 pass ran before the anchor, and
+        gives the logits of a full run_quantized pass bit for bit."""
         graph, images, calib, _ = top1_case(arch)
         batch = Tensor.f32(images[:5])
         all_q = quantizable_in_topo_order(graph)
@@ -299,7 +300,10 @@ class TestBaselines:
 
         ex.run_fp32(graph, batch, pause={a: resume(a) for a in qgs})
         assert ex.passes == (len(qgs) + 1) * 5
+        steps = [nid for nid, _ in executor._plan(graph)]
         for anchor, qg in qgs.items():
+            ahead = set(steps[:steps.index(anchor)])
+            assert ahead.isdisjoint(nid for nid, _ in executor._plan(qg, executor.live_before(graph, anchor)))
             node = logits_node_id(qg)
             full[anchor] = mq.Executor().run_quantized(qg, batch, [node])[1].outputs[node]
             assert np.array_equal(resumed[anchor].data, full[anchor].data), anchor
