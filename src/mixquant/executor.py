@@ -1,19 +1,19 @@
 """Reference interpreter for FP32 and mixed-precision graphs.
 
 Every node kind except Input, Output, Quantize and Dequantize has one entry in
-a kernel table that both precisions share; the precisions differ only in the
-operands they hand the entry and in how they finish its output. FP32 nodes
-pass their float32 arrays, apply a fused ReLU through kernel_relu and keep
-the float32 result. int8 Conv2d, DepthwiseConv2d and Gemm (a 1x1 conv) pass
-the input codes offset by their zero point and the int8 weight, in float32
-for K <= MAX_F32_K multiply-adds per output and in float64 up to MAX_EXACT_K.
-Offset inputs lie in [-255, 255] and weights in [-127, 127], so every partial
-sum is an integer of magnitude at most 255 * 127 * K < 2**24 or 2**53: exact
-in any summation order. The accumulator is widened to float64, takes the
-bias in accumulator units round(b / (s_in * s_w)) and is scaled by s_in * s_w.
-The other int8 kinds pass dequantized float64 operands. Every int8 input,
-Dequantize's included, is read with the qparams its codes carry; a node
-records only the qparams of the codes it writes (`out_qparams` on int8
+a table of binders that both precisions share; the precisions differ only in
+the operands they hand the bound kernel and in how they finish its output.
+FP32 nodes pass their float32 arrays, apply a fused ReLU through kernel_relu
+and keep the float32 result. int8 Conv2d, DepthwiseConv2d and Gemm (a 1x1
+conv) pass the input codes offset by their zero point and the int8 weight, in
+float32 for K <= MAX_F32_K multiply-adds per output and in float64 up to
+MAX_EXACT_K. Offset inputs lie in [-255, 255] and weights in [-127, 127], so
+every partial sum is an integer of magnitude at most 255 * 127 * K < 2**24 or
+2**53: exact in any summation order. The accumulator is widened to float64,
+takes the bias in accumulator units round(b / (s_in * s_w)) and is scaled by
+s_in * s_w. The other int8 kinds pass dequantized float64 operands. Every int8
+input, Dequantize's included, is read with the qparams its codes carry; a
+node records only the qparams of the codes it writes (`out_qparams` on int8
 nodes and Quantize). Every int8 output is requantized once,
 q_out = clamp(round(real / s_out) + zp_out) with round-half-away-from-zero,
 clamped at the zero point under a fused ReLU, which keeps the interpreter
@@ -28,6 +28,19 @@ rewired. A pass frees each value after its last reader; values nothing reads
 (the Output) stay. `capture` names the node ids whose outputs the trace keeps
 (True keeps every non-Input node), stored as float32 (int8 outputs are
 dequantized) so metrics always compare in one domain.
+
+A pass runs the graph's step program: per plan step, the node id, its bound
+step, its input ids and the values freed there. Programs are cached in a
+WeakKeyDictionary by the graph object, then by its wiring and the given ids
+(below): a rewired graph gets a fresh program, a program dies with its graph,
+and a node's attrs, weights and precision must not change in place once bound.
+Binding parses a node's geometry, casts an int8 weighted node's weight to its
+kernel's dtype (a float copy held while the graph lives) and makes the graph
+checks once: an int8 node in run_fp32, a missing `out_qparams` in
+run_quantized, an int8 kind with no int8 kernel, an unquantized int8 weight
+and K past MAX_EXACT_K. An int8 node's bias in accumulator units is kept per
+input qparams. Each pass still checks the input's shape and each operand's
+dtype, given values included.
 
 An FP32 pass can pause just before chosen steps and hand a callable the
 values live there. A quantized pass can resume from such values: `given`
@@ -45,8 +58,9 @@ inferred shapes and charges an image, at each step, the values live there at
 their working width (4 bytes for FP32 outputs, 8 for int8 and Quantize
 outputs, which are computed in float64), the captured outputs held so far as
 float32, and the step's scratch in the dtype of the node's kernel: window
-columns and a padded copy for Conv2d, DepthwiseConv2d, MaxPool and AvgPool,
-and an int8 node's input copies. A resumed pass is also charged, at every
+columns for Conv2d, DepthwiseConv2d, MaxPool and AvgPool, with a padded copy
+of the input where their padding is not zero, and an int8 node's input
+copies. A resumed pass is also charged, at every
 step, the values its paused pass holds. An image costs its largest step. The
 executor counts image-passes (a pass adds its batch size) so callers can
 verify how many inferences an analysis actually performed.
@@ -55,9 +69,10 @@ verify how many inferences an analysis actually performed.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,6 +99,11 @@ ACTIVATION_BUDGET_BYTES = 1 << 20
 # ---------------------------------------------------------------------------
 # kernels: float32 operands for FP32 nodes and most int8 weighted ones, else float64
 
+def _as_pair(v) -> tuple[int, int]:
+    """ir._pair, except that pairs (which binding parsed) pass through."""
+    return v if type(v) is tuple else _pair(v)
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding, fill=0):
     """Columns (n, c*kh*kw, oh*ow) of the input padded with `fill`, channel-major."""
     n, c, h, w = x.shape
@@ -107,7 +127,7 @@ def kernel_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     if x.shape[1] != weight.shape[1]:
         raise ShapeMismatch(f"conv input has {x.shape[1]} channels, weight expects {weight.shape[1]}")
     co, ci, kh, kw = weight.shape
-    cols, oh, ow = _im2col(x, kh, kw, _pair(stride), _pair(padding))
+    cols, oh, ow = _im2col(x, kh, kw, _as_pair(stride), _as_pair(padding))
     y = np.matmul(weight.reshape(co, ci * kh * kw), cols)
     if bias is not None:
         y += bias[:, None]
@@ -121,7 +141,7 @@ def kernel_depthwise_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray 
     c, m, kh, kw = weight.shape
     if x.shape[1] != c or m != 1:
         raise ShapeMismatch(f"depthwise weight {weight.shape} does not match {x.shape[1]} input channels")
-    cols, oh, ow = _im2col(x, kh, kw, _pair(stride), _pair(padding))
+    cols, oh, ow = _im2col(x, kh, kw, _as_pair(stride), _as_pair(padding))
     n = x.shape[0]
     y = np.matmul(weight.reshape(c, 1, kh * kw), cols.reshape(n, c, kh * kw, oh * ow))
     y = y.reshape(n, c, oh, ow)
@@ -158,9 +178,9 @@ def kernel_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _pool_windows(x: np.ndarray, kernel, stride, padding, fill) -> np.ndarray:
     """Windows (n, c, kh*kw, oh, ow) of the input padded with `fill`."""
-    kh, kw = _pair(kernel)
-    cols, oh, ow = _im2col(x, kh, kw, _pair(stride if stride is not None else kernel),
-                           _pair(padding), fill)
+    kh, kw = _as_pair(kernel)
+    cols, oh, ow = _im2col(x, kh, kw, _as_pair(stride if stride is not None else kernel),
+                           _as_pair(padding), fill)
     return cols.reshape(x.shape[0], x.shape[1], kh * kw, oh, ow)
 
 
@@ -192,35 +212,52 @@ def kernel_softmax(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one kernel table for both precisions
+# one table of binders for both precisions
 
-# kind -> entry(node, operand arrays, weight arrays by name). The entries name
-# the kernels at call time, so rebinding a module-level kernel_* reaches them.
-_KERNELS = {
-    "Conv2d": lambda n, xs, w: kernel_conv2d(xs[0], w["weight"], w.get("bias"),
-                                             n.attrs.get("stride", 1), n.attrs.get("padding", 0)),
-    "DepthwiseConv2d": lambda n, xs, w: kernel_depthwise_conv2d(
-        xs[0], w["weight"], w.get("bias"), n.attrs.get("stride", 1), n.attrs.get("padding", 0)),
-    "BatchNorm": lambda n, xs, w: kernel_batchnorm(xs[0], w["gamma"], w["beta"], w["mean"], w["var"],
-                                                   float(n.attrs.get("epsilon", 1e-5))),
-    "ReLU": lambda n, xs, w: kernel_relu(xs[0]),
-    "Add": lambda n, xs, w: kernel_add(xs[0], xs[1]),
-    "MaxPool": lambda n, xs, w: kernel_maxpool(xs[0], n.attrs["kernel"], n.attrs.get("stride"),
-                                               n.attrs.get("padding", 0)),
-    "AvgPool": lambda n, xs, w: kernel_avgpool(xs[0], n.attrs["kernel"], n.attrs.get("stride"),
-                                               n.attrs.get("padding", 0)),
-    "GlobalAvgPool": lambda n, xs, w: kernel_global_avgpool(xs[0]),
+# kind -> binder(node, weight arrays by name) -> kernel(operand arrays). A
+# binder parses the node's geometry once; its kernel names the kernel_*
+# function at call time, so rebinding a module-level kernel_* reaches it.
+
+def _conv(node: Node, w: dict):
+    args = w["weight"], w.get("bias"), _pair(node.attrs.get("stride", 1)), _pair(node.attrs.get("padding", 0))
+    if node.kind == "Conv2d":
+        return lambda xs: kernel_conv2d(xs[0], *args)
+    return lambda xs: kernel_depthwise_conv2d(xs[0], *args)
+
+
+def _pool(node: Node, w: dict):
+    kernel, stride = _pair(node.attrs["kernel"]), node.attrs.get("stride")
+    args = kernel, kernel if stride is None else _pair(stride), _pair(node.attrs.get("padding", 0))
+    if node.kind == "MaxPool":
+        return lambda xs: kernel_maxpool(xs[0], *args)
+    return lambda xs: kernel_avgpool(xs[0], *args)
+
+
+def _batchnorm(node: Node, w: dict):
+    args = w["gamma"], w["beta"], w["mean"], w["var"], float(node.attrs.get("epsilon", 1e-5))
+    return lambda xs: kernel_batchnorm(xs[0], *args)
+
+
+def _gemm(node: Node, w: dict):
     # y = x @ weight.T + bias as a 1x1 conv: one (N, K) @ (K, 1) product per
     # image, so every row keeps its batch-1 bits
-    "Gemm": lambda n, xs, w: kernel_conv2d(xs[0][:, :, None, None], w["weight"][:, :, None, None],
-                                           w.get("bias")).reshape(xs[0].shape[0], -1),
-    "Flatten": lambda n, xs, w: kernel_flatten(xs[0]),
-    "Softmax": lambda n, xs, w: kernel_softmax(xs[0]),
+    args = w["weight"][:, :, None, None], w.get("bias"), (1, 1), (0, 0)
+    return lambda xs: kernel_conv2d(xs[0][:, :, None, None], *args).reshape(xs[0].shape[0], -1)
+
+
+_KERNELS = {
+    "Conv2d": _conv,
+    "DepthwiseConv2d": _conv,
+    "BatchNorm": _batchnorm,
+    "ReLU": lambda n, w: lambda xs: kernel_relu(xs[0]),
+    "Add": lambda n, w: lambda xs: kernel_add(xs[0], xs[1]),
+    "MaxPool": _pool,
+    "AvgPool": _pool,
+    "GlobalAvgPool": lambda n, w: lambda xs: kernel_global_avgpool(xs[0]),
+    "Gemm": _gemm,
+    "Flatten": lambda n, w: lambda xs: kernel_flatten(xs[0]),
+    "Softmax": lambda n, w: lambda xs: kernel_softmax(xs[0]),
 }
-
-
-def _deq64(t: Tensor) -> np.ndarray:
-    return (t.data.astype(np.float64) - t.qparams.zero_point) * t.qparams.step
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +325,17 @@ def _width(node: Node) -> int:
 
 def _scratch(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
     """Bytes a node allocates only while it runs, in its kernel's dtype: a
-    windowed kind's columns and padded copy, and an int8 node's input copies."""
+    windowed kind's columns and padded copy (at non-zero padding), and an
+    int8 node's input copies."""
     elems = 0
     if node.kind in ("Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"):
         _, c, h, w = shapes[node.inputs[0]]
         kh, kw = (node.weights["weight"].shape[2:] if node.kind in WEIGHTED_KINDS
                   else _pair(node.attrs["kernel"]))
         ph, pw = _pair(node.attrs.get("padding", 0))
-        elems += c * kh * kw * math.prod(shapes[node.id][2:]) + c * (h + 2 * ph) * (w + 2 * pw)
+        elems += c * kh * kw * math.prod(shapes[node.id][2:])
+        if ph or pw:  # as in _im2col, which pads a copy only when it must
+            elems += c * (h + 2 * ph) * (w + 2 * pw)
     if node.precision == 8:
         elems += sum(math.prod(shapes[s]) for s in node.inputs)
     return elems * np.dtype(_operand_dtype(node)).itemsize
@@ -332,6 +372,129 @@ def image_batches(images: np.ndarray, *passes: tuple):
         yield Tensor.f32(images[start:start + step])
 
 
+# ---------------------------------------------------------------------------
+# step programs: each node bound once per graph
+
+def _bind(node: Node):
+    """The node's step, step(pass input, operand tensors) -> output tensor.
+    What depends on the node alone is read and checked here, once; a step
+    checks only the tensors it is handed."""
+    kind, nid = node.kind, node.id
+    if kind == "Input":
+        want = tuple(int(d) for d in node.attrs["shape"])
+
+        def step(inp, ins):
+            if inp.shape[1:] != want:
+                raise ShapeMismatch(f"input shape {inp.shape[1:]} != model input {want}")
+            return inp
+        return step
+    if kind == "Output":
+        return lambda inp, ins: ins[0]
+    if kind == "Quantize":
+        qp = node.attrs["out_qparams"]
+        return lambda inp, ins: quantize_affine(ins[0], qp)
+    if kind == "Dequantize":
+        def step(inp, ins):
+            if ins[0].qparams is None:
+                raise MissingQuantParams(f"{nid}: dequantize of non-quantized tensor")
+            return dequantize(ins[0])
+        return step
+
+    relu = bool(node.attrs.get("fused_relu"))
+    if node.precision != 8:
+        kernel = _KERNELS[kind](node, {k: t.data for k, t in node.weights.items()})
+
+        def step(inp, ins):
+            for t in ins:
+                if t.qparams is not None:
+                    raise MissingQuantParams(f"{nid}: FP32 node received an int8 input")
+            y = kernel([t.data for t in ins])
+            return Tensor((kernel_relu(y) if relu else y).astype(np.float32, copy=False))
+        return step
+
+    if kind not in QUANTIZABLE_KINDS:
+        raise UnsupportedKind(f"no int8 kernel for {kind}")
+    out_qp = node.attrs["out_qparams"]
+    if kind not in WEIGHTED_KINDS:
+        kernel = _KERNELS[kind](node, {k: t.data.astype(np.float64) for k, t in node.weights.items()})
+
+        def step(inp, ins):
+            for t in ins:
+                if t.qparams is None:
+                    raise MissingQuantParams(f"{nid}: int8 node received {t.dtype} input")
+            real = kernel([(t.data.astype(np.float64) - t.qparams.zero_point) * t.qparams.step for t in ins])
+            return _requantize(real, out_qp, relu)
+        return step
+
+    wt = node.weights["weight"]
+    if wt.qparams is None:
+        raise MissingQuantParams(f"{nid}: weight tensor is not quantized")
+    if wt.data[0].size > MAX_EXACT_K:
+        raise InvariantViolation(f"{nid}: {wt.data[0].size} multiply-adds per output exceed "
+                                 f"the exact float64 accumulation bound {MAX_EXACT_K}")
+    dtype, w_step = _operand_dtype(node), wt.qparams.step
+    kernel = _KERNELS[kind](node, {"weight": wt.data.astype(dtype)})
+    bias = node.weights["bias"].data.astype(np.float64) if "bias" in node.weights else None
+    bias_shape = (-1,) if kind == "Gemm" else (-1, 1, 1)
+    biases: dict[QuantParams, np.ndarray] = {}  # in accumulator units, per input qparams
+
+    def step(inp, ins):
+        x, qp = ins[0], ins[0].qparams
+        if qp is None:
+            raise MissingQuantParams(f"{nid}: int8 node received {x.dtype} input")
+        scale = qp.step * w_step
+        # offset before padding, so that zero padding stays exact; the offset
+        # copy dies with the call
+        acc = kernel([np.subtract(x.data, qp.zero_point, dtype=dtype)])
+        if bias is None:
+            acc = acc.astype(np.float64, copy=False)
+        else:  # in accumulator units, which may pass 2**24: added once widened
+            b = biases.get(qp)
+            if b is None:
+                b = biases[qp] = round_half_away(bias / scale).reshape(bias_shape)
+            acc = np.add(acc, b, dtype=np.float64)
+        acc *= scale
+        return _requantize(acc, out_qp, relu)
+    return step
+
+
+class _Program:
+    """A graph's plan with each node bound: `steps` holds (node id, step,
+    input ids, values freed there) per plan step, bound on first use, after
+    the precision checks that run_fp32 and run_quantized make from
+    `not_fp32` and `unquantized`. It holds the graph's nodes but not the
+    graph."""
+
+    def __init__(self, graph: Graph, given: frozenset[str]):
+        self.output = graph.output_node.id
+        self.not_fp32 = next((n.id for n in graph.nodes if n.precision != 32), None)
+        self.unquantized = next((n.id for n in graph.nodes
+                                 if n.precision == 8 and "out_qparams" not in n.attrs), None)
+        self._plan = [(graph.node(nid), freed) for nid, freed in _plan(graph, given)]
+
+    @cached_property
+    def steps(self) -> tuple:
+        return tuple((n.id, _bind(n), tuple(n.inputs), freed) for n, freed in self._plan)
+
+
+# graph -> {(wiring, given ids): program}; an entry dies with its graph
+_PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _program(graph: Graph, given: Iterable[str] = ()) -> _Program:
+    """The graph's step program for passes resumed from the `given` ids,
+    cached by the graph object, its wiring and the given ids, so a rewired
+    graph gets a fresh program."""
+    programs = _PROGRAMS.get(graph)
+    if programs is None:
+        programs = _PROGRAMS[graph] = {}
+    key = (_wiring(graph), frozenset(given))
+    program = programs.get(key)
+    if program is None:
+        program = programs[key] = _Program(graph, key[1])
+    return program
+
+
 @dataclass
 class LayerTrace:
     """Float32 outputs of the captured nodes of one pass."""
@@ -353,88 +516,34 @@ class Executor:
                  pause: dict[str, Callable[[dict[str, Tensor]], object]] | None = None):
         """One FP32 pass. `pause` maps node ids to callables that the pass
         calls just before those steps, with the values live there."""
-        for n in graph.nodes:
-            if n.precision != 32:
-                raise InvariantViolation(f"run_fp32 on graph with int8 node {n.id!r}")
-        return self._run(graph, inp, capture, {}, pause or {})
+        program = _program(graph)
+        if program.not_fp32 is not None:
+            raise InvariantViolation(f"run_fp32 on graph with int8 node {program.not_fp32!r}")
+        return self._run(graph, inp, capture, {}, pause or {}, program)
 
     def run_quantized(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False,
                       given: dict[str, Tensor] | None = None):
         """One pass over a mixed-precision graph. `given` supplies node
         outputs, which the pass then neither computes nor captures; it runs
         only the nodes the Output still needs. `inp` stays the whole batch."""
-        for n in graph.nodes:
-            if n.precision == 8 and "out_qparams" not in n.attrs:
-                raise MissingQuantParams(f"int8 node {n.id!r} lacks quantization parameters")
-        return self._run(graph, inp, capture, given or {}, {})
+        given = given or {}
+        program = _program(graph, given)
+        if program.unquantized is not None:
+            raise MissingQuantParams(f"int8 node {program.unquantized!r} lacks quantization parameters")
+        return self._run(graph, inp, capture, given, {}, program)
 
-    def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str], given: dict, pause: dict):
+    def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str], given: dict, pause: dict,
+             program: _Program):
         wanted = _captured(graph, capture)
         values = dict(given)
         trace = LayerTrace()
-        for nid, last_reads in _plan(graph, given):
+        for nid, step, srcs, freed in program.steps:
             if nid in pause:
                 pause[nid](values)
-            node = graph.node(nid)
-            t = self._exec_node(graph, node, [values[s] for s in node.inputs], inp)
-            values[nid] = t
+            t = values[nid] = step(inp, [values[s] for s in srcs])
             if nid in wanted:
-                trace.outputs[nid] = dequantize(t) if t.dtype == "i8" else t
-            for s in last_reads:
+                trace.outputs[nid] = dequantize(t) if t.qparams is not None else t
+            for s in freed:
                 del values[s]
         self.passes += inp.shape[0]
-        return values[graph.output_node.id], trace
-
-    def _exec_node(self, graph: Graph, node: Node, ins: list[Tensor], inp: Tensor) -> Tensor:
-        kind = node.kind
-        if kind == "Input":
-            want = tuple(int(d) for d in node.attrs["shape"])
-            if inp.shape[1:] != want:
-                raise ShapeMismatch(f"input shape {inp.shape[1:]} != model input {want}")
-            return inp
-        if kind == "Output":
-            return ins[0]
-        if kind == "Quantize":
-            return quantize_affine(ins[0], node.attrs["out_qparams"])
-        if kind == "Dequantize":
-            if ins[0].qparams is None:
-                raise MissingQuantParams(f"{node.id}: dequantize of non-quantized tensor")
-            return dequantize(ins[0])
-
-        relu = bool(node.attrs.get("fused_relu"))
-        if node.precision != 8:
-            for t in ins:
-                if t.qparams is not None:
-                    raise MissingQuantParams(f"{node.id}: FP32 node received an int8 input")
-            y = _KERNELS[kind](node, [t.data for t in ins], {k: t.data for k, t in node.weights.items()})
-            return Tensor((kernel_relu(y) if relu else y).astype(np.float32, copy=False))
-
-        for t in ins:
-            if t.dtype != "i8":
-                raise MissingQuantParams(f"{node.id}: int8 node received {t.dtype} input")
-        if kind not in QUANTIZABLE_KINDS:
-            raise UnsupportedKind(f"no int8 kernel for {kind}")
-        if kind not in WEIGHTED_KINDS:
-            real = _KERNELS[kind](node, [_deq64(t) for t in ins],
-                                  {k: t.data.astype(np.float64) for k, t in node.weights.items()})
-            return _requantize(real, node.attrs["out_qparams"], relu)
-
-        in_qp: QuantParams = ins[0].qparams
-        wt = node.weights["weight"]
-        if wt.qparams is None:
-            raise MissingQuantParams(f"{node.id}: weight tensor is not quantized")
-        if wt.data[0].size > MAX_EXACT_K:
-            raise InvariantViolation(f"{node.id}: {wt.data[0].size} multiply-adds per output exceed "
-                                     f"the exact float64 accumulation bound {MAX_EXACT_K}")
-        scale = in_qp.step * wt.qparams.step
-        # offset before padding, so that zero padding stays exact; the offset
-        # copy dies with the call
-        acc = _KERNELS[kind](node, [np.subtract(ins[0].data, in_qp.zero_point, dtype=_operand_dtype(node))],
-                             {"weight": wt.data.astype(_operand_dtype(node))})
-        if "bias" in node.weights:  # in accumulator units, which may pass 2**24: added once widened
-            bias = round_half_away(node.weights["bias"].data.astype(np.float64) / scale)
-            acc = np.add(acc, bias.reshape((-1,) + (1,) * (acc.ndim - 2)), dtype=np.float64)
-        else:
-            acc = acc.astype(np.float64, copy=False)
-        acc *= scale
-        return _requantize(acc, node.attrs["out_qparams"], relu)
+        return values[program.output], trace

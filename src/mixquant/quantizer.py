@@ -52,8 +52,9 @@ def _requantize(real: np.ndarray, qp: QuantParams, clamp_at_zero: bool = False) 
     q += np.copysign(0.5, q)
     np.trunc(q, out=q)
     q += qp.zero_point
-    lo = max(qp.qmin, qp.zero_point) if clamp_at_zero else qp.qmin
-    return Tensor(np.clip(q, lo, qp.qmax, out=q).astype(np.int8), qp)
+    np.maximum(q, max(qp.qmin, qp.zero_point) if clamp_at_zero else qp.qmin, out=q)
+    np.minimum(q, qp.qmax, out=q)
+    return Tensor(q.astype(np.int8), qp)
 
 
 def dequantize(q: Tensor) -> Tensor:

@@ -36,9 +36,9 @@ MININET_GOLDEN = np.array([
 
 
 def gemm(x, w, b=None):
-    """The kernel table's Gemm entry: y = x @ w.T + b, run as a 1x1 conv."""
+    """The binder table's Gemm kernel: y = x @ w.T + b, run as a 1x1 conv."""
     weights = {"weight": w} if b is None else {"weight": w, "bias": b}
-    return mq.executor._KERNELS["Gemm"](Node("fc", "Gemm"), [x], weights)
+    return mq.executor._KERNELS["Gemm"](Node("fc", "Gemm"), weights)([x])
 
 
 def scipy_conv2d(x, w, b, stride, padding):
@@ -274,16 +274,12 @@ class TestQuantizedExecution:
         qg = mq.apply_mixed_precision(mininet, [], mininet_calib)
         quantize_nodes = [n for n in qg.nodes if n.kind == "Quantize"]
         assert quantize_nodes
-        ex = Executor()
         x = Tensor.f32(calib_images[0:1])
-        values = {}
-        for nid in mq.topo_sort(qg):
-            n = qg.node(nid)
-            ins = [values[s] for s in n.inputs]
-            values[nid] = ex._exec_node(qg, n, ins, x)
+        _, trace = Executor().run_quantized(qg, x, capture=True)
+        values = {**trace.outputs, qg.input_node.id: x}  # int8 outputs come dequantized
         for qn in quantize_nodes:
             src = values[qn.inputs[0]].data
-            back = mq.dequantize(values[qn.id]).data
+            back = values[qn.id].data
             qp = qn.attrs["out_qparams"]
             in_range = np.abs(src) <= (qp.qmax - qp.zero_point) * qp.step
             err = np.abs(back - src)[in_range]
@@ -506,12 +502,15 @@ class TestExactInt8Accumulation:
         qp = QuantParams(0.1, 0)
         # a zero-stride view: K is past the bound without allocating it
         wide = np.broadcast_to(np.int8(1), (1, MAX_EXACT_K + 1))
-        node = Node("fc", "Gemm", ["input"], precision=8,
-                    attrs={"out_qparams": qp},
-                    weights={"weight": Tensor(wide, QuantParams(0.1, 0, symmetric=True))})
-        x = Tensor(np.zeros((1, 4), np.int8), qp)
+        g = Graph("g")
+        g.add(Node("input", "Input", attrs={"shape": [4]}))
+        g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": qp}))
+        g.add(Node("fc", "Gemm", ["q"], precision=8,
+                   attrs={"out_qparams": qp},
+                   weights={"weight": Tensor(wide, QuantParams(0.1, 0, symmetric=True))}))
+        g.add(Node("output", "Output", ["fc"]))
         with pytest.raises(InvariantViolation):
-            Executor()._exec_node(Graph("g"), node, [x], x)
+            Executor().run_quantized(g, Tensor.f32(np.zeros((1, 4), np.float32)))
 
 
 class TestVectorizedFp32Kernels:
@@ -690,7 +689,7 @@ def caller_passes(graph):
 # images per pass of each caller at the 1 MiB budget, min over its passes
 BATCH_TABLE = {
     "mininet": {"evaluate": 3, "calibrate": 2, "analyze": 2, "reference": 4},
-    "mini_resnet": {"evaluate": 7, "calibrate": 9, "analyze": 5, "reference": 18},
+    "mini_resnet": {"evaluate": 9, "calibrate": 9, "analyze": 6, "reference": 18},
     "mini_mobilenet": {"evaluate": 4, "calibrate": 3, "analyze": 3, "reference": 5},
 }
 
@@ -830,6 +829,80 @@ class TestExecutionPlan:
         finally:
             tracemalloc.stop()
         assert peak <= ACTIVATION_BUDGET_BYTES, peak
+
+
+# ---------------------------------------------------------------------------
+# step programs: each node bound once per graph, wiring and given set
+
+class TestStepProgram:
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_each_node_bound_once_over_five_passes(self, mininet, mininet_calib, calib_images,
+                                                   monkeypatch, quantized):
+        from collections import Counter
+
+        from mixquant import executor
+        bound, bind = Counter(), executor._bind
+
+        def counting(node):
+            bound[node.id] += 1
+            return bind(node)
+
+        monkeypatch.setattr(executor, "_bind", counting)
+        g = mq.apply_mixed_precision(mininet, [], mininet_calib) if quantized else mininet.copy()
+        ex = Executor()
+        run = ex.run_quantized if quantized else ex.run_fp32
+        outs = [run(g, Tensor.f32(calib_images[:2]))[0].data for _ in range(5)]
+        assert bound == Counter(n.id for n in g.nodes)
+        assert all(np.array_equal(o, outs[0]) for o in outs)
+
+    def test_second_given_set_gets_its_own_program(self, mininet, calib_images):
+        """Passes resumed from the values live at two anchors each bind their
+        own program, and both equal the full pass bit for bit."""
+        from mixquant.executor import _PROGRAMS
+        g, ex, x = mininet.copy(), Executor(), Tensor.f32(calib_images[:3])
+        live = {}
+        pause = {a: lambda values, a=a: live.setdefault(a, dict(values)) for a in ("b2_conv", "b4_conv")}
+        full, _ = ex.run_fp32(g, x, pause=pause)
+        for anchor in pause:
+            out, _ = ex.run_quantized(g, x, given=live[anchor])
+            assert np.array_equal(out.data, full.data), anchor
+        programs = _PROGRAMS[g]
+        assert {given for _, given in programs} == {frozenset(), *(frozenset(v) for v in live.values())}
+        steps = {given: [nid for nid, *_ in p.steps] for (_, given), p in programs.items()}
+        assert len(steps[frozenset(live["b4_conv"])]) < len(steps[frozenset(live["b2_conv"])]) \
+            < len(steps[frozenset()])
+
+    def test_program_dies_with_its_graph(self, mininet, calib_images):
+        import gc
+        import weakref
+
+        from mixquant.executor import _PROGRAMS
+        g = mininet.copy()
+        Executor().run_fp32(g, Tensor.f32(calib_images[:1]))
+        (program,) = _PROGRAMS[g].values()
+        refs = weakref.ref(g), weakref.ref(program)
+        del g, program
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_int8_bias_follows_the_input_qparams(self):
+        """One int8 Gemm graph fed codes with two qparams in turn gives the
+        bits of a fresh graph for each: its bias in accumulator units is
+        kept per input qparams."""
+        rng = np.random.default_rng(0)
+        xq = rng.integers(-128, 128, (2, 6)).astype(np.int8)
+        wq = rng.integers(-127, 128, (3, 6)).astype(np.int8)
+        bias = rng.standard_normal(3).astype(np.float32)
+        qps, out_qp = [QuantParams(0.1, -5), QuantParams(0.03, 7)], QuantParams(0.05, 3)
+        g = int8_linear_graph("Gemm", xq, qps[0], wq, 0.02, bias, 1, 0, out_qp, False)
+        ex, outs = Executor(), []
+        for qp in qps * 2:
+            got, _ = ex.run_quantized(g, Tensor(xq, qp))
+            fresh, _ = Executor().run_quantized(
+                int8_linear_graph("Gemm", xq, qp, wq, 0.02, bias, 1, 0, out_qp, False), Tensor(xq, qp))
+            np.testing.assert_array_equal(got.data, fresh.data)
+            outs.append(got.data)
+        assert not np.array_equal(outs[0], outs[1])
 
 
 # ---------------------------------------------------------------------------

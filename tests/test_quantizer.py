@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mixquant as mq
 from mixquant.calibration import activation_qparams, profile_activations
@@ -106,7 +107,25 @@ requant_qparams = st.builds(
     lambda step: QuantParams(step, 0, symmetric=True), st.floats(1e-6, 1e3))
 
 
+def clip_requantize(real, qp, relu):
+    """_requantize with the np.clip clamp it used before its in-place one."""
+    q = np.divide(real, qp.step, dtype=np.float64)
+    q += np.copysign(0.5, q)
+    np.trunc(q, out=q)
+    q += qp.zero_point
+    lo = max(qp.qmin, qp.zero_point) if relu else qp.qmin
+    return np.clip(q, lo, qp.qmax, out=q).astype(np.int8)
+
+
 class TestRequantize:
+    @given(requant_qparams,
+           hnp.arrays(st.sampled_from([np.float32, np.float64]), st.integers(0, 40),
+                      elements=st.floats(allow_nan=False, width=32)),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_clamp_equals_np_clip_form(self, qp, real, relu):
+        np.testing.assert_array_equal(_requantize(real, qp, relu).data, clip_requantize(real, qp, relu))
+
     @given(requant_qparams, st.lists(st.integers(-300, 300), min_size=1, max_size=24),
            st.lists(st.floats(-1e4, 1e4), max_size=16), st.booleans())
     @example(QuantParams(0.5, -128), [-3, 0, 2], [], True)
