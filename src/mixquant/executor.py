@@ -29,18 +29,15 @@ rewired. A pass frees each value after its last reader; values nothing reads
 (True keeps every non-Input node), stored as float32 (int8 outputs are
 dequantized) so metrics always compare in one domain.
 
-A pass runs the graph's step program: per plan step, the node id, its bound
-step, its input ids and the values freed there. Programs are cached in a
-WeakKeyDictionary by the graph object, then by its wiring and the given ids
-(below): a rewired graph gets a fresh program, a program dies with its graph,
-and a node's attrs, weights and precision must not change in place once bound.
-Binding parses a node's geometry, casts an int8 weighted node's weight to its
-kernel's dtype (a float copy held while the graph lives) and makes the graph
-checks once: an int8 node in run_fp32, a missing `out_qparams` in
-run_quantized, an int8 kind with no int8 kernel, an unquantized int8 weight
-and K past MAX_EXACT_K. An int8 node's bias in accumulator units is kept per
-input qparams. Each pass still checks the input's shape and each operand's
-dtype, given values included.
+Each plan step runs its node's bound step, made once per graph on first use
+and kept in the graph's program, a WeakKeyDictionary entry that dies with the
+graph. Rewiring stays free; a node's attrs, weights and precision must not
+change in place once bound. Binding parses a node's geometry, casts an int8
+weighted node's weight to its kernel's dtype (a float copy held while the
+graph lives) and makes the checks that need no values once, as do the graph
+checks of run_fp32 (an int8 node) and run_quantized (a missing
+`out_qparams`). An int8 node's bias in accumulator units is kept per input
+qparams. Each pass still checks the input's shape and each operand's dtype.
 
 An FP32 pass can pause just before chosen steps and hand a callable the
 values live there. A quantized pass can resume from such values: `given`
@@ -72,7 +69,7 @@ import math
 import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -459,39 +456,27 @@ def _bind(node: Node):
 
 
 class _Program:
-    """A graph's plan with each node bound: `steps` holds (node id, step,
-    input ids, values freed there) per plan step, bound on first use, after
-    the precision checks that run_fp32 and run_quantized make from
-    `not_fp32` and `unquantized`. It holds the graph's nodes but not the
-    graph."""
+    """A graph's bound steps, node id -> (node, step), bound on first use,
+    and the precision checks that run_fp32 and run_quantized make from
+    `not_fp32` and `unquantized`, over the graph's first `size` nodes. It
+    holds the graph's nodes but not the graph."""
 
-    def __init__(self, graph: Graph, given: frozenset[str]):
-        self.output = graph.output_node.id
+    def __init__(self, graph: Graph):
+        self.size, self.output, self.steps = len(graph.nodes), graph.output_node.id, {}
         self.not_fp32 = next((n.id for n in graph.nodes if n.precision != 32), None)
         self.unquantized = next((n.id for n in graph.nodes
                                  if n.precision == 8 and "out_qparams" not in n.attrs), None)
-        self._plan = [(graph.node(nid), freed) for nid, freed in _plan(graph, given)]
-
-    @cached_property
-    def steps(self) -> tuple:
-        return tuple((n.id, _bind(n), tuple(n.inputs), freed) for n, freed in self._plan)
 
 
-# graph -> {(wiring, given ids): program}; an entry dies with its graph
+# graph -> its program; an entry dies with its graph
 _PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _program(graph: Graph, given: Iterable[str] = ()) -> _Program:
-    """The graph's step program for passes resumed from the `given` ids,
-    cached by the graph object, its wiring and the given ids, so a rewired
-    graph gets a fresh program."""
-    programs = _PROGRAMS.get(graph)
-    if programs is None:
-        programs = _PROGRAMS[graph] = {}
-    key = (_wiring(graph), frozenset(given))
-    program = programs.get(key)
-    if program is None:
-        program = programs[key] = _Program(graph, key[1])
+def _program(graph: Graph) -> _Program:
+    """The graph's program, made again once a node has been added."""
+    program = _PROGRAMS.get(graph)
+    if program is None or program.size != len(graph.nodes):
+        program = _PROGRAMS[graph] = _Program(graph)
     return program
 
 
@@ -527,20 +512,24 @@ class Executor:
         outputs, which the pass then neither computes nor captures; it runs
         only the nodes the Output still needs. `inp` stays the whole batch."""
         given = given or {}
-        program = _program(graph, given)
+        program = _program(graph)
         if program.unquantized is not None:
             raise MissingQuantParams(f"int8 node {program.unquantized!r} lacks quantization parameters")
         return self._run(graph, inp, capture, given, {}, program)
 
     def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str], given: dict, pause: dict,
              program: _Program):
-        wanted = _captured(graph, capture)
+        wanted, steps = _captured(graph, capture), program.steps
         values = dict(given)
         trace = LayerTrace()
-        for nid, step, srcs, freed in program.steps:
+        for nid, freed in _plan(graph, given):
             if nid in pause:
                 pause[nid](values)
-            t = values[nid] = step(inp, [values[s] for s in srcs])
+            if nid not in steps:
+                node = graph.node(nid)
+                steps[nid] = node, _bind(node)
+            node, step = steps[nid]
+            t = values[nid] = step(inp, [values[s] for s in node.inputs])
             if nid in wanted:
                 trace.outputs[nid] = dequantize(t) if t.qparams is not None else t
             for s in freed:

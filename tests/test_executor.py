@@ -855,10 +855,20 @@ class TestStepProgram:
         assert bound == Counter(n.id for n in g.nodes)
         assert all(np.array_equal(o, outs[0]) for o in outs)
 
-    def test_second_given_set_gets_its_own_program(self, mininet, calib_images):
-        """Passes resumed from the values live at two anchors each bind their
-        own program, and both equal the full pass bit for bit."""
-        from mixquant.executor import _PROGRAMS
+    def test_second_given_set_gets_its_own_plan(self, mininet, calib_images, monkeypatch):
+        """Passes resumed from the values live at two anchors each follow
+        their own pruned plan over the graph's one set of bound steps, and
+        both equal the full pass bit for bit."""
+        from collections import Counter
+
+        from mixquant import executor
+        bound, bind = Counter(), executor._bind
+
+        def counting(node):
+            bound[node.id] += 1
+            return bind(node)
+
+        monkeypatch.setattr(executor, "_bind", counting)
         g, ex, x = mininet.copy(), Executor(), Tensor.f32(calib_images[:3])
         live = {}
         pause = {a: lambda values, a=a: live.setdefault(a, dict(values)) for a in ("b2_conv", "b4_conv")}
@@ -866,11 +876,10 @@ class TestStepProgram:
         for anchor in pause:
             out, _ = ex.run_quantized(g, x, given=live[anchor])
             assert np.array_equal(out.data, full.data), anchor
-        programs = _PROGRAMS[g]
-        assert {given for _, given in programs} == {frozenset(), *(frozenset(v) for v in live.values())}
-        steps = {given: [nid for nid, *_ in p.steps] for (_, given), p in programs.items()}
-        assert len(steps[frozenset(live["b4_conv"])]) < len(steps[frozenset(live["b2_conv"])]) \
-            < len(steps[frozenset()])
+        assert len(executor._plan(g, live["b4_conv"])) < len(executor._plan(g, live["b2_conv"])) \
+            < len(executor._plan(g))
+        assert bound == Counter(n.id for n in g.nodes)
+        assert executor._PROGRAMS[g].steps.keys() == set(bound)
 
     def test_program_dies_with_its_graph(self, mininet, calib_images):
         import gc
@@ -879,11 +888,20 @@ class TestStepProgram:
         from mixquant.executor import _PROGRAMS
         g = mininet.copy()
         Executor().run_fp32(g, Tensor.f32(calib_images[:1]))
-        (program,) = _PROGRAMS[g].values()
+        program = _PROGRAMS[g]
         refs = weakref.ref(g), weakref.ref(program)
         del g, program
         gc.collect()
         assert [r() for r in refs] == [None, None]
+
+    def test_added_node_is_checked(self, mininet, calib_images):
+        """A node added after a pass is seen by the graph checks: an int8
+        node, even one that nothing reads, stops the next FP32 pass."""
+        g, ex = mininet.copy(), Executor()
+        ex.run_fp32(g, Tensor.f32(calib_images[:1]))
+        g.add(Node("extra", "ReLU", ["b2_relu"], precision=8))
+        with pytest.raises(InvariantViolation, match="'extra'"):
+            ex.run_fp32(g, Tensor.f32(calib_images[:1]))
 
     def test_int8_bias_follows_the_input_qparams(self):
         """One int8 Gemm graph fed codes with two qparams in turn gives the

@@ -9,8 +9,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def test_checkout_against_itself():
-    done = subprocess.run([sys.executable, str(REPO / "tools" / "passes_ab.py"), str(REPO), str(REPO),
-                           "--rounds", "2", "--images", "1"],
+    done = subprocess.run([sys.executable, str(REPO / "tools" / "passes_ab.py"), str(REPO), str(REPO)],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
@@ -22,9 +21,3 @@ def test_checkout_against_itself():
         a_ms, b_ms, ratio = float(r[2]), float(r[3]), float(r[4])
         assert a_ms > 0 and b_ms > 0 and ratio > 0
 
-
-def test_bad_rounds_is_2():
-    done = subprocess.run([sys.executable, str(REPO / "tools" / "passes_ab.py"), str(REPO), str(REPO),
-                           "--rounds", "1"], capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2
-    assert "--rounds" in done.stderr

@@ -1,16 +1,17 @@
 """In-process A/B timing of batch-1 passes between two checkouts.
 
-    python tools/passes_ab.py A B [--rounds N] [--images N]
+    python tools/passes_ab.py A B
 
 Imports A/src/mixquant and B/src/mixquant into this one process as the
 packages `mixquant_a` and `mixquant_b`. With A it synthesizes one model per
 arch (synth seed SEED), calibrates it, quantizes its fused graph fully to int8
 and saves both models, which each side then loads with its own `load_model`.
-Each round times, for A and then B or for B and then A (the order alternates
-by round), batch-1 `run_quantized` on the int8 model and batch-1
-`reference_pass` on the FP32 model over N eval images, after one warm-up
-pass per image. One line per arch and operation gives A's and B's median ms
-per pass and the median of the per-round B/A ratios with its quartiles.
+Each of ROUNDS rounds times, for A and then B or for B and then A (the
+order alternates by round), batch-1 `run_quantized` on the int8 model and
+batch-1 `reference_pass` on the FP32 model over IMAGES eval images, after
+one warm-up pass per image. One line per arch and operation gives A's and
+B's median ms per pass and the median of the per-round B/A ratios with its
+quartiles.
 
 Both sides share one process, so the between-process spread of
 `bench/run.py` (allocator state, page faults) cancels out of the ratios.
@@ -35,6 +36,8 @@ from pathlib import Path  # noqa: E402
 
 ARCHS = ("mininet", "mini_resnet", "mini_mobilenet")
 CALIB_IMAGES = 8
+IMAGES = 8
+ROUNDS = 30
 SEED = 3
 
 
@@ -82,21 +85,21 @@ def timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def compare(a, b, rounds: int, images: int) -> list[dict]:
+def compare(a, b) -> list[dict]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for arch in ARCHS:
             fp32, int8 = build_models(a, arch, SEED, Path(tmp))
             shape = tuple(a.load_model(fp32).input_node.attrs["shape"])
-            imgs = a.gen_images(images, shape, SEED + 2)
+            imgs = a.gen_images(IMAGES, shape, SEED + 2)
             sides = [operations(pkg, fp32, int8, imgs) for pkg in (a, b)]
             for op in sides[0]:
                 for side in sides:
                     side[op]()  # warm-up: bind, cache, allocate
                 t = [[], []]
-                for r in range(rounds):
+                for r in range(ROUNDS):
                     for s in ((0, 1) if r % 2 == 0 else (1, 0)):
-                        t[s].append(timed(sides[s][op]) / images)
+                        t[s].append(timed(sides[s][op]) / IMAGES)
                 ratios = [tb / ta for ta, tb in zip(*t)]
                 q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
                 rows.append({"arch": arch, "op": op, "a_ms": 1e3 * statistics.median(t[0]),
@@ -108,14 +111,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, help="checkout A (the base of the ratios)")
     parser.add_argument("b", type=Path, help="checkout B")
-    parser.add_argument("--rounds", type=int, default=30, help="timed rounds per operation (default 30)")
-    parser.add_argument("--images", type=int, default=8, help="batch-1 passes per round (default 8)")
     args = parser.parse_args(argv)
-    if args.rounds < 2 or args.images < 1:
-        parser.error("need --rounds >= 2 and --images >= 1")
     a, b = load_package(args.a, "mixquant_a"), load_package(args.b, "mixquant_b")
     print(f"{'arch':16} {'operation':15} {'A ms':>8} {'B ms':>8}  B/A median [q1, q3]")
-    for r in compare(a, b, args.rounds, args.images):
+    for r in compare(a, b):
         print(f"{r['arch']:16} {r['op']:15} {r['a_ms']:8.3f} {r['b_ms']:8.3f}  "
               f"{r['ratio']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]")
     return 0
