@@ -8,6 +8,7 @@ which is the axis every accuracy-vs-compression sweep is parameterized by.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import IncompleteConfig, UnresolvedShape
@@ -27,9 +28,7 @@ def count_macs(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
         return 0
     if node.id not in shapes:
         raise UnresolvedShape(f"no resolved shape for node {node.id!r}")
-    out_elems = 1
-    for d in shapes[node.id]:
-        out_elems *= d
+    out_elems = math.prod(shapes[node.id])
     if node.kind == "Conv2d":
         _, ci, kh, kw = node.weights["weight"].shape
         return out_elems * ci * kh * kw

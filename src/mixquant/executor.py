@@ -19,48 +19,51 @@ q_out = clamp(round(real / s_out) + zp_out) with round-half-away-from-zero,
 clamped at the zero point under a fused ReLU, which keeps the interpreter
 deterministic on every platform.
 
-A pass runs a batch of images, and every kernel gives each image the same
-bits whatever the batch size, so batching never moves a result. A pass
-follows the graph's plan: its topological order and, per step, the values
-read there for the last time. The plan is cached by the graph's wiring, the
-((node id, input ids), ...) tuple, so it never goes stale when a graph is
-rewired. A pass frees each value after its last reader; values nothing reads
-(the Output) stay. `capture` names the node ids whose outputs the trace keeps
-(True keeps every non-Input node), stored as float32 (int8 outputs are
-dequantized) so metrics always compare in one domain.
+A pass runs a batch of images, and every kernel gives each image the same bits
+whatever the batch size, so batching never moves a result. A pass follows the
+graph's plan: its topological order and, per step, the values read there for
+the last time, which it then frees; values nothing reads (the Output) stay.
+`capture` names the node ids whose outputs the trace keeps (True keeps every
+non-Input node), stored as float32 (int8 outputs are dequantized) so metrics
+always compare in one domain.
 
-Each plan step runs its node's bound step, made once per graph on first use
-and kept in the graph's program, a WeakKeyDictionary entry that dies with the
-graph. Rewiring stays free; a node's attrs, weights and precision must not
-change in place once bound. Binding parses a node's geometry, casts an int8
-weighted node's weight to its kernel's dtype (a float copy held while the
-graph lives) and makes the checks that need no values once, as do the graph
-checks of run_fp32 (an int8 node) and run_quantized (a missing
-`out_qparams`). An int8 node's bias in accumulator units is kept per input
-qparams. Each pass still checks the input's shape and each operand's dtype.
+A graph's program, a WeakKeyDictionary entry that dies with the graph, holds
+the wiring it was made for (the ((node id, input ids), ...) tuple), the
+graph's shapes at batch 1, its plans, one per set of given ids, and its steps,
+each node bound on first use. A pass over a rewired graph, or one with an
+added node, makes the program again; a node's attrs, weights and precision
+must not change in place once bound. Checked once per wiring: shapes and
+windows (infer_shapes), the graph checks of run_fp32 (an int8 node) and
+run_quantized (a missing `out_qparams`), and binding's (negative variance, an
+unsupported int8 kind, an unquantized weight, MAX_EXACT_K). Binding also
+parses each window into the pairs the kernels take, which check nothing, and
+casts an int8 weighted node's weight to its kernel's dtype (a float copy held
+while the graph lives); its bias in accumulator units is kept per input
+qparams. Checked on every pass: the input's shape, each given value's shape
+and each operand's dtype.
 
-An FP32 pass can pause just before chosen steps and hand a callable the
-values live there. A quantized pass can resume from such values: `given`
-maps node ids to outputs it then neither computes nor captures, and its plan
-is pruned to the nodes that the Output still needs, cached by the wiring and
-the given ids. Values that only FP32 nodes computed from the input equal
-the paused pass's bit for bit, which is how top1 runs each fusion group's
-graph from one FP32 pass per batch. A resumed pass still takes the whole
-batch as its input and counts as one pass of it, like any other.
+An FP32 pass can pause just before chosen steps and hand a callable the values
+live there. A quantized pass can resume from such values: `given` maps node
+ids to outputs it then neither computes nor captures, and its plan is pruned
+to the nodes that the Output still needs. Values that only FP32 nodes computed
+from the input equal the paused pass's bit for bit, which is how top1 runs
+each fusion group's graph from one FP32 pass per batch. A resumed pass still
+takes the whole batch as its input and counts as one pass of it, like any
+other.
 
-Callers feed batches from `image_batches`, sized by the smallest
-`batch_size` of the passes each batch feeds, so that no pass holds more than
-ACTIVATION_BUDGET_BYTES. `batch_size` walks the plan over the
-inferred shapes and charges an image, at each step, the values live there at
-their working width (4 bytes for FP32 outputs, 8 for int8 and Quantize
-outputs, which are computed in float64), the captured outputs held so far as
-float32, and the step's scratch in the dtype of the node's kernel: window
-columns for Conv2d, DepthwiseConv2d, MaxPool and AvgPool, with a padded copy
-of the input where their padding is not zero, and an int8 node's input
-copies. A resumed pass is also charged, at every
-step, the values its paused pass holds. An image costs its largest step. The
-executor counts image-passes (a pass adds its batch size) so callers can
-verify how many inferences an analysis actually performed.
+Callers feed batches from `image_batches`, sized by the smallest `batch_size`
+of the passes each batch feeds, so that no pass holds more than
+ACTIVATION_BUDGET_BYTES. `batch_size` walks the plan over the program's shapes
+and charges an image, at each step, the values live there at their working
+width (4 bytes for FP32 outputs, 8 for int8 and Quantize outputs, which are
+computed in float64), the captured outputs held so far as float32, and the
+step's scratch in the dtype of the node's kernel: window columns for Conv2d,
+DepthwiseConv2d, MaxPool and AvgPool, with a padded copy of the input where
+their padding is not zero, and an int8 node's input copies. A resumed pass is
+also charged, at every step, the values its paused pass holds. An image costs
+its largest step. The executor counts image-passes (a pass adds its batch
+size) so callers can verify how many inferences an analysis actually
+performed.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ import math
 import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -81,7 +83,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .ir import (QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor,
-                 _conv_out_hw, _pair, _topo_order, _wiring, infer_shapes, round_half_away)
+                 _conv_out_hw, _topo_order, _window, _wiring, infer_shapes, round_half_away)
 from .quantizer import _requantize, dequantize, quantize_affine
 
 # Largest multiply-add counts per output for which float64 and float32
@@ -95,11 +97,6 @@ ACTIVATION_BUDGET_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
 # kernels: float32 operands for FP32 nodes and most int8 weighted ones, else float64
-
-def _as_pair(v) -> tuple[int, int]:
-    """ir._pair, except that pairs (which binding parsed) pass through."""
-    return v if type(v) is tuple else _pair(v)
-
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding, fill=0):
     """Columns (n, c*kh*kw, oh*ow) of the input padded with `fill`, channel-major."""
@@ -119,12 +116,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding, fill=0):
 
 
 def kernel_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
-                  stride=1, padding=0) -> np.ndarray:
+                  stride=(1, 1), padding=(0, 0)) -> np.ndarray:
     """Cross-correlation, zero padding, accumulation in the operands' dtype."""
-    if x.shape[1] != weight.shape[1]:
-        raise ShapeMismatch(f"conv input has {x.shape[1]} channels, weight expects {weight.shape[1]}")
     co, ci, kh, kw = weight.shape
-    cols, oh, ow = _im2col(x, kh, kw, _as_pair(stride), _as_pair(padding))
+    cols, oh, ow = _im2col(x, kh, kw, stride, padding)
     y = np.matmul(weight.reshape(co, ci * kh * kw), cols)
     if bias is not None:
         y += bias[:, None]
@@ -132,13 +127,11 @@ def kernel_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
 
 
 def kernel_depthwise_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
-                            stride=1, padding=0) -> np.ndarray:
+                            stride=(1, 1), padding=(0, 0)) -> np.ndarray:
     """One 2-D filter per channel (channel multiplier 1): a grouped im2col and
     one batched (C,1,K) @ (C,K,P) matmul."""
-    c, m, kh, kw = weight.shape
-    if x.shape[1] != c or m != 1:
-        raise ShapeMismatch(f"depthwise weight {weight.shape} does not match {x.shape[1]} input channels")
-    cols, oh, ow = _im2col(x, kh, kw, _as_pair(stride), _as_pair(padding))
+    c, _, kh, kw = weight.shape
+    cols, oh, ow = _im2col(x, kh, kw, stride, padding)
     n = x.shape[0]
     y = np.matmul(weight.reshape(c, 1, kh * kw), cols.reshape(n, c, kh * kw, oh * ow))
     y = y.reshape(n, c, oh, ow)
@@ -149,17 +142,11 @@ def kernel_depthwise_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray 
 
 def kernel_batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float = 1e-5) -> np.ndarray:
     """Per-channel affine normalization using sqrt(var + eps)."""
-    for name, p in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
-        if np.asarray(p).shape != (x.shape[1],):
-            raise ShapeMismatch(f"batchnorm {name} has shape {np.asarray(p).shape}, expected ({x.shape[1]},)")
-    var = np.asarray(var)
-    if np.any(var < 0):
-        raise NonPositiveVariance("negative variance in batchnorm")
     shape = (1, -1) + (1,) * (x.ndim - 2)
     scale = (gamma / np.sqrt(var + eps)).reshape(shape)
-    y = x - np.asarray(mean).reshape(shape)
+    y = x - mean.reshape(shape)
     y *= scale
-    y += np.asarray(beta).reshape(shape)
+    y += beta.reshape(shape)
     return y
 
 
@@ -168,25 +155,21 @@ def kernel_relu(x: np.ndarray) -> np.ndarray:
 
 
 def kernel_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"add operands {a.shape} vs {b.shape}")
     return a + b
 
 
 def _pool_windows(x: np.ndarray, kernel, stride, padding, fill) -> np.ndarray:
     """Windows (n, c, kh*kw, oh, ow) of the input padded with `fill`."""
-    kh, kw = _as_pair(kernel)
-    cols, oh, ow = _im2col(x, kh, kw, _as_pair(stride if stride is not None else kernel),
-                           _as_pair(padding), fill)
-    return cols.reshape(x.shape[0], x.shape[1], kh * kw, oh, ow)
+    cols, oh, ow = _im2col(x, *kernel, stride, padding, fill)
+    return cols.reshape(x.shape[0], x.shape[1], kernel[0] * kernel[1], oh, ow)
 
 
-def kernel_maxpool(x: np.ndarray, kernel, stride=None, padding=0) -> np.ndarray:
+def kernel_maxpool(x: np.ndarray, kernel, stride, padding=(0, 0)) -> np.ndarray:
     neg = np.finfo(x.dtype).min if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
     return _pool_windows(x, kernel, stride, padding, neg).max(axis=2)
 
 
-def kernel_avgpool(x: np.ndarray, kernel, stride=None, padding=0) -> np.ndarray:
+def kernel_avgpool(x: np.ndarray, kernel, stride, padding=(0, 0)) -> np.ndarray:
     """Window means, each summed along a contiguous axis: numpy sums a
     contiguous axis pairwise and a strided one in sequence, which round apart."""
     wins = np.ascontiguousarray(np.moveaxis(_pool_windows(x, kernel, stride, padding, 0), 2, -1))
@@ -212,25 +195,26 @@ def kernel_softmax(x: np.ndarray) -> np.ndarray:
 # one table of binders for both precisions
 
 # kind -> binder(node, weight arrays by name) -> kernel(operand arrays). A
-# binder parses the node's geometry once; its kernel names the kernel_*
+# binder parses the node's window once; its kernel names the kernel_*
 # function at call time, so rebinding a module-level kernel_* reaches it.
 
 def _conv(node: Node, w: dict):
-    args = w["weight"], w.get("bias"), _pair(node.attrs.get("stride", 1)), _pair(node.attrs.get("padding", 0))
+    args = w["weight"], w.get("bias"), *_window(node)[1:]  # stride, padding
     if node.kind == "Conv2d":
         return lambda xs: kernel_conv2d(xs[0], *args)
     return lambda xs: kernel_depthwise_conv2d(xs[0], *args)
 
 
 def _pool(node: Node, w: dict):
-    kernel, stride = _pair(node.attrs["kernel"]), node.attrs.get("stride")
-    args = kernel, kernel if stride is None else _pair(stride), _pair(node.attrs.get("padding", 0))
+    args = _window(node)
     if node.kind == "MaxPool":
         return lambda xs: kernel_maxpool(xs[0], *args)
     return lambda xs: kernel_avgpool(xs[0], *args)
 
 
 def _batchnorm(node: Node, w: dict):
+    if np.any(w["var"] < 0):
+        raise NonPositiveVariance(f"{node.id}: negative variance in batchnorm")
     args = w["gamma"], w["beta"], w["mean"], w["var"], float(node.attrs.get("epsilon", 1e-5))
     return lambda xs: kernel_batchnorm(xs[0], *args)
 
@@ -260,7 +244,6 @@ _KERNELS = {
 # ---------------------------------------------------------------------------
 # execution plan and activation budget
 
-@lru_cache(maxsize=256)
 def _plan_of(edges: tuple[tuple[str, tuple[str, ...]], ...],
              given: frozenset[str]) -> tuple[tuple[str, tuple[str, ...]], ...]:
     inputs = dict(edges)
@@ -286,9 +269,8 @@ def _plan_of(edges: tuple[tuple[str, tuple[str, ...]], ...],
 def _plan(graph: Graph, given: Iterable[str] = ()) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """(node id, values read there for the last time) per step, in topological
     order, over the nodes that the Output needs when the `given` values are
-    supplied. Cached by the graph's wiring and the given ids alone, so a
-    rewired graph gets a new plan and an equal wiring shares one."""
-    return _plan_of(_wiring(graph), frozenset(given))
+    supplied; kept in the graph's program."""
+    return _program(graph).plan(given)
 
 
 def live_before(graph: Graph, nid: str) -> tuple[str, ...]:
@@ -327,9 +309,7 @@ def _scratch(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
     elems = 0
     if node.kind in ("Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"):
         _, c, h, w = shapes[node.inputs[0]]
-        kh, kw = (node.weights["weight"].shape[2:] if node.kind in WEIGHTED_KINDS
-                  else _pair(node.attrs["kernel"]))
-        ph, pw = _pair(node.attrs.get("padding", 0))
+        (kh, kw), _, (ph, pw) = _window(node)
         elems += c * kh * kw * math.prod(shapes[node.id][2:])
         if ph or pw:  # as in _im2col, which pads a copy only when it must
             elems += c * (h + 2 * ph) * (w + 2 * pw)
@@ -344,12 +324,12 @@ def batch_size(graph: Graph, capture: bool | Iterable[str] = False, given: Itera
     FP32 output shares its array with the trace, so it counts once. A pass
     resumed from the `given` values of a paused pass is charged them at every
     step, since the paused pass holds them until the resumed one ends."""
-    shapes = infer_shapes(graph)
-    wanted = _captured(graph, capture)
+    program = _program(graph)
+    shapes, wanted = program.shapes, _captured(graph, capture)
     paused = sum(_width(graph.node(s)) * math.prod(shapes[s]) for s in given)
     live: dict[str, int] = {}
     held = per_image = 0
-    for nid, last_reads in _plan(graph, given):
+    for nid, last_reads in program.plan(given):
         node = graph.node(nid)
         width, size, captured = _width(node), math.prod(shapes[nid]), nid in wanted
         held += 4 * size if captured else 0
@@ -456,16 +436,21 @@ def _bind(node: Node):
 
 
 class _Program:
-    """A graph's bound steps, node id -> (node, step), bound on first use,
-    and the precision checks that run_fp32 and run_quantized make from
-    `not_fp32` and `unquantized`, over the graph's first `size` nodes. It
-    holds the graph's nodes but not the graph."""
+    """A graph's wiring, shapes at batch 1, plans by given-id set, steps
+    (node id -> (node, step), bound on first use) and the precision checks
+    that run_fp32 and run_quantized make from `not_fp32` and `unquantized`.
+    It holds the graph's nodes but not the graph."""
 
-    def __init__(self, graph: Graph):
-        self.size, self.output, self.steps = len(graph.nodes), graph.output_node.id, {}
+    def __init__(self, graph: Graph, wiring: tuple):
+        self.wiring, self.shapes = wiring, infer_shapes(graph)
+        self.output, self.plans, self.steps = graph.output_node.id, {}, {}
         self.not_fp32 = next((n.id for n in graph.nodes if n.precision != 32), None)
         self.unquantized = next((n.id for n in graph.nodes
                                  if n.precision == 8 and "out_qparams" not in n.attrs), None)
+
+    def plan(self, given: Iterable[str]) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        key = frozenset(given)
+        return self.plans.get(key) or self.plans.setdefault(key, _plan_of(self.wiring, key))
 
 
 # graph -> its program; an entry dies with its graph
@@ -473,10 +458,10 @@ _PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _program(graph: Graph) -> _Program:
-    """The graph's program, made again once a node has been added."""
-    program = _PROGRAMS.get(graph)
-    if program is None or program.size != len(graph.nodes):
-        program = _PROGRAMS[graph] = _Program(graph)
+    """The graph's program, made again when the graph's wiring has changed."""
+    wiring, program = _wiring(graph), _PROGRAMS.get(graph)
+    if program is None or program.wiring != wiring:
+        program = _PROGRAMS[graph] = _Program(graph, wiring)
     return program
 
 
@@ -519,10 +504,13 @@ class Executor:
 
     def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str], given: dict, pause: dict,
              program: _Program):
-        wanted, steps = _captured(graph, capture), program.steps
+        wanted, steps, shapes = _captured(graph, capture), program.steps, program.shapes
+        for nid, t in given.items():
+            if t.shape != (want := (inp.shape[0], *shapes[nid][1:])):
+                raise ShapeMismatch(f"given {nid!r} has shape {t.shape}, the pass needs {want}")
         values = dict(given)
         trace = LayerTrace()
-        for nid, freed in _plan(graph, given):
+        for nid, freed in program.plan(given):
             if nid in pause:
                 pause[nid](values)
             if nid not in steps:

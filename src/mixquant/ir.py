@@ -9,6 +9,7 @@ reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import (
     CycleDetected,
+    InvalidAttribute,
     InvariantViolation,
     ShapeMismatch,
     UnknownNode,
@@ -198,14 +200,10 @@ class Graph:
         return found[0]
 
     def validate(self) -> None:
-        """Check structural invariants: ids resolve, single Input/Output, acyclic."""
+        """Check structural invariants: single Input/Output, ids resolve, acyclic."""
         self._single_kind("Input")
         self._single_kind("Output")
-        for n in self.nodes:
-            for src in n.inputs:
-                if src not in self._by_id:
-                    raise UnknownNode(f"node {n.id!r} reads undefined input {src!r}")
-        topo_sort(self)  # raises CycleDetected
+        topo_sort(self)  # raises UnknownNode and CycleDetected
 
 
 def _wiring(graph: Graph) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -265,10 +263,32 @@ def _conv_out_hw(h: int, w: int, kernel: tuple[int, int], stride: tuple[int, int
     return oh, ow
 
 
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (list, tuple)):
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
+def _int_pair(node: Node, key: str, v, least: int) -> tuple[int, int]:
+    """An int >= least, or a pair of them, as a pair."""
+    if type(v) is int and v >= least:
+        return v, v
+    items = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
+    if not all(type(x) is int and x >= least for x in items):
+        raise InvalidAttribute(f"node {node.id!r} ({node.kind}): {key} must be an int >= {least} "
+                               f"or a pair of them, got {v!r}")
+    return items[0], items[-1]
+
+
+def _window(node: Node) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """The (kernel, stride, padding) pairs of a Conv2d, DepthwiseConv2d,
+    MaxPool or AvgPool node, else InvalidAttribute. A conv's kernel is its
+    weight's; a pool without a stride strides by its kernel, and its padding
+    must stay below its kernel, or a window could hold padding alone."""
+    pool = node.kind not in WEIGHTED_KINDS
+    kernel = (_int_pair(node, "kernel", node.attrs.get("kernel"), 1) if pool
+              else node.weights["weight"].data.shape[2:])
+    stride = node.attrs.get("stride", None if pool else 1)
+    stride = kernel if pool and stride is None else _int_pair(node, "stride", stride, 1)
+    padding = _int_pair(node, "padding", node.attrs.get("padding", 0), 0)
+    if pool and (padding[0] >= kernel[0] or padding[1] >= kernel[1]):
+        raise InvalidAttribute(f"node {node.id!r} ({node.kind}): padding {padding} "
+                               f"must stay below the kernel {kernel}")
+    return kernel, stride, padding
 
 
 def infer_shapes(graph: Graph, batch: int = 1) -> dict[str, tuple[int, ...]]:
@@ -281,43 +301,30 @@ def infer_shapes(graph: Graph, batch: int = 1) -> dict[str, tuple[int, ...]]:
             if "shape" not in n.attrs:
                 raise UnresolvedShape(f"Input node {n.id!r} lacks a shape attribute")
             shapes[nid] = (batch, *[int(d) for d in n.attrs["shape"]])
-        elif n.kind in ("Conv2d", "DepthwiseConv2d"):
+        elif n.kind in ("Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"):
             nb, c, h, w = ins[0]
-            wt = n.weights["weight"]
-            kh, kw = wt.shape[2], wt.shape[3]
-            oh, ow = _conv_out_hw(h, w, (kh, kw), _pair(n.attrs.get("stride", 1)),
-                                  _pair(n.attrs.get("padding", 0)))
+            oh, ow = _conv_out_hw(h, w, *_window(n))
             if n.kind == "Conv2d":
-                if wt.shape[1] != c:
-                    raise ShapeMismatch(f"{n.id}: weight expects {wt.shape[1]} channels, input has {c}")
-                shapes[nid] = (nb, wt.shape[0], oh, ow)
-            else:
-                if wt.shape[0] != c:
-                    raise ShapeMismatch(f"{n.id}: depthwise weight has {wt.shape[0]} filters, input has {c}")
-                shapes[nid] = (nb, c, oh, ow)
+                co, ci = n.weights["weight"].shape[:2]
+                if ci != c:
+                    raise ShapeMismatch(f"{n.id}: weight expects {ci} channels, input has {c}")
+                c = co
+            elif n.kind == "DepthwiseConv2d" and n.weights["weight"].shape[:2] != (c, 1):
+                raise ShapeMismatch(f"{n.id}: depthwise weight {n.weights['weight'].shape} "
+                                    f"does not match {c} input channels")
+            shapes[nid] = (nb, c, oh, ow)
         elif n.kind in ("BatchNorm", "ReLU", "Softmax", "Quantize", "Dequantize", "Output"):
+            if n.kind == "BatchNorm" and {t.data.shape for t in n.weights.values()} != {ins[0][1:2]}:
+                raise ShapeMismatch(f"{n.id}: batchnorm parameters must each have shape {ins[0][1:2]}")
             shapes[nid] = ins[0]
         elif n.kind == "Add":
             if ins[0] != ins[1]:
                 raise ShapeMismatch(f"{n.id}: Add operands {ins[0]} vs {ins[1]}")
             shapes[nid] = ins[0]
-        elif n.kind in ("MaxPool", "AvgPool"):
-            nb, c, h, w = ins[0]
-            k = _pair(n.attrs["kernel"])
-            stride = n.attrs.get("stride")  # None strides by the kernel, as in the executor
-            s = k if stride is None else _pair(stride)
-            p = _pair(n.attrs.get("padding", 0))
-            oh, ow = _conv_out_hw(h, w, k, s, p)
-            shapes[nid] = (nb, c, oh, ow)
         elif n.kind == "GlobalAvgPool":
-            nb, c = ins[0][0], ins[0][1]
-            shapes[nid] = (nb, c)
+            shapes[nid] = ins[0][:2]
         elif n.kind == "Flatten":
-            nb = ins[0][0]
-            flat = 1
-            for d in ins[0][1:]:
-                flat *= d
-            shapes[nid] = (nb, flat)
+            shapes[nid] = (ins[0][0], math.prod(ins[0][1:]))
         elif n.kind == "Gemm":
             nb, k = ins[0]
             wt = n.weights["weight"]

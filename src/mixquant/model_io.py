@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (CorruptBlob, EmptyImageBatch, FormatVersionMismatch, InvalidAttribute,
                      InvariantViolation, NonFiniteValue, UnknownArch)
-from .ir import KINDS, QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor
+from .ir import KINDS, QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor, _window
 
 FORMAT_VERSION = 1
 
@@ -297,22 +297,15 @@ def _attr_from_json(v):
 
 
 def _check_node(node: Node) -> None:
-    """Reject what the executor and shape inference could not read: a wrong
-    input count, a kernel, stride or padding of the wrong type, arity or sign
-    (a pool's padding must also stay below its kernel, or a window could hold
-    padding alone), an Input shape other than three positive ints, a missing
-    weight or one of the wrong rank, malformed flags, and `out_qparams`
-    missing where int8 codes are written or present where they are not.
-    Each raises InvalidAttribute."""
+    """Reject, with InvalidAttribute, what the executor and shape inference
+    could not read: a wrong input count, a malformed window (ir._window), an
+    Input shape other than three positive ints, a missing weight or one of
+    the wrong rank, a depthwise channel multiplier, BatchNorm parameters of
+    unequal shapes, malformed flags, and `out_qparams` missing where int8
+    codes are written or present where they are not. What depends on the
+    node's input is left to infer_shapes."""
     def bad(what: str):
         raise InvalidAttribute(f"node {node.id!r} ({node.kind}): {what}")
-
-    def pair(key: str, least: int, default=None) -> tuple[int, int]:
-        v = node.attrs.get(key, default)
-        items = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
-        if not all(type(x) is int and x >= least for x in items):
-            bad(f"{key} must be an int >= {least} or a pair of them, got {v!r}")
-        return items[0], items[-1]
 
     arity = {"Input": 0, "Add": 2}.get(node.kind, 1)
     if len(node.inputs) != arity:
@@ -328,6 +321,10 @@ def _check_node(node: Node) -> None:
         rank = 1 if name != "weight" else 2 if node.kind == "Gemm" else 4
         if t.data.ndim != rank:
             bad(f"{name} has rank {t.data.ndim}, expected {rank}")
+    if node.kind == "BatchNorm" and len({node.weights[k].shape for k in required}) != 1:
+        bad(f"gamma, beta, mean and var differ in shape: {[node.weights[k].shape for k in required]}")
+    if node.kind == "DepthwiseConv2d" and node.weights["weight"].shape[1] != 1:
+        bad(f"depthwise weight {node.weights['weight'].shape} holds more than one filter per channel")
 
     if node.kind == "Input":
         shape = node.attrs.get("shape")
@@ -335,13 +332,7 @@ def _check_node(node: Node) -> None:
                 and all(type(d) is int and d >= 1 for d in shape)):
             bad(f"shape must be three positive ints (C, H, W), got {shape!r}")
     if node.kind in ("Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"):
-        pool = node.kind not in WEIGHTED_KINDS
-        kernel = pair("kernel", 1) if pool else node.weights["weight"].shape[2:]
-        if not (pool and node.attrs.get("stride") is None):  # a pool strides by its kernel
-            pair("stride", 1, 1)
-        padding = pair("padding", 0, 0)
-        if pool and (padding[0] >= kernel[0] or padding[1] >= kernel[1]):
-            bad(f"padding {padding} must stay below the kernel {tuple(kernel)}")
+        _window(node)
     eps = node.attrs.get("epsilon", 0.0)
     if type(eps) not in (int, float) or not 0 <= eps <= sys.float_info.max:
         bad(f"epsilon must be a finite number >= 0, got {eps!r}")

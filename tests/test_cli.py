@@ -301,6 +301,23 @@ class TestExitCodes:
         assert "NaN or infinite" in capsys.readouterr().err
         assert not (d / "calib.json").exists()
 
+    @pytest.mark.parametrize("arch, blob, shape, what", [
+        ("mini_resnet", "stem_bn.gamma", [15], "differ in shape"),
+        ("mini_mobilenet", "m1_dw_dwconv.weight", [16, 2, 3, 3], "more than one filter per channel"),
+    ])
+    def test_node_local_weight_shape_is_3(self, tmp_path, capsys, arch, blob, shape, what):
+        d = tmp_path / "run"
+        assert main(["synth", "--arch", arch, "--seed", "1", "--calib-count", "2",
+                     "--eval-count", "2", "--out-dir", str(d)]) == 0
+        manifest = json.loads((d / "model/manifest.json").read_text())
+        manifest["blobs"][blob].update(shape=shape, length=4 * int(np.prod(shape)))
+        (d / "model/manifest.json").write_text(json.dumps(manifest))
+        code = main(["calibrate", "--model", str(d / "model"),
+                     "--images", str(d / "calib_images.bin"), "--out", str(d / "calib.json")])
+        assert code == 3
+        assert what in capsys.readouterr().err
+        assert not (d / "calib.json").exists()
+
     def test_null_pool_kernel_is_3(self, tmp_path, capsys):
         d = tmp_path / "run"
         assert main(["synth", "--arch", "mini_resnet", "--seed", "1", "--calib-count", "2",

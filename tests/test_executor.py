@@ -95,7 +95,7 @@ class TestFp32Kernels:
         x = rng.uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32)
         w = rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32)
         b = rng.uniform(-1, 1, (4,)).astype(np.float32)
-        got = kernel_conv2d(x, w, b, stride, padding)
+        got = kernel_conv2d(x, w, b, (stride, stride), (padding, padding))
         want = scipy_conv2d(x, w, b, stride, padding)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
@@ -103,14 +103,14 @@ class TestFp32Kernels:
         rng = Lcg(23)
         x = rng.uniform(-1, 1, (1, 2, 6, 6)).astype(np.float32)
         w = rng.uniform(-1, 1, (2, 1, 3, 3)).astype(np.float32)
-        got = kernel_depthwise_conv2d(x, w, None, 1, 1)
+        got = kernel_depthwise_conv2d(x, w, None, (1, 1), (1, 1))
         for c in range(2):
             want = scipy_conv2d(x[:, c:c + 1], w[c:c + 1], None, 1, 1)
             np.testing.assert_allclose(got[:, c:c + 1], want, rtol=1e-5, atol=1e-6)
         # each filter touches only its own channel
         x2 = x.copy()
         x2[:, 1] = 0.0
-        got2 = kernel_depthwise_conv2d(x2, w, None, 1, 1)
+        got2 = kernel_depthwise_conv2d(x2, w, None, (1, 1), (1, 1))
         np.testing.assert_array_equal(got[:, 0], got2[:, 0])
 
     def test_batchnorm_identity(self):
@@ -125,17 +125,22 @@ class TestFp32Kernels:
         assert np.isclose(y, 2.5)
 
     def test_batchnorm_negative_variance(self):
+        g = Graph("bn")
+        g.add(Node("input", "Input", attrs={"shape": [1, 1, 1]}))
+        g.add(Node("bn", "BatchNorm", ["input"], attrs={"epsilon": 0.0},
+                   weights={"gamma": Tensor.f32(np.ones(1)), "beta": Tensor.f32(np.zeros(1)),
+                            "mean": Tensor.f32(np.zeros(1)), "var": Tensor.f32(np.array([-1.0]))}))
+        g.add(Node("output", "Output", ["bn"]))
         with pytest.raises(NonPositiveVariance):
-            kernel_batchnorm(np.zeros((1, 1, 1, 1), np.float32), np.ones(1), np.zeros(1),
-                             np.zeros(1), np.array([-1.0]), 0.0)
+            Executor().run_fp32(g, Tensor.f32(np.zeros((1, 1, 1, 1))))
 
     def test_maxpool(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
-        assert np.array_equal(kernel_maxpool(x, 2, 2), [[[[4.0]]]])
+        assert np.array_equal(kernel_maxpool(x, (2, 2), (2, 2)), [[[[4.0]]]])
 
     def test_avgpool(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
-        assert np.array_equal(kernel_avgpool(x, 2, 2), [[[[2.5]]]])
+        assert np.array_equal(kernel_avgpool(x, (2, 2), (2, 2)), [[[[2.5]]]])
 
     def test_global_avgpool(self):
         x = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
@@ -255,7 +260,7 @@ class TestQuantizedExecution:
         xi = np.floor(rng.uniform(-5, 6, (1, 2, 5, 5))).astype(np.float32)
         wi = np.floor(rng.uniform(-3, 4, (3, 2, 3, 3))).astype(np.float32)
         qp_act = QuantParams(1.0, 0)
-        fp = mq.executor.kernel_conv2d(xi, wi, None, 1, 1)
+        fp = mq.executor.kernel_conv2d(xi, wi, None, (1, 1), (1, 1))
         g = Graph("int")
         g.add(Node("input", "Input", attrs={"shape": [2, 5, 5]}))
         g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": qp_act}))
@@ -510,7 +515,7 @@ class TestExactInt8Accumulation:
                    weights={"weight": Tensor(wide, QuantParams(0.1, 0, symmetric=True))}))
         g.add(Node("output", "Output", ["fc"]))
         with pytest.raises(InvariantViolation):
-            Executor().run_quantized(g, Tensor.f32(np.zeros((1, 4), np.float32)))
+            mq.executor._bind(g.node("fc"))
 
 
 class TestVectorizedFp32Kernels:
@@ -523,7 +528,7 @@ class TestVectorizedFp32Kernels:
         x = rng.uniform(-1, 1, (n, c, h, w)).astype(np.float32)
         wt = rng.uniform(-1, 1, (c, 1, k, k)).astype(np.float32)
         b = rng.uniform(-1, 1, (c,)).astype(np.float32) if with_bias else None
-        got = kernel_depthwise_conv2d(x, wt, b, stride, padding)
+        got = kernel_depthwise_conv2d(x, wt, b, (stride, stride), (padding, padding))
         want = per_channel_depthwise(x, wt, b, stride, padding)
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -537,12 +542,16 @@ class TestVectorizedFp32Kernels:
         wt = rng.uniform(-1, 1, (co, ci, k, k)).astype(np.float32)
         cols, oh, ow = padded_im2col(x, k, k, stride, padding)
         want = np.matmul(wt.reshape(co, -1), cols).reshape(1, co, oh, ow)
-        np.testing.assert_array_equal(kernel_conv2d(x, wt, None, stride, padding), want)
+        np.testing.assert_array_equal(kernel_conv2d(x, wt, None, (stride, stride), (padding, padding)), want)
 
     def test_depthwise_rejects_channel_multiplier(self):
+        g = Graph("dw")
+        g.add(Node("input", "Input", attrs={"shape": [2, 4, 4]}))
+        g.add(Node("dw", "DepthwiseConv2d", ["input"],
+                   weights={"weight": Tensor.f32(np.zeros((2, 2, 3, 3)))}))
+        g.add(Node("output", "Output", ["dw"]))
         with pytest.raises(ShapeMismatch):
-            kernel_depthwise_conv2d(np.zeros((1, 2, 4, 4), np.float32),
-                                    np.zeros((2, 2, 3, 3), np.float32), None)
+            mq.infer_shapes(g)
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +912,57 @@ class TestStepProgram:
         with pytest.raises(InvariantViolation, match="'extra'"):
             ex.run_fp32(g, Tensor.f32(calib_images[:1]))
 
+    def test_rewired_to_disagreeing_shapes(self, mininet, calib_images):
+        """A graph rewired in place so that its shapes disagree fails its next
+        pass with ShapeMismatch, since its program is made again for the new
+        wiring; rewired back, it gives its first pass's bits."""
+        g, ex, x = mininet.copy(), Executor(), Tensor.f32(calib_images[:3])
+        before, _ = ex.run_fp32(g, x)
+        g.node("b6_conv").inputs[0] = "b2_relu"  # 16 channels at 16x16; b6_conv takes 32 at 8x8
+        with pytest.raises(ShapeMismatch, match="b6_conv"):
+            ex.run_fp32(g, x)
+        g.node("b6_conv").inputs[0] = "b5_relu"
+        again, _ = ex.run_fp32(g, x)
+        assert np.array_equal(again.data, before.data)
+
+    @pytest.mark.parametrize("shape", [(2, 16, 8, 8), (2, 16, 1, 16), (3, 16, 16, 16)])
+    def test_given_value_of_wrong_shape(self, mininet, calib_images, shape):
+        """A given value must have the shape its node infers, at the pass's
+        batch; (2, 16, 1, 16) would otherwise broadcast silently in b4_add."""
+        g, ex, x = mininet.copy(), Executor(), Tensor.f32(calib_images[:2])
+        live = {}
+        full, _ = ex.run_fp32(g, x, pause={"b4_add": lambda values: live.update(values)})
+        out, _ = ex.run_quantized(g, x, given=live)
+        assert np.array_equal(out.data, full.data)
+        with pytest.raises(ShapeMismatch, match="b4_bn"):
+            ex.run_quantized(g, x, given={**live, "b4_bn": Tensor.f32(np.zeros(shape))})
+
+    def test_top1_infers_each_graph_once(self, all_archs, monkeypatch):
+        """top1 on mini_resnet, over several batches: the FP32 graph and each
+        group's graph have their shapes inferred once, when their program is
+        made, however many batch sizes and passes read them."""
+        from mixquant import executor
+        from mixquant.fusion import discover_fusion_groups
+        from mixquant.sensitivity import baseline_order
+
+        graph = all_archs["mini_resnet"].copy()
+        images = mq.gen_images(24, (3, 16, 16), 7)
+        calib = mq.profile_activations(all_archs["mini_resnet"], images[:4])
+        calls, infer = [], executor.infer_shapes
+
+        def counting(g, *args, **kwargs):
+            calls.append(g)
+            return infer(g, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "infer_shapes", counting)
+        monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 1 << 19)
+        ex = Executor()
+        baseline_order(graph, "top1", images=images, labels=[0] * 24, calib=calib, executor=ex)
+        groups = len(discover_fusion_groups(graph))
+        assert ex.passes == 24 * (groups + 1)
+        assert calls[0] is graph and len(calls) == groups + 1
+        assert len({id(g) for g in calls}) == len(calls)
+
     def test_int8_bias_follows_the_input_qparams(self):
         """One int8 Gemm graph fed codes with two qparams in turn gives the
         bits of a fresh graph for each: its bias in accumulator units is
@@ -960,8 +1020,8 @@ class TestKernelTable:
         s = k if stride is None else stride
         want_max = padded_pool_windows(x, k, s, padding, np.finfo(dtype).min).max(axis=-1)
         want_avg = padded_pool_windows(x, k, s, padding, 0).mean(axis=-1, dtype=dtype)
-        got_max = kernel_maxpool(x, k, stride, padding)
-        got_avg = kernel_avgpool(x, k, stride, padding)
+        got_max = kernel_maxpool(x, (k, k), (s, s), (padding, padding))
+        got_avg = kernel_avgpool(x, (k, k), (s, s), (padding, padding))
         assert got_max.dtype == got_avg.dtype == dtype
         np.testing.assert_array_equal(got_max, want_max)
         np.testing.assert_array_equal(got_avg, want_avg)
@@ -969,7 +1029,7 @@ class TestKernelTable:
     @pytest.mark.parametrize("pool", [kernel_maxpool, kernel_avgpool])
     def test_pool_larger_than_padded_input(self, pool):
         with pytest.raises(ShapeMismatch):
-            pool(np.zeros((1, 1, 2, 2), np.float32), 5, 1, 1)
+            pool(np.zeros((1, 1, 2, 2), np.float32), (5, 5), (1, 1), (1, 1))
 
     def test_int8_softmax_is_unsupported(self):
         qp = QuantParams(0.1, 0)

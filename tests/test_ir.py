@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixquant as mq
-from mixquant.errors import CycleDetected, InvariantViolation, ShapeMismatch
-from mixquant.ir import Graph, Node, QuantParams, Tensor, round_half_away
+from mixquant.errors import CycleDetected, InvalidAttribute, InvariantViolation, ShapeMismatch
+from mixquant.ir import Graph, Node, QuantParams, Tensor, _window, round_half_away
 
 from conftest import run_f32
 
@@ -121,3 +123,58 @@ class TestShapeInference:
         g.add(Node("output", "Output", ["add"]))
         with pytest.raises(ShapeMismatch):
             mq.infer_shapes(g)
+
+
+# ---------------------------------------------------------------------------
+# one window parser, held to the rules it replaced
+
+def former_pair(v):
+    """The former ir._pair: what shape inference and the executor read."""
+    if isinstance(v, (list, tuple)):
+        return int(v[0]), int(v[1])
+    return int(v), int(v)
+
+
+def former_window(kind, attrs, weight_shape):
+    """The former load-time rules of model_io._check_node, then former_pair's
+    reading of what they accept; None where they reject."""
+    def ok(v, least):
+        items = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
+        return all(type(x) is int and x >= least for x in items)
+
+    pool = kind in ("MaxPool", "AvgPool")
+    if pool and not ok(attrs.get("kernel"), 1):
+        return None
+    if not (pool and attrs.get("stride") is None) and not ok(attrs.get("stride", 1), 1):
+        return None
+    if not ok(attrs.get("padding", 0), 0):
+        return None
+    kernel = former_pair(attrs["kernel"]) if pool else tuple(weight_shape[2:])
+    stride = kernel if pool and attrs.get("stride") is None else former_pair(attrs.get("stride", 1))
+    padding = former_pair(attrs.get("padding", 0))
+    if pool and (padding[0] >= kernel[0] or padding[1] >= kernel[1]):
+        return None
+    return kernel, stride, padding
+
+
+SMALL = st.integers(-2, 4)
+ATTR_VALUES = st.one_of(SMALL, st.tuples(SMALL, SMALL), st.lists(SMALL, min_size=2, max_size=2),
+                        st.lists(SMALL, min_size=1, max_size=3), st.none(), st.floats(-2, 4),
+                        st.booleans(), st.sampled_from(["2", ""]))
+
+
+class TestWindow:
+    @given(st.sampled_from(["Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"]),
+           st.integers(1, 3), st.integers(1, 3),
+           st.fixed_dictionaries({}, optional={k: ATTR_VALUES for k in ("kernel", "stride", "padding")}))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_former_rules(self, kind, kh, kw, attrs):
+        weight_shape = (2, 1, kh, kw)
+        weights = {} if kind in ("MaxPool", "AvgPool") else {"weight": Tensor.f32(np.zeros(weight_shape))}
+        node = Node("n", kind, ["input"], attrs=attrs, weights=weights)
+        want = former_window(kind, attrs, weight_shape)
+        if want is None:
+            with pytest.raises(InvalidAttribute, match="'n'"):
+                _window(node)
+        else:
+            assert _window(node) == want

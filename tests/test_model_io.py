@@ -251,6 +251,19 @@ class TestManifestAttributes:
                                               set_attr(node_id, key, value)))
         assert graph.node(node_id).attrs[key] == value
 
+    @pytest.mark.parametrize("arch, blob, shape, what", [
+        ("mini_resnet", "stem_bn.gamma", [15], "differ in shape"),
+        ("mini_mobilenet", "m1_dw_dwconv.weight", [16, 2, 3, 3], "more than one filter per channel"),
+    ])
+    def test_node_local_weight_shape(self, all_archs, tmp_path, arch, blob, shape, what):
+        """A BatchNorm parameter of another length than its siblings, and a
+        depthwise weight with two filters per channel, fail at load rather
+        than at the first pass."""
+        def reshape(manifest):
+            manifest["blobs"][blob].update(shape=shape, length=4 * int(np.prod(shape)))
+        with pytest.raises(InvalidAttribute, match=what):
+            mq.load_model(edited_manifest(all_archs[arch], tmp_path / "m", reshape))
+
     def test_weight_rank(self, mininet, tmp_path):
         def flatten_fc(manifest):
             manifest["blobs"]["fc.weight"]["shape"] = [320]

@@ -7,11 +7,15 @@ packages `mixquant_a` and `mixquant_b`. With A it synthesizes one model per
 arch (synth seed SEED), calibrates it, quantizes its fused graph fully to int8
 and saves both models, which each side then loads with its own `load_model`.
 Each of ROUNDS rounds times, for A and then B or for B and then A (the
-order alternates by round), batch-1 `run_quantized` on the int8 model and
-batch-1 `reference_pass` on the FP32 model over IMAGES eval images, after
-one warm-up pass per image. One line per arch and operation gives A's and
-B's median ms per pass and the median of the per-round B/A ratios with its
-quartiles.
+order alternates by round), three operations over IMAGES eval images:
+batch-1 `run_quantized` on the int8 model and batch-1 `reference_pass` on
+the FP32 model, each on a graph warmed by one pass per image, and
+`load_and_score`: `load_model` of the int8 model, then one `reference_pass`
+over all the images, as each `evaluate` command scores a fresh graph. The
+warm operations hide what a graph costs once (its program, shapes, bound
+steps and weight casts); `load_and_score` pays it every time. One line per
+arch and operation gives A's and B's median ms per image and the median of
+the per-round B/A ratios with its quartiles.
 
 Both sides share one process, so the between-process spread of
 `bench/run.py` (allocator state, page faults) cancels out of the ratios.
@@ -64,7 +68,7 @@ def build_models(mq, arch: str, seed: int, out: Path) -> tuple[Path, Path]:
 
 
 def operations(mq, fp32: Path, int8: Path, images):
-    """name -> callable making one batch-1 pass per image."""
+    """name -> callable running one operation over the images."""
     ex, graph, qg = mq.Executor(), mq.load_model(fp32), mq.load_model(int8)
     rows = [mq.Tensor.f32(images[i:i + 1]) for i in range(images.shape[0])]
 
@@ -76,7 +80,10 @@ def operations(mq, fp32: Path, int8: Path, images):
         for i in range(images.shape[0]):
             mq.reference_pass(graph, images[i:i + 1], ex)
 
-    return {"run_quantized": quantized, "reference_pass": reference}
+    def load_and_score():
+        mq.reference_pass(mq.load_model(int8), images, ex)
+
+    return {"run_quantized": quantized, "reference_pass": reference, "load_and_score": load_and_score}
 
 
 def timed(fn) -> float:
