@@ -80,10 +80,6 @@ class CalibrationProfile:
             raise MissingCalibration(f"no calibration profile for node {node_id!r}")
         return self.profiles[node_id]
 
-    def covers(self, graph: Graph) -> bool:
-        return all(n.id in self.profiles for n in graph.nodes if n.kind not in ("Input", "Output")) \
-            and graph.input_node.id in self.profiles
-
     def save(self, path) -> None:
         """Compact sorted-key JSON, with the `model` key only when the digest is
         known."""

@@ -19,6 +19,11 @@ q_out = clamp(round(real / s_out) + zp_out) with round-half-away-from-zero,
 clamped at the zero point under a fused ReLU, which keeps the interpreter
 deterministic on every platform.
 
+Conv2d, DepthwiseConv2d, MaxPool, AvgPool and Gemm read their input as
+im2col columns. At width stride 1 each window row's values lie contiguous in
+the padded input and are copied as one item; at a wider stride they lie apart
+and are copied tap by tap. Both give the columns the same bytes.
+
 A pass runs a batch of images, and every kernel gives each image the same bits
 whatever the batch size, so batching never moves a result. A pass follows the
 graph's plan: its topological order and, per step, the values read there for
@@ -99,7 +104,11 @@ ACTIVATION_BUDGET_BYTES = 1 << 20
 # kernels: float32 operands for FP32 nodes and most int8 weighted ones, else float64
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding, fill=0):
-    """Columns (n, c*kh*kw, oh*ow) of the input padded with `fill`, channel-major."""
+    """Columns (n, c*kh*kw, oh*ow) of the input padded with `fill`, channel-major.
+    At width stride 1 a window row's ow values are contiguous in the padded
+    input: one strided copy moves each row as one item, not kh*kw copies of
+    n*c*oh short rows. A wider stride spreads a row apart, and a 1x1 kernel
+    is one copy already: both copy tap by tap, to the same bytes."""
     n, c, h, w = x.shape
     (sh, sw), (ph, pw) = stride, padding
     oh, ow = _conv_out_hw(h, w, (kh, kw), stride, padding)
@@ -108,10 +117,17 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding, fill=0):
         shape = (n, c, h + 2 * ph, w + 2 * pw)  # np.zeros allocates faster than np.full
         xp = np.zeros(shape, x.dtype) if fill == 0 else np.full(shape, fill, x.dtype)
         xp[:, :, ph:ph + h, pw:pw + w] = x
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+    if sw == 1 and kh * kw > 1:
+        xp = np.ascontiguousarray(xp)  # a no-op on every input a pass hands over
+        s0, s1, s2, s3 = xp.strides
+        rows = np.ndarray((n, c, kh, kw, oh), np.dtype((np.void, ow * xp.itemsize)), xp, 0,
+                          (s0, s1, s2, s3, s2 * sh))
+        cols = rows.copy().view(x.dtype)
+    else:
+        cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
     return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 

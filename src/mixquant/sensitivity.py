@@ -129,20 +129,7 @@ def _group_adjusted(graph: Graph, ranked: list[str]) -> list[str]:
     """Make fusion-group members contiguous behind their anchor; a group sits
     at its anchor's rank and members inherit the adjacent positions."""
     member_of = {m: g for g in discover_fusion_groups(graph) for m in g.members}
-    out: list[str] = []
-    emitted: set[str] = set()
-    for nid in ranked:
-        group = member_of[nid]
-        if group.anchor != nid or group.anchor in emitted:
-            continue
-        out.extend(group.members)
-        emitted.update(group.members)
-    # safety net: anything whose anchor never appeared in `ranked`
-    for nid in ranked:
-        if nid not in emitted:
-            out.append(nid)
-            emitted.add(nid)
-    return out
+    return [m for nid in ranked if member_of[nid].anchor == nid for m in member_of[nid].members]
 
 
 def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: np.ndarray,

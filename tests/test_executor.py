@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import signal
@@ -12,6 +12,7 @@ from mixquant.executor import (
     MAX_EXACT_K,
     MAX_F32_K,
     Executor,
+    _im2col,
     kernel_avgpool,
     kernel_batchnorm,
     kernel_conv2d,
@@ -316,14 +317,16 @@ class TestQuantizedExecution:
 # ---------------------------------------------------------------------------
 # reference definitions: the np.pad im2col and the per-channel depthwise loop
 
-def padded_im2col(x, kh, kw, stride, padding):
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (xp.shape[2] - kh) // stride + 1
-    ow = (xp.shape[3] - kw) // stride + 1
+def padded_im2col(x, kh, kw, stride, padding, fill=0):
+    """Stride and padding are ints or (height, width) pairs."""
+    (sh, sw), (ph, pw) = (v if isinstance(v, tuple) else (v, v) for v in (stride, padding))
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    oh = (xp.shape[2] - kh) // sh + 1
+    ow = (xp.shape[3] - kw) // sw + 1
     cols = np.empty(x.shape[:2] + (kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
     return cols.reshape(x.shape[0], -1, oh * ow), oh, ow
 
 
@@ -543,6 +546,26 @@ class TestVectorizedFp32Kernels:
         cols, oh, ow = padded_im2col(x, k, k, stride, padding)
         want = np.matmul(wt.reshape(co, -1), cols).reshape(1, co, oh, ow)
         np.testing.assert_array_equal(kernel_conv2d(x, wt, None, (stride, stride), (padding, padding)), want)
+
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 2), st.integers(1, 2), st.integers(0, 2), st.integers(0, 2), st.integers(1, 7),
+           st.integers(1, 7), st.sampled_from(["contiguous", "sliced", "transposed"]),
+           st.sampled_from([0, -3.25]), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_im2col_equals_padded_definition(self, dtype, n, kh, kw, sh, sw, ph, pw, h, w, layout, fill,
+                                             seed):
+        assume(h + 2 * ph >= kh and w + 2 * pw >= kw)
+        rng, c = Lcg(seed), 1 + seed % 3
+        if layout == "sliced":
+            x = rng.uniform(-1, 1, (n, c, h, 2 * w + 1)).astype(dtype)[:, :, :, 1::2]
+        elif layout == "transposed":
+            x = rng.uniform(-1, 1, (n, c, w, h)).astype(dtype).transpose(0, 1, 3, 2)
+        else:
+            x = rng.uniform(-1, 1, (n, c, h, w)).astype(dtype)
+        want, w_oh, w_ow = padded_im2col(x, kh, kw, (sh, sw), (ph, pw), fill)
+        got, oh, ow = _im2col(x, kh, kw, (sh, sw), (ph, pw), fill)
+        assert (oh, ow) == (w_oh, w_ow) and got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_depthwise_rejects_channel_multiplier(self):
         g = Graph("dw")

@@ -3,17 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixquant as mq
 from mixquant import executor
 from mixquant.calibration import profile_activations
 from mixquant.errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
-from mixquant.fusion import discover_fusion_groups
+from mixquant.fusion import STAGES, discover_fusion_groups
 from mixquant.ir import Graph, Node, Tensor
 from mixquant.model_io import scale_node_weights
 from mixquant.quantizer import apply_mixed_precision
 from mixquant.sensitivity import (
     SensitivityList,
+    _group_adjusted,
     baseline_order,
     evaluate_accuracy,
     generate_sensitivity_list,
@@ -115,6 +118,16 @@ class TestGenerateSensitivityList:
         quantizable = {n.id for n in mininet.nodes if n.kind in mq.ir.QUANTIZABLE_KINDS}
         assert sorted(sens.ids) == sorted(quantizable)
         assert {s.node_id for s in samples} == quantizable
+
+    @given(st.sampled_from(("mininet", "mini_resnet", "mini_mobilenet")), st.sampled_from(STAGES),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_group_adjusted_emits_every_ranked_id_once(self, all_archs, arch, stage, rnd):
+        graph = mq.lower_to_stage(all_archs[arch], stage)
+        ranked = list(quantizable_in_topo_order(graph))
+        rnd.shuffle(ranked)
+        adjusted = _group_adjusted(graph, ranked)
+        assert len(adjusted) == len(ranked) and set(adjusted) == set(ranked)
 
     def test_group_members_contiguous(self, mininet, mininet_calib, calib_images):
         sens, _ = generate_sensitivity_list(mininet, mininet_calib, calib_images)

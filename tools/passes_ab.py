@@ -4,18 +4,22 @@
 
 Imports A/src/mixquant and B/src/mixquant into this one process as the
 packages `mixquant_a` and `mixquant_b`. With A it synthesizes one model per
-arch (synth seed SEED), calibrates it, quantizes its fused graph fully to int8
-and saves both models, which each side then loads with its own `load_model`.
-Each of ROUNDS rounds times, for A and then B or for B and then A (the
-order alternates by round), three operations over IMAGES eval images:
-batch-1 `run_quantized` on the int8 model and batch-1 `reference_pass` on
-the FP32 model, each on a graph warmed by one pass per image, and
-`load_and_score`: `load_model` of the int8 model, then one `reference_pass`
-over all the images, as each `evaluate` command scores a fresh graph. The
-warm operations hide what a graph costs once (its program, shapes, bound
-steps and weight casts); `load_and_score` pays it every time. One line per
-arch and operation gives A's and B's median ms per image and the median of
-the per-round B/A ratios with its quartiles.
+arch (synth seed SEED) and calibrates it. It quantizes the fused graph fully
+to int8, and to a mixed-precision model at a Q40_TARGET % BOPs reduction
+from the in-order list (`select_dequant_set`), the kind of q40 model that
+`quantize` writes and `bench/run.py`'s `infer_ms` samples. It saves the
+three models, which each side then loads with its own `load_model`. Each of
+ROUNDS rounds times, for A and then B or for B and then A (the order
+alternates by round), four operations over IMAGES eval images: batch-1
+`run_quantized` on the int8 model (`run_quantized`) and on the q40 model
+(`run_q40`) and batch-1 `reference_pass` on the FP32 model, each on a graph
+warmed by one pass per image, and `load_and_score`: `load_model` of the
+int8 model, then one `reference_pass` over all the images, as each
+`evaluate` command scores a fresh graph. The warm operations hide what a
+graph costs once (its program, shapes, bound steps and weight casts);
+`load_and_score` pays it every time. One line per arch and operation gives
+A's and B's median ms per image and the median of the per-round B/A ratios
+with its quartiles.
 
 Both sides share one process, so the between-process spread of
 `bench/run.py` (allocator state, page faults) cancels out of the ratios.
@@ -41,6 +45,7 @@ from pathlib import Path  # noqa: E402
 ARCHS = ("mininet", "mini_resnet", "mini_mobilenet")
 CALIB_IMAGES = 8
 IMAGES = 8
+Q40_TARGET = 40
 ROUNDS = 30
 SEED = 3
 
@@ -55,26 +60,30 @@ def load_package(checkout: Path, name: str):
     return pkg
 
 
-def build_models(mq, arch: str, seed: int, out: Path) -> tuple[Path, Path]:
-    """Save the FP32 model and its fully int8 fused graph under `out`."""
+def build_models(mq, arch: str, seed: int, out: Path) -> tuple[Path, Path, Path]:
+    """Save the FP32 model and its fully int8 and q40 fused graphs under `out`."""
     graph = mq.gen_synthetic(arch, seed)
     shape = tuple(graph.input_node.attrs["shape"])
     calib = mq.profile_activations(graph, mq.gen_images(CALIB_IMAGES, shape, seed + 1))
-    qg = mq.apply_mixed_precision(mq.lower_to_stage(graph, "fused"), [], calib)
-    fp32, int8 = out / f"{arch}_fp32", out / f"{arch}_int8"
-    mq.save_model(graph, fp32)
-    mq.save_model(qg, int8)
-    return fp32, int8
+    fused = mq.lower_to_stage(graph, "fused")
+    keep = mq.select_dequant_set(mq.baseline_order(graph, "in_order"), fused, Q40_TARGET)
+    models = (graph, mq.apply_mixed_precision(fused, [], calib), mq.apply_mixed_precision(fused, keep, calib))
+    paths = out / f"{arch}_fp32", out / f"{arch}_int8", out / f"{arch}_q40"
+    for g, path in zip(models, paths):
+        mq.save_model(g, path)
+    return paths
 
 
-def operations(mq, fp32: Path, int8: Path, images):
+def operations(mq, fp32: Path, int8: Path, q40: Path, images):
     """name -> callable running one operation over the images."""
-    ex, graph, qg = mq.Executor(), mq.load_model(fp32), mq.load_model(int8)
+    ex, graph = mq.Executor(), mq.load_model(fp32)
     rows = [mq.Tensor.f32(images[i:i + 1]) for i in range(images.shape[0])]
 
-    def quantized():
-        for x in rows:
-            ex.run_quantized(qg, x)
+    def batch1(g):
+        def run():
+            for x in rows:
+                ex.run_quantized(g, x)
+        return run
 
     def reference():
         for i in range(images.shape[0]):
@@ -83,7 +92,8 @@ def operations(mq, fp32: Path, int8: Path, images):
     def load_and_score():
         mq.reference_pass(mq.load_model(int8), images, ex)
 
-    return {"run_quantized": quantized, "reference_pass": reference, "load_and_score": load_and_score}
+    return {"run_quantized": batch1(mq.load_model(int8)), "run_q40": batch1(mq.load_model(q40)),
+            "reference_pass": reference, "load_and_score": load_and_score}
 
 
 def timed(fn) -> float:
@@ -96,10 +106,10 @@ def compare(a, b) -> list[dict]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for arch in ARCHS:
-            fp32, int8 = build_models(a, arch, SEED, Path(tmp))
-            shape = tuple(a.load_model(fp32).input_node.attrs["shape"])
+            models = build_models(a, arch, SEED, Path(tmp))
+            shape = tuple(a.load_model(models[0]).input_node.attrs["shape"])
             imgs = a.gen_images(IMAGES, shape, SEED + 2)
-            sides = [operations(pkg, fp32, int8, imgs) for pkg in (a, b)]
+            sides = [operations(pkg, *models, imgs) for pkg in (a, b)]
             for op in sides[0]:
                 for side in sides:
                     side[op]()  # warm-up: bind, cache, allocate
