@@ -14,6 +14,7 @@ from mixquant.bops import bops
 from mixquant.fusion import lower_to_stage
 from mixquant.model_io import scale_node_weights
 from mixquant.quantizer import precision_config, select_dequant_set
+from mixquant.sensitivity import top1_accuracy
 
 graph = scale_node_weights(mq.gen_synthetic("mininet", 42), "fc", 50.0, stride=64)
 calib_images = mq.gen_images(32, (3, 16, 16), seed=7)
@@ -37,7 +38,7 @@ for name, sens in orders.items():
     for target in targets:
         keep = select_dequant_set(sens, staged, target)
         qg = mq.apply_mixed_precision(staged, keep, calib)
-        acc = mq.evaluate_accuracy(qg, eval_images, labels)
+        acc = top1_accuracy(mq.reference_pass(qg, eval_images).preds, labels)
         reached = bops(qg, precision_config(qg)).normalized_reduction_pct
         accs.append(acc)
         rows.append({"method": name, "target_pct": target,

@@ -31,7 +31,6 @@ from .sensitivity import (
     MetricSample,
     SensitivityList,
     baseline_order,
-    evaluate_accuracy,
     generate_sensitivity_list,
     mean_logit_sqnr,
     rank_layers_by_sensitivity,

@@ -11,7 +11,10 @@ MAX_EXACT_K. Offset inputs lie in [-255, 255] and weights in [-127, 127], so
 every partial sum is an integer of magnitude at most 255 * 127 * K < 2**24 or
 2**53: exact in any summation order. The accumulator is widened to float64,
 takes the bias in accumulator units round(b / (s_in * s_w)) and is scaled by
-s_in * s_w. The other int8 kinds pass dequantized float64 operands. Every int8
+s_in * s_w. int8 ReLU and MaxPool run on the codes, as max commutes with the
+increasing dequantize (relu(deq(q)) == deq(max(q, zp))); the result indexes a
+table, per input qparams, of all 256 codes dequantized in float64 and
+requantized. The other int8 kinds pass dequantized float64 operands. Every int8
 input, Dequantize's included, is read with the qparams its codes carry; a
 node records only the qparams of the codes it writes (`out_qparams` on int8
 nodes and Quantize). Every int8 output is requantized once,
@@ -19,10 +22,11 @@ q_out = clamp(round(real / s_out) + zp_out) with round-half-away-from-zero,
 clamped at the zero point under a fused ReLU, which keeps the interpreter
 deterministic on every platform.
 
-Conv2d, DepthwiseConv2d, MaxPool, AvgPool and Gemm read their input as
-im2col columns. At width stride 1 each window row's values lie contiguous in
-the padded input and are copied as one item; at a wider stride they lie apart
-and are copied tap by tap. Both give the columns the same bytes.
+Conv2d, DepthwiseConv2d, AvgPool and Gemm read their input as im2col columns.
+At width stride 1 each window row's values lie contiguous in the padded input
+and are copied as one item; at a wider stride they lie apart and are copied
+tap by tap, to the same bytes. AvgPool windows that tile the input are a
+reshape of it instead. MaxPool folds np.maximum over strided views, tap by tap.
 
 A pass runs a batch of images, and every kernel gives each image the same bits
 whatever the batch size, so batching never moves a result. A pass follows the
@@ -166,34 +170,51 @@ def kernel_batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float = 1e-5) -
     return y
 
 
-def kernel_relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def kernel_relu(x: np.ndarray, zero_point: int = 0) -> np.ndarray:
+    return np.maximum(x, zero_point)
 
 
 def kernel_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
-def _pool_windows(x: np.ndarray, kernel, stride, padding, fill) -> np.ndarray:
-    """Windows (n, c, kh*kw, oh, ow) of the input padded with `fill`."""
-    cols, oh, ow = _im2col(x, *kernel, stride, padding, fill)
-    return cols.reshape(x.shape[0], x.shape[1], kernel[0] * kernel[1], oh, ow)
-
-
 def kernel_maxpool(x: np.ndarray, kernel, stride, padding=(0, 0)) -> np.ndarray:
-    neg = np.finfo(x.dtype).min if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
-    return _pool_windows(x, kernel, stride, padding, neg).max(axis=2)
+    """Window maxima, the input padded with its dtype's least value."""
+    (kh, kw), (sh, sw), (ph, pw), (n, c, h, w) = kernel, stride, padding, x.shape
+    oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+    xp = x
+    if ph or pw:
+        neg = np.finfo(x.dtype).min if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
+        xp = np.full((n, c, h + 2 * ph, w + 2 * pw), neg, x.dtype)
+        xp[:, :, ph:ph + h, pw:pw + w] = x
+    y = xp[:, :, :sh * oh:sh, :sw * ow:sw].copy()
+    for t in range(1, kh * kw):  # the other taps, in the (i, j) order of a column reduction
+        i, j = divmod(t, kw)
+        np.maximum(y, xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw], out=y)
+    return y
+
+
+def _mean(x: np.ndarray, axis, count: int) -> np.ndarray:
+    """x.mean(axis, dtype=x.dtype) as numpy's _methods._mean computes it."""
+    s = np.add.reduce(x, axis, dtype=x.dtype)
+    return np.true_divide(s, np.intp(count), out=s, casting="unsafe")
 
 
 def kernel_avgpool(x: np.ndarray, kernel, stride, padding=(0, 0)) -> np.ndarray:
     """Window means, each summed along a contiguous axis: numpy sums a
     contiguous axis pairwise and a strided one in sequence, which round apart."""
-    wins = np.ascontiguousarray(np.moveaxis(_pool_windows(x, kernel, stride, padding, 0), 2, -1))
-    return wins.mean(axis=-1, dtype=x.dtype)
+    (kh, kw), (n, c, h, w) = kernel, x.shape
+    if tuple(stride) == (kh, kw) and not any(padding):
+        oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+        wins = x[:, :, :oh * kh, :ow * kw].reshape(n, c, oh, kh, ow, kw).transpose(0, 1, 2, 4, 3, 5)
+    else:
+        cols, oh, ow = _im2col(x, kh, kw, stride, padding)
+        wins = cols.reshape(n, c, kh, kw, oh, ow).transpose(0, 1, 4, 5, 2, 3)
+    return _mean(np.ascontiguousarray(wins).reshape(n, c, oh, ow, kh * kw), -1, kh * kw)
 
 
 def kernel_global_avgpool(x: np.ndarray) -> np.ndarray:
-    return x.mean(axis=(2, 3), dtype=x.dtype)
+    return _mean(x, (2, 3), x.shape[2] * x.shape[3])
 
 
 def kernel_flatten(x: np.ndarray) -> np.ndarray:
@@ -408,6 +429,21 @@ def _bind(node: Node):
     if kind not in QUANTIZABLE_KINDS:
         raise UnsupportedKind(f"no int8 kernel for {kind}")
     out_qp = node.attrs["out_qparams"]
+    if kind in ("ReLU", "MaxPool"):
+        window = _window(node) if kind == "MaxPool" else None
+        tables: dict[QuantParams, np.ndarray] = {}  # code bits as uint8 -> output code, per input qparams
+
+        def step(inp, ins):
+            x, qp = ins[0], ins[0].qparams
+            if qp is None:
+                raise MissingQuantParams(f"{nid}: int8 node received {x.dtype} input")
+            table = tables.get(qp)
+            if table is None:  # every code, in the order of its bits as uint8
+                real = (np.r_[0:128, -128:0].astype(np.float64) - qp.zero_point) * qp.step
+                table = tables[qp] = _requantize(real, out_qp, relu).data
+            y = kernel_relu(x.data, qp.zero_point) if window is None else kernel_maxpool(x.data, *window)
+            return Tensor(table.take(y.view(np.uint8)), out_qp)
+        return step
     if kind not in WEIGHTED_KINDS:
         kernel = _KERNELS[kind](node, {k: t.data.astype(np.float64) for k, t in node.weights.items()})
 

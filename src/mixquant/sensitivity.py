@@ -325,11 +325,6 @@ def mean_logit_sqnr(ref_logits: np.ndarray, logits: np.ndarray) -> float:
     return total / ref_logits.shape[0]
 
 
-def evaluate_accuracy(graph: Graph, images: np.ndarray, labels, executor: Executor | None = None) -> float:
-    """Top-1 accuracy of the graph's argmax against the given labels."""
-    return top1_accuracy(reference_pass(graph, images, executor).preds, list(labels))
-
-
 CSV_COLUMNS = ["id", "layer_index", "weight_sqnr", "act_sqnr", "weight_delta",
                "act_delta", "act_mse", "weight_mse", "act_cosine", "act_kl"]
 

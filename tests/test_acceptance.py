@@ -22,11 +22,11 @@ from mixquant.model_io import Lcg, scale_node_weights
 from mixquant.quantizer import count_qdq, expand_to_groups, select_dequant_set
 from mixquant.sensitivity import (
     baseline_order,
-    evaluate_accuracy,
     generate_sensitivity_list,
     mean_logit_sqnr,
     rank_layers_by_sensitivity,
     reference_pass,
+    top1_accuracy,
 )
 
 from conftest import run_f32
@@ -237,7 +237,7 @@ def test_criterion_6_pathology_recovery(pathology_setup):
         for target in targets:
             keep = select_dequant_set(sens, staged, target)
             qg = mq.apply_mixed_precision(staged, keep, calib)
-            accs.append(evaluate_accuracy(qg, eval_images, labels))
+            accs.append(top1_accuracy(reference_pass(qg, eval_images).preds, labels))
         curves[name] = accs
 
     assert all(o >= b for o, b in zip(curves["delta_mixup"], curves["in_order"])), curves

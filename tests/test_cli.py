@@ -15,7 +15,7 @@ from mixquant.cli import (METHODS, evaluate_model, load_reference, main, model_d
 from mixquant.errors import CorruptBlob, MissingLabels, NonFiniteValue
 from mixquant.fusion import discover_fusion_groups
 from mixquant.quantizer import load_node_list
-from mixquant.sensitivity import Reference, evaluate_accuracy, mean_logit_sqnr, reference_pass
+from mixquant.sensitivity import Reference, mean_logit_sqnr, reference_pass, top1_accuracy
 
 from conftest import histogram_layout
 
@@ -394,8 +394,8 @@ class TestEvaluate:
         report = evaluate_model(qg, reference_pass(mininet, images, executor=ex), images, labels,
                                 executor=ex)
         assert ex.passes == 2 * images.shape[0]
-        assert report["accuracy"] == evaluate_accuracy(qg, images, labels)
-        assert report["ref_accuracy"] == evaluate_accuracy(mininet, images, labels)
+        assert report["accuracy"] == top1_accuracy(reference_pass(qg, images).preds, labels)
+        assert report["ref_accuracy"] == top1_accuracy(reference_pass(mininet, images).preds, labels)
         assert report["final_logit_sqnr_db"] == mean_logit_sqnr(
             reference_pass(mininet, images).logits, reference_pass(qg, images).logits)
 

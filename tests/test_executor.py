@@ -25,6 +25,7 @@ from mixquant.executor import (
 )
 from mixquant.ir import KINDS, Graph, Node, QuantParams, Tensor, round_half_away
 from mixquant.model_io import Lcg
+from mixquant.quantizer import _requantize
 
 from conftest import run_f32
 
@@ -1007,7 +1008,16 @@ class TestStepProgram:
 
 
 # ---------------------------------------------------------------------------
-# one kernel table for both precisions; pools take the conv's window extractor
+# one kernel table for both precisions
+
+@st.composite
+def int8_qparams(draw):
+    """Symmetric or asymmetric qparams, the zero point's ends included."""
+    step = draw(st.floats(1e-3, 4.0))
+    if draw(st.booleans()):
+        return QuantParams(step, 0, symmetric=True)
+    return QuantParams(step, draw(st.sampled_from([-128, 127]) | st.integers(-128, 127)))
+
 
 def padded_pool_windows(x, k, s, p, pad_value):
     """Pool windows by np.pad and a window copy, window axis last."""
@@ -1030,29 +1040,75 @@ KIND_KERNELS = {"Conv2d": "kernel_conv2d", "DepthwiseConv2d": "kernel_depthwise_
 
 
 class TestKernelTable:
-    @given(st.integers(1, 3), st.sampled_from([1, 2, None]), st.integers(0, 1),
-           st.sampled_from([np.float32, np.float64]), st.integers(1, 2), st.integers(1, 3),
+    @given(st.integers(1, 3), st.sampled_from([1, 2, 3, None]), st.integers(0, 2),
+           st.sampled_from([np.float32, np.float64, np.int8]), st.integers(1, 2), st.integers(1, 3),
            st.integers(0, 4), st.integers(0, 4), st.booleans(), st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=120, deadline=None)
-    def test_pools_equal_padded_window_definition(self, k, stride, padding, dtype, n, c, dh, dw,
-                                                  negative, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, c, k + dh, k + dw)).astype(dtype)
-        if negative:  # a maxpool padded with 0 would then read the padding
-            x = -np.abs(x) - 1
+    @settings(max_examples=200, deadline=None)
+    def test_pools_equal_padded_window_definition(self, k, stride, padding, dtype, n, c, dh, dw, negative,
+                                                  seed):
+        """Byte for byte, so that the sign of a zero shows: MaxPool folds the
+        taps in (i, j) order, AvgPool sums each window's taps in that order
+        along a contiguous axis, whether windows tile the input (stride ==
+        kernel, no padding) or not; int8 MaxPool pads with iinfo's least."""
+        p = min(padding, k)
         s = k if stride is None else stride
-        want_max = padded_pool_windows(x, k, s, padding, np.finfo(dtype).min).max(axis=-1)
-        want_avg = padded_pool_windows(x, k, s, padding, 0).mean(axis=-1, dtype=dtype)
-        got_max = kernel_maxpool(x, (k, k), (s, s), (padding, padding))
-        got_avg = kernel_avgpool(x, (k, k), (s, s), (padding, padding))
-        assert got_max.dtype == got_avg.dtype == dtype
-        np.testing.assert_array_equal(got_max, want_max)
-        np.testing.assert_array_equal(got_avg, want_avg)
+        rng = np.random.default_rng(seed)
+        shape = (n, c, k + dh, k + dw)
+        if dtype == np.int8:
+            x = rng.integers(-128, 128, shape).astype(np.int8)
+            least = np.iinfo(dtype).min
+        else:
+            x = rng.standard_normal(shape).astype(dtype)
+            x[rng.random(shape) < 0.3] = 0.0
+            x[rng.random(shape) < 0.3] = -0.0
+            if negative:  # a maxpool padded with 0 would then read the padding
+                x = -np.abs(x) - 1
+            least = np.finfo(dtype).min
+        taps = padded_pool_windows(x, k, s, p, least)
+        want_max = taps[..., 0].copy()
+        for t in range(1, k * k):
+            np.maximum(want_max, taps[..., t], out=want_max)
+        got_max = kernel_maxpool(x, (k, k), (s, s), (p, p))
+        assert got_max.dtype == dtype and got_max.tobytes() == want_max.tobytes()
+        if dtype != np.int8:
+            want_avg = padded_pool_windows(x, k, s, p, 0).mean(axis=-1, dtype=dtype)
+            got_avg = kernel_avgpool(x, (k, k), (s, s), (p, p))
+            assert got_avg.dtype == dtype and got_avg.tobytes() == want_avg.tobytes()
+            got_gap = kernel_global_avgpool(x)
+            assert got_gap.tobytes() == x.mean(axis=(2, 3), dtype=dtype).tobytes()
 
     @pytest.mark.parametrize("pool", [kernel_maxpool, kernel_avgpool])
     def test_pool_larger_than_padded_input(self, pool):
         with pytest.raises(ShapeMismatch):
             pool(np.zeros((1, 1, 2, 2), np.float32), (5, 5), (1, 1), (1, 1))
+
+    @given(st.sampled_from(["ReLU", "MaxPool"]), st.booleans(), st.lists(int8_qparams(), min_size=2, max_size=2),
+           int8_qparams(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_int8_relu_and_maxpool_on_codes_equal_the_dequantized_path(self, kind, fused_relu, in_qps,
+                                                                       out_qp, k, stride, padding, seed):
+        """Over all 256 codes, an int8 ReLU or MaxPool step equals dequantize ->
+        float64 kernel -> _requantize, for each of two input qparams in turn
+        on one graph, whose code table is kept per input qparams."""
+        p = min(padding, k - 1)
+        codes = np.random.default_rng(seed).permutation(np.arange(-128, 128)).astype(np.int8).reshape(1, 1, 16, 16)
+        attrs = {"out_qparams": out_qp, "fused_relu": fused_relu}
+        if kind == "MaxPool":
+            attrs.update(kernel=k, stride=stride, padding=p)
+        g = Graph("codes")
+        g.add(Node("input", "Input", attrs={"shape": [1, 16, 16]}))
+        g.add(Node("op", kind, ["input"], precision=8, attrs=attrs))
+        g.add(Node("output", "Output", ["op"]))
+        ex = Executor()
+        for qp in in_qps * 2:
+            real = (codes.astype(np.float64) - qp.zero_point) * qp.step
+            if kind == "ReLU":
+                real = np.maximum(real, 0)
+            else:
+                real = padded_pool_windows(real, k, stride, p, np.finfo(np.float64).min).max(axis=-1)
+            want = _requantize(real, out_qp, fused_relu)
+            got, _ = ex.run_quantized(g, Tensor(codes, qp))
+            assert got.qparams == out_qp and got.data.tobytes() == want.data.tobytes()
 
     def test_int8_softmax_is_unsupported(self):
         qp = QuantParams(0.1, 0)

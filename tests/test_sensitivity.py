@@ -18,7 +18,6 @@ from mixquant.sensitivity import (
     SensitivityList,
     _group_adjusted,
     baseline_order,
-    evaluate_accuracy,
     generate_sensitivity_list,
     logits_node_id,
     mean_logit_sqnr,
@@ -243,9 +242,9 @@ def per_group_top1(graph, images, labels, calib):
     """top1 as one full pass of each group's graph: the reference ordering."""
     groups = discover_fusion_groups(graph)
     all_q = quantizable_in_topo_order(graph)
-    base = evaluate_accuracy(graph, images, labels)
-    drops = [base - evaluate_accuracy(apply_mixed_precision(
-        graph, [n for n in all_q if n not in g.members], calib), images, labels) for g in groups]
+    base = top1_accuracy(reference_pass(graph, images).preds, labels)
+    drops = [base - top1_accuracy(reference_pass(apply_mixed_precision(
+        graph, [n for n in all_q if n not in g.members], calib), images).preds, labels) for g in groups]
     ranked = sorted(range(len(groups)), key=lambda i: (-drops[i], i))
     return [m for i in ranked for m in groups[i].members]
 
@@ -416,8 +415,6 @@ class TestScoringPass:
         for graph in (mininet, mq.apply_mixed_precision(mininet, ["b2_conv"], mininet_calib)):
             with pytest.raises(EmptyImageBatch):
                 reference_pass(graph, empty)
-            with pytest.raises(EmptyImageBatch):
-                mq.evaluate_accuracy(graph, empty, [])
         assert calls == {"run_fp32": 0, "run_quantized": 0}
 
 
