@@ -9,7 +9,7 @@ which is the axis every accuracy-vs-compression sweep is parameterized by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IncompleteConfig, UnresolvedShape
 from .ir import Graph, Node, QUANTIZABLE_KINDS, infer_shapes
@@ -41,13 +41,12 @@ def count_macs(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
 
 
 def macs_by_node(graph: Graph) -> dict[str, int]:
-    shapes = infer_shapes(graph, batch=1)
+    shapes = infer_shapes(graph)
     return {n.id: count_macs(n, shapes) for n in graph.nodes}
 
 
 @dataclass
 class BopsReport:
-    macs: dict[str, int] = field(default_factory=dict)
     bops_fp32: int = 0
     bops_int8: int = 0
     bops_config: int = 0
@@ -87,6 +86,5 @@ def bops(graph: Graph, config: dict[str, int], macs: dict[str, int] | None = Non
     literal = 100.0 * (1.0 - total_config / total) if total else 0.0
     denom = total - total_int8
     normalized = 100.0 * (total - total_config) / denom if denom else 100.0
-    return BopsReport(macs=macs, bops_fp32=total, bops_int8=total_int8,
-                      bops_config=total_config, literal_reduction_pct=literal,
-                      normalized_reduction_pct=normalized)
+    return BopsReport(bops_fp32=total, bops_int8=total_int8, bops_config=total_config,
+                      literal_reduction_pct=literal, normalized_reduction_pct=normalized)

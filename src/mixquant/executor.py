@@ -17,7 +17,9 @@ table, per input qparams, of all 256 codes dequantized in float64 and
 requantized. The other int8 kinds pass dequantized float64 operands. Every int8
 input, Dequantize's included, is read with the qparams its codes carry; a
 node records only the qparams of the codes it writes (`out_qparams` on int8
-nodes and Quantize). Every int8 output is requantized once,
+nodes and Quantize). Which values hold codes follows the rule in ir that
+load_model checks too, save that the Input holds what its readers read and
+the Output what it reads. Every int8 output is requantized once,
 q_out = clamp(round(real / s_out) + zp_out) with round-half-away-from-zero,
 clamped at the zero point under a fused ReLU, which keeps the interpreter
 deterministic on every platform.
@@ -42,14 +44,14 @@ graph's shapes at batch 1, its plans, one per set of given ids, and its steps,
 each node bound on first use. A pass over a rewired graph, or one with an
 added node, makes the program again; a node's attrs, weights and precision
 must not change in place once bound. Checked once per wiring: shapes and
-windows (infer_shapes), the graph checks of run_fp32 (an int8 node) and
-run_quantized (a missing `out_qparams`), and binding's (negative variance, an
-unsupported int8 kind, an unquantized weight, MAX_EXACT_K). Binding also
-parses each window into the pairs the kernels take, which check nothing, and
-casts an int8 weighted node's weight to its kernel's dtype (a float copy held
-while the graph lives); its bias in accumulator units is kept per input
-qparams. Checked on every pass: the input's shape, each given value's shape
-and each operand's dtype.
+windows (infer_shapes), the graph checks of run_fp32 (an int8 node) and of
+every pass (a missing `out_qparams`, then each operand's dtype: codes read as
+floats or floats as codes), and binding's (negative variance, an unsupported
+int8 kind, an unquantized weight, MAX_EXACT_K). Binding also parses each
+window into pairs and casts an int8 weighted node's weight to its kernel's
+dtype (a float copy held while the graph lives); its bias in accumulator
+units is kept per input qparams. Steps and kernels check nothing. Checked on
+every pass: the input's and each given value's shape and kind (codes or float).
 
 An FP32 pass can pause just before chosen steps and hand a callable the values
 live there. A quantized pass can resume from such values: `given` maps node
@@ -91,8 +93,8 @@ from .errors import (
     ShapeMismatch,
     UnsupportedKind,
 )
-from .ir import (QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor,
-                 _conv_out_hw, _topo_order, _window, _wiring, infer_shapes, round_half_away)
+from .ir import (QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor, _conv_out_hw,
+                 _reads_codes, _topo_order, _window, _wiring, _writes_codes, infer_shapes, round_half_away)
 from .quantizer import _requantize, dequantize, quantize_affine
 
 # Largest multiply-add counts per output for which float64 and float32
@@ -107,8 +109,8 @@ ACTIVATION_BUDGET_BYTES = 1 << 20
 # ---------------------------------------------------------------------------
 # kernels: float32 operands for FP32 nodes and most int8 weighted ones, else float64
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding, fill=0):
-    """Columns (n, c*kh*kw, oh*ow) of the input padded with `fill`, channel-major.
+def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding):
+    """Columns (n, c*kh*kw, oh*ow) of the zero-padded input, channel-major.
     At width stride 1 a window row's ow values are contiguous in the padded
     input: one strided copy moves each row as one item, not kh*kw copies of
     n*c*oh short rows. A wider stride spreads a row apart, and a 1x1 kernel
@@ -118,8 +120,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding, fill=0):
     oh, ow = _conv_out_hw(h, w, (kh, kw), stride, padding)
     xp = x
     if ph or pw:
-        shape = (n, c, h + 2 * ph, w + 2 * pw)  # np.zeros allocates faster than np.full
-        xp = np.zeros(shape, x.dtype) if fill == 0 else np.full(shape, fill, x.dtype)
+        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
         xp[:, :, ph:ph + h, pw:pw + w] = x
     if sw == 1 and kh * kw > 1:
         xp = np.ascontiguousarray(xp)  # a no-op on every input a pass hands over
@@ -303,17 +304,10 @@ def _plan_of(edges: tuple[tuple[str, tuple[str, ...]], ...],
     return tuple((nid, tuple(freed[nid])) for nid in order)
 
 
-def _plan(graph: Graph, given: Iterable[str] = ()) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """(node id, values read there for the last time) per step, in topological
-    order, over the nodes that the Output needs when the `given` values are
-    supplied; kept in the graph's program."""
-    return _program(graph).plan(given)
-
-
 def live_before(graph: Graph, nid: str) -> tuple[str, ...]:
     """Ids of the values a full pass over `graph` holds just before step `nid`."""
     live: list[str] = []
-    for step, last_reads in _plan(graph):
+    for step, last_reads in _program(graph).plan(()):
         if step == nid:
             break
         live = [s for s in [*live, step] if s not in last_reads]
@@ -334,9 +328,9 @@ def _operand_dtype(node: Node):
 
 
 def _width(node: Node) -> int:
-    """Bytes per element of a node's output while it is live: int8 nodes and
-    Quantize requantize it from float64."""
-    return 8 if node.precision == 8 or node.kind == "Quantize" else 4
+    """Bytes per element of a node's output while it is live: code writers
+    requantize it from float64."""
+    return 8 if _writes_codes(node) else 4
 
 
 def _scratch(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
@@ -391,37 +385,25 @@ def image_batches(images: np.ndarray, *passes: tuple):
 
 def _bind(node: Node):
     """The node's step, step(pass input, operand tensors) -> output tensor.
-    What depends on the node alone is read and checked here, once; a step
-    checks only the tensors it is handed."""
+    What depends on the node alone is read and checked here, once. A step
+    trusts its operands to be codes or floats as the node reads them, which
+    the program checks once per wiring."""
     kind, nid = node.kind, node.id
     if kind == "Input":
-        want = tuple(int(d) for d in node.attrs["shape"])
-
-        def step(inp, ins):
-            if inp.shape[1:] != want:
-                raise ShapeMismatch(f"input shape {inp.shape[1:]} != model input {want}")
-            return inp
-        return step
+        return lambda inp, ins: inp
     if kind == "Output":
         return lambda inp, ins: ins[0]
     if kind == "Quantize":
         qp = node.attrs["out_qparams"]
         return lambda inp, ins: quantize_affine(ins[0], qp)
     if kind == "Dequantize":
-        def step(inp, ins):
-            if ins[0].qparams is None:
-                raise MissingQuantParams(f"{nid}: dequantize of non-quantized tensor")
-            return dequantize(ins[0])
-        return step
+        return lambda inp, ins: dequantize(ins[0])
 
     relu = bool(node.attrs.get("fused_relu"))
     if node.precision != 8:
         kernel = _KERNELS[kind](node, {k: t.data for k, t in node.weights.items()})
 
         def step(inp, ins):
-            for t in ins:
-                if t.qparams is not None:
-                    raise MissingQuantParams(f"{nid}: FP32 node received an int8 input")
             y = kernel([t.data for t in ins])
             return Tensor((kernel_relu(y) if relu else y).astype(np.float32, copy=False))
         return step
@@ -435,8 +417,6 @@ def _bind(node: Node):
 
         def step(inp, ins):
             x, qp = ins[0], ins[0].qparams
-            if qp is None:
-                raise MissingQuantParams(f"{nid}: int8 node received {x.dtype} input")
             table = tables.get(qp)
             if table is None:  # every code, in the order of its bits as uint8
                 real = (np.r_[0:128, -128:0].astype(np.float64) - qp.zero_point) * qp.step
@@ -448,9 +428,6 @@ def _bind(node: Node):
         kernel = _KERNELS[kind](node, {k: t.data.astype(np.float64) for k, t in node.weights.items()})
 
         def step(inp, ins):
-            for t in ins:
-                if t.qparams is None:
-                    raise MissingQuantParams(f"{nid}: int8 node received {t.dtype} input")
             real = kernel([(t.data.astype(np.float64) - t.qparams.zero_point) * t.qparams.step for t in ins])
             return _requantize(real, out_qp, relu)
         return step
@@ -469,8 +446,6 @@ def _bind(node: Node):
 
     def step(inp, ins):
         x, qp = ins[0], ins[0].qparams
-        if qp is None:
-            raise MissingQuantParams(f"{nid}: int8 node received {x.dtype} input")
         scale = qp.step * w_step
         # offset before padding, so that zero padding stays exact; the offset
         # copy dies with the call
@@ -489,21 +464,31 @@ def _bind(node: Node):
 
 class _Program:
     """A graph's wiring, shapes at batch 1, plans by given-id set, steps
-    (node id -> (node, step), bound on first use) and the precision checks
-    that run_fp32 and run_quantized make from `not_fp32` and `unquantized`.
-    It holds the graph's nodes but not the graph."""
+    (node id -> (node, step), bound on first use), `codes` (node id -> whether
+    its value holds int8 codes) and the graph checks a pass makes: `not_fp32`,
+    `unquantized` (a code writer without `out_qparams`) and `miswired` (the
+    first (value, reader) edge that disagrees). It holds the graph's nodes but
+    not the graph."""
 
     def __init__(self, graph: Graph, wiring: tuple):
         self.wiring, self.shapes = wiring, infer_shapes(graph)
-        self.output, self.plans, self.steps = graph.output_node.id, {}, {}
+        self.input, self.output, self.plans, self.steps = graph.input_node.id, graph.output_node.id, {}, {}
         self.not_fp32 = next((n.id for n in graph.nodes if n.precision != 32), None)
         self.unquantized = next((n.id for n in graph.nodes
-                                 if n.precision == 8 and "out_qparams" not in n.attrs), None)
+                                 if _writes_codes(n) and "out_qparams" not in n.attrs), None)
+        readers = [n for n in graph.nodes if n.kind != "Output"]
+        codes = self.codes = {n.id: _writes_codes(n) for n in readers}
+        codes[self.input] = any(_reads_codes(n) for n in readers if self.input in n.inputs)
+        codes[self.output] = codes[graph.output_node.inputs[0]]
+        self.miswired = next(((src, n.id) for n in readers for src in n.inputs
+                              if codes[src] != _reads_codes(n)), None)
 
     def plan(self, given: Iterable[str]) -> tuple[tuple[str, tuple[str, ...]], ...]:
         key = frozenset(given)
         return self.plans.get(key) or self.plans.setdefault(key, _plan_of(self.wiring, key))
 
+
+_HOLDS = {True: "int8 codes", False: "float"}
 
 # graph -> its program; an entry dies with its graph
 _PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -548,18 +533,23 @@ class Executor:
         """One pass over a mixed-precision graph. `given` supplies node
         outputs, which the pass then neither computes nor captures; it runs
         only the nodes the Output still needs. `inp` stays the whole batch."""
-        given = given or {}
-        program = _program(graph)
-        if program.unquantized is not None:
-            raise MissingQuantParams(f"int8 node {program.unquantized!r} lacks quantization parameters")
-        return self._run(graph, inp, capture, given, {}, program)
+        return self._run(graph, inp, capture, given or {}, {}, _program(graph))
 
     def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str], given: dict, pause: dict,
              program: _Program):
-        wanted, steps, shapes = _captured(graph, capture), program.steps, program.shapes
-        for nid, t in given.items():
+        wanted, steps, shapes, codes = _captured(graph, capture), program.steps, program.shapes, program.codes
+        if program.unquantized is not None:
+            raise MissingQuantParams(f"node {program.unquantized!r} writes int8 codes but lacks out_qparams")
+        if program.miswired is not None:
+            src, nid = program.miswired
+            raise MissingQuantParams(f"node {nid!r} reads {src!r} as {_HOLDS[not codes[src]]}, "
+                                     f"but {src!r} holds {_HOLDS[codes[src]]}")
+        for nid, t in ((program.input, inp), *given.items()):
             if t.shape != (want := (inp.shape[0], *shapes[nid][1:])):
-                raise ShapeMismatch(f"given {nid!r} has shape {t.shape}, the pass needs {want}")
+                raise ShapeMismatch(f"the pass hands {nid!r} shape {t.shape}, where the graph holds {want}")
+            if (t.qparams is not None) != codes[nid]:
+                raise MissingQuantParams(f"the pass hands {nid!r} {_HOLDS[not codes[nid]]}, "
+                                         f"where the graph holds {_HOLDS[codes[nid]]}")
         values = dict(given)
         trace = LayerTrace()
         for nid, freed in program.plan(given):

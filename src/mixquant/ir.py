@@ -218,11 +218,11 @@ def topo_sort(graph: Graph) -> list[str]:
     wins, so repeated runs (and reruns of the whole pipeline) agree exactly.
     The order is cached by the wiring, as the executor's plan is.
     """
-    return list(_topo_order(_wiring(graph), graph.name))
+    return list(_topo_order(_wiring(graph)))
 
 
 @lru_cache(maxsize=256)
-def _topo_order(edges: tuple[tuple[str, tuple[str, ...]], ...], name: str = "graph") -> tuple[str, ...]:
+def _topo_order(edges: tuple[tuple[str, tuple[str, ...]], ...]) -> tuple[str, ...]:
     order_idx = {nid: i for i, (nid, _) in enumerate(edges)}
     indeg = dict.fromkeys(order_idx, 0)
     out_edges: dict[str, list[str]] = {nid: [] for nid in order_idx}
@@ -247,7 +247,12 @@ def _topo_order(edges: tuple[tuple[str, tuple[str, ...]], ...], name: str = "gra
         if changed:
             ready.sort(key=order_idx.__getitem__)
     if len(result) != len(edges):
-        raise CycleDetected(f"graph {name!r} contains a cycle")
+        # a node left unordered reads one that is too: walking back repeats one on a cycle
+        inputs, nid, seen = dict(edges), next(n for n in indeg if indeg[n]), set()
+        while nid not in seen:
+            seen.add(nid)
+            nid = next(src for src in inputs[nid] if indeg[src])
+        raise CycleDetected(f"node {nid!r} lies on a cycle")
     return tuple(result)
 
 
@@ -291,8 +296,21 @@ def _window(node: Node) -> tuple[tuple[int, int], tuple[int, int], tuple[int, in
     return kernel, stride, padding
 
 
-def infer_shapes(graph: Graph, batch: int = 1) -> dict[str, tuple[int, ...]]:
-    """Propagate tensor shapes from the Input node through the whole graph."""
+# The int8-codes rule, which load_model and the executor's program check on
+# every edge: int8 nodes and Quantize write codes, int8 nodes and Dequantize
+# read them, and every other value and read is float.
+
+def _writes_codes(node: Node) -> bool:
+    return node.precision == 8 or node.kind == "Quantize"
+
+
+def _reads_codes(node: Node) -> bool:
+    return node.precision == 8 or node.kind == "Dequantize"
+
+
+def infer_shapes(graph: Graph) -> dict[str, tuple[int, ...]]:
+    """Propagate tensor shapes, at batch 1, from the Input node through the
+    whole graph."""
     shapes: dict[str, tuple[int, ...]] = {}
     for nid in topo_sort(graph):
         n = graph.node(nid)
@@ -300,7 +318,7 @@ def infer_shapes(graph: Graph, batch: int = 1) -> dict[str, tuple[int, ...]]:
         if n.kind == "Input":
             if "shape" not in n.attrs:
                 raise UnresolvedShape(f"Input node {n.id!r} lacks a shape attribute")
-            shapes[nid] = (batch, *[int(d) for d in n.attrs["shape"]])
+            shapes[nid] = (1, *[int(d) for d in n.attrs["shape"]])
         elif n.kind in ("Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"):
             nb, c, h, w = ins[0]
             oh, ow = _conv_out_hw(h, w, *_window(n))

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (CorruptBlob, EmptyImageBatch, FormatVersionMismatch, InvalidAttribute,
                      InvariantViolation, NonFiniteValue, UnknownArch)
-from .ir import KINDS, QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor, _window
+from .ir import (KINDS, QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor, _reads_codes,
+                 _window, _writes_codes)
 
 FORMAT_VERSION = 1
 
@@ -119,27 +120,25 @@ class _Builder:
         return self
 
     def conv_bn_relu(self, tag: str, c_in: int, c_out: int, k: int = 3, stride: int = 1,
-                     padding: int = 1, bn: bool = True, relu: bool = True, src: str | None = None):
+                     padding: int = 1, relu: bool = True, src: str | None = None):
         w, b = _conv_weights(self.rng, c_out, c_in, k)
         self.g.add(Node(f"{tag}_conv", "Conv2d", [src or self.last],
                         attrs={"stride": stride, "padding": padding},
                         weights={"weight": w, "bias": b}))
-        self.last = f"{tag}_conv"
-        if bn:
-            self.g.add(Node(f"{tag}_bn", "BatchNorm", [self.last],
-                            attrs={"epsilon": 1e-5}, weights=_bn_weights(self.rng, c_out)))
-            self.last = f"{tag}_bn"
+        self.g.add(Node(f"{tag}_bn", "BatchNorm", [f"{tag}_conv"],
+                        attrs={"epsilon": 1e-5}, weights=_bn_weights(self.rng, c_out)))
+        self.last = f"{tag}_bn"
         if relu:
             self.g.add(Node(f"{tag}_relu", "ReLU", [self.last]))
             self.last = f"{tag}_relu"
         return self.last
 
-    def depthwise_bn_relu(self, tag: str, c: int, k: int = 3, stride: int = 1, padding: int = 1):
-        bound = float(np.sqrt(6.0 / (k * k)))
-        w = Tensor(self.rng.uniform(-bound, bound, (c, 1, k, k)).astype(np.float32))
+    def depthwise_bn_relu(self, tag: str, c: int, stride: int = 1):
+        bound = float(np.sqrt(6.0 / 9))
+        w = Tensor(self.rng.uniform(-bound, bound, (c, 1, 3, 3)).astype(np.float32))
         b = Tensor(self.rng.uniform(-0.1, 0.1, (c,)).astype(np.float32))
         self.g.add(Node(f"{tag}_dwconv", "DepthwiseConv2d", [self.last],
-                        attrs={"stride": stride, "padding": padding},
+                        attrs={"stride": stride, "padding": 1},
                         weights={"weight": w, "bias": b}))
         self.g.add(Node(f"{tag}_bn", "BatchNorm", [f"{tag}_dwconv"],
                         attrs={"epsilon": 1e-5}, weights=_bn_weights(self.rng, c)))
@@ -302,8 +301,8 @@ def _check_node(node: Node) -> None:
     Input shape other than three positive ints, a missing weight or one of
     the wrong rank, a depthwise channel multiplier, BatchNorm parameters of
     unequal shapes, malformed flags, and `out_qparams` missing where int8
-    codes are written or present where they are not. What depends on the
-    node's input is left to infer_shapes."""
+    codes are written (ir._writes_codes) or present where they are not.
+    What depends on the node's input is left to infer_shapes."""
     def bad(what: str):
         raise InvalidAttribute(f"node {node.id!r} ({node.kind}): {what}")
 
@@ -442,18 +441,11 @@ def load_model(path) -> Graph:
     g.validate()
     for n in g.nodes:
         for src in n.inputs:
-            made = _writes_codes(g.node(src))
-            if made != (n.precision == 8 or n.kind == "Dequantize"):
+            if (made := _writes_codes(g.node(src))) != _reads_codes(n):
                 raise InvalidAttribute(f"node {n.id!r} reads {src!r} as "
                                        f"{'float' if made else 'int8 codes'}, but {src!r} "
                                        f"writes {'int8 codes' if made else 'float'}")
     return g
-
-
-def _writes_codes(node: Node) -> bool:
-    """Whether a node writes int8 codes (int8 nodes and Quantize do); int8
-    nodes and Dequantize read them."""
-    return node.precision == 8 or node.kind == "Quantize"
 
 
 def save_images(images: np.ndarray, path) -> None:

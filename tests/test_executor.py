@@ -318,10 +318,10 @@ class TestQuantizedExecution:
 # ---------------------------------------------------------------------------
 # reference definitions: the np.pad im2col and the per-channel depthwise loop
 
-def padded_im2col(x, kh, kw, stride, padding, fill=0):
+def padded_im2col(x, kh, kw, stride, padding):
     """Stride and padding are ints or (height, width) pairs."""
     (sh, sw), (ph, pw) = (v if isinstance(v, tuple) else (v, v) for v in (stride, padding))
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     oh = (xp.shape[2] - kh) // sh + 1
     ow = (xp.shape[3] - kw) // sw + 1
     cols = np.empty(x.shape[:2] + (kh, kw, oh, ow), dtype=x.dtype)
@@ -551,10 +551,9 @@ class TestVectorizedFp32Kernels:
     @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
            st.integers(1, 2), st.integers(1, 2), st.integers(0, 2), st.integers(0, 2), st.integers(1, 7),
            st.integers(1, 7), st.sampled_from(["contiguous", "sliced", "transposed"]),
-           st.sampled_from([0, -3.25]), st.integers(0, 2 ** 31 - 1))
+           st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=300, deadline=None)
-    def test_im2col_equals_padded_definition(self, dtype, n, kh, kw, sh, sw, ph, pw, h, w, layout, fill,
-                                             seed):
+    def test_im2col_equals_padded_definition(self, dtype, n, kh, kw, sh, sw, ph, pw, h, w, layout, seed):
         assume(h + 2 * ph >= kh and w + 2 * pw >= kw)
         rng, c = Lcg(seed), 1 + seed % 3
         if layout == "sliced":
@@ -563,8 +562,8 @@ class TestVectorizedFp32Kernels:
             x = rng.uniform(-1, 1, (n, c, w, h)).astype(dtype).transpose(0, 1, 3, 2)
         else:
             x = rng.uniform(-1, 1, (n, c, h, w)).astype(dtype)
-        want, w_oh, w_ow = padded_im2col(x, kh, kw, (sh, sw), (ph, pw), fill)
-        got, oh, ow = _im2col(x, kh, kw, (sh, sw), (ph, pw), fill)
+        want, w_oh, w_ow = padded_im2col(x, kh, kw, (sh, sw), (ph, pw))
+        got, oh, ow = _im2col(x, kh, kw, (sh, sw), (ph, pw))
         assert (oh, ow) == (w_oh, w_ow) and got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -754,8 +753,8 @@ class TestExecutionPlan:
         assert np.array_equal(again.data, before.data)
 
     def test_plan_frees_after_last_reader(self, mininet):
-        from mixquant.executor import _plan
-        plan = _plan(mininet)
+        from mixquant.executor import _program
+        plan = _program(mininet).plan(())
         step = {nid: i for i, (nid, _) in enumerate(plan)}
         freed = {s: i for i, (_, last) in enumerate(plan) for s in last}
         for n in mininet.nodes:
@@ -909,8 +908,8 @@ class TestStepProgram:
         for anchor in pause:
             out, _ = ex.run_quantized(g, x, given=live[anchor])
             assert np.array_equal(out.data, full.data), anchor
-        assert len(executor._plan(g, live["b4_conv"])) < len(executor._plan(g, live["b2_conv"])) \
-            < len(executor._plan(g))
+        plan = executor._program(g).plan
+        assert len(plan(live["b4_conv"])) < len(plan(live["b2_conv"])) < len(plan(()))
         assert bound == Counter(n.id for n in g.nodes)
         assert executor._PROGRAMS[g].steps.keys() == set(bound)
 
@@ -1162,3 +1161,119 @@ class TestKernelTable:
                 want["kernel_relu"] += sum(1 for n in graph.nodes
                                            if n.precision == 32 and n.attrs.get("fused_relu"))
                 assert calls == +want, (arch, quantized)
+
+
+# ---------------------------------------------------------------------------
+# the codes rule: a pass checks what enters it, its program every edge
+
+def codes_graph(*nodes):
+    """A graph on a (4,) Input from (id, kind, inputs, precision, out_qparams)
+    rows, ending in an Output that reads the last row."""
+    g = Graph("codes")
+    g.add(Node("input", "Input", attrs={"shape": [4]}))
+    for nid, kind, inputs, precision, qp in nodes:
+        g.add(Node(nid, kind, list(inputs), precision=precision, attrs={"out_qparams": qp} if qp else {}))
+    g.add(Node("output", "Output", [nodes[-1][0]]))
+    return g
+
+
+QP = QuantParams(0.1, 0)
+FLOATS = Tensor.f32(np.array([[0.3, -1.0, 2.0, 5.0]], np.float32))
+CODES = Tensor(np.array([[3, -10, 20, 50]], np.int8), QP)
+
+
+class TestCodesRule:
+    @pytest.mark.parametrize("rows, match", [
+        # an int8 node fed a float
+        ([("r", "ReLU", ["input"], 32, None), ("r8", "ReLU", ["r"], 8, QP), ("dq", "Dequantize", ["r8"], 32, None)],
+         "'r8' reads 'r' as int8 codes, but 'r' holds float"),
+        # a Dequantize fed a float
+        ([("r", "ReLU", ["input"], 32, None), ("dq", "Dequantize", ["r"], 32, None)],
+         "'dq' reads 'r' as int8 codes"),
+        # a Quantize fed codes, which it would quantize as if they were real values
+        ([("q1", "Quantize", ["input"], 32, QP), ("q2", "Quantize", ["q1"], 32, QuantParams(0.5, 3)),
+          ("dq", "Dequantize", ["q2"], 32, None)],
+         "'q2' reads 'q1' as float, but 'q1' holds int8 codes"),
+        # an Input read by an int8 node and a float node
+        ([("r8", "ReLU", ["input"], 8, QP), ("dq", "Dequantize", ["r8"], 32, None),
+          ("r", "ReLU", ["input"], 32, None), ("add", "Add", ["dq", "r"], 32, None)],
+         "'r' reads 'input' as float, but 'input' holds int8 codes"),
+        # a Quantize without out_qparams
+        ([("q", "Quantize", ["input"], 32, None), ("dq", "Dequantize", ["q"], 32, None)],
+         "'q' writes int8 codes but lacks out_qparams"),
+    ])
+    def test_miswired_graph_is_rejected(self, rows, match):
+        g = codes_graph(*rows)
+        with pytest.raises(MissingQuantParams, match=match):
+            Executor().run_quantized(g, FLOATS)
+
+    def test_pass_input_kind_is_checked(self):
+        """An Input holds what its readers read: codes may start a pass only
+        where int8 nodes read the Input, floats only where float nodes do."""
+        floats_in = codes_graph(("q", "Quantize", ["input"], 32, QP), ("dq", "Dequantize", ["q"], 32, None))
+        with pytest.raises(MissingQuantParams, match="hands 'input' int8 codes"):
+            Executor().run_quantized(floats_in, CODES)
+        codes_in = codes_graph(("r8", "ReLU", ["input"], 8, QP), ("dq", "Dequantize", ["r8"], 32, None))
+        with pytest.raises(MissingQuantParams, match="hands 'input' float"):
+            Executor().run_quantized(codes_in, FLOATS)
+        assert np.array_equal(Executor().run_quantized(codes_in, CODES)[0].data, np.float32([[0.3, 0, 2, 5]]))
+
+    def test_given_kind_is_checked(self):
+        g = codes_graph(("q", "Quantize", ["input"], 32, QP), ("r8", "ReLU", ["q"], 8, QP),
+                        ("dq", "Dequantize", ["r8"], 32, None))
+        ex = Executor()
+        with pytest.raises(MissingQuantParams, match="hands 'q' float"):
+            ex.run_quantized(g, FLOATS, given={"q": FLOATS})
+        with pytest.raises(MissingQuantParams, match="hands 'dq' int8 codes"):
+            ex.run_quantized(g, FLOATS, given={"dq": CODES})
+        out, _ = ex.run_quantized(g, FLOATS, given={"q": CODES})
+        assert np.array_equal(out.data, np.float32([[0.3, 0, 2, 5]]))
+
+    @given(st.data(), st.sampled_from(ARCHS), st.sampled_from(["unfused", "fused"]))
+    @settings(max_examples=50, deadline=None)
+    def test_mixed_graphs_hold_what_their_program_says(self, arch_calib, data, arch, stage):
+        """apply_mixed_precision graphs, saved and loaded or not, wire every
+        edge by the rule, and each step of a pass writes codes exactly where
+        the program says its value holds them."""
+        import tempfile
+
+        from mixquant import executor
+        from mixquant.fusion import discover_fusion_groups, lower_to_stage
+        shape, g, calib = arch_calib[arch]
+        lowered = lower_to_stage(g, stage)
+        anchors = [grp.anchor for grp in discover_fusion_groups(lowered)]
+        keep = data.draw(st.lists(st.sampled_from(anchors), unique=True))
+        qg = mq.apply_mixed_precision(lowered, keep, calib)
+        with tempfile.TemporaryDirectory() as tmp:
+            mq.save_model(qg, tmp)
+            loaded = mq.load_model(tmp)
+        for graph in (qg, loaded):
+            program = executor._program(graph)
+            assert program.unquantized is None and program.miswired is None
+
+        held, bind = {}, executor._bind
+
+        def recording(node):
+            step = bind(node)
+
+            def run(inp, ins):
+                out = held[node.id] = step(inp, ins)
+                return out
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(executor, "_bind", recording)
+            Executor().run_quantized(qg, Tensor.f32(mq.gen_images(2, shape, 5)))
+        codes = executor._program(qg).codes
+        assert held.keys() == {n.id for n in qg.nodes}
+        assert {nid: t.qparams is not None for nid, t in held.items()} == codes
+
+
+@pytest.fixture(scope="module")
+def arch_calib(all_archs):
+    """Per arch: the input shape, the FP32 graph and its calibration profile."""
+    out = {}
+    for name, g in all_archs.items():
+        shape = tuple(int(d) for d in g.input_node.attrs["shape"])
+        out[name] = shape, g, mq.profile_activations(g, mq.gen_images(4, shape, 11))
+    return out

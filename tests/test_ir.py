@@ -46,6 +46,30 @@ class TestTopoSort:
         with pytest.raises(CycleDetected):
             mq.topo_sort(g)
 
+    def test_cycle_message_names_a_node_on_the_cycle(self):
+        """Nodes downstream of a cycle are left unordered too; the message
+        names one on the cycle itself."""
+        g = Graph("loop")
+        g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))
+        g.add(Node("tail", "ReLU", ["y"]))
+        g.add(Node("x", "Add", ["input", "y"]))
+        g.add(Node("y", "ReLU", ["x"]))
+        g.add(Node("output", "Output", ["tail"]))
+        with pytest.raises(CycleDetected, match="node '[xy]' lies on a cycle"):
+            mq.topo_sort(g)
+
+    def test_each_wiring_is_ordered_once(self):
+        """topo_sort, the executor's plan and fusion-group discovery share one
+        cached order per wiring."""
+        from mixquant.ir import _topo_order
+        g = mq.gen_synthetic("mini_resnet", 5)
+        _topo_order.cache_clear()
+        run_f32(g, mq.gen_images(1, (3, 16, 16), 1))
+        mq.topo_sort(g)
+        mq.discover_fusion_groups(g)
+        info = _topo_order.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
     def test_permutation_and_repeatable(self, mininet):
         order = mq.topo_sort(mininet)
         assert sorted(order) == sorted(n.id for n in mininet.nodes)

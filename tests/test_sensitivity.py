@@ -312,10 +312,11 @@ class TestBaselines:
 
         ex.run_fp32(graph, batch, pause={a: resume(a) for a in qgs})
         assert ex.passes == (len(qgs) + 1) * 5
-        steps = [nid for nid, _ in executor._plan(graph)]
+        steps = [nid for nid, _ in executor._program(graph).plan(())]
         for anchor, qg in qgs.items():
             ahead = set(steps[:steps.index(anchor)])
-            assert ahead.isdisjoint(nid for nid, _ in executor._plan(qg, executor.live_before(graph, anchor)))
+            plan = executor._program(qg).plan(executor.live_before(graph, anchor))
+            assert ahead.isdisjoint(nid for nid, _ in plan)
             node = logits_node_id(qg)
             full[anchor] = mq.Executor().run_quantized(qg, batch, [node])[1].outputs[node]
             assert np.array_equal(resumed[anchor].data, full[anchor].data), anchor
