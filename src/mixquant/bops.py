@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import IncompleteConfig, UnresolvedShape
-from .ir import Graph, Node, QUANTIZABLE_KINDS, infer_shapes
+from .executor import _program
+from .ir import Graph, Node, QUANTIZABLE_KINDS
 
 _ZERO_MAC_KINDS = frozenset({"Quantize", "Dequantize", "Flatten", "Input", "Output"})
 
@@ -41,7 +42,8 @@ def count_macs(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
 
 
 def macs_by_node(graph: Graph) -> dict[str, int]:
-    shapes = infer_shapes(graph)
+    """Each node's MACs, from the shapes that the graph's program holds."""
+    shapes = _program(graph).shapes
     return {n.id: count_macs(n, shapes) for n in graph.nodes}
 
 

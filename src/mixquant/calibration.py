@@ -1,9 +1,10 @@
 """Activation profiling and derivation of quantization parameters.
 
 Activations are profiled into one exact range record per node, its min, max
-and element count, over a calibration image set (one FP32 pass per image).
-Min and max do not depend on the order in which values arrive, so the
-record does not depend on the batch size.
+and element count, over a calibration image set: one FP32 pass per image,
+which folds each node's output into its record as the step makes it and
+holds nothing. Min and max do not depend on the order in which values arrive,
+so the record does not depend on the batch size.
 
 Weights are quantized symmetrically per tensor: step = max|W| / 127,
 zero_point 0. Activations are asymmetric affine with the range
@@ -105,10 +106,12 @@ class CalibrationProfile:
 def profile_activations(graph: Graph, images: np.ndarray, executor=None) -> CalibrationProfile:
     """Run every calibration image through the FP32 graph and record each
     node's output range. The Input node is profiled from the raw images so the
-    first quantized layer has an input scale. Each range takes one update per
-    batch; min and max are exact in any order, so the profile does not depend
-    on the batch size."""
-    from .executor import Executor, image_batches  # deferred: executor depends on quantizer/calibration
+    first quantized layer has an input scale. One FP32 pass per batch folds
+    each node's output into its range as the step makes it, so the pass holds
+    nothing beyond its own values and is sized as an uncaptured pass. Each
+    range takes one update per batch; min and max are exact in any order, so
+    the profile does not depend on the batch size."""
+    from .executor import Executor, batch_size, image_batches  # deferred: executor depends on quantizer/calibration
 
     if images.ndim != 4 or images.shape[0] < 1:
         raise EmptyCalibrationSet("calibration needs at least one (C, H, W) image")
@@ -117,11 +120,9 @@ def profile_activations(graph: Graph, images: np.ndarray, executor=None) -> Cali
     nodes = [n.id for n in graph.nodes if n.kind not in ("Input", "Output")]
     prof = CalibrationProfile({nid: RangeProfile() for nid in [input_id, *nodes]},
                               image_count=images.shape[0])
-    for batch in image_batches(images, (graph, nodes)):
-        _, trace = ex.run_fp32(graph, batch, capture=nodes)
+    for batch in image_batches(images, batch_size(graph)):
         prof.profiles[input_id].update(batch.data)
-        for nid in nodes:
-            prof.profiles[nid].update(trace.outputs[nid].data)
+        ex.run_fp32(graph, batch, capture=nodes, observe=lambda nid, t: prof.profiles[nid].update(t.data))
     return prof
 
 

@@ -69,12 +69,18 @@ def _write_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
+def _check_provenance(recorded: str | None, actual: str, mismatch: str) -> None:
+    """ProvenanceMismatch(`mismatch`) when an artifact records the digest of
+    another input than the one at hand; one that records none passes."""
+    if recorded and recorded != actual:
+        raise ProvenanceMismatch(mismatch)
+
+
 def _load_calib(calib, model, digest: str) -> CalibrationProfile:
     """The profile at `calib`, which must come from `model` (whose model_digest
     is `digest`) when it names one."""
     profile = CalibrationProfile.load(_require(calib, "calibrate"))
-    if profile.model_digest and profile.model_digest != digest:
-        raise ProvenanceMismatch(f"{calib} was calibrated on another model than {model}")
+    _check_provenance(profile.model_digest, digest, f"{calib} was calibrated on another model than {model}")
     return profile
 
 
@@ -193,11 +199,10 @@ def cmd_quantize(args) -> int:
     digest = model_digest(args.model)
     calib = _load_calib(args.calib, args.model, digest)
     sens = SensitivityList.load(_require(args.list, "analyze"))
-    if sens.model_digest and sens.model_digest != digest:
-        raise ProvenanceMismatch(f"{args.list} was analyzed on another model than {args.model}")
-    calib_sha = _sha256(args.calib)
-    if sens.calib_digest and sens.calib_digest != calib_sha:
-        raise ProvenanceMismatch(f"{args.list} was analyzed with another calibration than {args.calib}")
+    _check_provenance(sens.model_digest, digest, f"{args.list} was analyzed on another model than {args.model}")
+    calib_sha, list_sha = _sha256(args.calib), _sha256(args.list)
+    _check_provenance(sens.calib_digest, calib_sha,
+                      f"{args.list} was analyzed with another calibration than {args.calib}")
     staged = lower_to_stage(graph, args.apply_stage)
     listed = set(sens.ids)
     uncovered = [g.anchor for g in discover_fusion_groups(staged) if listed.isdisjoint(g.members)]
@@ -217,7 +222,7 @@ def cmd_quantize(args) -> int:
             "ir_stage": sens.ir_stage,
             "method": sens.method,
             "target_reduction_pct": target,
-            "list_digest": _sha256(args.list),
+            "list_digest": list_sha,
             "calib_digest": calib_sha,
             "model_digest": digest,
         }, tdir / "meta.json")
@@ -237,9 +242,8 @@ def cmd_evaluate(args) -> int:
     }
     meta_path = Path(args.model).parent / "meta.json"
     run = json.loads(meta_path.read_text()) if meta_path.exists() else None
-    if run and run.get("model_digest", digests["ref_model"]) != digests["ref_model"]:
-        raise ProvenanceMismatch(f"{args.model} was quantized from another model than "
-                                 f"--ref-model {args.ref_model}")
+    _check_provenance((run or {}).get("model_digest"), digests["ref_model"],
+                      f"{args.model} was quantized from another model than --ref-model {args.ref_model}")
     ref = load_reference(reference_path(args.images), {
         "model": digests["ref_model"], "images": digests["images"]}, images.shape[0])
     if ref is None:

@@ -34,9 +34,13 @@ A pass runs a batch of images, and every kernel gives each image the same bits
 whatever the batch size, so batching never moves a result. A pass follows the
 graph's plan: its topological order and, per step, the values read there for
 the last time, which it then frees; values nothing reads (the Output) stay.
-`capture` names the node ids whose outputs the trace keeps (True keeps every
-non-Input node), stored as float32 (int8 outputs are dequantized) so metrics
-always compare in one domain.
+`capture` names the node ids whose outputs the pass observes (True: every
+non-Input node). Each step that makes one hands it at once, int8 codes as
+they are, to the pass's `observe(node id, value)` hook, before the next step
+runs and before the step's last reads are freed. The default consumer is the
+pass's trace, which keeps each as float32 (int8 outputs dequantized) so that
+metrics compare in one domain; a consumer that folds or scores a value as it
+comes holds nothing beyond the pass's own values.
 
 A graph's program, a WeakKeyDictionary entry that dies with the graph, holds
 the wiring it was made for (the ((node id, input ids), ...) tuple), the
@@ -64,15 +68,17 @@ other.
 
 Callers feed batches from `image_batches`, sized by the smallest `batch_size`
 of the passes each batch feeds, so that no pass holds more than
-ACTIVATION_BUDGET_BYTES. `batch_size` walks the plan over the program's shapes
-and charges an image, at each step, the values live there at their working
-width (4 bytes for FP32 outputs, 8 for int8 and Quantize outputs, which are
-computed in float64), the captured outputs held so far as float32, and the
-step's scratch in the dtype of the node's kernel: window columns for Conv2d,
-DepthwiseConv2d, MaxPool and AvgPool, with a padded copy of the input where
-their padding is not zero, and an int8 node's input copies. A resumed pass is
-also charged, at every step, the values its paused pass holds. An image costs
-its largest step. The executor counts image-passes (a pass adds its batch
+ACTIVATION_BUDGET_BYTES as tracemalloc counts numpy's allocations.
+`batch_size` walks the plan over the program's shapes and charges an image,
+at each step, what is live before it plus the larger of the step's own peak
+(`_step_peak`: its kernel's copies, int8 operand copies and requantize
+transients, and its output) and its output with what the consumer allocates
+taking it. Live are the values the pass computed and still reads (1 byte per
+int8 code, 4 per float), values a paused pass holds for a resumed one, what
+the trace keeps as float32, and values an earlier pass of the batch kept,
+until this pass releases them. An image costs its largest step; numpy's
+ufunc buffers (8 * getbufsize() bytes) and the pass's Python objects come off
+the budget first. The executor counts image-passes (a pass adds its batch
 size) so callers can verify how many inferences an analysis actually
 performed.
 """
@@ -328,56 +334,98 @@ def _operand_dtype(node: Node):
 
 
 def _width(node: Node) -> int:
-    """Bytes per element of a node's output while it is live: code writers
-    requantize it from float64."""
-    return 8 if _writes_codes(node) else 4
+    """Bytes per element of a node's output while it is live: 1 for int8
+    codes, 4 for floats."""
+    return 1 if _writes_codes(node) else 4
 
 
-def _scratch(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
-    """Bytes a node allocates only while it runs, in its kernel's dtype: a
-    windowed kind's columns and padded copy (at non-zero padding), and an
-    int8 node's input copies."""
-    elems = 0
-    if node.kind in ("Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"):
+def _step_peak(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
+    """Bytes per image that a node's step allocates at its peak, its output
+    included, beside the operands it reads. `kernel` is the kernel's peak in
+    elements of its dtype: the result, with a padded copy and window columns
+    where it makes them (AvgPool copies its windows once more, and only that
+    when they tile the input)."""
+    kind, out = node.kind, math.prod(shapes[node.id])
+    if kind in ("Input", "Output", "Flatten"):
+        return 0  # the batch itself, or a view of the operand
+    if kind == "Quantize":
+        return 16 * out  # _requantize's float64 quotient and rounding term
+    if kind == "Dequantize":
+        return 12 * out  # the codes widened to float64, then the float32 result
+    ins = [math.prod(shapes[s]) for s in node.inputs]
+    kernel = 3 * out if kind == "Softmax" else out
+    if kind == "Gemm":
+        kernel = ins[0] + out  # its 1x1 columns copy the input
+    elif kind in ("Conv2d", "DepthwiseConv2d", "MaxPool", "AvgPool"):
         _, c, h, w = shapes[node.inputs[0]]
-        (kh, kw), _, (ph, pw) = _window(node)
-        elems += c * kh * kw * math.prod(shapes[node.id][2:])
-        if ph or pw:  # as in _im2col, which pads a copy only when it must
-            elems += c * (h + 2 * ph) * (w + 2 * pw)
-    if node.precision == 8:
-        elems += sum(math.prod(shapes[s]) for s in node.inputs)
-    return elems * np.dtype(_operand_dtype(node)).itemsize
+        (kh, kw), stride, (ph, pw) = _window(node)
+        win = c * kh * kw * math.prod(shapes[node.id][2:])
+        pad = c * (h + 2 * ph) * (w + 2 * pw) if ph or pw else 0
+        if kind == "MaxPool":  # folds strided views into its result
+            kernel = pad + out
+        elif kind == "AvgPool" and tuple(stride) == (kh, kw) and not pad:
+            kernel = win + out
+        else:
+            kernel = max(pad + win, win + out) + (win if kind == "AvgPool" else 0)
+    if node.precision != 8:
+        return 4 * max(kernel, 2 * out if node.attrs.get("fused_relu") else 0)
+    if kind in ("ReLU", "MaxPool"):
+        return kernel + 9 * out  # on the codes, then take's intp indices and its output codes
+    if kind in WEIGHTED_KINDS:  # the offset input, then the kernel
+        operands = np.dtype(_operand_dtype(node)).itemsize * (ins[0] + kernel)
+    else:  # each operand widened, offset and scaled in float64, then the kernel
+        operands = 8 * (sum(ins) + max(*ins, kernel))
+    # then the float64 accumulator and _requantize's quotient and rounding term
+    return max(operands, 24 * out)
 
 
-def batch_size(graph: Graph, capture: bool | Iterable[str] = False, given: Iterable[str] = ()) -> int:
+def batch_size(graph: Graph, capture: bool | Iterable[str] = False, given: Iterable[str] = (),
+               keep: Iterable[str] = (), compare: tuple[Graph, Iterable[str]] | None = None) -> int:
     """Images per pass that keep one pass within ACTIVATION_BUDGET_BYTES, at
-    least one; the module docstring lists what an image costs. A captured
-    FP32 output shares its array with the trace, so it counts once. A pass
-    resumed from the `given` values of a paused pass is charged them at every
-    step, since the paused pass holds them until the resumed one ends."""
+    least one; the module docstring lists what an image costs. The pass's
+    consumer is charged for what it does with the values it observes: the
+    trace keeps `capture`d ones as float32 until the pass ends, a consumer
+    may `keep` them as they are beyond it, or `compare` them with the values
+    that an earlier pass of the batch, over the given graph, kept of the
+    given ids, each released once compared. A pass resumed from the `given`
+    values of a paused pass is charged them at every step, since the paused
+    pass holds them until the resumed one ends."""
     program = _program(graph)
-    shapes, wanted = program.shapes, _captured(graph, capture)
-    paused = sum(_width(graph.node(s)) * math.prod(shapes[s]) for s in given)
-    live: dict[str, int] = {}
-    held = per_image = 0
+    shapes, peaks, traced = program.shapes, program.peaks, _captured(graph, capture)
+    stays = set(keep) | {s for s in traced if _width(graph.node(s)) == 4}  # a float is the trace's array
+    other, ids = compare or (graph, ())
+    carried = {s: _width(other.node(s)) * math.prod(_program(other).shapes[s]) for s in ids}
+    held = sum(_width(graph.node(s)) * math.prod(shapes[s]) for s in given) + sum(carried.values())
+    live: dict[str, int] = {}  # bytes of each live value the pass computed
+    per_image = 0
     for nid, last_reads in program.plan(given):
         node = graph.node(nid)
-        width, size, captured = _width(node), math.prod(shapes[nid]), nid in wanted
-        held += 4 * size if captured else 0
-        live[nid] = 0 if captured and width == 4 else width * size
-        per_image = max(per_image, paused + sum(live.values()) + held + _scratch(node, shapes))
-        for s in last_reads:
-            live.pop(s, None)  # a given value stays in `paused`
-    return max(1, ACTIVATION_BUDGET_BYTES // per_image)
+        width, size = _width(node), math.prod(shapes[nid])
+        observed = 0  # what the consumer allocates while it takes the value
+        if nid in carried:  # the kept value as float32, then both as float64
+            observed = (4 + 8 + 8) * size
+        elif nid in traced and width == 1:  # dequantized: float64, then the float32 copy
+            observed = 12 * size
+        if nid not in peaks:
+            peaks[nid] = _step_peak(node, shapes)
+        per_image = max(per_image, held + sum(live.values()) + max(peaks[nid], width * size + observed))
+        live[nid] = width * size
+        held += 4 * size if nid in traced and width == 1 else 0
+        held -= carried.pop(nid, 0)
+        for s in last_reads:  # a given value is charged in `held` until the pass ends
+            if s not in stays:
+                live.pop(s, None)
+    # numpy's ufunc buffers and the pass's Python objects come off the budget
+    return max(1, (ACTIVATION_BUDGET_BYTES - 8 * np.getbufsize()) // per_image)
 
 
-def image_batches(images: np.ndarray, *passes: tuple):
-    """Consecutive float32 batches of `images`, sized for the passes that
-    each batch feeds, given as batch_size's (graph, capture[, given])
-    arguments: the smallest batch_size among them."""
-    step = min(batch_size(*p) for p in passes)
-    for start in range(0, images.shape[0], step):
-        yield Tensor.f32(images[start:start + step])
+def image_batches(images: np.ndarray, *sizes: int):
+    """Consecutive float32 batches of `images`, as many images each (the last
+    may hold fewer) as the smallest of `sizes`, the batch_size of each pass
+    that a batch feeds."""
+    size = min(sizes)
+    for start in range(0, images.shape[0], size):
+        yield Tensor.f32(images[start:start + size])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +512,8 @@ def _bind(node: Node):
 
 class _Program:
     """A graph's wiring, shapes at batch 1, plans by given-id set, steps
-    (node id -> (node, step), bound on first use), `codes` (node id -> whether
+    (node id -> (node, step), bound on first use), `peaks` (node id -> its
+    step's peak bytes per image, on first use), `codes` (node id -> whether
     its value holds int8 codes) and the graph checks a pass makes: `not_fp32`,
     `unquantized` (a code writer without `out_qparams`) and `miswired` (the
     first (value, reader) edge that disagrees). It holds the graph's nodes but
@@ -472,7 +521,8 @@ class _Program:
 
     def __init__(self, graph: Graph, wiring: tuple):
         self.wiring, self.shapes = wiring, infer_shapes(graph)
-        self.input, self.output, self.plans, self.steps = graph.input_node.id, graph.output_node.id, {}, {}
+        self.input, self.output = graph.input_node.id, graph.output_node.id
+        self.plans, self.steps, self.peaks = {}, {}, {}
         self.not_fp32 = next((n.id for n in graph.nodes if n.precision != 32), None)
         self.unquantized = next((n.id for n in graph.nodes
                                  if _writes_codes(n) and "out_qparams" not in n.attrs), None)
@@ -508,6 +558,9 @@ class LayerTrace:
 
     outputs: dict[str, Tensor] = field(default_factory=dict)
 
+    def keep(self, nid: str, t: Tensor) -> None:
+        self.outputs[nid] = dequantize(t) if t.qparams is not None else t
+
 
 class Executor:
     """Graph interpreter with an image-pass counter.
@@ -520,23 +573,28 @@ class Executor:
         self.passes = 0
 
     def run_fp32(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False,
-                 pause: dict[str, Callable[[dict[str, Tensor]], object]] | None = None):
+                 pause: dict[str, Callable[[dict[str, Tensor]], object]] | None = None,
+                 observe: Callable[[str, Tensor], object] | None = None):
         """One FP32 pass. `pause` maps node ids to callables that the pass
-        calls just before those steps, with the values live there."""
+        calls just before those steps, with the values live there; `observe`
+        takes each captured output as its step makes it (default: the trace
+        keeps it)."""
         program = _program(graph)
         if program.not_fp32 is not None:
             raise InvariantViolation(f"run_fp32 on graph with int8 node {program.not_fp32!r}")
-        return self._run(graph, inp, capture, {}, pause or {}, program)
+        return self._run(graph, inp, capture, {}, pause or {}, program, observe)
 
     def run_quantized(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False,
-                      given: dict[str, Tensor] | None = None):
+                      given: dict[str, Tensor] | None = None,
+                      observe: Callable[[str, Tensor], object] | None = None):
         """One pass over a mixed-precision graph. `given` supplies node
         outputs, which the pass then neither computes nor captures; it runs
-        only the nodes the Output still needs. `inp` stays the whole batch."""
-        return self._run(graph, inp, capture, given or {}, {}, _program(graph))
+        only the nodes the Output still needs. `inp` stays the whole batch.
+        `observe` is run_fp32's."""
+        return self._run(graph, inp, capture, given or {}, {}, _program(graph), observe)
 
     def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str], given: dict, pause: dict,
-             program: _Program):
+             program: _Program, observe):
         wanted, steps, shapes, codes = _captured(graph, capture), program.steps, program.shapes, program.codes
         if program.unquantized is not None:
             raise MissingQuantParams(f"node {program.unquantized!r} writes int8 codes but lacks out_qparams")
@@ -552,6 +610,7 @@ class Executor:
                                          f"where the graph holds {_HOLDS[codes[nid]]}")
         values = dict(given)
         trace = LayerTrace()
+        observe = observe or trace.keep
         for nid, freed in program.plan(given):
             if nid in pause:
                 pause[nid](values)
@@ -561,7 +620,7 @@ class Executor:
             node, step = steps[nid]
             t = values[nid] = step(inp, [values[s] for s in node.inputs])
             if nid in wanted:
-                trace.outputs[nid] = dequantize(t) if t.qparams is not None else t
+                observe(nid, t)
             for s in freed:
                 del values[s]
         self.passes += inp.shape[0]

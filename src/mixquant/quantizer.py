@@ -61,7 +61,10 @@ def dequantize(q: Tensor) -> Tensor:
     """x_hat = (q - zero_point) * step with the codes' own qparams; the
     zero_point itself maps to exactly 0."""
     qp = q.qparams
-    return Tensor(((q.data.astype(np.float64) - qp.zero_point) * qp.step).astype(np.float32))
+    real = q.data.astype(np.float64)
+    real -= qp.zero_point
+    real *= qp.step
+    return Tensor(real.astype(np.float32))
 
 
 def _profile_id(node: Node) -> str:
@@ -152,7 +155,7 @@ def select_dequant_set(sens_list, graph: Graph, target_reduction_pct: float) -> 
 
     100 keeps everything int8 (empty list); 0 dequantizes every group.
     """
-    from .bops import bops, macs_by_node  # local import: bops is pure accounting over ir
+    from .bops import bops, macs_by_node  # deferred: bops reads shapes from the executor, which imports this module
 
     macs = macs_by_node(graph)
     ids = list(getattr(sens_list, "ids", sens_list))

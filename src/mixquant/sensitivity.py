@@ -1,12 +1,15 @@
 """Sensitivity-list generation: the two-inference metric sweep, layer ranking,
 fusion-group position adjustment, and the three baseline orderings.
 
-The main generator runs the FP32 model once per calibration image and the
-fully-int8 model once per image: two full passes per image total, linear in
-model parameters and independent of how many bit-width configurations exist.
-Per layer it derives weight SQNR (FP32 weights vs dequantized int8 weights),
-mean activation SQNR/MSE (FP32 trace vs dequantized int8 trace), and the
-weight/activation SQNR deltas.
+The main generator runs the fully-int8 model once per calibration image and
+then the FP32 model once per image: two full passes per image total, linear
+in model parameters and independent of how many bit-width configurations
+exist. Per batch, the int8 pass keeps each layer's output as its int8 codes;
+the FP32 pass scores each layer's output as it makes it, against those codes
+dequantized, and drops both, so no trace is held. Per layer it derives
+weight SQNR (FP32 weights vs dequantized int8 weights), mean activation
+SQNR/MSE (FP32 outputs vs dequantized int8 outputs), and the weight/activation
+SQNR deltas.
 
 Ranking combines the two delta signals by rank, not by raw value: weight-dB
 and activation-dB deltas live on different scales, and rank combination makes
@@ -27,7 +30,7 @@ import numpy as np
 
 from .calibration import CalibrationProfile, weight_qparams
 from .errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
-from .executor import Executor, image_batches, live_before
+from .executor import Executor, batch_size, image_batches, live_before
 from .fusion import discover_fusion_groups
 from .ir import Graph, QUANTIZABLE_KINDS, Tensor, WEIGHTED_KINDS, topo_sort
 from .metrics import (SENTINEL_DB, cosine_similarity, kl_divergence, row_powers, sqnr, sqnr_db,
@@ -139,7 +142,10 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
     """Two-inference sensitivity analysis over the whole model.
 
     Exactly 2 * image_count full-graph passes are performed regardless of
-    layer count: one FP32 and one fully-int8 pass per image. The ranking reads
+    layer count: per batch, one fully-int8 pass, which keeps each layer's
+    codes, then one FP32 pass, which scores each layer as its step makes it
+    and releases its codes; nothing is held from one batch to the next, and
+    the batch is sized for both passes. The ranking reads
     only SQNR and MSE; activation cosine and KL, which only metrics.csv shows,
     are computed when `diagnostics` is set and stay None otherwise. The list's
     calib_digest and ir_stage are left for the caller, who knows the profile's
@@ -156,19 +162,23 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
     act_mse_acc = {nid: 0.0 for nid in qids}
     act_cos_acc = {nid: 0.0 for nid in qids}
     act_kl_acc = {nid: 0.0 for nid in qids}
-    for batch in image_batches(images, (graph, qids), (q_graph, qids)):
-        _, ref_trace = ex.run_fp32(graph, batch, capture=qids)
-        _, q_trace = ex.run_quantized(q_graph, batch, capture=qids)
-        for nid in qids:
-            ref, got = ref_trace.outputs[nid].data, q_trace.outputs[nid].data
-            signal, noise = row_powers(ref, got)
-            for p_signal, p_noise in zip(signal.tolist(), noise.tolist()):
-                act_sqnr_acc[nid] += sqnr_db(p_signal, p_noise)
-                act_mse_acc[nid] += p_noise
-            if diagnostics:
-                for j in range(batch.shape[0]):
-                    act_cos_acc[nid] += cosine_similarity(ref[j:j + 1], got[j:j + 1])
-                    act_kl_acc[nid] += kl_divergence(ref[j:j + 1], got[j:j + 1])
+    codes: dict[str, Tensor] = {}  # the int8 pass's outputs, until the FP32 pass scores them
+
+    def score(nid: str, t: Tensor) -> None:
+        ref, got = t.data, dequantize(codes.pop(nid)).data
+        signal, noise = row_powers(ref, got)
+        for p_signal, p_noise in zip(signal.tolist(), noise.tolist()):
+            act_sqnr_acc[nid] += sqnr_db(p_signal, p_noise)
+            act_mse_acc[nid] += p_noise
+        if diagnostics:
+            for j in range(ref.shape[0]):
+                act_cos_acc[nid] += cosine_similarity(ref[j:j + 1], got[j:j + 1])
+                act_kl_acc[nid] += kl_divergence(ref[j:j + 1], got[j:j + 1])
+
+    for batch in image_batches(images, batch_size(q_graph, keep=qids),
+                               batch_size(graph, compare=(q_graph, qids))):
+        ex.run_quantized(q_graph, batch, capture=qids, observe=codes.__setitem__)
+        ex.run_fp32(graph, batch, capture=qids, observe=score)
 
     samples: list[MetricSample] = []
     for layer_index, nid in enumerate(qids):
@@ -249,7 +259,8 @@ def baseline_order(graph: Graph, method: str, images: np.ndarray | None = None,
                for g in groups}
         live = {a: live_before(graph, a) for a in qgs}
         preds: dict[str, list[int]] = {a: [] for a in qgs}
-        for batch in image_batches(images, (graph, False), *((qgs[a], False, live[a]) for a in qgs)):
+        for batch in image_batches(images, batch_size(graph),
+                                   *(batch_size(qgs[a], given=live[a]) for a in qgs)):
             def resume(anchor):
                 return lambda values: preds[anchor].extend(
                     _argmax(ex.run_quantized(qgs[anchor], batch, given=values)[0]))
@@ -290,7 +301,7 @@ def reference_pass(graph: Graph, images: np.ndarray, executor: Executor | None =
     run = ex.run_fp32 if all(n.precision == 32 for n in graph.nodes) else ex.run_quantized
     node = logits_node_id(graph)
     preds, rows = [], []
-    for batch in image_batches(images, (graph, [node])):
+    for batch in image_batches(images, batch_size(graph, [node])):
         out, trace = run(graph, batch, capture=[node])
         preds.extend(_argmax(out))
         rows.append(trace.outputs[node].data)

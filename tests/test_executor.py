@@ -653,15 +653,24 @@ def tiny_conv_graph():
 
 class TestImageBatches:
     def test_budget_sets_batch_size(self, mininet, monkeypatch):
-        """The per-image cost is the largest step of the plan. FP32 tiny graph,
-        at the conv: the input (16 floats) and the conv output (32 floats)
-        at 4 bytes, plus 9*16 window columns and a 6x6 padded copy at 4 bytes:
-        64 + 128 + 720 = 912. All-int8: input 64, then Quantize 16 x 8 = 128,
-        then the conv: its input 128 and output 32 x 8 = 256, plus columns,
-        padded copy and the offset input copy, float32 at K = 9:
-        (144 + 36 + 16) x 4 = 784; 1168 bytes. A captured FP32 output counts
-        once, as the trace's. The int8 graph resumed from an FP32 pass paused
-        at the conv is charged the input that pass still holds: 1232 bytes."""
+        """The per-image cost is the largest step of the plan: the values live
+        before it, plus the larger of the step's own peak (its output
+        included) and its output with what the consumer allocates taking it.
+        FP32 tiny graph, at the conv: the input (16 floats, 64 bytes) and the
+        kernel's peak, the 6x6 padded copy with the 9*16 window columns, 180
+        floats: 64 + 720 = 784. A captured FP32 output is the trace's array,
+        and the conv's is never the largest step. All-int8, at the conv: the
+        Quantize codes (16 bytes), then the offset input copy with the padded
+        copy and the columns, float32 at K = 9: (16 + 180) x 4 = 784, more
+        than the float64 accumulator, quotient and rounding term, 32 x 24 =
+        768; 800 bytes. Resumed from an FP32 pass paused at the conv, it is
+        charged the input that pass still holds: 864. The FP32 pass that
+        compares the conv and relu with codes an int8 pass kept holds them
+        (2 x 32 bytes) until each is compared; at the relu: its 32 codes
+        still held, the conv output (128) live, and the relu output (128)
+        with the comparison's float32 copy and two float64 arrays (32 x 20)
+        make 928. numpy's ufunc buffer, 8 * getbufsize() bytes, comes off the
+        budget first."""
         from mixquant import executor
 
         g = tiny_conv_graph()
@@ -669,13 +678,16 @@ class TestImageBatches:
         q = mq.apply_mixed_precision(g, [], calib)
         assert [n.kind for n in q.nodes if n.precision == 8] == ["Conv2d", "ReLU"]
         assert executor.live_before(g, "conv") == ("input",)
-        for graph, capture, given, per_image in ((g, False, (), 912), (g, ["conv"], (), 912),
-                                                 (g, True, (), 912), (q, False, (), 1168),
-                                                 (q, False, ("input",), 1232)):
-            monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 3 * per_image + per_image - 1)
-            assert executor.batch_size(graph, capture, given) == 3, (capture, per_image)
-            monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 4 * per_image)
-            assert executor.batch_size(graph, capture, given) == 4, (capture, per_image)
+        reserve = 8 * np.getbufsize()
+        for graph, kwargs, per_image in ((g, {}, 784), (g, {"capture": ["conv"]}, 784),
+                                         (g, {"capture": True}, 784), (q, {}, 800),
+                                         (q, {"keep": ["conv", "relu"]}, 800),
+                                         (q, {"given": ("input",)}, 864),
+                                         (g, {"compare": (q, ["conv", "relu"])}, 928)):
+            monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", reserve + 4 * per_image - 1)
+            assert executor.batch_size(graph, **kwargs) == 3, (kwargs, per_image)
+            monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", reserve + 4 * per_image)
+            assert executor.batch_size(graph, **kwargs) == 4, (kwargs, per_image)
         monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 1)
         assert executor.batch_size(mininet) == 1
 
@@ -685,7 +697,7 @@ class TestImageBatches:
         monkeypatch.setattr(executor, "ACTIVATION_BUDGET_BYTES", 1 << 21)
         step = executor.batch_size(mininet)
         assert step > 1
-        batches = list(executor.image_batches(calib_images[:7], (mininet, False)))
+        batches = list(executor.image_batches(calib_images[:7], step + 1, step))
         assert [b.shape[0] for b in batches][:-1] == [step] * (len(batches) - 1)
         assert np.array_equal(np.concatenate([b.data for b in batches]), calib_images[:7])
 
@@ -694,8 +706,8 @@ class TestImageBatches:
 # the execution plan: cached by wiring, frees each value after its last reader
 
 def caller_passes(graph):
-    """Per caller, the (graph, capture) passes it runs on each batch, as the
-    pipeline commands build them."""
+    """Per caller, the batch_size arguments of the passes it runs on each
+    batch, in order, as the pipeline commands build them."""
     from mixquant.fusion import lower_to_stage
     from mixquant.sensitivity import logits_node_id, quantizable_in_topo_order
 
@@ -704,26 +716,53 @@ def caller_passes(graph):
     fused = lower_to_stage(graph, "fused")
     all_int8 = mq.apply_mixed_precision(fused, [], calib)
     mixed = mq.apply_mixed_precision(fused, quantizable_in_topo_order(fused)[::3], calib)
+    unfused_int8 = mq.apply_mixed_precision(graph, [], calib)
     qids = quantizable_in_topo_order(graph)
     qids_fused = quantizable_in_topo_order(fused)
-    logits = logits_node_id(graph)
     return {
-        "evaluate": [(all_int8, [logits_node_id(all_int8)])],
-        "evaluate_mixed": [(mixed, [logits_node_id(mixed)])],
-        "calibrate": [(graph, [n.id for n in graph.nodes if n.kind not in ("Input", "Output")])],
-        "analyze": [(graph, qids), (mq.apply_mixed_precision(graph, [], calib), qids)],
-        "analyze_fused": [(fused, qids_fused), (all_int8, qids_fused)],
-        "reference": [(graph, [logits])],
-        "top1": [(mixed, False)],
+        "evaluate": [{"graph": all_int8, "capture": [logits_node_id(all_int8)]}],
+        "evaluate_mixed": [{"graph": mixed, "capture": [logits_node_id(mixed)]}],
+        "calibrate": [{"graph": graph}],
+        "analyze": [{"graph": unfused_int8, "keep": qids},
+                    {"graph": graph, "compare": (unfused_int8, qids)}],
+        "analyze_fused": [{"graph": all_int8, "keep": qids_fused},
+                          {"graph": fused, "compare": (all_int8, qids_fused)}],
+        "reference": [{"graph": graph, "capture": [logits_node_id(graph)]}],
+        "top1": [{"graph": mixed}],
     }
 
 
 # images per pass of each caller at the 1 MiB budget, min over its passes
 BATCH_TABLE = {
-    "mininet": {"evaluate": 3, "calibrate": 2, "analyze": 2, "reference": 4},
-    "mini_resnet": {"evaluate": 9, "calibrate": 9, "analyze": 6, "reference": 18},
-    "mini_mobilenet": {"evaluate": 4, "calibrate": 3, "analyze": 3, "reference": 5},
+    "mininet": {"evaluate": 5, "evaluate_mixed": 5, "calibrate": 4, "analyze": 3,
+                "analyze_fused": 4, "reference": 4, "top1": 5},
+    "mini_resnet": {"evaluate": 9, "evaluate_mixed": 12, "calibrate": 19, "analyze": 7,
+                    "analyze_fused": 8, "reference": 19, "top1": 12},
+    "mini_mobilenet": {"evaluate": 5, "evaluate_mixed": 5, "calibrate": 5, "analyze": 4,
+                       "analyze_fused": 4, "reference": 5, "top1": 5},
 }
+
+
+def run_caller(passes, images):
+    """Run a caller's passes over one batch as its command does: a trace
+    keeps what a pass captures, a pass that keeps values hands them to the
+    next, which compares each with its own output as analyze scores it."""
+    from mixquant.metrics import row_powers
+
+    ex, kept = Executor(), {}
+    for p in passes:
+        graph = p["graph"]
+        run = ex.run_quantized if any(n.precision == 8 for n in graph.nodes) else ex.run_fp32
+        observe, capture = None, p.get("capture", False)
+        if "keep" in p:
+            observe, capture = kept.__setitem__, p["keep"]
+        elif "compare" in p:
+            capture = p["compare"][1]
+
+            def observe(nid, t):
+                row_powers(t.data, mq.dequantize(kept.pop(nid)).data)
+        run(graph, images, capture=capture, observe=observe)
+    assert not kept
 
 
 @pytest.fixture(scope="module")
@@ -800,35 +839,63 @@ class TestExecutionPlan:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_batch_table(self, arch_passes, arch):
         from mixquant.executor import batch_size
-        got = {caller: min(batch_size(g, c) for g, c in arch_passes[arch][caller])
+        got = {caller: min(batch_size(**p) for p in arch_passes[arch][caller])
                for caller in BATCH_TABLE[arch]}
         assert got == BATCH_TABLE[arch]
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_pass_peak_stays_within_budget(self, arch_passes, arch):
-        """One pass at batch_size(graph, capture) images allocates at most
-        ACTIVATION_BUDGET_BYTES at its peak, as tracemalloc sees numpy's
-        allocations, for every caller's graph and capture set."""
+        """Each caller's passes over one batch of its batch size, everything
+        they hand each other included, allocate at most
+        ACTIVATION_BUDGET_BYTES at their peak, as tracemalloc sees numpy's
+        allocations."""
         import tracemalloc
 
         from mixquant.executor import ACTIVATION_BUDGET_BYTES, batch_size
-        shape = next(iter(arch_passes[arch].values()))[0][0].input_node.attrs["shape"]
+        shape = next(iter(arch_passes[arch].values()))[0]["graph"].input_node.attrs["shape"]
         peaks = {}
         for caller, passes in arch_passes[arch].items():
-            for i, (graph, capture) in enumerate(passes):
-                n = batch_size(graph, capture)
-                images = Tensor.f32(mq.gen_images(n, tuple(shape), 17))
-                quantized = any(node.precision == 8 for node in graph.nodes)
-                ex = Executor()
-                run = ex.run_quantized if quantized else ex.run_fp32
-                run(graph, images, capture=capture)  # warm the plan cache
-                tracemalloc.start()
-                try:
-                    out, trace = run(graph, images, capture=capture)
-                    peaks[caller, i] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                del out, trace
+            n = min(batch_size(**p) for p in passes)
+            images = Tensor.f32(mq.gen_images(n, tuple(shape), 17))
+            run_caller(passes, images)  # warm the plan cache and the bound steps
+            tracemalloc.start()
+            try:
+                run_caller(passes, images)
+                peaks[caller] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) <= ACTIVATION_BUDGET_BYTES, peaks
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("stage", ["unfused", "fused"])
+    def test_analyze_and_calibrate_peak_stays_within_budget(self, all_archs, monkeypatch, arch, stage):
+        """generate_sensitivity_list's two passes per batch, with everything
+        they hold, and profile_activations' streamed pass, over two batches
+        or more, allocate at most ACTIVATION_BUDGET_BYTES at their peak. The
+        int8 graph is made and bound before, as the model it is, not part of
+        the passes' activations."""
+        import tracemalloc
+
+        from mixquant import sensitivity
+        from mixquant.executor import ACTIVATION_BUDGET_BYTES
+        from mixquant.fusion import lower_to_stage
+
+        graph = lower_to_stage(all_archs[arch], stage)
+        shape = tuple(graph.input_node.attrs["shape"])
+        calib = mq.profile_activations(all_archs[arch], mq.gen_images(2, shape, 5))
+        q_graph = mq.apply_mixed_precision(graph, [], calib)
+        monkeypatch.setattr(sensitivity, "apply_mixed_precision", lambda *args: q_graph)
+        images = mq.gen_images(40, shape, 17)  # two batches of the largest
+        peaks = {}
+        for name, flow in (("analyze", lambda: mq.generate_sensitivity_list(graph, calib, images)),
+                           ("calibrate", lambda: mq.profile_activations(graph, images))):
+            flow()  # warm the plan cache and the bound steps
+            tracemalloc.start()
+            try:
+                flow()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert max(peaks.values()) <= ACTIVATION_BUDGET_BYTES, peaks
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -838,7 +905,7 @@ class TestExecutionPlan:
         allocates at most ACTIVATION_BUDGET_BYTES at its peak."""
         import tracemalloc
 
-        from mixquant.executor import ACTIVATION_BUDGET_BYTES, image_batches, live_before
+        from mixquant.executor import ACTIVATION_BUDGET_BYTES, batch_size, image_batches, live_before
         from mixquant.fusion import discover_fusion_groups
         from mixquant.sensitivity import quantizable_in_topo_order
 
@@ -848,8 +915,8 @@ class TestExecutionPlan:
         all_q = quantizable_in_topo_order(graph)
         qgs = {g.anchor: mq.apply_mixed_precision(graph, [n for n in all_q if n not in g.members], calib)
                for g in discover_fusion_groups(graph)}
-        passes = [(graph, False)] + [(qg, False, live_before(graph, a)) for a, qg in qgs.items()]
-        batch = next(image_batches(mq.gen_images(64, shape, 17), *passes))
+        sizes = [batch_size(graph)] + [batch_size(qg, given=live_before(graph, a)) for a, qg in qgs.items()]
+        batch = next(image_batches(mq.gen_images(64, shape, 17), *sizes))
         assert 1 < batch.shape[0] < 64
         ex = Executor()
         pause = {a: lambda values, qg=qg: ex.run_quantized(qg, batch, given=values) for a, qg in qgs.items()}
@@ -925,6 +992,43 @@ class TestStepProgram:
         del g, program
         gc.collect()
         assert [r() for r in refs] == [None, None]
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_observer_takes_each_output_as_its_step_makes_it(self, arch_graphs, monkeypatch, quantized):
+        """`observe` gets each captured output right after its step, before
+        the next step runs, int8 outputs as their codes; the returned trace
+        then stays empty, and the default consumer's trace holds the same
+        values as float32."""
+        from mixquant import executor
+        shape, graphs = arch_graphs["mininet"]
+        graph = (graphs[1][0] if quantized else graphs[0][0]).copy()  # bound afresh
+        log, bind = [], executor._bind
+
+        def logging(node):
+            step = bind(node)
+            return lambda inp, ins: (log.append(("step", node.id)), step(inp, ins))[1]
+
+        monkeypatch.setattr(executor, "_bind", logging)
+        capture = [n.id for n in graph.nodes if n.kind in ("Conv2d", "ReLU", "Softmax")]
+        observed = {}
+
+        def observe(nid, t):
+            log.append(("observe", nid))
+            observed[nid] = t
+
+        ex, x = Executor(), Tensor.f32(mq.gen_images(2, shape, 3))
+        out, trace = (ex.run_quantized if quantized else ex.run_fp32)(graph, x, capture=capture, observe=observe)
+        assert trace.outputs == {}
+        assert [e for e in log if e[0] == "observe"] == [("observe", nid) for nid in capture]
+        for i, (kind, nid) in enumerate(log):
+            if kind == "observe":
+                assert log[i - 1] == ("step", nid)
+        assert any(t.qparams is not None for t in observed.values()) == quantized
+        _, full = (ex.run_quantized if quantized else ex.run_fp32)(graph, x, capture=capture)
+        assert list(full.outputs) == capture
+        for nid, t in observed.items():
+            want = mq.dequantize(t) if t.qparams is not None else t
+            assert np.array_equal(full.outputs[nid].data, want.data), nid
 
     def test_added_node_is_checked(self, mininet, calib_images):
         """A node added after a pass is seen by the graph checks: an int8

@@ -15,8 +15,9 @@ def test_checkout_against_itself():
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["arch", "operation"]
     got = [row.split() for row in rows]
+    ops = ("run_quantized", "run_q40", "reference_pass", "load_and_score", "calibrate", "analyze")
     assert [(r[0], r[1]) for r in got] == [(arch, op) for arch in ("mininet", "mini_resnet", "mini_mobilenet")
-                                           for op in ("run_quantized", "run_q40", "reference_pass", "load_and_score")]
+                                           for op in ops]
     for r in got:
         a_ms, b_ms, ratio = float(r[2]), float(r[3]), float(r[4])
         assert a_ms > 0 and b_ms > 0 and ratio > 0

@@ -11,7 +11,7 @@ from mixquant import executor
 from mixquant.calibration import profile_activations
 from mixquant.errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
 from mixquant.fusion import STAGES, discover_fusion_groups
-from mixquant.ir import Graph, Node, Tensor
+from mixquant.ir import WEIGHTED_KINDS, Graph, Node, Tensor
 from mixquant.model_io import scale_node_weights
 from mixquant.quantizer import apply_mixed_precision
 from mixquant.sensitivity import (
@@ -201,9 +201,9 @@ class BatchRecorder(mq.Executor):
         super().__init__()
         self.batches = []
 
-    def run_fp32(self, graph, inp, capture=False):
+    def run_fp32(self, graph, inp, capture=False, pause=None, observe=None):
         self.batches.append(inp.data.shape[0])
-        return super().run_fp32(graph, inp, capture)
+        return super().run_fp32(graph, inp, capture, pause, observe)
 
 
 class TestBatchInvariance:
@@ -228,6 +228,88 @@ class TestBatchInvariance:
             elif name == "1e9 bytes":
                 assert ex.batches == [images.shape[0]]
         assert results["default"] == results["1 byte"] == results["1e9 bytes"]
+
+
+def traced_sensitivity_list(graph, calib, images, diagnostics):
+    """The trace-based sweep that generate_sensitivity_list streamed: each
+    batch's FP32 pass and then its all-int8 pass keep traces of every
+    quantizable node, which are scored after both passes, as float32 (int8
+    codes dequantized). Ranking as generate_sensitivity_list ranks."""
+    from mixquant.calibration import weight_qparams
+    from mixquant.executor import batch_size, image_batches
+    from mixquant.metrics import SENTINEL_DB, cosine_similarity, kl_divergence, row_powers, sqnr_db, sqnr_delta
+    from mixquant.quantizer import dequantize, quantize_affine
+    from mixquant.sensitivity import MetricSample
+
+    ex = mq.Executor()
+    qids = quantizable_in_topo_order(graph)
+    q_graph = apply_mixed_precision(graph, [], calib)
+    n_images = images.shape[0]
+    act_sqnr_acc = {nid: 0.0 for nid in qids}
+    act_mse_acc = {nid: 0.0 for nid in qids}
+    act_cos_acc = {nid: 0.0 for nid in qids}
+    act_kl_acc = {nid: 0.0 for nid in qids}
+    for batch in image_batches(images, batch_size(graph, qids), batch_size(q_graph, qids)):
+        _, ref_trace = ex.run_fp32(graph, batch, capture=qids)
+        _, q_trace = ex.run_quantized(q_graph, batch, capture=qids)
+        for nid in qids:
+            ref, got = ref_trace.outputs[nid].data, q_trace.outputs[nid].data
+            signal, noise = row_powers(ref, got)
+            for p_signal, p_noise in zip(signal.tolist(), noise.tolist()):
+                act_sqnr_acc[nid] += sqnr_db(p_signal, p_noise)
+                act_mse_acc[nid] += p_noise
+            if diagnostics:
+                for j in range(batch.shape[0]):
+                    act_cos_acc[nid] += cosine_similarity(ref[j:j + 1], got[j:j + 1])
+                    act_kl_acc[nid] += kl_divergence(ref[j:j + 1], got[j:j + 1])
+
+    samples = []
+    for layer_index, nid in enumerate(qids):
+        node = graph.node(nid)
+        if node.kind in WEIGHTED_KINDS:
+            w = node.weights["weight"]
+            w_hat = dequantize(quantize_affine(w, weight_qparams(w)))
+            signal, noise = row_powers(w, w_hat, rows=1)
+            w_sqnr, w_mse = sqnr_db(float(signal[0]), float(noise[0])), float(noise[0])
+        else:
+            w_sqnr, w_mse = SENTINEL_DB, 0.0
+        samples.append(MetricSample(
+            node_id=nid, layer_index=layer_index, weight_sqnr=w_sqnr, weight_mse=w_mse,
+            act_sqnr=act_sqnr_acc[nid] / n_images, act_mse=act_mse_acc[nid] / n_images,
+            act_cosine=act_cos_acc[nid] / n_images if diagnostics else None,
+            act_kl=act_kl_acc[nid] / n_images if diagnostics else None))
+    weighted = [s for s in samples if graph.node(s.node_id).kind in WEIGHTED_KINDS]
+    for s, delta in zip(weighted, sqnr_delta([(s.layer_index, s.weight_sqnr) for s in weighted])):
+        s.weight_delta = delta
+    for s, delta in zip(samples, sqnr_delta([(s.layer_index, s.act_sqnr) for s in samples])):
+        s.act_delta = delta
+    ranked = rank_layers_by_sensitivity(
+        {s.node_id: s.weight_delta for s in samples}, {s.node_id: s.act_delta for s in samples},
+        {s.node_id: s.act_mse for s in samples}, float(np.mean([s.act_mse for s in samples])))
+    return _group_adjusted(graph, ranked), samples
+
+
+class TestStreamedScoring:
+    @pytest.mark.parametrize("arch", ["mininet", "mini_resnet", "mini_mobilenet"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_equals_the_trace_based_sweep(self, all_archs, arch, stage):
+        """Scoring each layer as the FP32 pass makes it, against the codes
+        that the int8 pass kept, gives the trace-based sweep's list and every
+        MetricSample field bit for bit, at every budget, with and without
+        diagnostics."""
+        from mixquant.fusion import lower_to_stage
+
+        graph = lower_to_stage(all_archs[arch], stage)
+        images = mq.gen_images(5, tuple(graph.input_node.attrs["shape"]), 29)
+        calib = profile_activations(all_archs[arch], images)
+        for diagnostics in (False, True):
+            ids, want = traced_sensitivity_list(graph, calib, images, diagnostics)
+            for budget in BUDGETS.values():
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(executor, "ACTIVATION_BUDGET_BYTES", budget)
+                    sens, got = generate_sensitivity_list(graph, calib, images, diagnostics=diagnostics)
+                assert sens.ids == ids
+                assert [repr(dataclasses.astuple(s)) for s in got] == [repr(dataclasses.astuple(s)) for s in want]
 
 
 def top1_case(arch):

@@ -10,16 +10,19 @@ from the in-order list (`select_dequant_set`), the kind of q40 model that
 `quantize` writes and `bench/run.py`'s `infer_ms` samples. It saves the
 three models, which each side then loads with its own `load_model`. Each of
 ROUNDS rounds times, for A and then B or for B and then A (the order
-alternates by round), four operations over IMAGES eval images: batch-1
+alternates by round), six operations over IMAGES eval images: batch-1
 `run_quantized` on the int8 model (`run_quantized`) and on the q40 model
 (`run_q40`) and batch-1 `reference_pass` on the FP32 model, each on a graph
-warmed by one pass per image, and `load_and_score`: `load_model` of the
+warmed by one pass per image; `load_and_score`: `load_model` of the
 int8 model, then one `reference_pass` over all the images, as each
-`evaluate` command scores a fresh graph. The warm operations hide what a
-graph costs once (its program, shapes, bound steps and weight casts);
-`load_and_score` pays it every time. One line per arch and operation gives
-A's and B's median ms per image and the median of the per-round B/A ratios
-with its quartiles.
+`evaluate` command scores a fresh graph; and the compile stage's two sweeps
+over all the images in their own batches, `calibrate` (`profile_activations`
+on the FP32 model) and `analyze` (`generate_sensitivity_list` on it, with a
+profile of the same images, which quantizes and binds a fresh int8 graph per
+call as the command does). The warm operations hide what a graph costs once
+(its program, shapes, bound steps and weight casts); `load_and_score` pays it
+every time. One line per arch and operation gives A's and B's median ms per
+image and the median of the per-round B/A ratios with its quartiles.
 
 Both sides share one process, so the between-process spread of
 `bench/run.py` (allocator state, page faults) cancels out of the ratios.
@@ -92,8 +95,17 @@ def operations(mq, fp32: Path, int8: Path, q40: Path, images):
     def load_and_score():
         mq.reference_pass(mq.load_model(int8), images, ex)
 
+    calib = mq.profile_activations(graph, images)
+
+    def calibrate():
+        mq.profile_activations(graph, images, ex)
+
+    def analyze():
+        mq.generate_sensitivity_list(graph, calib, images, executor=ex)
+
     return {"run_quantized": batch1(mq.load_model(int8)), "run_q40": batch1(mq.load_model(q40)),
-            "reference_pass": reference, "load_and_score": load_and_score}
+            "reference_pass": reference, "load_and_score": load_and_score,
+            "calibrate": calibrate, "analyze": analyze}
 
 
 def timed(fn) -> float:
