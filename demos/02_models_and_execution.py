@@ -2,7 +2,8 @@
 
 Models are generated from a pinned 64-bit LCG, so (arch, seed) fully
 determines every weight bit. The executor runs the graph node by node in
-a deterministic topological order and can capture each layer's output.
+a deterministic topological order and hands the layer outputs it is asked to
+capture to an observer as each is made.
 """
 
 import numpy as np
@@ -18,18 +19,20 @@ print("  ...")
 
 image = mq.gen_images(1, (3, 16, 16), seed=123)
 ex = mq.Executor()
-out, trace = ex.run_fp32(graph, mq.Tensor.f32(image), capture=True)
+shapes = {}
+out = ex.run_fp32(graph, mq.Tensor.f32(image), capture=("b1_conv", "b4_add", "b5_conv", "gap", "fc"),
+                 observe=lambda nid, t: shapes.__setitem__(nid, t.shape))
 print("\nclass probabilities:", np.round(out.data, 4))
 print("executor pass counter:", ex.passes)
 
 print("\ncaptured activation shapes:")
-for nid in ("b1_conv", "b4_add", "b5_conv", "gap", "fc"):
-    print(f"  {nid:10s} {trace.outputs[nid].shape}")
+for nid, shape in shapes.items():
+    print(f"  {nid:10s} {shape}")
 
 # serialization round-trips bit-exactly
 import tempfile
 with tempfile.TemporaryDirectory() as d:
     mq.save_model(graph, d)
     again = mq.load_model(d)
-    out2, _ = mq.Executor().run_fp32(again, mq.Tensor.f32(image))
+    out2 = mq.Executor().run_fp32(again, mq.Tensor.f32(image))
     print("\nsave/load output identical:", bool(np.array_equal(out.data, out2.data)))

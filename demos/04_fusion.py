@@ -19,8 +19,8 @@ print("fused node kinds:", sorted({n.kind for n in fused.nodes}))
 # FP32 semantics are preserved to float-reassociation tolerance
 image = mq.gen_images(1, (3, 16, 16), seed=5)
 ex = mq.Executor()
-a, _ = ex.run_fp32(graph, mq.Tensor.f32(image))
-c, _ = ex.run_fp32(fused, mq.Tensor.f32(image))
+a = ex.run_fp32(graph, mq.Tensor.f32(image))
+c = ex.run_fp32(fused, mq.Tensor.f32(image))
 rel = np.abs(a.data - c.data).max() / np.abs(a.data).max()
 print(f"stage-A vs stage-C relative error: {rel:.2e}")
 
@@ -38,7 +38,7 @@ print(f"\nQ-DQ count unfused application: {mq.count_qdq(two_step)}, "
 err_two = err_one = 0.0
 for i in range(20):
     x = mq.Tensor.f32(images[i:i + 1])
-    ref, _ = ex.run_fp32(graph, x)
-    err_two += mq.mse(ref, ex.run_quantized(two_step, x)[0])
-    err_one += mq.mse(ref, ex.run_quantized(one_step, x)[0])
+    ref = ex.run_fp32(graph, x)
+    err_two += mq.mse(ref, ex.run_quantized(two_step, x))
+    err_one += mq.mse(ref, ex.run_quantized(one_step, x))
 print(f"mean output MSE unfused {err_two / 20:.3e} vs fused {err_one / 20:.3e}")

@@ -30,8 +30,8 @@ for n in qg.nodes:
 
 ex = mq.Executor()
 x = mq.Tensor.f32(images[0:1])
-ref, _ = ex.run_fp32(graph, x)
-got, _ = ex.run_quantized(qg, x)
+ref = ex.run_fp32(graph, x)
+got = ex.run_quantized(qg, x)
 print("\nfp32 probabilities :", np.round(ref.data, 4))
 print("int8 probabilities :", np.round(got.data, 4))
 ref_logits = mq.reference_pass(graph, images[:8]).logits

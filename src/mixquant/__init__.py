@@ -14,7 +14,7 @@ from .calibration import (
     profile_activations,
     weight_qparams,
 )
-from .executor import Executor, LayerTrace
+from .executor import Executor
 from .fusion import FusionGroup, discover_fusion_groups, fuse_conv_bn, fuse_conv_relu, lower_to_stage
 from .ir import Graph, Node, QuantParams, Tensor, infer_shapes, topo_sort
 from .metrics import SENTINEL_DB, cosine_similarity, kl_divergence, mse, sqnr, sqnr_delta

@@ -108,7 +108,7 @@ def profile_activations(graph: Graph, images: np.ndarray, executor=None) -> Cali
     node's output range. The Input node is profiled from the raw images so the
     first quantized layer has an input scale. One FP32 pass per batch folds
     each node's output into its range as the step makes it, so the pass holds
-    nothing beyond its own values and is sized as an uncaptured pass. Each
+    nothing beyond its own values and is sized as a pass that keeps none. Each
     range takes one update per batch; min and max are exact in any order, so
     the profile does not depend on the batch size."""
     from .executor import Executor, batch_size, image_batches  # deferred: executor depends on quantizer/calibration

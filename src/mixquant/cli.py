@@ -99,15 +99,18 @@ def reference_path(images) -> Path:
 
 def save_reference(ref: Reference, path, digests: dict[str, str]) -> None:
     """u32 LE header length, a sorted-key JSON header (`digests`, the logits node
-    id and shape, the per-image predictions), then the logits as float32 LE."""
+    id and shape, the per-image predictions), then the logits as float32 LE.
+    synth's digests name the model, the images and the labels it wrote."""
     header = json.dumps({**digests, "node": ref.node, "shape": list(ref.logits.shape),
                          "preds": ref.preds}, sort_keys=True).encode()
     Path(path).write_bytes(struct.pack("<I", len(header)) + header + ref.logits.astype("<f4").tobytes())
 
 
-def load_reference(path, digests: dict[str, str], count: int) -> Reference | None:
+def load_reference(path, digests: dict[str, str], count: int, labels=None) -> Reference | None:
     """The reference in `path`; None when there is no such file or its digests
-    differ from `digests`. A match must hold finite logits of `count` images."""
+    differ from `digests`. A match must hold finite logits of `count` images,
+    and a `labels` file, if given, must have the labels digest it records,
+    if it records one."""
     if not Path(path).is_file():
         return None
     raw = Path(path).read_bytes()
@@ -125,6 +128,8 @@ def load_reference(path, digests: dict[str, str], count: int) -> Reference | Non
                           f"{len(ref.preds)} predictions, for {count} images")
     if not np.isfinite(logits).all():
         raise NonFiniteValue(f"reference file {path} holds NaN or infinite logits")
+    if labels is not None:
+        _check_provenance(head.get("labels"), _sha256(labels), f"{labels} are not the labels {path} records")
     return ref
 
 
@@ -150,7 +155,8 @@ def cmd_synth(args) -> int:
     ref = reference_pass(graph, evalset)
     model_io.save_labels(ref.preds, out / "labels.json")
     save_reference(ref, reference_path(out / "eval_images.bin"),
-                   {"model": model_digest(out / "model"), "images": _sha256(out / "eval_images.bin")})
+                   {"model": model_digest(out / "model"), "images": _sha256(out / "eval_images.bin"),
+                    "labels": _sha256(out / "labels.json")})
     print(f"synth: wrote {args.arch} (seed {args.seed}) with {len(graph.nodes)} nodes to {out}")
     return 0
 
@@ -183,6 +189,8 @@ def cmd_analyze(args) -> int:
         if method == "top1":
             images = model_io.load_images(_require(args.images, "synth"))
             labels = model_io.load_labels(_require(args.labels, "synth"))
+            load_reference(reference_path(args.images), {"model": digest, "images": _sha256(args.images)},
+                           images.shape[0], args.labels)
         sens = baseline_order(graph, method, images=images, labels=labels, calib=calib,
                               top1_budget=args.top1_images)
     sens.ir_stage = args.ir_stage
@@ -245,7 +253,7 @@ def cmd_evaluate(args) -> int:
     _check_provenance((run or {}).get("model_digest"), digests["ref_model"],
                       f"{args.model} was quantized from another model than --ref-model {args.ref_model}")
     ref = load_reference(reference_path(args.images), {
-        "model": digests["ref_model"], "images": digests["images"]}, images.shape[0])
+        "model": digests["ref_model"], "images": digests["images"]}, images.shape[0], args.labels)
     if ref is None:
         ref = reference_pass(model_io.load_model(args.ref_model), images)
     report = evaluate_model(qg, ref, images, labels)

@@ -34,13 +34,12 @@ A pass runs a batch of images, and every kernel gives each image the same bits
 whatever the batch size, so batching never moves a result. A pass follows the
 graph's plan: its topological order and, per step, the values read there for
 the last time, which it then frees; values nothing reads (the Output) stay.
-`capture` names the node ids whose outputs the pass observes (True: every
-non-Input node). Each step that makes one hands it at once, int8 codes as
-they are, to the pass's `observe(node id, value)` hook, before the next step
-runs and before the step's last reads are freed. The default consumer is the
-pass's trace, which keeps each as float32 (int8 outputs dequantized) so that
-metrics compare in one domain; a consumer that folds or scores a value as it
-comes holds nothing beyond the pass's own values.
+A pass returns the Output's value. `capture` names the node ids whose
+outputs the pass hands on, and its `observe(node id, value)` hook is their
+one consumer: each step that makes one hands it over at once, int8 codes as
+they are, before the next step runs and before the step's last reads are
+freed. A consumer that folds or scores a value as it comes holds nothing
+beyond the pass's own values; one that keeps it holds it as it came.
 
 A graph's program, a WeakKeyDictionary entry that dies with the graph, holds
 the wiring it was made for (the ((node id, input ids), ...) tuple), the
@@ -75,12 +74,11 @@ at each step, what is live before it plus the larger of the step's own peak
 transients, and its output) and its output with what the consumer allocates
 taking it. Live are the values the pass computed and still reads (1 byte per
 int8 code, 4 per float), values a paused pass holds for a resumed one, what
-the trace keeps as float32, and values an earlier pass of the batch kept,
-until this pass releases them. An image costs its largest step; numpy's
-ufunc buffers (8 * getbufsize() bytes) and the pass's Python objects come off
-the budget first. The executor counts image-passes (a pass adds its batch
-size) so callers can verify how many inferences an analysis actually
-performed.
+the consumer keeps, and values an earlier pass of the batch kept, until this
+pass releases them. An image costs its largest step; numpy's ufunc buffers
+(8 * getbufsize() bytes) and the pass's Python objects come off the budget
+first. The executor counts image-passes (a pass adds its batch size) so
+callers can verify how many inferences an analysis actually performed.
 """
 
 from __future__ import annotations
@@ -88,7 +86,6 @@ from __future__ import annotations
 import math
 import weakref
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -320,12 +317,6 @@ def live_before(graph: Graph, nid: str) -> tuple[str, ...]:
     return tuple(live)
 
 
-def _captured(graph: Graph, capture: bool | Iterable[str]) -> set[str]:
-    if capture is True:
-        return {n.id for n in graph.nodes if n.kind != "Input"}
-    return set(capture or ())
-
-
 def _operand_dtype(node: Node):
     """The dtype a node's kernel runs in: float32, except float64 for int8
     nodes that are not weighted or whose K passes MAX_F32_K."""
@@ -379,20 +370,18 @@ def _step_peak(node: Node, shapes: dict[str, tuple[int, ...]]) -> int:
     return max(operands, 24 * out)
 
 
-def batch_size(graph: Graph, capture: bool | Iterable[str] = False, given: Iterable[str] = (),
-               keep: Iterable[str] = (), compare: tuple[Graph, Iterable[str]] | None = None) -> int:
+def batch_size(graph: Graph, given: Iterable[str] = (), keep: Iterable[str] = (),
+               compare: tuple[Graph, Iterable[str]] | None = None) -> int:
     """Images per pass that keep one pass within ACTIVATION_BUDGET_BYTES, at
     least one; the module docstring lists what an image costs. The pass's
-    consumer is charged for what it does with the values it observes: the
-    trace keeps `capture`d ones as float32 until the pass ends, a consumer
-    may `keep` them as they are beyond it, or `compare` them with the values
-    that an earlier pass of the batch, over the given graph, kept of the
-    given ids, each released once compared. A pass resumed from the `given`
-    values of a paused pass is charged them at every step, since the paused
-    pass holds them until the resumed one ends."""
+    consumer is charged for what it does with the values it observes: it may
+    `keep` them as they are beyond the pass, or `compare` them with the
+    values that an earlier pass of the batch, over the given graph, kept of
+    the given ids, each released once compared. A pass resumed from the
+    `given` values of a paused pass is charged them at every step, since the
+    paused pass holds them until the resumed one ends."""
     program = _program(graph)
-    shapes, peaks, traced = program.shapes, program.peaks, _captured(graph, capture)
-    stays = set(keep) | {s for s in traced if _width(graph.node(s)) == 4}  # a float is the trace's array
+    shapes, peaks, stays = program.shapes, program.peaks, set(keep)
     other, ids = compare or (graph, ())
     carried = {s: _width(other.node(s)) * math.prod(_program(other).shapes[s]) for s in ids}
     held = sum(_width(graph.node(s)) * math.prod(shapes[s]) for s in given) + sum(carried.values())
@@ -401,16 +390,13 @@ def batch_size(graph: Graph, capture: bool | Iterable[str] = False, given: Itera
     for nid, last_reads in program.plan(given):
         node = graph.node(nid)
         width, size = _width(node), math.prod(shapes[nid])
-        observed = 0  # what the consumer allocates while it takes the value
-        if nid in carried:  # the kept value as float32, then both as float64
-            observed = (4 + 8 + 8) * size
-        elif nid in traced and width == 1:  # dequantized: float64, then the float32 copy
-            observed = 12 * size
+        # what the consumer allocates comparing the value: the kept one as
+        # float32, then both as float64
+        observed = (4 + 8 + 8) * size if nid in carried else 0
         if nid not in peaks:
             peaks[nid] = _step_peak(node, shapes)
         per_image = max(per_image, held + sum(live.values()) + max(peaks[nid], width * size + observed))
         live[nid] = width * size
-        held += 4 * size if nid in traced and width == 1 else 0
         held -= carried.pop(nid, 0)
         for s in last_reads:  # a given value is charged in `held` until the pass ends
             if s not in stays:
@@ -552,16 +538,6 @@ def _program(graph: Graph) -> _Program:
     return program
 
 
-@dataclass
-class LayerTrace:
-    """Float32 outputs of the captured nodes of one pass."""
-
-    outputs: dict[str, Tensor] = field(default_factory=dict)
-
-    def keep(self, nid: str, t: Tensor) -> None:
-        self.outputs[nid] = dequantize(t) if t.qparams is not None else t
-
-
 class Executor:
     """Graph interpreter with an image-pass counter.
 
@@ -572,30 +548,32 @@ class Executor:
     def __init__(self):
         self.passes = 0
 
-    def run_fp32(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False,
+    def run_fp32(self, graph: Graph, inp: Tensor, capture: Iterable[str] = (),
                  pause: dict[str, Callable[[dict[str, Tensor]], object]] | None = None,
-                 observe: Callable[[str, Tensor], object] | None = None):
-        """One FP32 pass. `pause` maps node ids to callables that the pass
-        calls just before those steps, with the values live there; `observe`
-        takes each captured output as its step makes it (default: the trace
-        keeps it)."""
+                 observe: Callable[[str, Tensor], object] | None = None) -> Tensor:
+        """One FP32 pass; the Output's value. `pause` maps node ids to
+        callables that the pass calls just before those steps, with the values
+        live there; `observe` takes each `capture`d output as its step makes
+        it."""
         program = _program(graph)
         if program.not_fp32 is not None:
             raise InvariantViolation(f"run_fp32 on graph with int8 node {program.not_fp32!r}")
         return self._run(graph, inp, capture, {}, pause or {}, program, observe)
 
-    def run_quantized(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str] = False,
+    def run_quantized(self, graph: Graph, inp: Tensor, capture: Iterable[str] = (),
                       given: dict[str, Tensor] | None = None,
-                      observe: Callable[[str, Tensor], object] | None = None):
+                      observe: Callable[[str, Tensor], object] | None = None) -> Tensor:
         """One pass over a mixed-precision graph. `given` supplies node
         outputs, which the pass then neither computes nor captures; it runs
         only the nodes the Output still needs. `inp` stays the whole batch.
         `observe` is run_fp32's."""
         return self._run(graph, inp, capture, given or {}, {}, _program(graph), observe)
 
-    def _run(self, graph: Graph, inp: Tensor, capture: bool | Iterable[str], given: dict, pause: dict,
+    def _run(self, graph: Graph, inp: Tensor, capture: Iterable[str], given: dict, pause: dict,
              program: _Program, observe):
-        wanted, steps, shapes, codes = _captured(graph, capture), program.steps, program.shapes, program.codes
+        wanted, steps, shapes, codes = set(capture), program.steps, program.shapes, program.codes
+        if wanted and observe is None:
+            raise ValueError(f"the pass captures {sorted(wanted)} but has no observer to take them")
         if program.unquantized is not None:
             raise MissingQuantParams(f"node {program.unquantized!r} writes int8 codes but lacks out_qparams")
         if program.miswired is not None:
@@ -609,8 +587,6 @@ class Executor:
                 raise MissingQuantParams(f"the pass hands {nid!r} {_HOLDS[not codes[nid]]}, "
                                          f"where the graph holds {_HOLDS[codes[nid]]}")
         values = dict(given)
-        trace = LayerTrace()
-        observe = observe or trace.keep
         for nid, freed in program.plan(given):
             if nid in pause:
                 pause[nid](values)
@@ -624,4 +600,4 @@ class Executor:
             for s in freed:
                 del values[s]
         self.passes += inp.shape[0]
-        return values[program.output], trace
+        return values[program.output]

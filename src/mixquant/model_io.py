@@ -58,10 +58,10 @@ _JUMP_A, _JUMP_C = _jump_tables(_BLOCK)
 class Lcg:
     """64-bit LCG: state' = state * 6364136223846793005 + 1442695040888963407 (mod 2^64).
 
-    uniform() uses the top 53 bits, giving floats in [0, 1). An array draw
-    computes its states in blocks of up to 4,096 from the state before the
-    block by jump-ahead; values and end state equal those of one next_u64()
-    call per element.
+    uniform(lo, hi, size) draws an array of floats in [lo, hi) from the top 53
+    bits of each state. It computes its states in blocks of up to 4,096 from
+    the state before the block by jump-ahead; values and end state equal those
+    of one next_u64() call per element.
     """
 
     def __init__(self, seed: int):
@@ -71,9 +71,7 @@ class Lcg:
         self.state = (self.state * _LCG_MUL + _LCG_INC) & _MASK64
         return self.state
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None) -> np.ndarray | float:
-        if size is None:
-            return lo + (hi - lo) * ((self.next_u64() >> 11) / float(1 << 53))
+    def uniform(self, lo: float, hi: float, size) -> np.ndarray:
         n = int(np.prod(size))
         states = np.empty(n, dtype=np.uint64)
         for start in range(0, n, _BLOCK):

@@ -4,12 +4,12 @@ fusion-group position adjustment, and the three baseline orderings.
 The main generator runs the fully-int8 model once per calibration image and
 then the FP32 model once per image: two full passes per image total, linear
 in model parameters and independent of how many bit-width configurations
-exist. Per batch, the int8 pass keeps each layer's output as its int8 codes;
-the FP32 pass scores each layer's output as it makes it, against those codes
-dequantized, and drops both, so no trace is held. Per layer it derives
-weight SQNR (FP32 weights vs dequantized int8 weights), mean activation
-SQNR/MSE (FP32 outputs vs dequantized int8 outputs), and the weight/activation
-SQNR deltas.
+exist. Per batch, the int8 pass's observer keeps each layer's output as its
+int8 codes; the FP32 pass's observer scores each layer's output as the step
+makes it, against those codes dequantized, and drops both, so no trace is
+held. Per layer it derives weight SQNR (FP32 weights vs dequantized int8
+weights), mean activation SQNR/MSE (FP32 outputs vs dequantized int8
+outputs), and the weight/activation SQNR deltas.
 
 Ranking combines the two delta signals by rank, not by raw value: weight-dB
 and activation-dB deltas live on different scales, and rank combination makes
@@ -32,9 +32,8 @@ from .calibration import CalibrationProfile, weight_qparams
 from .errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
 from .executor import Executor, batch_size, image_batches, live_before
 from .fusion import discover_fusion_groups
-from .ir import Graph, QUANTIZABLE_KINDS, Tensor, WEIGHTED_KINDS, topo_sort
-from .metrics import (SENTINEL_DB, cosine_similarity, kl_divergence, row_powers, sqnr, sqnr_db,
-                      sqnr_delta)
+from .ir import Graph, Node, QUANTIZABLE_KINDS, Tensor, WEIGHTED_KINDS, topo_sort
+from .metrics import SENTINEL_DB, cosine_similarity, kl_divergence, row_powers, sqnr_db, sqnr_delta
 from .quantizer import (apply_mixed_precision, dequantize, load_node_list, quantize_affine,
                         save_node_list)
 
@@ -135,6 +134,16 @@ def _group_adjusted(graph: Graph, ranked: list[str]) -> list[str]:
     return [m for nid in ranked if member_of[nid].anchor == nid for m in member_of[nid].members]
 
 
+def _weight_noise(node: Node) -> tuple[float, float]:
+    """A node's weight SQNR in dB and MSE against its int8 weights
+    dequantized: the sentinel and 0.0 without quantized weights."""
+    if node.kind not in WEIGHTED_KINDS:
+        return SENTINEL_DB, 0.0
+    w = node.weights["weight"]
+    signal, noise = row_powers(w, dequantize(quantize_affine(w, weight_qparams(w))), rows=1)
+    return sqnr_db(float(signal[0]), float(noise[0])), float(noise[0])
+
+
 def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: np.ndarray,
                               mixup: tuple[float, float] = DEFAULT_MIXUP,
                               executor: Executor | None = None, diagnostics: bool = False,
@@ -182,14 +191,7 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
 
     samples: list[MetricSample] = []
     for layer_index, nid in enumerate(qids):
-        node = graph.node(nid)
-        if node.kind in WEIGHTED_KINDS:
-            w = node.weights["weight"]
-            w_hat = dequantize(quantize_affine(w, weight_qparams(w)))
-            signal, noise = row_powers(w, w_hat, rows=1)
-            w_sqnr, w_mse = sqnr_db(float(signal[0]), float(noise[0])), float(noise[0])
-        else:
-            w_sqnr, w_mse = SENTINEL_DB, 0.0  # no quantized weights, no weight noise
+        w_sqnr, w_mse = _weight_noise(graph.node(nid))
         samples.append(MetricSample(
             node_id=nid, layer_index=layer_index,
             weight_sqnr=w_sqnr, weight_mse=w_mse,
@@ -232,14 +234,8 @@ def baseline_order(graph: Graph, method: str, images: np.ndarray | None = None,
         return SensitivityList(ids, method="in_order")
 
     if method == "weight_sqnr":
-        def anchor_sqnr(g):
-            node = graph.node(g.anchor)
-            if node.kind not in WEIGHTED_KINDS:
-                return SENTINEL_DB
-            w = node.weights["weight"]
-            return sqnr(w, dequantize(quantize_affine(w, weight_qparams(w))))
         order = {g.anchor: i for i, g in enumerate(groups)}
-        ranked = sorted(groups, key=lambda g: (anchor_sqnr(g), order[g.anchor]))
+        ranked = sorted(groups, key=lambda g: (_weight_noise(graph.node(g.anchor))[0], order[g.anchor]))
         return SensitivityList([m for g in ranked for m in g.members], method="weight_sqnr")
 
     if method == "top1":
@@ -263,7 +259,7 @@ def baseline_order(graph: Graph, method: str, images: np.ndarray | None = None,
                                    *(batch_size(qgs[a], given=live[a]) for a in qgs)):
             def resume(anchor):
                 return lambda values: preds[anchor].extend(
-                    _argmax(ex.run_quantized(qgs[anchor], batch, given=values)[0]))
+                    _argmax(ex.run_quantized(qgs[anchor], batch, given=values)))
             ex.run_fp32(graph, batch, pause={a: resume(a) for a in qgs})
         # every drop is from the same FP32 accuracy: the lowest accuracy drops most
         accs = [top1_accuracy(preds[g.anchor], labels) for g in groups]
@@ -291,21 +287,21 @@ class Reference(NamedTuple):
 
 
 def reference_pass(graph: Graph, images: np.ndarray, executor: Executor | None = None) -> Reference:
-    """Any graph's outputs over `images`, one pass per image in batches that
-    capture only the logits: run_fp32 when every node is FP32, run_quantized
-    otherwise. Int8 scores reach Softmax through a Dequantize adapter, which
-    is then the logits node."""
+    """Any graph's outputs over `images`, one pass per image in batches whose
+    one observer keeps only the logits: run_fp32 when every node is FP32,
+    run_quantized otherwise. Int8 scores reach Softmax through a Dequantize
+    adapter, which is then the logits node; logits a graph leaves as codes
+    are dequantized once the passes are done."""
     if images.ndim != 4 or images.shape[0] < 1:
         raise EmptyImageBatch("a scoring pass needs at least one image")
     ex = executor or Executor()
     run = ex.run_fp32 if all(n.precision == 32 for n in graph.nodes) else ex.run_quantized
     node = logits_node_id(graph)
     preds, rows = [], []
-    for batch in image_batches(images, batch_size(graph, [node])):
-        out, trace = run(graph, batch, capture=[node])
-        preds.extend(_argmax(out))
-        rows.append(trace.outputs[node].data)
-    return Reference(node, np.concatenate(rows), preds)
+    for batch in image_batches(images, batch_size(graph, keep=[node])):
+        preds.extend(_argmax(run(graph, batch, capture=[node], observe=lambda nid, t: rows.append(t))))
+    logits = [(t if t.qparams is None else dequantize(t)).data for t in rows]
+    return Reference(node, np.concatenate(logits), preds)
 
 
 def _argmax(out: Tensor) -> list[int]:

@@ -47,9 +47,26 @@ def graph_signature(graph):
         return tuple((Path(tmp) / f).read_bytes() for f in ("manifest.json", "weights.bin"))
 
 
-def run_f32(graph, image_batch, idx=0, capture=False, executor=None):
+def run_f32(graph, image_batch, idx=0, executor=None):
     ex = executor or mq.Executor()
-    return ex.run_fp32(graph, mq.Tensor.f32(image_batch[idx:idx + 1]), capture=capture)
+    return ex.run_fp32(graph, mq.Tensor.f32(image_batch[idx:idx + 1]))
+
+
+def non_input(graph):
+    """The ids of every node of `graph` but its Input, in graph order."""
+    return [n.id for n in graph.nodes if n.kind != "Input"]
+
+
+def observed(run, graph, inp, capture, **kwargs):
+    """A pass `run(graph, inp, ...)`'s output and the outputs of the nodes it
+    captures, by node id in the order the pass made them, each as float32:
+    the observer dequantizes int8 codes so that values compare in one
+    domain."""
+    outputs = {}
+
+    def keep(nid, t):
+        outputs[nid] = t if t.qparams is None else mq.dequantize(t)
+    return run(graph, inp, capture=capture, observe=keep, **kwargs), outputs
 
 
 def histogram_layout(doc: dict) -> dict:

@@ -29,7 +29,7 @@ from mixquant.sensitivity import (
     top1_accuracy,
 )
 
-from conftest import run_f32
+from conftest import observed, run_f32
 from test_metrics import scalar_cosine, scalar_kl, scalar_mse, scalar_sqnr
 
 
@@ -90,7 +90,7 @@ def test_criterion_2_metric_oracles():
     rng = Lcg(2024)
     worst = 0.0
     for _ in range(1000):
-        n = 4 + int(rng.uniform(0, 28))
+        n = 4 + int(rng.uniform(0, 28, 1)[0])
         ref = rng.uniform(-5, 5, (n,))
         test = ref + rng.uniform(-0.5, 0.5, (n,))
         for fast, slow in ((sqnr, scalar_sqnr), (mse, scalar_mse), (cosine_similarity, scalar_cosine)):
@@ -98,8 +98,8 @@ def test_criterion_2_metric_oracles():
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     from mixquant.metrics import kl_from_histograms
     for _ in range(200):
-        p = [float(rng.uniform(0, 1)) for _ in range(32)]
-        q = [float(rng.uniform(0, 1)) for _ in range(32)]
+        p = [float(rng.uniform(0, 1, 1)[0]) for _ in range(32)]
+        q = [float(rng.uniform(0, 1, 1)[0]) for _ in range(32)]
         worst = max(worst, abs(kl_from_histograms(p, q) - scalar_kl(p, q)))
     assert worst <= 1e-9
 
@@ -123,8 +123,8 @@ def test_criterion_3_fusion_equivalence():
         images = mq.gen_images(50, shape, 31)
         worst = 0.0
         for i in range(50):
-            ref, _ = run_f32(g, images, idx=i)
-            got, _ = run_f32(fused, images, idx=i)
+            ref = run_f32(g, images, idx=i)
+            got = run_f32(fused, images, idx=i)
             worst = max(worst, float(np.abs(ref.data - got.data).max() / np.abs(ref.data).max()))
         assert worst <= 1e-4, f"{arch}: fused/unfused relative error {worst}"
 
@@ -146,9 +146,9 @@ def test_criterion_3_fusion_equivalence():
     mse_two = mse_fused = 0.0
     for i in range(100):
         x = Tensor.f32(images[i:i + 1])
-        ref, _ = ex.run_fp32(g, x)
-        mse_two += mse(ref, ex.run_quantized(two_step, x)[0])
-        mse_fused += mse(ref, ex.run_quantized(fused, x)[0])
+        ref = ex.run_fp32(g, x)
+        mse_two += mse(ref, ex.run_quantized(two_step, x))
+        mse_fused += mse(ref, ex.run_quantized(fused, x))
     assert mse_fused <= mse_two
     report(3, f"stage-C == stage-A within 1e-4 on 3 archs x 50 inputs; fused conv+relu "
               f"mean MSE {mse_fused / 100:.3e} <= two-step {mse_two / 100:.3e}")
@@ -160,10 +160,10 @@ def test_criterion_4_mixed_precision_contract(mininet, mininet_calib, calib_imag
     qg = mq.apply_mixed_precision(mininet, keep, mininet_calib)
     ex = mq.Executor()
     x = Tensor.f32(calib_images[0:1])
-    _, ref = ex.run_fp32(mininet, x, capture=True)
-    _, got = ex.run_quantized(qg, x, capture=True)
+    _, ref = observed(ex.run_fp32, mininet, x, keep)
+    _, got = observed(ex.run_quantized, qg, x, keep)
     for nid in keep:
-        assert np.array_equal(ref.outputs[nid].data, got.outputs[nid].data), nid
+        assert np.array_equal(ref[nid].data, got[nid].data), nid
 
     # structural Q-DQ counts
     assert count_qdq(mq.apply_mixed_precision(mininet, [], mininet_calib)) == 2
@@ -319,8 +319,8 @@ def test_criterion_8_bops_accounting():
         graph = helper.random_chain(seed)
         macs_g = macs_by_node(graph)
         order = sorted((n.id for n in graph.nodes if n.kind == "Conv2d"),
-                       key=lambda nid: rng.uniform())
-        target = float(rng.uniform(0, 100))
+                       key=lambda nid: rng.uniform(0, 1, 1)[0])
+        target = float(rng.uniform(0, 100, 1)[0])
         got = select_dequant_set(order, graph, target)
         want = helper.exhaustive_minimal_prefix(order, graph, target, macs_g)
         assert got == want, f"seed {seed}"

@@ -104,7 +104,7 @@ class TestBops:
         macs = macs_by_node(mininet)
         rng = Lcg(3)
         for _ in range(10):
-            config = {nid: (8 if rng.uniform() < 0.5 else 32) for nid in quantizable}
+            config = {nid: (8 if rng.uniform(0, 1, 1)[0] < 0.5 else 32) for nid in quantizable}
             r = bops(mininet, config, macs=macs)
             # with every MAC-bearing node quantizable, normalized = literal / 0.75
             assert np.isclose(r.normalized_reduction_pct, r.literal_reduction_pct / 0.75)
@@ -136,13 +136,13 @@ class TestBops:
 class TestGreedyFrontier:
     def random_chain(self, seed):
         rng = Lcg(seed)
-        widths = [1 + int(rng.uniform(1, 8))]
-        n_layers = 2 + int(rng.uniform(0, 8))  # <= 10 groups
+        widths = [1 + int(rng.uniform(1, 8, 1)[0])]
+        n_layers = 2 + int(rng.uniform(0, 8, 1)[0])  # <= 10 groups
         g = Graph(f"rand{seed}")
         g.add(Node("input", "Input", attrs={"shape": [widths[0], 6, 6]}))
         prev = "input"
         for i in range(n_layers):
-            w = 1 + int(rng.uniform(1, 8))
+            w = 1 + int(rng.uniform(1, 8, 1)[0])
             g.add(Node(f"c{i}", "Conv2d", [prev],
                        attrs={"stride": 1, "padding": 1},
                        weights={"weight": Tensor.f32(rng.uniform(-1, 1, (w, widths[-1], 3, 3))),
@@ -169,8 +169,8 @@ class TestGreedyFrontier:
             macs = macs_by_node(g)
             order = [n.id for n in g.nodes if n.kind == "Conv2d"]
             # shuffle deterministically
-            order = sorted(order, key=lambda nid: rng.uniform())
-            target = float(rng.uniform(0, 100))
+            order = sorted(order, key=lambda nid: rng.uniform(0, 1, 1)[0])
+            target = float(rng.uniform(0, 100, 1)[0])
             got = select_dequant_set(order, g, target)
             want = self.exhaustive_minimal_prefix(order, g, target, macs)
             assert got == want

@@ -18,7 +18,7 @@ from mixquant.calibration import (
 from mixquant.errors import EmptyCalibrationSet, EmptyProfile, MissingCalibration, NonFiniteValue
 from mixquant.ir import Graph, Node, Tensor
 
-from conftest import BUDGETS, histogram_layout
+from conftest import BUDGETS, histogram_layout, observed
 
 
 def profile_of(values):
@@ -79,8 +79,8 @@ class TestRangeRecordProperty:
         nodes = [n.id for n in graph.nodes if n.kind not in ("Input", "Output")]
         want = {nid: (np.inf, -np.inf, 0) for nid in [graph.input_node.id, *nodes]}
         for j in range(count):
-            _, trace = mq.Executor().run_fp32(graph, Tensor.f32(images[j:j + 1]), capture=nodes)
-            outs = {graph.input_node.id: images[j], **{nid: trace.outputs[nid].data for nid in nodes}}
+            _, trace = observed(mq.Executor().run_fp32, graph, Tensor.f32(images[j:j + 1]), nodes)
+            outs = {graph.input_node.id: images[j], **{nid: trace[nid].data for nid in nodes}}
             for nid, out in outs.items():
                 v = out.astype(np.float64)
                 lo, hi, total = want[nid]

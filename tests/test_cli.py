@@ -744,6 +744,34 @@ class TestEndToEndProvenance:
         finally:
             meta_path.write_text(json.dumps(meta))
 
+    def test_labels_of_another_run_are_3(self, two_models, tmp_path, capsys):
+        """synth records its labels' digest in the `.ref` file beside the eval
+        images. When that file matches the model and the images, evaluate and
+        analyze --method top1 exit 3 on another synth run's labels; a `.ref`
+        that records no labels leaves them unchecked."""
+        d, other = two_models[3], two_models[4]
+        assert (d / "labels.json").read_bytes() != (other / "labels.json").read_bytes()
+        evaluate = ["evaluate", "--model", f"{d}/q40/model", "--ref-model", f"{d}/model",
+                    "--out", str(tmp_path / "r.json")]
+        analyze = ["analyze", "--model", f"{d}/model", "--calib", f"{d}/calib.json", "--method", "top1",
+                   "--out-list", str(tmp_path / "s.txt")]
+        images = ["--images", f"{d}/eval_images.bin"]
+        for argv in (evaluate, analyze):
+            capsys.readouterr()
+            assert main(argv + images + ["--labels", f"{other}/labels.json"]) == 3
+            assert "are not the labels" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "s.txt").exists()
+        for argv in (evaluate, analyze):
+            assert main(argv + images + ["--labels", f"{d}/labels.json"]) == 0
+        # the images again, beside a reference file as synth wrote it before labels had a digest
+        bare = tmp_path / "eval_images.bin"
+        bare.write_bytes((d / "eval_images.bin").read_bytes())
+        digests = {"model": model_digest(d / "model"), "images": cli._sha256(bare)}
+        save_reference(load_reference(reference_path(d / "eval_images.bin"), digests, EVAL_COUNT),
+                       reference_path(bare), digests)
+        for argv in (evaluate, analyze):
+            assert main(argv + ["--images", str(bare), "--labels", f"{other}/labels.json"]) == 0
+
     def test_report_over_two_models_or_a_repeated_pair_is_3(self, two_models, tmp_path, capsys):
         reports = {}
         for seed, target in ((3, 40), (3, 80), (4, 80)):

@@ -27,7 +27,7 @@ from mixquant.ir import KINDS, Graph, Node, QuantParams, Tensor, round_half_away
 from mixquant.model_io import Lcg
 from mixquant.quantizer import _requantize
 
-from conftest import run_f32
+from conftest import non_input, observed, run_f32
 
 # Output of mininet(seed 42) on gen_images(1, (3,16,16), 123), pinned at first
 # implementation and cross-checked against the scipy-based oracle below.
@@ -71,7 +71,7 @@ class TestFp32Kernels:
         g.add(Node("input", "Input", attrs={"shape": [1, 1, 2]}))
         g.add(Node("r", "ReLU", ["input"]))
         g.add(Node("output", "Output", ["r"]))
-        y, _ = Executor().run_fp32(g, Tensor.f32(np.array([[[[-1.0, 2.0]]]])))
+        y = Executor().run_fp32(g, Tensor.f32(np.array([[[[-1.0, 2.0]]]])))
         assert np.array_equal(y.data, [[[[0.0, 2.0]]]])
 
     def test_softmax_symmetry(self):
@@ -161,7 +161,7 @@ class TestFp32Kernels:
 
 class TestGraphExecution:
     def test_mininet_golden(self, mininet):
-        y, _ = run_f32(mininet, mq.gen_images(1, (3, 16, 16), 123))
+        y = run_f32(mininet, mq.gen_images(1, (3, 16, 16), 123))
         np.testing.assert_allclose(y.data.ravel(), MININET_GOLDEN, rtol=1e-6, atol=1e-7)
 
     def test_mininet_vs_scalar_composite(self, mininet):
@@ -195,12 +195,12 @@ class TestGraphExecution:
             elif n.kind == "Output":
                 values[nid] = a
         want = values[mininet.output_node.id]
-        got, _ = run_f32(mininet, mq.gen_images(1, (3, 16, 16), 123))
+        got = run_f32(mininet, mq.gen_images(1, (3, 16, 16), 123))
         np.testing.assert_allclose(got.data, want, rtol=1e-4, atol=1e-6)
 
     def test_deterministic_bit_exact(self, mininet, calib_images):
-        a, _ = run_f32(mininet, calib_images)
-        b, _ = run_f32(mininet, calib_images)
+        a = run_f32(mininet, calib_images)
+        b = run_f32(mininet, calib_images)
         assert np.array_equal(a.data, b.data)
 
     def test_pass_counter(self, mininet, calib_images):
@@ -210,13 +210,23 @@ class TestGraphExecution:
         assert ex.passes == 2
 
     def test_trace_covers_non_input_nodes(self, mininet, calib_images):
-        _, trace = run_f32(mininet, calib_images, capture=True)
+        _, trace = observed(Executor().run_fp32, mininet, Tensor.f32(calib_images[:1]), non_input(mininet))
         expected = {n.id for n in mininet.nodes if n.kind != "Input"}
-        assert set(trace.outputs) == expected
+        assert set(trace) == expected
 
     def test_no_capture_empty_trace(self, mininet, calib_images):
-        _, trace = run_f32(mininet, calib_images, capture=False)
-        assert trace.outputs == {}
+        _, trace = observed(Executor().run_fp32, mininet, Tensor.f32(calib_images[:1]), [])
+        assert trace == {}
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_capture_without_observer_raises(self, mininet, mininet_calib, calib_images, quantized):
+        """The observer is the one consumer of what a pass captures: a pass
+        that captures with none raises before it runs a step."""
+        graph = mq.apply_mixed_precision(mininet, [], mininet_calib) if quantized else mininet
+        ex = Executor()
+        with pytest.raises(ValueError, match="no observer"):
+            (ex.run_quantized if quantized else ex.run_fp32)(graph, Tensor.f32(calib_images[:1]), capture=["fc"])
+        assert ex.passes == 0
 
     def test_run_fp32_rejects_int8_graph(self, mininet, mininet_calib, calib_images):
         qg = mq.apply_mixed_precision(mininet, [], mininet_calib)
@@ -238,7 +248,7 @@ class TestQuantizedExecution:
         g.add(Node("output", "Output", ["d"]))
         x = Lcg(3).uniform(-2.0, 2.0, (1, 1, 1, 64)).astype(np.float32)
         x = np.clip(x, (qp.qmin - qp.zero_point) * qp.step, (qp.qmax - qp.zero_point) * qp.step)
-        y, _ = Executor().run_quantized(g, Tensor.f32(x))
+        y = Executor().run_quantized(g, Tensor.f32(x))
         assert np.abs(y.data - x).max() <= qp.step / 2 + 1e-9
 
     def test_unit_scale_conv_hand_value(self):
@@ -253,7 +263,7 @@ class TestQuantizedExecution:
                     precision=8)
         g.add(conv)
         g.add(Node("output", "Output", ["c"]))
-        y, _ = Executor().run_quantized(g, Tensor.f32(np.array([[[[2.0]]]], np.float32)))
+        y = Executor().run_quantized(g, Tensor.f32(np.array([[[[2.0]]]], np.float32)))
         assert y.data.ravel()[0] == 6 and y.dtype == "i8"
 
     def test_unit_scale_conv_matches_fp32_exactly(self, mininet_calib):
@@ -272,7 +282,7 @@ class TestQuantizedExecution:
                    precision=8))
         g.add(Node("d", "Dequantize", ["c"]))
         g.add(Node("output", "Output", ["d"]))
-        y, _ = Executor().run_quantized(g, Tensor.f32(xi))
+        y = Executor().run_quantized(g, Tensor.f32(xi))
         np.testing.assert_array_equal(y.data, np.clip(fp, -128, 127))
 
     def test_local_error_bound_at_quantize_point(self, mininet, mininet_calib, calib_images):
@@ -282,8 +292,8 @@ class TestQuantizedExecution:
         quantize_nodes = [n for n in qg.nodes if n.kind == "Quantize"]
         assert quantize_nodes
         x = Tensor.f32(calib_images[0:1])
-        _, trace = Executor().run_quantized(qg, x, capture=True)
-        values = {**trace.outputs, qg.input_node.id: x}  # int8 outputs come dequantized
+        _, trace = observed(Executor().run_quantized, qg, x, non_input(qg))
+        values = {**trace, qg.input_node.id: x}  # int8 outputs come dequantized
         for qn in quantize_nodes:
             src = values[qn.inputs[0]].data
             back = values[qn.id].data
@@ -301,8 +311,8 @@ class TestQuantizedExecution:
         qg = mq.apply_mixed_precision(mininet, [], mininet_calib)
         ex = Executor()
         x = Tensor.f32(calib_images[0:1])
-        a, _ = ex.run_quantized(qg, x)
-        b, _ = ex.run_quantized(qg, x)
+        a = ex.run_quantized(qg, x)
+        b = ex.run_quantized(qg, x)
         assert np.array_equal(a.data, b.data)
 
     def test_missing_qparams_rejected(self):
@@ -450,14 +460,14 @@ class TestExactInt8Accumulation:
     @given(int8_linear_cases())
     @settings(max_examples=150, deadline=None)
     def test_int8_linear_matches_int64_loop_oracle(self, case):
-        y, _ = Executor().run_quantized(int8_linear_graph(*case), Tensor(case[1], case[2]))
+        y = Executor().run_quantized(int8_linear_graph(*case), Tensor(case[1], case[2]))
         assert y.dtype == "i8"
         np.testing.assert_array_equal(y.data, int_linear_oracle(*case))
 
     @given(worst_case_near_f32_bound())
     @settings(max_examples=60, deadline=None)
     def test_worst_case_operands_at_the_float32_bound(self, case):
-        y, _ = Executor().run_quantized(int8_linear_graph(*case), Tensor(case[1], case[2]))
+        y = Executor().run_quantized(int8_linear_graph(*case), Tensor(case[1], case[2]))
         np.testing.assert_array_equal(y.data, int_linear_oracle(*case))
 
     @pytest.mark.parametrize("kind", ["Gemm", "Conv2d"])
@@ -476,7 +486,7 @@ class TestExactInt8Accumulation:
         xq, wq = np.full(x_shape, 127, np.int8), np.full(w_shape, 127, np.int8)
         case = (kind, xq, in_qp, wq, w_step, np.array([(total - acc) * scale], np.float32), 1, 0,
                 QuantParams(scale * 2 ** 17, -128), False)
-        y, _ = Executor().run_quantized(int8_linear_graph(*case), Tensor(xq, in_qp))
+        y = Executor().run_quantized(int8_linear_graph(*case), Tensor(xq, in_qp))
         want = int_linear_oracle(*case)
         assert want.ravel()[0] == 150 - 128
         np.testing.assert_array_equal(y.data, want)
@@ -610,13 +620,13 @@ class TestBatchInvariance:
         ex = Executor()
         for graph, quantized in graphs:
             run = ex.run_quantized if quantized else ex.run_fp32
-            out, trace = run(graph, Tensor.f32(images), capture=True)
+            out, trace = observed(run, graph, Tensor.f32(images), non_input(graph))
             for j in range(n):
-                one, one_trace = run(graph, Tensor.f32(images[j:j + 1]), capture=True)
+                one, one_trace = observed(run, graph, Tensor.f32(images[j:j + 1]), non_input(graph))
                 assert np.array_equal(out.data[j:j + 1], one.data)
-                assert trace.outputs.keys() == one_trace.outputs.keys()
-                for nid, t in one_trace.outputs.items():
-                    assert np.array_equal(trace.outputs[nid].data[j:j + 1], t.data), nid
+                assert trace.keys() == one_trace.keys()
+                for nid, t in one_trace.items():
+                    assert np.array_equal(trace[nid].data[j:j + 1], t.data), nid
         assert ex.passes == 3 * 2 * n
 
     @given(st.integers(2, 8), st.integers(1, 96), st.integers(1, 32),
@@ -635,8 +645,8 @@ class TestBatchInvariance:
             assert np.array_equal(y[j:j + 1], gemm(x[j:j + 1], w, b))
 
     def test_capture_keeps_named_nodes_only(self, mininet, calib_images):
-        _, trace = run_f32(mininet, calib_images, capture=["b2_conv", "fc"])
-        assert set(trace.outputs) == {"b2_conv", "fc"}
+        _, trace = observed(Executor().run_fp32, mininet, Tensor.f32(calib_images[:1]), ["b2_conv", "fc"])
+        assert set(trace) == {"b2_conv", "fc"}
 
 
 def tiny_conv_graph():
@@ -658,8 +668,9 @@ class TestImageBatches:
         included) and its output with what the consumer allocates taking it.
         FP32 tiny graph, at the conv: the input (16 floats, 64 bytes) and the
         kernel's peak, the 6x6 padded copy with the 9*16 window columns, 180
-        floats: 64 + 720 = 784. A captured FP32 output is the trace's array,
-        and the conv's is never the largest step. All-int8, at the conv: the
+        floats: 64 + 720 = 784. An FP32 output the consumer keeps stays live
+        past its last reader, and the conv's or every output's held to the
+        end never makes the largest step. All-int8, at the conv: the
         Quantize codes (16 bytes), then the offset input copy with the padded
         copy and the columns, float32 at K = 9: (16 + 180) x 4 = 784, more
         than the float64 accumulator, quotient and rounding term, 32 x 24 =
@@ -679,8 +690,8 @@ class TestImageBatches:
         assert [n.kind for n in q.nodes if n.precision == 8] == ["Conv2d", "ReLU"]
         assert executor.live_before(g, "conv") == ("input",)
         reserve = 8 * np.getbufsize()
-        for graph, kwargs, per_image in ((g, {}, 784), (g, {"capture": ["conv"]}, 784),
-                                         (g, {"capture": True}, 784), (q, {}, 800),
+        for graph, kwargs, per_image in ((g, {}, 784), (g, {"keep": ["conv"]}, 784),
+                                         (g, {"keep": non_input(g)}, 784), (q, {}, 800),
                                          (q, {"keep": ["conv", "relu"]}, 800),
                                          (q, {"given": ("input",)}, 864),
                                          (g, {"compare": (q, ["conv", "relu"])}, 928)):
@@ -720,14 +731,14 @@ def caller_passes(graph):
     qids = quantizable_in_topo_order(graph)
     qids_fused = quantizable_in_topo_order(fused)
     return {
-        "evaluate": [{"graph": all_int8, "capture": [logits_node_id(all_int8)]}],
-        "evaluate_mixed": [{"graph": mixed, "capture": [logits_node_id(mixed)]}],
+        "evaluate": [{"graph": all_int8, "keep": [logits_node_id(all_int8)]}],
+        "evaluate_mixed": [{"graph": mixed, "keep": [logits_node_id(mixed)]}],
         "calibrate": [{"graph": graph}],
         "analyze": [{"graph": unfused_int8, "keep": qids},
                     {"graph": graph, "compare": (unfused_int8, qids)}],
         "analyze_fused": [{"graph": all_int8, "keep": qids_fused},
                           {"graph": fused, "compare": (all_int8, qids_fused)}],
-        "reference": [{"graph": graph, "capture": [logits_node_id(graph)]}],
+        "reference": [{"graph": graph, "keep": [logits_node_id(graph)]}],
         "top1": [{"graph": mixed}],
     }
 
@@ -744,16 +755,17 @@ BATCH_TABLE = {
 
 
 def run_caller(passes, images):
-    """Run a caller's passes over one batch as its command does: a trace
-    keeps what a pass captures, a pass that keeps values hands them to the
-    next, which compares each with its own output as analyze scores it."""
+    """Run a caller's passes over one batch as its command does: a pass that
+    keeps values holds them as they come, for its caller (reference_pass's
+    logits) or for the next pass, which compares each with its own output
+    as analyze scores it and so releases every one."""
     from mixquant.metrics import row_powers
 
     ex, kept = Executor(), {}
     for p in passes:
         graph = p["graph"]
         run = ex.run_quantized if any(n.precision == 8 for n in graph.nodes) else ex.run_fp32
-        observe, capture = None, p.get("capture", False)
+        observe, capture = None, ()
         if "keep" in p:
             observe, capture = kept.__setitem__, p["keep"]
         elif "compare" in p:
@@ -762,7 +774,8 @@ def run_caller(passes, images):
             def observe(nid, t):
                 row_powers(t.data, mq.dequantize(kept.pop(nid)).data)
         run(graph, images, capture=capture, observe=observe)
-    assert not kept
+        if "compare" in p:
+            assert not kept
 
 
 @pytest.fixture(scope="module")
@@ -776,19 +789,19 @@ class TestExecutionPlan:
         plan: the second pass equals a pass over a fresh copy."""
         g = mininet.copy()
         ex = Executor()
-        before, _ = ex.run_fp32(g, Tensor.f32(calib_images[:3]))
+        before = ex.run_fp32(g, Tensor.f32(calib_images[:3]))
         # skip b3: b4_conv reads b2_relu, and b3 becomes dead
         g.node("b4_conv").inputs[0] = "b2_relu"
-        after, trace = ex.run_fp32(g, Tensor.f32(calib_images[:3]), capture=True)
-        fresh, fresh_trace = Executor().run_fp32(g.copy(), Tensor.f32(calib_images[:3]), capture=True)
+        after, trace = observed(ex.run_fp32, g, Tensor.f32(calib_images[:3]), non_input(g))
+        fresh, fresh_trace = observed(Executor().run_fp32, g.copy(), Tensor.f32(calib_images[:3]), non_input(g))
         assert not np.array_equal(before.data, after.data)
         assert np.array_equal(after.data, fresh.data)
-        assert trace.outputs.keys() == fresh_trace.outputs.keys()
-        for nid, t in fresh_trace.outputs.items():
-            assert np.array_equal(trace.outputs[nid].data, t.data), nid
+        assert trace.keys() == fresh_trace.keys()
+        for nid, t in fresh_trace.items():
+            assert np.array_equal(trace[nid].data, t.data), nid
         # and back: an equal wiring shares the cached plan
         g.node("b4_conv").inputs[0] = "b3_relu"
-        again, _ = ex.run_fp32(g, Tensor.f32(calib_images[:3]))
+        again = ex.run_fp32(g, Tensor.f32(calib_images[:3]))
         assert np.array_equal(again.data, before.data)
 
     def test_plan_frees_after_last_reader(self, mininet):
@@ -805,7 +818,7 @@ class TestExecutionPlan:
     def test_intermediate_released_after_last_reader(self, arch_graphs, monkeypatch, quantized):
         """The array b1_conv's node holds (the conv kernel's result in FP32,
         the requantized int8 codes in int8) is gone by the time the softmax
-        runs, unless the trace captures it."""
+        runs, unless an observer keeps it."""
         import weakref
 
         from mixquant import executor
@@ -832,9 +845,9 @@ class TestExecutionPlan:
         images = Tensor.f32(np.ones((2, *shape), np.float32))
         run(graph, images)
         first.clear()
-        _, trace = run(graph, images, capture=["b1_conv"])
-        assert alive_at_softmax == [False, not quantized]  # int8 captures keep a dequantized copy
-        assert (trace.outputs["b1_conv"].data is first[0]()) == (not quantized)
+        _, trace = observed(run, graph, images, ["b1_conv"])
+        assert alive_at_softmax == [False, not quantized]  # this observer keeps int8 codes dequantized
+        assert (trace["b1_conv"].data is first[0]()) == (not quantized)
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_batch_table(self, arch_passes, arch):
@@ -950,7 +963,7 @@ class TestStepProgram:
         g = mq.apply_mixed_precision(mininet, [], mininet_calib) if quantized else mininet.copy()
         ex = Executor()
         run = ex.run_quantized if quantized else ex.run_fp32
-        outs = [run(g, Tensor.f32(calib_images[:2]))[0].data for _ in range(5)]
+        outs = [run(g, Tensor.f32(calib_images[:2])).data for _ in range(5)]
         assert bound == Counter(n.id for n in g.nodes)
         assert all(np.array_equal(o, outs[0]) for o in outs)
 
@@ -971,9 +984,9 @@ class TestStepProgram:
         g, ex, x = mininet.copy(), Executor(), Tensor.f32(calib_images[:3])
         live = {}
         pause = {a: lambda values, a=a: live.setdefault(a, dict(values)) for a in ("b2_conv", "b4_conv")}
-        full, _ = ex.run_fp32(g, x, pause=pause)
+        full = ex.run_fp32(g, x, pause=pause)
         for anchor in pause:
-            out, _ = ex.run_quantized(g, x, given=live[anchor])
+            out = ex.run_quantized(g, x, given=live[anchor])
             assert np.array_equal(out.data, full.data), anchor
         plan = executor._program(g).plan
         assert len(plan(live["b4_conv"])) < len(plan(live["b2_conv"])) < len(plan(()))
@@ -996,9 +1009,9 @@ class TestStepProgram:
     @pytest.mark.parametrize("quantized", [False, True])
     def test_observer_takes_each_output_as_its_step_makes_it(self, arch_graphs, monkeypatch, quantized):
         """`observe` gets each captured output right after its step, before
-        the next step runs, int8 outputs as their codes; the returned trace
-        then stays empty, and the default consumer's trace holds the same
-        values as float32."""
+        the next step runs, int8 outputs as their codes; the pass returns the
+        Output's value as an unobserved pass does, and an observer that
+        dequantizes codes holds the same values as float32."""
         from mixquant import executor
         shape, graphs = arch_graphs["mininet"]
         graph = (graphs[1][0] if quantized else graphs[0][0]).copy()  # bound afresh
@@ -1010,25 +1023,26 @@ class TestStepProgram:
 
         monkeypatch.setattr(executor, "_bind", logging)
         capture = [n.id for n in graph.nodes if n.kind in ("Conv2d", "ReLU", "Softmax")]
-        observed = {}
+        seen = {}
 
         def observe(nid, t):
             log.append(("observe", nid))
-            observed[nid] = t
+            seen[nid] = t
 
         ex, x = Executor(), Tensor.f32(mq.gen_images(2, shape, 3))
-        out, trace = (ex.run_quantized if quantized else ex.run_fp32)(graph, x, capture=capture, observe=observe)
-        assert trace.outputs == {}
+        run = ex.run_quantized if quantized else ex.run_fp32
+        out = run(graph, x, capture=capture, observe=observe)
         assert [e for e in log if e[0] == "observe"] == [("observe", nid) for nid in capture]
         for i, (kind, nid) in enumerate(log):
             if kind == "observe":
                 assert log[i - 1] == ("step", nid)
-        assert any(t.qparams is not None for t in observed.values()) == quantized
-        _, full = (ex.run_quantized if quantized else ex.run_fp32)(graph, x, capture=capture)
-        assert list(full.outputs) == capture
-        for nid, t in observed.items():
+        assert np.array_equal(out.data, run(graph, x).data)
+        assert any(t.qparams is not None for t in seen.values()) == quantized
+        _, full = observed(run, graph, x, capture)
+        assert list(full) == capture
+        for nid, t in seen.items():
             want = mq.dequantize(t) if t.qparams is not None else t
-            assert np.array_equal(full.outputs[nid].data, want.data), nid
+            assert np.array_equal(full[nid].data, want.data), nid
 
     def test_added_node_is_checked(self, mininet, calib_images):
         """A node added after a pass is seen by the graph checks: an int8
@@ -1044,12 +1058,12 @@ class TestStepProgram:
         pass with ShapeMismatch, since its program is made again for the new
         wiring; rewired back, it gives its first pass's bits."""
         g, ex, x = mininet.copy(), Executor(), Tensor.f32(calib_images[:3])
-        before, _ = ex.run_fp32(g, x)
+        before = ex.run_fp32(g, x)
         g.node("b6_conv").inputs[0] = "b2_relu"  # 16 channels at 16x16; b6_conv takes 32 at 8x8
         with pytest.raises(ShapeMismatch, match="b6_conv"):
             ex.run_fp32(g, x)
         g.node("b6_conv").inputs[0] = "b5_relu"
-        again, _ = ex.run_fp32(g, x)
+        again = ex.run_fp32(g, x)
         assert np.array_equal(again.data, before.data)
 
     @pytest.mark.parametrize("shape", [(2, 16, 8, 8), (2, 16, 1, 16), (3, 16, 16, 16)])
@@ -1058,8 +1072,8 @@ class TestStepProgram:
         batch; (2, 16, 1, 16) would otherwise broadcast silently in b4_add."""
         g, ex, x = mininet.copy(), Executor(), Tensor.f32(calib_images[:2])
         live = {}
-        full, _ = ex.run_fp32(g, x, pause={"b4_add": lambda values: live.update(values)})
-        out, _ = ex.run_quantized(g, x, given=live)
+        full = ex.run_fp32(g, x, pause={"b4_add": lambda values: live.update(values)})
+        out = ex.run_quantized(g, x, given=live)
         assert np.array_equal(out.data, full.data)
         with pytest.raises(ShapeMismatch, match="b4_bn"):
             ex.run_quantized(g, x, given={**live, "b4_bn": Tensor.f32(np.zeros(shape))})
@@ -1102,8 +1116,8 @@ class TestStepProgram:
         g = int8_linear_graph("Gemm", xq, qps[0], wq, 0.02, bias, 1, 0, out_qp, False)
         ex, outs = Executor(), []
         for qp in qps * 2:
-            got, _ = ex.run_quantized(g, Tensor(xq, qp))
-            fresh, _ = Executor().run_quantized(
+            got = ex.run_quantized(g, Tensor(xq, qp))
+            fresh = Executor().run_quantized(
                 int8_linear_graph("Gemm", xq, qp, wq, 0.02, bias, 1, 0, out_qp, False), Tensor(xq, qp))
             np.testing.assert_array_equal(got.data, fresh.data)
             outs.append(got.data)
@@ -1210,7 +1224,7 @@ class TestKernelTable:
             else:
                 real = padded_pool_windows(real, k, stride, p, np.finfo(np.float64).min).max(axis=-1)
             want = _requantize(real, out_qp, fused_relu)
-            got, _ = ex.run_quantized(g, Tensor(codes, qp))
+            got = ex.run_quantized(g, Tensor(codes, qp))
             assert got.qparams == out_qp and got.data.tobytes() == want.data.tobytes()
 
     def test_int8_softmax_is_unsupported(self):
@@ -1320,7 +1334,7 @@ class TestCodesRule:
         codes_in = codes_graph(("r8", "ReLU", ["input"], 8, QP), ("dq", "Dequantize", ["r8"], 32, None))
         with pytest.raises(MissingQuantParams, match="hands 'input' float"):
             Executor().run_quantized(codes_in, FLOATS)
-        assert np.array_equal(Executor().run_quantized(codes_in, CODES)[0].data, np.float32([[0.3, 0, 2, 5]]))
+        assert np.array_equal(Executor().run_quantized(codes_in, CODES).data, np.float32([[0.3, 0, 2, 5]]))
 
     def test_given_kind_is_checked(self):
         g = codes_graph(("q", "Quantize", ["input"], 32, QP), ("r8", "ReLU", ["q"], 8, QP),
@@ -1330,7 +1344,7 @@ class TestCodesRule:
             ex.run_quantized(g, FLOATS, given={"q": FLOATS})
         with pytest.raises(MissingQuantParams, match="hands 'dq' int8 codes"):
             ex.run_quantized(g, FLOATS, given={"dq": CODES})
-        out, _ = ex.run_quantized(g, FLOATS, given={"q": CODES})
+        out = ex.run_quantized(g, FLOATS, given={"q": CODES})
         assert np.array_equal(out.data, np.float32([[0.3, 0, 2, 5]]))
 
     @given(st.data(), st.sampled_from(ARCHS), st.sampled_from(["unfused", "fused"]))

@@ -48,8 +48,8 @@ class TestFuseConvBn:
         fused = fuse_conv_bn(mininet)
         assert sum(1 for n in fused.nodes if n.kind == "BatchNorm") == 0
         for i in range(10):
-            ref, _ = run_f32(mininet, calib_images, idx=i)
-            got, _ = run_f32(fused, calib_images, idx=i)
+            ref = run_f32(mininet, calib_images, idx=i)
+            got = run_f32(fused, calib_images, idx=i)
             rel = np.abs(ref.data - got.data).max() / np.abs(ref.data).max()
             assert rel <= 1e-4
 
@@ -78,8 +78,8 @@ class TestFuseConvRelu:
         fused = fuse_conv_relu(g)
         assert "r" not in fused and fused.node("c").attrs["fused_relu"]
         assert fused.node("c").attrs["profile_id"] == "r"
-        ref, _ = run_f32(g, calib_images)
-        got, _ = run_f32(fused, calib_images)
+        ref = run_f32(g, calib_images)
+        got = run_f32(fused, calib_images)
         assert np.array_equal(ref.data, got.data)
 
     def test_requant_levels_hand_example(self):
@@ -101,7 +101,7 @@ class TestFuseConvRelu:
         g.add(Node("output", "Output", ["r"]))
         calib = profile_activations(g, calib_images)
         qg = mq.apply_mixed_precision(lower_to_stage(g, "fused"), [], calib)
-        y, _ = mq.Executor().run_quantized(qg, mq.Tensor.f32(calib_images[0:1]))
+        y = mq.Executor().run_quantized(qg, mq.Tensor.f32(calib_images[0:1]))
         assert np.all(y.data == 0.0)
 
     def test_fused_mse_not_worse_than_two_step(self, calib_images):
@@ -121,9 +121,9 @@ class TestFuseConvRelu:
         mse_two = mse_fused = 0.0
         for i in range(images.shape[0]):
             x = mq.Tensor.f32(images[i:i + 1])
-            ref, _ = ex.run_fp32(g, x)
-            ya, _ = ex.run_quantized(two_step, x)
-            yc, _ = ex.run_quantized(fused, x)
+            ref = ex.run_fp32(g, x)
+            ya = ex.run_quantized(two_step, x)
+            yc = ex.run_quantized(fused, x)
             mse_two += mq.mse(ref, ya)
             mse_fused += mq.mse(ref, yc)
         assert mse_fused <= mse_two
@@ -199,8 +199,8 @@ class TestLowerToStage:
             images = mq.gen_images(10, shape, 21)
             fused = lower_to_stage(g, "fused")
             for i in range(10):
-                ref, _ = run_f32(g, images, idx=i)
-                got, _ = run_f32(fused, images, idx=i)
+                ref = run_f32(g, images, idx=i)
+                got = run_f32(fused, images, idx=i)
                 rel = np.abs(ref.data - got.data).max() / np.abs(ref.data).max()
                 assert rel <= 1e-4
 

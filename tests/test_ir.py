@@ -7,7 +7,7 @@ import mixquant as mq
 from mixquant.errors import CycleDetected, InvalidAttribute, InvariantViolation, ShapeMismatch
 from mixquant.ir import Graph, Node, QuantParams, Tensor, _window, round_half_away
 
-from conftest import run_f32
+from conftest import non_input, observed, run_f32
 
 
 def chain_graph():
@@ -126,8 +126,8 @@ class TestRounding:
 class TestShapeInference:
     def test_matches_execution(self, mininet, calib_images):
         shapes = mq.infer_shapes(mininet)
-        _, trace = run_f32(mininet, calib_images, capture=True)
-        for nid, t in trace.outputs.items():
+        _, trace = observed(mq.Executor().run_fp32, mininet, Tensor.f32(calib_images[:1]), non_input(mininet))
+        for nid, t in trace.items():
             assert shapes[nid] == t.shape
 
     @pytest.mark.parametrize("attrs", [{}, {"stride": None}, {"stride": 1, "padding": 1}])
@@ -136,7 +136,7 @@ class TestShapeInference:
         g.add(Node("input", "Input", attrs={"shape": [1, 6, 6]}))
         g.add(Node("p", "MaxPool", ["input"], attrs={"kernel": 3, **attrs}))
         g.add(Node("output", "Output", ["p"]))
-        y, _ = mq.Executor().run_fp32(g, Tensor.f32(np.zeros((1, 1, 6, 6))))
+        y = mq.Executor().run_fp32(g, Tensor.f32(np.zeros((1, 1, 6, 6))))
         assert mq.infer_shapes(g)["p"] == y.shape
 
     def test_add_operand_mismatch(self):

@@ -221,8 +221,8 @@ class TestSqnrDelta:
 
     def test_telescoping_sum(self):
         rng = Lcg(12)
-        indices = sorted({int(rng.uniform(0, 100)) for _ in range(20)})
-        values = [float(rng.uniform(0, 60)) for _ in indices]
+        indices = sorted({int(rng.uniform(0, 100, 1)[0]) for _ in range(20)})
+        values = [float(rng.uniform(0, 60, 1)[0]) for _ in indices]
         deltas = sqnr_delta(list(zip(indices, values)))
         total = sum(d * (indices[i] - indices[i - 1]) for i, d in enumerate(deltas) if i > 0)
         assert np.isclose(total, values[-1] - values[0], atol=1e-9)
@@ -232,7 +232,7 @@ class TestScalarOracles:
     def test_thousand_seeded_pairs(self):
         rng = Lcg(2024)
         for _ in range(1000):
-            n = 4 + int(rng.uniform(0, 28))
+            n = 4 + int(rng.uniform(0, 28, 1)[0])
             ref = rng.uniform(-5, 5, (n,))
             test = ref + rng.uniform(-0.5, 0.5, (n,))
             for fast, slow in ((sqnr, scalar_sqnr), (mse, scalar_mse), (cosine_similarity, scalar_cosine)):
@@ -242,6 +242,6 @@ class TestScalarOracles:
     def test_kl_against_scalar(self):
         rng = Lcg(77)
         for _ in range(100):
-            p = [float(rng.uniform(0, 1)) for _ in range(16)]
-            q = [float(rng.uniform(0, 1)) for _ in range(16)]
+            p = [float(rng.uniform(0, 1, 1)[0]) for _ in range(16)]
+            q = [float(rng.uniform(0, 1, 1)[0]) for _ in range(16)]
             assert abs(kl_from_histograms(p, q) - scalar_kl(p, q)) <= 1e-9

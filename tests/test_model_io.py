@@ -14,7 +14,7 @@ from mixquant.errors import CorruptBlob, EmptyImageBatch, FormatVersionMismatch,
 from mixquant.ir import Graph, Node, QuantParams, Tensor
 from mixquant.model_io import Lcg, gen_synthetic, load_labels, save_labels, scale_node_weights
 
-from conftest import graph_signature, run_f32
+from conftest import graph_signature, observed, run_f32
 
 
 class TestLcg:
@@ -34,7 +34,7 @@ class TestLcg:
 
     @staticmethod
     def stepwise(rng: Lcg, lo: float, hi: float, n: int) -> np.ndarray:
-        """One next_u64() call per value, with the scalar draw's formula."""
+        """One next_u64() call per value, lo + (hi - lo) * (top 53 bits / 2**53)."""
         out = np.empty(n, dtype=np.float64)
         for i in range(n):
             out[i] = (rng.next_u64() >> 11) / float(1 << 53)
@@ -52,11 +52,11 @@ class TestLcg:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert rng.state == ref.state
-        assert rng.uniform(lo, hi) == ref.uniform(lo, hi)  # a scalar draw continues the stream
+        assert rng.uniform(lo, hi, 1).tobytes() == ref.uniform(lo, hi, 1).tobytes()  # a one-value draw continues the stream
         assert rng.uniform(lo, hi, 5).tobytes() == self.stepwise(ref, lo, hi, 5).tobytes()
 
     def test_jump_tables_keep_a_fixed_size(self):
-        Lcg(7).uniform(size=10 * 4096)
+        Lcg(7).uniform(0.0, 1.0, 10 * 4096)
         assert model_io._JUMP_A.shape == model_io._JUMP_C.shape == (4096,)
 
 
@@ -114,7 +114,7 @@ class TestGenSynthetic:
         for name, g in all_archs.items():
             g.validate()
             shape = tuple(int(d) for d in g.input_node.attrs["shape"])
-            out, _ = run_f32(g, mq.gen_images(1, shape, 5))
+            out = run_f32(g, mq.gen_images(1, shape, 5))
             assert out.shape == (1, 10)
             assert np.isclose(out.data.sum(), 1.0, atol=1e-5)  # softmax head
 
@@ -144,8 +144,8 @@ class TestModelRoundTrip:
         assert graph_signature(loaded) == graph_signature(qg)
         x = mq.Tensor.f32(mq.gen_images(1, (3, 16, 16), 3))
         ex = mq.Executor()
-        a, _ = ex.run_quantized(qg, x)
-        b, _ = ex.run_quantized(loaded, x)
+        a = ex.run_quantized(qg, x)
+        b = ex.run_quantized(loaded, x)
         assert np.array_equal(a.data, b.data)
 
     def test_truncated_blob_file(self, mininet, tmp_path):
@@ -369,9 +369,9 @@ def codes_graph():
 class TestCodesQParams:
     def test_readers_use_the_qparams_codes_carry(self):
         x = Tensor.f32(np.array([[[[0.5, 1.0], [1.5, 2.0]]]], np.float32))
-        y, trace = mq.Executor().run_quantized(codes_graph(), x, capture=["conv", "relu", "dq"])
+        y, trace = observed(mq.Executor().run_quantized, codes_graph(), x, ["conv", "relu", "dq"])
         for nid in ("conv", "relu", "dq"):
-            np.testing.assert_allclose(trace.outputs[nid].data.ravel(), [0.5, 1.0, 1.5, 2.0], err_msg=nid)
+            np.testing.assert_allclose(trace[nid].data.ravel(), [0.5, 1.0, 1.5, 2.0], err_msg=nid)
         np.testing.assert_allclose(y.data.ravel(), [1.0, 2.0, 3.0, 4.0])
 
     @pytest.mark.parametrize("node_id, inputs, reads", [

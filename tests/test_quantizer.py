@@ -23,6 +23,8 @@ from mixquant.quantizer import (
     select_dequant_set,
 )
 
+from conftest import observed
+
 
 def chain_model():
     """input -> c1 -> r1 -> c2 -> output (c1+r1 form a fusion group)."""
@@ -166,8 +168,8 @@ class TestApplyMixedPrecision:
         assert count_qdq(qg) == 0
         ex = mq.Executor()
         x = Tensor.f32(chain_images[0:1])
-        ref, _ = ex.run_fp32(chain, x)
-        got, _ = ex.run_quantized(qg, x)
+        ref = ex.run_fp32(chain, x)
+        got = ex.run_quantized(qg, x)
         assert np.array_equal(ref.data, got.data)
 
     def test_fully_int8_mininet_boundaries(self, mininet, mininet_calib):
@@ -239,10 +241,10 @@ class TestApplyMixedPrecision:
         assert qg.node("c1").precision == 32 and qg.node("r1").precision == 32
         ex = mq.Executor()
         x = Tensor.f32(chain_images[0:1])
-        _, ref = ex.run_fp32(chain, x, capture=True)
-        _, got = ex.run_quantized(qg, x, capture=True)
-        assert np.array_equal(ref.outputs["c1"].data, got.outputs["c1"].data)
-        assert np.array_equal(ref.outputs["r1"].data, got.outputs["r1"].data)
+        _, ref = observed(ex.run_fp32, chain, x, ["c1", "r1"])
+        _, got = observed(ex.run_quantized, qg, x, ["c1", "r1"])
+        assert np.array_equal(ref["c1"].data, got["c1"].data)
+        assert np.array_equal(ref["r1"].data, got["r1"].data)
 
     def test_no_redundant_adjacent_qdq_pairs(self, mininet, mininet_calib):
         for keep_anchor in ([], ["b3_conv"], ["b4_conv"], ["b3_conv", "b5_conv"]):

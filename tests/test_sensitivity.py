@@ -28,7 +28,7 @@ from mixquant.sensitivity import (
     top1_accuracy,
 )
 
-from conftest import BUDGETS
+from conftest import BUDGETS, observed
 
 
 class TestRankLayers:
@@ -201,7 +201,7 @@ class BatchRecorder(mq.Executor):
         super().__init__()
         self.batches = []
 
-    def run_fp32(self, graph, inp, capture=False, pause=None, observe=None):
+    def run_fp32(self, graph, inp, capture=(), pause=None, observe=None):
         self.batches.append(inp.data.shape[0])
         return super().run_fp32(graph, inp, capture, pause, observe)
 
@@ -233,8 +233,9 @@ class TestBatchInvariance:
 def traced_sensitivity_list(graph, calib, images, diagnostics):
     """The trace-based sweep that generate_sensitivity_list streamed: each
     batch's FP32 pass and then its all-int8 pass keep traces of every
-    quantizable node, which are scored after both passes, as float32 (int8
-    codes dequantized). Ranking as generate_sensitivity_list ranks."""
+    quantizable node, through observers that dequantize int8 codes, which
+    are scored after both passes, as float32. Ranking as
+    generate_sensitivity_list ranks."""
     from mixquant.calibration import weight_qparams
     from mixquant.executor import batch_size, image_batches
     from mixquant.metrics import SENTINEL_DB, cosine_similarity, kl_divergence, row_powers, sqnr_db, sqnr_delta
@@ -249,11 +250,11 @@ def traced_sensitivity_list(graph, calib, images, diagnostics):
     act_mse_acc = {nid: 0.0 for nid in qids}
     act_cos_acc = {nid: 0.0 for nid in qids}
     act_kl_acc = {nid: 0.0 for nid in qids}
-    for batch in image_batches(images, batch_size(graph, qids), batch_size(q_graph, qids)):
-        _, ref_trace = ex.run_fp32(graph, batch, capture=qids)
-        _, q_trace = ex.run_quantized(q_graph, batch, capture=qids)
+    for batch in image_batches(images, batch_size(graph, keep=qids), batch_size(q_graph, keep=qids)):
+        _, ref_trace = observed(ex.run_fp32, graph, batch, qids)
+        _, q_trace = observed(ex.run_quantized, q_graph, batch, qids)
         for nid in qids:
-            ref, got = ref_trace.outputs[nid].data, q_trace.outputs[nid].data
+            ref, got = ref_trace[nid].data, q_trace[nid].data
             signal, noise = row_powers(ref, got)
             for p_signal, p_noise in zip(signal.tolist(), noise.tolist()):
                 act_sqnr_acc[nid] += sqnr_db(p_signal, p_noise)
@@ -389,7 +390,7 @@ class TestBaselines:
             def run(values):
                 assert set(values) == set(executor.live_before(graph, anchor))
                 node = logits_node_id(qgs[anchor])
-                resumed[anchor] = ex.run_quantized(qgs[anchor], batch, [node], given=values)[1].outputs[node]
+                resumed[anchor] = observed(ex.run_quantized, qgs[anchor], batch, [node], given=values)[1][node]
             return run
 
         ex.run_fp32(graph, batch, pause={a: resume(a) for a in qgs})
@@ -400,7 +401,7 @@ class TestBaselines:
             plan = executor._program(qg).plan(executor.live_before(graph, anchor))
             assert ahead.isdisjoint(nid for nid, _ in plan)
             node = logits_node_id(qg)
-            full[anchor] = mq.Executor().run_quantized(qg, batch, [node])[1].outputs[node]
+            full[anchor] = observed(mq.Executor().run_quantized, qg, batch, [node])[1][node]
             assert np.array_equal(resumed[anchor].data, full[anchor].data), anchor
 
 
@@ -447,12 +448,27 @@ class TestScoringPass:
         qg = mq.apply_mixed_precision(mininet, keep, mininet_calib)
         images = eval_images[:5]
         ref = reference_pass(qg, images)
-        out, trace = mq.Executor().run_quantized(qg, Tensor.f32(images), capture=["fc"])
+        out, trace = observed(mq.Executor().run_quantized, qg, Tensor.f32(images), ["fc"])
         assert qg.node("fc").precision == 8
         assert qg.node(ref.node).kind == "Dequantize" and qg.node(ref.node).inputs == ["fc"]
         assert ref.logits.dtype == np.float32
-        assert np.array_equal(ref.logits, trace.outputs["fc"].data)
+        assert np.array_equal(ref.logits, trace["fc"].data)
         assert ref.preds == [int(k) for k in np.argmax(out.data, axis=1)]
+
+    def test_logits_left_as_codes_come_dequantized(self):
+        """A loaded model's Output may read int8 codes; its logits are those
+        codes dequantized, and its predictions the argmax of the codes."""
+        qp = mq.QuantParams(0.05, 3)
+        g = mq.Graph("codes_out")
+        g.add(mq.Node("input", "Input", attrs={"shape": [1, 1, 6]}))
+        g.add(mq.Node("q", "Quantize", ["input"], attrs={"out_qparams": qp}))
+        g.add(mq.Node("output", "Output", ["q"]))
+        images = mq.gen_images(5, (1, 1, 6), 41)
+        ref = reference_pass(g, images)
+        codes = mq.quantize_affine(images, qp)
+        assert ref.node == "q" and ref.logits.dtype == np.float32
+        assert np.array_equal(ref.logits, mq.dequantize(codes).data)
+        assert ref.preds == [int(k) for k in np.argmax(codes.data.reshape(5, -1), axis=1)]
 
     def test_fc_kept_at_fp32_is_the_logits_node(self, mininet, mininet_calib, eval_images):
         qg = mq.apply_mixed_precision(mininet, ["fc"], mininet_calib)

@@ -10,7 +10,7 @@ from the in-order list (`select_dequant_set`), the kind of q40 model that
 `quantize` writes and `bench/run.py`'s `infer_ms` samples. It saves the
 three models, which each side then loads with its own `load_model`. Each of
 ROUNDS rounds times, for A and then B or for B and then A (the order
-alternates by round), six operations over IMAGES eval images: batch-1
+alternates by round), seven operations over IMAGES eval images: batch-1
 `run_quantized` on the int8 model (`run_quantized`) and on the q40 model
 (`run_q40`) and batch-1 `reference_pass` on the FP32 model, each on a graph
 warmed by one pass per image; `load_and_score`: `load_model` of the
@@ -19,7 +19,10 @@ int8 model, then one `reference_pass` over all the images, as each
 over all the images in their own batches, `calibrate` (`profile_activations`
 on the FP32 model) and `analyze` (`generate_sensitivity_list` on it, with a
 profile of the same images, which quantizes and binds a fresh int8 graph per
-call as the command does). The warm operations hide what a graph costs once
+call as the command does); and `top1` (`baseline_order(..., "top1")` on the
+FP32 model with that profile and the FP32 model's own predictions as labels,
+one graph per fusion group per call), the largest compile command of
+`bench/run.py`'s resnet_methods. The warm operations hide what a graph costs once
 (its program, shapes, bound steps and weight casts); `load_and_score` pays it
 every time. One line per arch and operation gives A's and B's median ms per
 image and the median of the per-round B/A ratios with its quartiles.
@@ -103,9 +106,14 @@ def operations(mq, fp32: Path, int8: Path, q40: Path, images):
     def analyze():
         mq.generate_sensitivity_list(graph, calib, images, executor=ex)
 
+    labels = mq.reference_pass(graph, images).preds
+
+    def top1():
+        mq.baseline_order(graph, "top1", images=images, labels=labels, calib=calib, executor=ex)
+
     return {"run_quantized": batch1(mq.load_model(int8)), "run_q40": batch1(mq.load_model(q40)),
             "reference_pass": reference, "load_and_score": load_and_score,
-            "calibrate": calibrate, "analyze": analyze}
+            "calibrate": calibrate, "analyze": analyze, "top1": top1}
 
 
 def timed(fn) -> float:
