@@ -2,8 +2,8 @@
 
 Models are generated from a pinned 64-bit LCG, so (arch, seed) fully
 determines every weight bit. The executor runs the graph node by node in
-a deterministic topological order and hands the layer outputs it is asked to
-capture to an observer as each is made.
+a deterministic topological order. Its `observe` hook maps node ids to
+callables, and each takes its layer's output as the step makes it.
 """
 
 import numpy as np
@@ -20,12 +20,13 @@ print("  ...")
 image = mq.gen_images(1, (3, 16, 16), seed=123)
 ex = mq.Executor()
 shapes = {}
-out = ex.run_fp32(graph, mq.Tensor.f32(image), capture=("b1_conv", "b4_add", "b5_conv", "gap", "fc"),
-                 observe=lambda nid, t: shapes.__setitem__(nid, t.shape))
+observe = {nid: (lambda t, nid=nid: shapes.__setitem__(nid, t.shape))
+           for nid in ("b1_conv", "b4_add", "b5_conv", "gap", "fc")}
+out = ex.run_fp32(graph, mq.Tensor.f32(image), observe=observe)
 print("\nclass probabilities:", np.round(out.data, 4))
 print("executor pass counter:", ex.passes)
 
-print("\ncaptured activation shapes:")
+print("\nobserved activation shapes:")
 for nid, shape in shapes.items():
     print(f"  {nid:10s} {shape}")
 

@@ -25,7 +25,7 @@ qg = mq.apply_mixed_precision(graph, [], calib)
 print("\nfully-int8 graph boundaries:")
 for n in qg.nodes:
     if n.kind in ("Quantize", "Dequantize"):
-        consumers = [c.id for c in qg.consumers(n.id)]
+        consumers = [c.id for c in qg.nodes if n.id in c.inputs]
         print(f"  {n.kind:10s} {n.id:14s} {n.inputs} -> {consumers}")
 
 ex = mq.Executor()

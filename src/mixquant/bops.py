@@ -55,15 +55,6 @@ class BopsReport:
     literal_reduction_pct: float = 0.0
     normalized_reduction_pct: float = 0.0
 
-    def to_json(self) -> dict:
-        return {
-            "bops_fp32": self.bops_fp32,
-            "bops_int8": self.bops_int8,
-            "bops_config": self.bops_config,
-            "literal_reduction_pct": self.literal_reduction_pct,
-            "normalized_reduction_pct": self.normalized_reduction_pct,
-        }
-
 
 def bops(graph: Graph, config: dict[str, int], macs: dict[str, int] | None = None) -> BopsReport:
     """Account BOPs for a precision config (node id -> 8 or 32 over the

@@ -1,10 +1,10 @@
 """Activation profiling and derivation of quantization parameters.
 
-Activations are profiled into one exact range record per node, its min, max
-and element count, over a calibration image set: one FP32 pass per image,
-which folds each node's output into its record as the step makes it and
-holds nothing. Min and max do not depend on the order in which values arrive,
-so the record does not depend on the batch size.
+Activations are profiled into one exact range record per node, the Input's
+included: its min, max and element count over a calibration image set. One
+FP32 pass per image observes every node but the Output and folds each value
+into its record as the step makes it, holding nothing. Min and max do not
+depend on the order in which values arrive, so neither does the record.
 
 Weights are quantized symmetrically per tensor: step = max|W| / 127,
 zero_point 0. Activations are asymmetric affine with the range
@@ -105,24 +105,22 @@ class CalibrationProfile:
 
 def profile_activations(graph: Graph, images: np.ndarray, executor=None) -> CalibrationProfile:
     """Run every calibration image through the FP32 graph and record each
-    node's output range. The Input node is profiled from the raw images so the
-    first quantized layer has an input scale. One FP32 pass per batch folds
-    each node's output into its range as the step makes it, so the pass holds
-    nothing beyond its own values and is sized as a pass that keeps none. Each
-    range takes one update per batch; min and max are exact in any order, so
-    the profile does not depend on the batch size."""
+    node's output range, the Input's (the raw images) included, so the first
+    quantized layer has an input scale. One FP32 pass per batch folds each
+    value but the Output's into its range as the step makes it, so the pass
+    holds nothing beyond its own values and is sized as a pass that keeps
+    none. Each range takes one update per batch; min and max are exact in any
+    order, so the profile does not depend on the batch size."""
     from .executor import Executor, batch_size, image_batches  # deferred: executor depends on quantizer/calibration
 
     if images.ndim != 4 or images.shape[0] < 1:
         raise EmptyCalibrationSet("calibration needs at least one (C, H, W) image")
     ex = executor or Executor()
-    input_id = graph.input_node.id
-    nodes = [n.id for n in graph.nodes if n.kind not in ("Input", "Output")]
-    prof = CalibrationProfile({nid: RangeProfile() for nid in [input_id, *nodes]},
+    prof = CalibrationProfile({n.id: RangeProfile() for n in graph.nodes if n.kind != "Output"},
                               image_count=images.shape[0])
+    observe = {nid: (lambda t, r=r: r.update(t.data)) for nid, r in prof.profiles.items()}
     for batch in image_batches(images, batch_size(graph)):
-        prof.profiles[input_id].update(batch.data)
-        ex.run_fp32(graph, batch, capture=nodes, observe=lambda nid, t: prof.profiles[nid].update(t.data))
+        ex.run_fp32(graph, batch, observe=observe)
     return prof
 
 

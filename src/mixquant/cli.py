@@ -18,6 +18,7 @@ import json
 import math
 import struct
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -280,7 +281,7 @@ def evaluate_model(qg: Graph, ref: Reference, images: np.ndarray, labels,
         "ref_accuracy": ref_accuracy,
         "final_logit_sqnr_db": mean_logit_sqnr(ref.logits, got.logits),
         "qdq_count": count_qdq(qg),
-        "bops": bops(qg, precision_config(qg)).to_json(),
+        "bops": asdict(bops(qg, precision_config(qg))),
     }
 
 
@@ -426,6 +427,8 @@ def _usage_error(args) -> str | None:
             return f"--images is required for --method {args.method}"
         if args.method == "top1" and not args.labels:
             return "--labels is required for --method top1"
+        if args.out_metrics and args.method != "delta-mixup":
+            return "--out-metrics needs --method delta-mixup, the only method that computes metrics"
     return None
 
 

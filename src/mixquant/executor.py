@@ -34,12 +34,12 @@ A pass runs a batch of images, and every kernel gives each image the same bits
 whatever the batch size, so batching never moves a result. A pass follows the
 graph's plan: its topological order and, per step, the values read there for
 the last time, which it then frees; values nothing reads (the Output) stay.
-A pass returns the Output's value. `capture` names the node ids whose
-outputs the pass hands on, and its `observe(node id, value)` hook is their
-one consumer: each step that makes one hands it over at once, int8 codes as
-they are, before the next step runs and before the step's last reads are
-freed. A consumer that folds or scores a value as it comes holds nothing
-beyond the pass's own values; one that keeps it holds it as it came.
+A pass returns the Output's value. Its `observe` hook maps node ids to
+callables, as `pause` does: a step whose id it names hands its output to that
+callable at once, int8 codes as they are, before the next step runs and
+before the step's last reads are freed. A consumer that folds or scores a
+value as it comes holds nothing beyond the pass's own values; one that keeps
+it holds it as it came.
 
 A graph's program, a WeakKeyDictionary entry that dies with the graph, holds
 the wiring it was made for (the ((node id, input ids), ...) tuple), the
@@ -58,7 +58,7 @@ every pass: the input's and each given value's shape and kind (codes or float).
 
 An FP32 pass can pause just before chosen steps and hand a callable the values
 live there. A quantized pass can resume from such values: `given` maps node
-ids to outputs it then neither computes nor captures, and its plan is pruned
+ids to outputs it then neither computes nor observes, and its plan is pruned
 to the nodes that the Output still needs. Values that only FP32 nodes computed
 from the input equal the paused pass's bit for bit, which is how top1 runs
 each fusion group's graph from one FP32 pass per batch. A resumed pass still
@@ -548,32 +548,27 @@ class Executor:
     def __init__(self):
         self.passes = 0
 
-    def run_fp32(self, graph: Graph, inp: Tensor, capture: Iterable[str] = (),
+    def run_fp32(self, graph: Graph, inp: Tensor,
                  pause: dict[str, Callable[[dict[str, Tensor]], object]] | None = None,
-                 observe: Callable[[str, Tensor], object] | None = None) -> Tensor:
-        """One FP32 pass; the Output's value. `pause` maps node ids to
-        callables that the pass calls just before those steps, with the values
-        live there; `observe` takes each `capture`d output as its step makes
-        it."""
+                 observe: dict[str, Callable[[Tensor], object]] | None = None) -> Tensor:
+        """One FP32 pass; the Output's value. `pause` and `observe` map node
+        ids to callables: the pass calls a pause just before its step, with the
+        values live there, and an observer with the output its step makes."""
         program = _program(graph)
         if program.not_fp32 is not None:
             raise InvariantViolation(f"run_fp32 on graph with int8 node {program.not_fp32!r}")
-        return self._run(graph, inp, capture, {}, pause or {}, program, observe)
+        return self._run(graph, inp, {}, pause or {}, observe or {}, program)
 
-    def run_quantized(self, graph: Graph, inp: Tensor, capture: Iterable[str] = (),
-                      given: dict[str, Tensor] | None = None,
-                      observe: Callable[[str, Tensor], object] | None = None) -> Tensor:
+    def run_quantized(self, graph: Graph, inp: Tensor, given: dict[str, Tensor] | None = None,
+                      observe: dict[str, Callable[[Tensor], object]] | None = None) -> Tensor:
         """One pass over a mixed-precision graph. `given` supplies node
-        outputs, which the pass then neither computes nor captures; it runs
+        outputs, which the pass then neither computes nor observes; it runs
         only the nodes the Output still needs. `inp` stays the whole batch.
         `observe` is run_fp32's."""
-        return self._run(graph, inp, capture, given or {}, {}, _program(graph), observe)
+        return self._run(graph, inp, given or {}, {}, observe or {}, _program(graph))
 
-    def _run(self, graph: Graph, inp: Tensor, capture: Iterable[str], given: dict, pause: dict,
-             program: _Program, observe):
-        wanted, steps, shapes, codes = set(capture), program.steps, program.shapes, program.codes
-        if wanted and observe is None:
-            raise ValueError(f"the pass captures {sorted(wanted)} but has no observer to take them")
+    def _run(self, graph: Graph, inp: Tensor, given: dict, pause: dict, observe: dict, program: _Program):
+        steps, shapes, codes = program.steps, program.shapes, program.codes
         if program.unquantized is not None:
             raise MissingQuantParams(f"node {program.unquantized!r} writes int8 codes but lacks out_qparams")
         if program.miswired is not None:
@@ -595,8 +590,8 @@ class Executor:
                 steps[nid] = node, _bind(node)
             node, step = steps[nid]
             t = values[nid] = step(inp, [values[s] for s in node.inputs])
-            if nid in wanted:
-                observe(nid, t)
+            if nid in observe:
+                observe[nid](t)
             for s in freed:
                 del values[s]
         self.passes += inp.shape[0]

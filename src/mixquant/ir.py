@@ -121,10 +121,6 @@ class Tensor:
     def f32(cls, values) -> "Tensor":
         return cls(np.ascontiguousarray(values, dtype=np.float32))
 
-    @classmethod
-    def i8(cls, values, qparams: QuantParams) -> "Tensor":
-        return cls(np.ascontiguousarray(values, dtype=np.int8), qparams)
-
 
 @dataclass
 class Node:
@@ -181,9 +177,6 @@ class Graph:
 
     def copy(self) -> "Graph":
         return Graph(self.name, [n.copy() for n in self.nodes])
-
-    def consumers(self, node_id: str) -> list[Node]:
-        return [n for n in self.nodes if node_id in n.inputs]
 
     @property
     def input_node(self) -> Node:

@@ -430,6 +430,9 @@ def load_model(path) -> Graph:
         for wname, ref in nj["weights"].items():
             arr = read_blob(ref["blob"])
             qp = _qparams_from_json(ref["qparams"]) if "qparams" in ref else None
+            if (qp is None) != (arr.dtype == np.float32):
+                raise CorruptBlob(f"blob {ref['blob']!r} holds {arr.dtype} data "
+                                  f"{'without' if qp is None else 'with'} qparams")
             weights[wname] = Tensor(arr, qp)
         node = Node(nj["id"], nj["kind"], list(nj["inputs"]),
                     {k: _attr_from_json(v) for k, v in nj["attrs"].items()},

@@ -4,12 +4,12 @@ fusion-group position adjustment, and the three baseline orderings.
 The main generator runs the fully-int8 model once per calibration image and
 then the FP32 model once per image: two full passes per image total, linear
 in model parameters and independent of how many bit-width configurations
-exist. Per batch, the int8 pass's observer keeps each layer's output as its
-int8 codes; the FP32 pass's observer scores each layer's output as the step
-makes it, against those codes dequantized, and drops both, so no trace is
-held. Per layer it derives weight SQNR (FP32 weights vs dequantized int8
-weights), mean activation SQNR/MSE (FP32 outputs vs dequantized int8
-outputs), and the weight/activation SQNR deltas.
+exist. Per batch, the int8 pass's observers, keyed by layer, keep each
+layer's output as its int8 codes; the FP32 pass's score each layer's output
+as the step makes it, against those codes dequantized, and drop both, so no
+trace is held. Per layer it derives weight SQNR (FP32 weights vs
+dequantized int8 weights), mean activation SQNR/MSE (FP32 outputs vs
+dequantized int8 outputs), and the weight/activation SQNR deltas.
 
 Ranking combines the two delta signals by rank, not by raw value: weight-dB
 and activation-dB deltas live on different scales, and rank combination makes
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -70,13 +71,7 @@ class SensitivityList:
 
     def save(self, path) -> None:
         save_node_list(self.ids, path)
-        meta = {
-            "method": self.method,
-            "ir_stage": self.ir_stage,
-            "calib_digest": self.calib_digest,
-            "mixup": list(self.mixup),
-            "model_digest": self.model_digest,
-        }
+        meta = {k: v for k, v in asdict(self).items() if k != "ids"}
         Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
 
     @classmethod
@@ -186,8 +181,8 @@ def generate_sensitivity_list(graph: Graph, calib: CalibrationProfile, images: n
 
     for batch in image_batches(images, batch_size(q_graph, keep=qids),
                                batch_size(graph, compare=(q_graph, qids))):
-        ex.run_quantized(q_graph, batch, capture=qids, observe=codes.__setitem__)
-        ex.run_fp32(graph, batch, capture=qids, observe=score)
+        ex.run_quantized(q_graph, batch, observe={nid: partial(codes.__setitem__, nid) for nid in qids})
+        ex.run_fp32(graph, batch, observe={nid: partial(score, nid) for nid in qids})
 
     samples: list[MetricSample] = []
     for layer_index, nid in enumerate(qids):
@@ -287,11 +282,11 @@ class Reference(NamedTuple):
 
 
 def reference_pass(graph: Graph, images: np.ndarray, executor: Executor | None = None) -> Reference:
-    """Any graph's outputs over `images`, one pass per image in batches whose
-    one observer keeps only the logits: run_fp32 when every node is FP32,
-    run_quantized otherwise. Int8 scores reach Softmax through a Dequantize
-    adapter, which is then the logits node; logits a graph leaves as codes
-    are dequantized once the passes are done."""
+    """Any graph's outputs over `images`, one pass per image in batches that
+    observe only the logits node and keep its outputs: run_fp32 when every
+    node is FP32, run_quantized otherwise. Int8 scores reach Softmax through
+    a Dequantize adapter, which is then the logits node; logits a graph
+    leaves as codes are dequantized once the passes are done."""
     if images.ndim != 4 or images.shape[0] < 1:
         raise EmptyImageBatch("a scoring pass needs at least one image")
     ex = executor or Executor()
@@ -299,7 +294,7 @@ def reference_pass(graph: Graph, images: np.ndarray, executor: Executor | None =
     node = logits_node_id(graph)
     preds, rows = [], []
     for batch in image_batches(images, batch_size(graph, keep=[node])):
-        preds.extend(_argmax(run(graph, batch, capture=[node], observe=lambda nid, t: rows.append(t))))
+        preds.extend(_argmax(run(graph, batch, observe={node: rows.append})))
     logits = [(t if t.qparams is None else dequantize(t)).data for t in rows]
     return Reference(node, np.concatenate(logits), preds)
 

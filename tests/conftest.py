@@ -1,4 +1,5 @@
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -57,16 +58,16 @@ def non_input(graph):
     return [n.id for n in graph.nodes if n.kind != "Input"]
 
 
-def observed(run, graph, inp, capture, **kwargs):
-    """A pass `run(graph, inp, ...)`'s output and the outputs of the nodes it
-    captures, by node id in the order the pass made them, each as float32:
-    the observer dequantizes int8 codes so that values compare in one
-    domain."""
+def observed(run, graph, inp, ids, **kwargs):
+    """A pass `run(graph, inp, ...)`'s output and the outputs it made of the
+    nodes in `ids`, by node id in the order the pass made them, each as
+    float32: each observer dequantizes int8 codes so that values compare in
+    one domain."""
     outputs = {}
 
     def keep(nid, t):
         outputs[nid] = t if t.qparams is None else mq.dequantize(t)
-    return run(graph, inp, capture=capture, observe=keep, **kwargs), outputs
+    return run(graph, inp, observe={nid: partial(keep, nid) for nid in ids}, **kwargs), outputs
 
 
 def histogram_layout(doc: dict) -> dict:

@@ -113,6 +113,20 @@ class TestRangeRecordProperty:
 
 
 class TestProfileActivations:
+    @pytest.mark.parametrize("budget", ["1 byte", "1e9 bytes"])
+    def test_input_range_is_the_images_exact_range(self, all_archs, budget):
+        """The Input's record, folded through the pass's observer like any
+        other node's, holds the images' exact min, max and element count,
+        whether they come one per batch or all in one."""
+        graph = all_archs["mini_resnet"]
+        images = mq.gen_images(5, tuple(graph.input_node.attrs["shape"]), 21)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(executor, "ACTIVATION_BUDGET_BYTES", BUDGETS[budget])
+            assert (executor.batch_size(graph) >= len(images)) == (budget == "1e9 bytes")
+            prof = profile_activations(graph, images)
+        want = (float(images.min()), float(images.max()), images.size)
+        assert state(prof.for_node(graph.input_node.id)) == want
+
     def test_relu_profile_nonnegative(self):
         g = Graph("r")
         g.add(Node("input", "Input", attrs={"shape": [1, 2, 2]}))

@@ -29,9 +29,10 @@ def run_pipeline(root: Path, seed=42, method="delta-mixup", targets="40",
                  "--out-dir", d, *extra_synth]) == 0
     assert main(["calibrate", "--model", f"{d}/model", "--images", f"{d}/calib_images.bin",
                  "--out", f"{d}/calib.json"]) == 0
+    metrics = ["--out-metrics", f"{d}/metrics.csv"] if method == "delta-mixup" else []
     assert main(["analyze", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
                  "--images", f"{d}/calib_images.bin", "--method", method,
-                 "--out-list", f"{d}/sensitivity.txt", "--out-metrics", f"{d}/metrics.csv"]) == 0
+                 "--out-list", f"{d}/sensitivity.txt", *metrics]) == 0
     assert main(["quantize", "--model", f"{d}/model", "--calib", f"{d}/calib.json",
                  "--list", f"{d}/sensitivity.txt", "--target-reduction", targets,
                  "--out-dir", d]) == 0
@@ -270,6 +271,20 @@ class TestExitCodes:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("method", ["in-order", "weight-sqnr", "top1"])
+    def test_out_metrics_without_delta_mixup_is_2(self, tmp_path, capsys, method):
+        """Only delta-mixup computes metrics, so --out-metrics with another
+        method, which would write nothing, is refused before any file is
+        read."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "--model", f"{tmp_path}/model", "--calib", f"{tmp_path}/c.json",
+                  "--method", method, "--images", f"{tmp_path}/i.bin", "--labels", f"{tmp_path}/l.json",
+                  "--out-list", str(out), "--out-metrics", f"{tmp_path}/m.csv"])
+        assert err.value.code == 2
+        assert "--out-metrics" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_image_is_3(self, tmp_path, capsys, bad):
         d = tmp_path / "run"
@@ -330,6 +345,31 @@ class TestExitCodes:
         assert code == 3
         assert "'pool1' (MaxPool)" in capsys.readouterr().err
         assert not (d / "calib.json").exists()
+
+    @pytest.mark.parametrize("edit, says", [("drop", "int8 data without qparams"),
+                                            ("add", "float32 data with qparams")])
+    def test_weight_qparams_that_disagree_with_the_blob_are_3(self, corruptible_runs, tmp_path, capsys,
+                                                              edit, says):
+        """An int8 weight whose qparams are deleted from the manifest, or a
+        float32 one given qparams, is a corrupt blob: evaluate exits 3 and
+        names it."""
+        root, command = corruptible_runs["mini_resnet", "q60/model"]
+        manifest = json.loads((root / "q60/model/manifest.json").read_text())
+        dtype = "i8" if edit == "drop" else "f32"
+        ref = next(r for n in manifest["nodes"] for r in n["weights"].values()
+                   if manifest["blobs"][r["blob"]]["dtype"] == dtype)
+        if edit == "drop":
+            del ref["qparams"]
+        else:
+            ref["qparams"] = {"step": 1.0, "zero_point": 0, "symmetric": True}
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        (model / "weights.bin").write_bytes((root / "q60/model/weights.bin").read_bytes())
+        assert main([a.format(root=root, model=model, out=tmp_path) for a in command]) == 3
+        err = capsys.readouterr().err
+        assert says in err and repr(ref["blob"]) in err
+        assert not (tmp_path / "report.json").exists()
 
     @given(st.data())
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -218,16 +220,6 @@ class TestGraphExecution:
         _, trace = observed(Executor().run_fp32, mininet, Tensor.f32(calib_images[:1]), [])
         assert trace == {}
 
-    @pytest.mark.parametrize("quantized", [False, True])
-    def test_capture_without_observer_raises(self, mininet, mininet_calib, calib_images, quantized):
-        """The observer is the one consumer of what a pass captures: a pass
-        that captures with none raises before it runs a step."""
-        graph = mq.apply_mixed_precision(mininet, [], mininet_calib) if quantized else mininet
-        ex = Executor()
-        with pytest.raises(ValueError, match="no observer"):
-            (ex.run_quantized if quantized else ex.run_fp32)(graph, Tensor.f32(calib_images[:1]), capture=["fc"])
-        assert ex.passes == 0
-
     def test_run_fp32_rejects_int8_graph(self, mininet, mininet_calib, calib_images):
         qg = mq.apply_mixed_precision(mininet, [], mininet_calib)
         with pytest.raises(InvariantViolation):
@@ -258,8 +250,8 @@ class TestQuantizedExecution:
         g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": qp1}))
         conv = Node("c", "Conv2d", ["q"],
                     attrs={"stride": 1, "padding": 0, "out_qparams": qp1},
-                    weights={"weight": Tensor.i8(np.array([[[[3]]]], np.int8),
-                                                 QuantParams(1.0, 0, symmetric=True))},
+                    weights={"weight": Tensor(np.array([[[[3]]]], np.int8),
+                                              QuantParams(1.0, 0, symmetric=True))},
                     precision=8)
         g.add(conv)
         g.add(Node("output", "Output", ["c"]))
@@ -278,7 +270,7 @@ class TestQuantizedExecution:
         g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": qp_act}))
         g.add(Node("c", "Conv2d", ["q"],
                    attrs={"stride": 1, "padding": 1, "out_qparams": QuantParams(1.0, 0)},
-                   weights={"weight": Tensor.i8(wi.astype(np.int8), QuantParams(1.0, 0, symmetric=True))},
+                   weights={"weight": Tensor(wi.astype(np.int8), QuantParams(1.0, 0, symmetric=True))},
                    precision=8))
         g.add(Node("d", "Dequantize", ["c"]))
         g.add(Node("output", "Output", ["d"]))
@@ -765,15 +757,14 @@ def run_caller(passes, images):
     for p in passes:
         graph = p["graph"]
         run = ex.run_quantized if any(n.precision == 8 for n in graph.nodes) else ex.run_fp32
-        observe, capture = None, ()
+        observe = {}
         if "keep" in p:
-            observe, capture = kept.__setitem__, p["keep"]
+            observe = {nid: partial(kept.__setitem__, nid) for nid in p["keep"]}
         elif "compare" in p:
-            capture = p["compare"][1]
-
-            def observe(nid, t):
+            def compare(nid, t):
                 row_powers(t.data, mq.dequantize(kept.pop(nid)).data)
-        run(graph, images, capture=capture, observe=observe)
+            observe = {nid: partial(compare, nid) for nid in p["compare"][1]}
+        run(graph, images, observe=observe)
         if "compare" in p:
             assert not kept
 
@@ -1008,7 +999,7 @@ class TestStepProgram:
 
     @pytest.mark.parametrize("quantized", [False, True])
     def test_observer_takes_each_output_as_its_step_makes_it(self, arch_graphs, monkeypatch, quantized):
-        """`observe` gets each captured output right after its step, before
+        """`observe` gets each observed output right after its step, before
         the next step runs, int8 outputs as their codes; the pass returns the
         Output's value as an unobserved pass does, and an observer that
         dequantizes codes holds the same values as float32."""
@@ -1022,7 +1013,7 @@ class TestStepProgram:
             return lambda inp, ins: (log.append(("step", node.id)), step(inp, ins))[1]
 
         monkeypatch.setattr(executor, "_bind", logging)
-        capture = [n.id for n in graph.nodes if n.kind in ("Conv2d", "ReLU", "Softmax")]
+        ids = [n.id for n in graph.nodes if n.kind in ("Conv2d", "ReLU", "Softmax")]
         seen = {}
 
         def observe(nid, t):
@@ -1031,18 +1022,64 @@ class TestStepProgram:
 
         ex, x = Executor(), Tensor.f32(mq.gen_images(2, shape, 3))
         run = ex.run_quantized if quantized else ex.run_fp32
-        out = run(graph, x, capture=capture, observe=observe)
-        assert [e for e in log if e[0] == "observe"] == [("observe", nid) for nid in capture]
+        out = run(graph, x, observe={nid: partial(observe, nid) for nid in ids})
+        assert [e for e in log if e[0] == "observe"] == [("observe", nid) for nid in ids]
         for i, (kind, nid) in enumerate(log):
             if kind == "observe":
                 assert log[i - 1] == ("step", nid)
         assert np.array_equal(out.data, run(graph, x).data)
         assert any(t.qparams is not None for t in seen.values()) == quantized
-        _, full = observed(run, graph, x, capture)
-        assert list(full) == capture
+        _, full = observed(run, graph, x, ids)
+        assert list(full) == ids
         for nid, t in seen.items():
             want = mq.dequantize(t) if t.qparams is not None else t
             assert np.array_equal(full[nid].data, want.data), nid
+
+    @given(st.sampled_from(ARCHS), st.integers(0, 2), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_observers_are_keyed_by_node(self, arch_graphs, arch, which, data):
+        """`observe` maps node ids to callables. Over any set of ids, FP32
+        and int8, in a full pass and in one resumed from the values live
+        before a node: each observed id's callable runs once, in plan order,
+        right after its step and with the value that step made; none runs for
+        a given id or for a step the pruned plan skips; and the pass returns
+        the bytes an unobserved pass returns."""
+        from mixquant import executor
+        shape, graphs = arch_graphs[arch]
+        graph, quantized = graphs[which]
+        graph = graph.copy()  # bound afresh, through the logging binder below
+        ids = data.draw(st.lists(st.sampled_from([n.id for n in graph.nodes]), unique=True), label="ids")
+        inner = [n.id for n in graph.nodes if n.kind not in ("Input", "Output")]
+        cut = data.draw(st.sampled_from([None, *inner]), label="resumed before")
+        x = Tensor.f32(mq.gen_images(2, shape, data.draw(st.integers(0, 2 ** 16), label="seed")))
+        log, bind, given = [], executor._bind, {}
+
+        def logging(node):
+            step = bind(node)
+            return lambda inp, ins: (y := step(inp, ins), log.append(("step", node.id, y)))[0]
+
+        ex = Executor()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(executor, "_bind", logging)
+            run = ex.run_quantized if quantized else ex.run_fp32
+            if cut is not None:  # the values live before `cut`, as a paused pass holds them
+                live = executor.live_before(graph, cut)
+                run(graph, x, observe={nid: partial(given.__setitem__, nid) for nid in live})
+                run = partial(ex.run_quantized, given=given)
+            log.clear()
+            out = run(graph, x, observe={nid: partial(lambda nid, t: log.append(("observe", nid, t)), nid)
+                                         for nid in ids})
+        plan = [nid for nid, _ in executor._program(graph).plan(given)]
+        assert [e[1] for e in log if e[0] == "step"] == plan
+        assert [e[1] for e in log if e[0] == "observe"] == [nid for nid in plan if nid in ids]
+        for i, (kind, nid, t) in enumerate(log):
+            if kind == "observe":
+                assert log[i - 1][:2] == ("step", nid) and log[i - 1][2] is t, nid
+        assert not given.keys() & {e[1] for e in log if e[0] == "observe"}
+        assert cut is None or len(plan) < len(graph.nodes)
+        plain = run(graph, x)
+        assert (out.dtype, out.data.tobytes()) == (plain.dtype, plain.data.tobytes())
+        assert ex.passes == 2 * (3 if cut is not None else 2)
 
     def test_added_node_is_checked(self, mininet, calib_images):
         """A node added after a pass is seen by the graph checks: an int8

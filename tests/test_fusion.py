@@ -224,7 +224,7 @@ class TestQdqAcrossStages:
 # the single-scan passes against the restart-after-each-match definition
 
 def _oracle_sole_consumer(graph, node_id):
-    consumers = graph.consumers(node_id)
+    consumers = [n for n in graph.nodes if node_id in n.inputs]
     return consumers[0] if len(consumers) == 1 else None
 
 

@@ -357,7 +357,8 @@ def codes_graph():
     g.add(Node("q", "Quantize", ["input"], attrs={"out_qparams": MADE}))
     g.add(Node("conv", "Conv2d", ["q"], precision=8,
                attrs={"stride": 1, "padding": 0, "out_qparams": MADE},
-               weights={"weight": Tensor.i8(np.ones((1, 1, 1, 1)), QuantParams(1.0, 0, symmetric=True))}))
+               weights={"weight": Tensor(np.ones((1, 1, 1, 1), np.int8),
+                                         QuantParams(1.0, 0, symmetric=True))}))
     g.add(Node("relu", "ReLU", ["q"], precision=8, attrs={"out_qparams": MADE}))
     g.add(Node("dq", "Dequantize", ["q"]))
     g.add(Node("add", "Add", ["conv", "relu"], precision=8, attrs={"out_qparams": MADE}))

@@ -74,12 +74,12 @@ class TestQuantizeDequantize:
 
     def test_dequantize_value(self):
         qp = QuantParams(1.0 / 127.0, 0)
-        x = mq.dequantize(Tensor.i8(np.array([64], np.int8), qp))
+        x = mq.dequantize(Tensor(np.array([64], np.int8), qp))
         assert np.isclose(x.data[0], 0.50394, atol=5e-6)
 
     def test_zero_point_dequantizes_to_zero(self):
         qp = QuantParams(0.037, -3)
-        assert mq.dequantize(Tensor.i8(np.array([-3], np.int8), qp)).data[0] == 0.0
+        assert mq.dequantize(Tensor(np.array([-3], np.int8), qp)).data[0] == 0.0
 
     @given(st.floats(1e-4, 10.0), st.integers(-128, 127),
            st.lists(st.floats(-500, 500, width=32), min_size=1, max_size=32))
@@ -236,7 +236,7 @@ class TestApplyMixedPrecision:
 
     def test_kept_group_is_bit_exact_fp32(self, chain, chain_calib, chain_images):
         """c1's group is {c1, r1}; with all its transitive producers FP32, its
-        captured activations equal the pure FP32 run exactly."""
+        observed activations equal the pure FP32 run exactly."""
         qg = mq.apply_mixed_precision(chain, ["c1"], chain_calib)
         assert qg.node("c1").precision == 32 and qg.node("r1").precision == 32
         ex = mq.Executor()
@@ -351,7 +351,7 @@ class TestTransformProperties:
             assert not (n.kind == "Quantize" and src.kind == "Dequantize")
             assert src.kind not in ("Quantize", "Dequantize")
             assert (src.precision == 8) == (n.kind == "Dequantize")
-            assert all((r.precision == 8) == (n.kind == "Quantize") for r in qg.consumers(n.id))
+            assert all((r.precision == 8) == (n.kind == "Quantize") for r in qg.nodes if n.id in r.inputs)
 
         def writes_codes(node):
             return node.precision == 8 or node.kind == "Quantize"

@@ -201,9 +201,9 @@ class BatchRecorder(mq.Executor):
         super().__init__()
         self.batches = []
 
-    def run_fp32(self, graph, inp, capture=(), pause=None, observe=None):
+    def run_fp32(self, graph, inp, pause=None, observe=None):
         self.batches.append(inp.data.shape[0])
-        return super().run_fp32(graph, inp, capture, pause, observe)
+        return super().run_fp32(graph, inp, pause, observe)
 
 
 class TestBatchInvariance:
