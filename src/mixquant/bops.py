@@ -56,6 +56,11 @@ class BopsReport:
     normalized_reduction_pct: float = 0.0
 
 
+def _normalized(fp32: int, int8: int, config: int) -> float:
+    """The normalized reduction of `config` BOPs: 0 at FP32, 100 at all-int8 or when they coincide."""
+    return 100.0 * (fp32 - config) / (fp32 - int8) if fp32 != int8 else 100.0
+
+
 def bops(graph: Graph, config: dict[str, int], macs: dict[str, int] | None = None) -> BopsReport:
     """Account BOPs for a precision config (node id -> 8 or 32 over the
     quantizable nodes; everything else is fixed at 32 bits)."""
@@ -77,7 +82,6 @@ def bops(graph: Graph, config: dict[str, int], macs: dict[str, int] | None = Non
         total_int8 += (8 if quantizable else 32) * m
         total_config += bits * m
     literal = 100.0 * (1.0 - total_config / total) if total else 0.0
-    denom = total - total_int8
-    normalized = 100.0 * (total - total_config) / denom if denom else 100.0
     return BopsReport(bops_fp32=total, bops_int8=total_int8, bops_config=total_config,
-                      literal_reduction_pct=literal, normalized_reduction_pct=normalized)
+                      literal_reduction_pct=literal,
+                      normalized_reduction_pct=_normalized(total, total_int8, total_config))

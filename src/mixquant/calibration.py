@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import EmptyCalibrationSet, EmptyProfile, MissingCalibration, NonFiniteValue
 from .ir import Graph, QuantParams, Tensor, round_half_away
+from .model_io import read_json_object
 
 
 class RangeProfile:
@@ -55,10 +56,14 @@ class RangeProfile:
 
     @classmethod
     def from_json(cls, d: dict) -> "RangeProfile":
+        """The record `to_json` writes; ValueError for a negative count, or for
+        values counted without a finite min <= max."""
         r = cls()
         r.total = int(d["total"])
         r.min = math.inf if d["min"] is None else float(d["min"])
         r.max = -math.inf if d["max"] is None else float(d["max"])
+        if r.total < 0 or r.total and not -math.inf < r.min <= r.max < math.inf:
+            raise ValueError(f"min {r.min}, max {r.max} and total {r.total} are not a range")
         return r
 
 
@@ -94,12 +99,13 @@ class CalibrationProfile:
     def load(cls, path) -> "CalibrationProfile":
         """Each node's `min`, `max` and `total`; other keys, such as the bins of
         a calib.json written with histograms, are ignored."""
-        doc = json.loads(Path(path).read_text())
+        doc = read_json_object(path, "nodes")
         prof = cls(image_count=int(doc["image_count"]), model_digest=str(doc.get("model", "")))
         for nid, d in doc["nodes"].items():
-            if not (isinstance(d, dict) and {"min", "max", "total"} <= d.keys()):
-                raise MissingCalibration(f"{path}: node {nid!r} records no min, max and total")
-            prof.profiles[nid] = RangeProfile.from_json(d)
+            try:
+                prof.profiles[nid] = RangeProfile.from_json(d)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MissingCalibration(f"{path}: node {nid!r} records no range: {exc}") from None
         return prof
 
 

@@ -250,7 +250,7 @@ def cmd_evaluate(args) -> int:
         "images": _sha256(args.images),
     }
     meta_path = Path(args.model).parent / "meta.json"
-    run = json.loads(meta_path.read_text()) if meta_path.exists() else None
+    run = model_io.read_json_object(meta_path) if meta_path.exists() else None
     _check_provenance((run or {}).get("model_digest"), digests["ref_model"],
                       f"{args.model} was quantized from another model than --ref-model {args.ref_model}")
     ref = load_reference(reference_path(args.images), {
@@ -290,7 +290,7 @@ def cmd_report(args) -> int:
     a (method, target) pair."""
     rows, models, pairs = [], set(), set()
     for path in args.runs:
-        doc = json.loads(_require(path, "evaluate").read_text())
+        doc = model_io.read_json_object(_require(path, "evaluate"), "bops", "digests", "run")
         run = doc.get("run", {})
         models.add(doc.get("digests", {}).get("ref_model"))
         if len(models - {None}) > 1:

@@ -9,6 +9,7 @@ reproducible across runs.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -64,8 +65,8 @@ class QuantParams:
     symmetric: bool = False
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise InvariantViolation(f"quantization step must be positive, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise InvariantViolation(f"quantization step must be positive and finite, got {self.step}")
         if self.symmetric and self.zero_point != 0:
             raise InvariantViolation("symmetric params require zero_point == 0")
 
@@ -226,19 +227,15 @@ def _topo_order(edges: tuple[tuple[str, tuple[str, ...]], ...]) -> tuple[str, ..
             out_edges[src].append(nid)
             indeg[nid] += 1
 
-    ready = sorted((nid for nid, d in indeg.items() if d == 0), key=order_idx.__getitem__)
+    ready = [order_idx[nid] for nid, d in indeg.items() if d == 0]  # a heap of insertion indices
     result: list[str] = []
     while ready:
-        nid = ready.pop(0)
+        nid = edges[heapq.heappop(ready)][0]
         result.append(nid)
-        changed = False
         for dst in out_edges[nid]:
             indeg[dst] -= 1
             if indeg[dst] == 0:
-                ready.append(dst)
-                changed = True
-        if changed:
-            ready.sort(key=order_idx.__getitem__)
+                heapq.heappush(ready, order_idx[dst])
     if len(result) != len(edges):
         # a node left unordered reads one that is too: walking back repeats one on a cycle
         inputs, nid, seen = dict(edges), next(n for n in indeg if indeg[n]), set()

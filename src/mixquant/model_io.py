@@ -280,16 +280,16 @@ def _attr_to_json(v):
     return v
 
 
-def _qparams_from_json(d) -> QuantParams:
+def _qparams_from_json(d, where) -> QuantParams:
     try:
         return QuantParams.from_json(d)
     except (InvariantViolation, TypeError, ValueError) as exc:
-        raise InvalidAttribute(f"malformed quantization parameters {d!r}: {exc}") from None
+        raise InvalidAttribute(f"{where}: malformed quantization parameters {d!r}: {exc}") from None
 
 
-def _attr_from_json(v):
+def _attr_from_json(v, where):
     if isinstance(v, dict) and "__qparams__" in v:
-        return _qparams_from_json(v["__qparams__"])
+        return _qparams_from_json(v["__qparams__"], where)
     return v
 
 
@@ -391,7 +391,7 @@ def load_model(path) -> Graph:
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_json_object(manifest_path)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"manifest format {manifest.get('format_version')} != supported {FORMAT_VERSION}")
@@ -429,13 +429,13 @@ def load_model(path) -> Graph:
         weights = {}
         for wname, ref in nj["weights"].items():
             arr = read_blob(ref["blob"])
-            qp = _qparams_from_json(ref["qparams"]) if "qparams" in ref else None
+            qp = _qparams_from_json(ref["qparams"], manifest_path) if "qparams" in ref else None
             if (qp is None) != (arr.dtype == np.float32):
                 raise CorruptBlob(f"blob {ref['blob']!r} holds {arr.dtype} data "
                                   f"{'without' if qp is None else 'with'} qparams")
             weights[wname] = Tensor(arr, qp)
         node = Node(nj["id"], nj["kind"], list(nj["inputs"]),
-                    {k: _attr_from_json(v) for k, v in nj["attrs"].items()},
+                    {k: _attr_from_json(v, manifest_path) for k, v in nj["attrs"].items()},
                     weights, int(nj["precision"]))
         _check_node(node)
         g.add(node)
@@ -472,6 +472,19 @@ def load_images(path) -> np.ndarray:
     if not np.isfinite(images).all():
         raise NonFiniteValue(f"image file {path} holds NaN or infinite values")
     return images
+
+
+def read_json_object(path, *members: str) -> dict:
+    """The JSON object in `path`; CorruptBlob, naming the file, when it or one
+    of the `members` it holds is another JSON value."""
+    with open(path) as fh:  # takes a str or a Path without building another Path
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CorruptBlob(f"{path} holds a {type(doc).__name__}, not a JSON object")
+    for m in members:
+        if not isinstance(doc.get(m, {}), dict):
+            raise CorruptBlob(f"{path}: {m!r} holds a {type(doc[m]).__name__}, not a JSON object")
+    return doc
 
 
 def save_labels(labels, path) -> None:

@@ -155,30 +155,22 @@ def select_dequant_set(sens_list, graph: Graph, target_reduction_pct: float) -> 
 
     100 keeps everything int8 (empty list); 0 dequantizes every group.
     """
-    from .bops import bops, macs_by_node  # deferred: bops reads shapes from the executor, which imports this module
+    from .bops import _normalized, bops, macs_by_node  # deferred: bops reads shapes from the executor, which imports this module
 
     macs = macs_by_node(graph)
-    ids = list(getattr(sens_list, "ids", sens_list))
+    report = bops(graph, {n.id: 8 for n in graph.nodes if n.kind in QUANTIZABLE_KINDS}, macs=macs)
+    config = report.bops_int8
     member_of = {m: g for g in discover_fusion_groups(graph) for m in g.members}
-    quantizable = [n.id for n in graph.nodes if n.kind in QUANTIZABLE_KINDS]
-
-    def normalized(keep: list[str]) -> float:
-        config = {nid: (32 if nid in keep else 8) for nid in quantizable}
-        return bops(graph, config, macs=macs).normalized_reduction_pct
-
-    chosen: list[str] = []
-    taken: set[str] = set()
-    if normalized(chosen) <= target_reduction_pct:
-        return []
-    for nid in ids:
-        if nid in taken or nid not in member_of:
-            continue
-        group = member_of[nid]
-        chosen.extend(group.members)
-        taken.update(group.members)
-        if normalized(chosen) <= target_reduction_pct:
+    chosen: dict[str, None] = {}  # kept in order, looked up in O(1)
+    for nid in getattr(sens_list, "ids", sens_list):
+        if _normalized(report.bops_fp32, report.bops_int8, config) <= target_reduction_pct:
             break
-    return chosen
+        if nid in chosen or nid not in member_of:
+            continue
+        members = member_of[nid].members
+        chosen.update(dict.fromkeys(members))
+        config += 24 * sum(macs[m] for m in members)  # 32 bits in place of 8
+    return list(chosen)
 
 
 def save_node_list(ids, path) -> None:

@@ -35,6 +35,7 @@ from .executor import Executor, batch_size, image_batches, live_before
 from .fusion import discover_fusion_groups
 from .ir import Graph, Node, QUANTIZABLE_KINDS, Tensor, WEIGHTED_KINDS, topo_sort
 from .metrics import SENTINEL_DB, cosine_similarity, kl_divergence, row_powers, sqnr_db, sqnr_delta
+from .model_io import read_json_object
 from .quantizer import (apply_mixed_precision, dequantize, load_node_list, quantize_affine,
                         save_node_list)
 
@@ -78,7 +79,7 @@ class SensitivityList:
     def load(cls, path) -> "SensitivityList":
         ids = load_node_list(path)
         meta_path = Path(str(path) + ".meta.json")
-        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+        meta = read_json_object(meta_path) if meta_path.exists() else {}
         return cls(ids, meta.get("method", "unknown"), meta.get("ir_stage", "unfused"),
                    meta.get("calib_digest", ""), tuple(meta.get("mixup", DEFAULT_MIXUP)),
                    meta.get("model_digest", ""))
@@ -117,9 +118,9 @@ def rank_layers_by_sensitivity(deltas_w: dict[str, float], deltas_a: dict[str, f
     score = {nid: w_w * rank_w[nid] + w_a * rank_a[nid] for nid in keys}
     ordered = sorted(keys, key=lambda nid: (score[nid], pos[nid]))
 
-    outliers = [nid for nid in keys if mse_by_layer[nid] > MSE_OUTLIER_FACTOR * mse_mean]
-    outliers.sort(key=lambda nid: (-mse_by_layer[nid], pos[nid]))
-    return outliers + [nid for nid in ordered if nid not in set(outliers)]
+    outliers = {nid for nid in keys if mse_by_layer[nid] > MSE_OUTLIER_FACTOR * mse_mean}
+    return (sorted(outliers, key=lambda nid: (-mse_by_layer[nid], pos[nid]))
+            + [nid for nid in ordered if nid not in outliers])
 
 
 def _group_adjusted(graph: Graph, ranked: list[str]) -> list[str]:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,57 @@ class TestGreedyFrontier:
                 trimmed = [nid for nid in keep if nid not in set(last_group.members)]
                 config = {nid: (32 if nid in trimmed else 8) for nid in quantizable}
                 assert bops(mininet, config, macs=macs).normalized_reduction_pct > target
+
+
+def conv_relu_chain(n_groups, width=4, spatial=6):
+    """Input, then `n_groups` of Conv2d -> ReLU, then Output: one fusion group per pair."""
+    rng = Lcg(n_groups)
+    g = Graph(f"chain{n_groups}")
+    g.add(Node("input", "Input", attrs={"shape": [width, spatial, spatial]}))
+    prev = "input"
+    for i in range(n_groups):
+        g.add(Node(f"c{i}", "Conv2d", [prev], attrs={"stride": 1, "padding": 1},
+                   weights={"weight": Tensor.f32(rng.uniform(-1, 1, (width, width, 3, 3))),
+                            "bias": Tensor.f32(np.zeros(width, np.float32))}))
+        g.add(Node(f"r{i}", "ReLU", [f"c{i}"]))
+        prev = f"r{i}"
+    g.add(Node("output", "Output", [prev]))
+    g.validate()
+    return g
+
+
+class TestLinearWalk:
+    @pytest.mark.parametrize("n_groups", [1, 7, 40])
+    def test_one_accounting_per_call(self, monkeypatch, n_groups):
+        """The walk accounts the all-int8 config once and adds each taken
+        group's BOPs to it, whatever the list length and target."""
+        module = importlib.import_module("mixquant.bops")
+        calls = []
+        monkeypatch.setattr(module, "bops", lambda *a, **k: calls.append(1) or bops(*a, **k))
+        g = conv_relu_chain(n_groups)
+        order = [f"c{i}" for i in reversed(range(n_groups))]
+        for target in (0.0, 40.0, 99.0, 100.0):
+            calls.clear()
+            select_dequant_set(order, g, target)
+            assert len(calls) == 1
+
+    def test_same_sets_as_accounting_every_prefix(self):
+        """Lists that name ReLU members, repeat a group and name unknown ids
+        give the set that accounting each candidate prefix's whole config gives."""
+        g = conv_relu_chain(9)
+        macs = macs_by_node(g)
+        member_of = {m: grp for grp in mq.discover_fusion_groups(g) for m in grp.members}
+        quantizable = [n.id for n in g.nodes if n.kind in mq.ir.QUANTIZABLE_KINDS]
+        names = [f"{k}{i}" for i in range(9) for k in "cr"] + ["input"]
+        rng = Lcg(7)
+        for _ in range(20):
+            ids = [names[int(rng.uniform(0, len(names), 1)[0])] for _ in range(15)]
+            target = float(rng.uniform(0, 100, 1)[0])
+            want: list[str] = []
+            for nid in ids:
+                config = {q: (32 if q in want else 8) for q in quantizable}
+                if bops(g, config, macs=macs).normalized_reduction_pct <= target:
+                    break
+                if nid in member_of and nid not in want:
+                    want.extend(member_of[nid].members)
+            assert select_dequant_set(ids, g, target) == want

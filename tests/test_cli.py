@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -826,6 +827,61 @@ class TestEndToEndProvenance:
         assert not out.exists()
         assert main(["report", "--runs", str(reports[3, 40]), str(reports[3, 80]), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+
+def first_record(doc):
+    return next(iter(doc["nodes"].values()))
+
+
+def first_out_qparams(manifest):
+    return next(n["attrs"]["out_qparams"]["__qparams__"] for n in manifest["nodes"]
+                if "out_qparams" in n["attrs"])
+
+
+ANALYZE = ["analyze", "--model", "{d}/model", "--calib", "{d}/calib.json", "--method", "in-order",
+           "--out-list", "{d}/new.txt"]
+QUANTIZE = ["quantize", "--model", "{d}/model", "--calib", "{d}/calib.json", "--list", "{d}/sensitivity.txt",
+            "--target-reduction", "20", "--out-dir", "{d}/new"]
+EVALUATE = ["evaluate", "--model", "{d}/q40/model", "--ref-model", "{d}/model", "--images",
+            "{d}/eval_images.bin", "--labels", "{d}/labels.json", "--out", "{d}/new.json"]
+REPORT = ["report", "--runs", "{d}/report40.json", "--out", "{d}/new.csv"]
+
+# (artifact, edit of its parsed JSON returning the document to write, command that reads it)
+MALFORMED = {
+    "calib-max-infinity": ("calib.json", lambda d: first_record(d).update(max=float("inf")) or d, ANALYZE),
+    "calib-min-above-max": ("calib.json", lambda d: first_record(d).update(min=5.0, max=-5.0) or d, ANALYZE),
+    "calib-negative-total": ("calib.json", lambda d: first_record(d).update(total=-1) or d, ANALYZE),
+    "calib-record-list": ("calib.json", lambda d: d["nodes"].update(input=[0.0, 1.0, 4]) or d, ANALYZE),
+    "calib-nodes-list": ("calib.json", lambda d: {**d, "nodes": list(d["nodes"].values())}, ANALYZE),
+    "calib-list": ("calib.json", lambda d: [d], ANALYZE),
+    "list-meta-list": ("sensitivity.txt.meta.json", lambda d: [d], QUANTIZE),
+    "run-meta-empty-list": ("q40/meta.json", lambda d: [], EVALUATE),
+    "out-qparams-step-infinity": ("q40/model/manifest.json",
+                                  lambda d: first_out_qparams(d).update(step=float("inf")) or d, EVALUATE),
+    "runs-list": ("report40.json", lambda d: [d], REPORT),
+    "bops-list": ("report40.json", lambda d: {**d, "bops": list(d["bops"].values())}, REPORT),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    return run_pipeline(tmp_path_factory.mktemp("run"), method="in-order", calib_count=4, eval_count=4)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_artifact_is_3(pipeline_run, tmp_path, capsys, case):
+    """One JSON artifact of a real mininet run edited out of its contract: the
+    command that reads it exits 3, names the file and writes nothing."""
+    name, edit, command = MALFORMED[case]
+    d = tmp_path / "run"
+    shutil.copytree(pipeline_run, d)
+    path = d / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    before = sorted(d.rglob("*"))
+    capsys.readouterr()
+    assert main([a.format(d=d) for a in command]) == 3
+    assert str(path) in capsys.readouterr().err
+    assert sorted(d.rglob("*")) == before
 
 
 class TestAnalyzeDiagnostics:

@@ -5,9 +5,51 @@ from hypothesis import strategies as st
 
 import mixquant as mq
 from mixquant.errors import CycleDetected, InvalidAttribute, InvariantViolation, ShapeMismatch
-from mixquant.ir import Graph, Node, QuantParams, Tensor, _window, round_half_away
+from mixquant.ir import Graph, Node, QuantParams, Tensor, _topo_order, _window, round_half_away
 
 from conftest import non_input, observed, run_f32
+
+
+def resorting_kahn(edges):
+    """Reference order, as ir._topo_order computed it before its heap: Kahn's
+    algorithm that re-sorts the ready list by insertion index whenever a pop
+    frees a node."""
+    order_idx = {nid: i for i, (nid, _) in enumerate(edges)}
+    indeg = dict.fromkeys(order_idx, 0)
+    out_edges = {nid: [] for nid in order_idx}
+    for nid, inputs in edges:
+        for src in inputs:
+            out_edges[src].append(nid)
+            indeg[nid] += 1
+    ready = sorted((nid for nid, d in indeg.items() if d == 0), key=order_idx.__getitem__)
+    result = []
+    while ready:
+        nid = ready.pop(0)
+        result.append(nid)
+        changed = False
+        for dst in out_edges[nid]:
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                ready.append(dst)
+                changed = True
+        if changed:
+            ready.sort(key=order_idx.__getitem__)
+    return tuple(result)
+
+
+@st.composite
+def random_dags(draw):
+    """((node id, input ids), ...) in insertion order; the nodes' order along
+    the edges is a random permutation of it, and a node may read one input twice."""
+    n = draw(st.integers(1, 24))
+    rank = draw(st.permutations(range(n)))
+    by_rank = sorted(range(n), key=rank.__getitem__)
+    edges = []
+    for i in range(n):
+        upstream = by_rank[:rank[i]]
+        inputs = draw(st.lists(st.sampled_from(upstream), max_size=4)) if upstream else []
+        edges.append((f"n{i}", tuple(f"n{j}" for j in inputs)))
+    return tuple(edges)
 
 
 def chain_graph():
@@ -70,6 +112,13 @@ class TestTopoSort:
         info = _topo_order.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 
+    @given(random_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_resorting_kahn_order(self, edges):
+        """Popping the smallest ready insertion index from a heap gives the
+        order that re-sorting the ready list after every pop gave."""
+        assert _topo_order(edges) == resorting_kahn(edges)
+
     def test_permutation_and_repeatable(self, mininet):
         order = mq.topo_sort(mininet)
         assert sorted(order) == sorted(n.id for n in mininet.nodes)
@@ -98,6 +147,11 @@ class TestTypes:
     def test_qparams_step_positive(self):
         with pytest.raises(InvariantViolation):
             QuantParams(0.0, 0)
+
+    @pytest.mark.parametrize("step", [float("inf"), float("nan")])
+    def test_qparams_step_finite(self, step):
+        with pytest.raises(InvariantViolation, match="positive and finite"):
+            QuantParams(step, 0)
 
     def test_symmetric_zero_point_pinned(self):
         with pytest.raises(InvariantViolation):

@@ -15,7 +15,8 @@ def test_checkout_against_itself():
     header, *rows = done.stdout.splitlines()
     assert header.split()[:2] == ["arch", "operation"]
     got = [row.split() for row in rows]
-    ops = ("run_quantized", "run_q40", "reference_pass", "load_and_score", "calibrate", "analyze", "top1")
+    ops = ("run_quantized", "run_q40", "reference_pass", "load_and_score", "calibrate", "analyze", "top1",
+           "quantize")
     assert [(r[0], r[1]) for r in got] == [(arch, op) for arch in ("mininet", "mini_resnet", "mini_mobilenet")
                                            for op in ops]
     for r in got:

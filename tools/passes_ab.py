@@ -10,7 +10,7 @@ from the in-order list (`select_dequant_set`), the kind of q40 model that
 `quantize` writes and `bench/run.py`'s `infer_ms` samples. It saves the
 three models, which each side then loads with its own `load_model`. Each of
 ROUNDS rounds times, for A and then B or for B and then A (the order
-alternates by round), seven operations over IMAGES eval images: batch-1
+alternates by round), eight operations over IMAGES eval images: batch-1
 `run_quantized` on the int8 model (`run_quantized`) and on the q40 model
 (`run_q40`) and batch-1 `reference_pass` on the FP32 model, each on a graph
 warmed by one pass per image; `load_and_score`: `load_model` of the
@@ -22,7 +22,10 @@ profile of the same images, which quantizes and binds a fresh int8 graph per
 call as the command does); and `top1` (`baseline_order(..., "top1")` on the
 FP32 model with that profile and the FP32 model's own predictions as labels,
 one graph per fusion group per call), the largest compile command of
-`bench/run.py`'s resnet_methods. The warm operations hide what a graph costs once
+`bench/run.py`'s resnet_methods; and `quantize`, the quantize command's
+library work: `select_dequant_set` from the in-order list and
+`apply_mixed_precision` at each of QUANTIZE_TARGETS on the fused FP32 graph
+(it reads no images, but its time is divided by IMAGES like the rest). The warm operations hide what a graph costs once
 (its program, shapes, bound steps and weight casts); `load_and_score` pays it
 every time. One line per arch and operation gives A's and B's median ms per
 image and the median of the per-round B/A ratios with its quartiles.
@@ -52,6 +55,7 @@ ARCHS = ("mininet", "mini_resnet", "mini_mobilenet")
 CALIB_IMAGES = 8
 IMAGES = 8
 Q40_TARGET = 40
+QUANTIZE_TARGETS = (20, 40, 60, 80)
 ROUNDS = 30
 SEED = 3
 
@@ -111,9 +115,15 @@ def operations(mq, fp32: Path, int8: Path, q40: Path, images):
     def top1():
         mq.baseline_order(graph, "top1", images=images, labels=labels, calib=calib, executor=ex)
 
+    fused, order = mq.lower_to_stage(graph, "fused"), mq.baseline_order(graph, "in_order")
+
+    def quantize():
+        for target in QUANTIZE_TARGETS:
+            mq.apply_mixed_precision(fused, mq.select_dequant_set(order, fused, target), calib)
+
     return {"run_quantized": batch1(mq.load_model(int8)), "run_q40": batch1(mq.load_model(q40)),
             "reference_pass": reference, "load_and_score": load_and_score,
-            "calibrate": calibrate, "analyze": analyze, "top1": top1}
+            "calibrate": calibrate, "analyze": analyze, "top1": top1, "quantize": quantize}
 
 
 def timed(fn) -> float:
