@@ -99,8 +99,8 @@ class CalibrationProfile:
     def load(cls, path) -> "CalibrationProfile":
         """Each node's `min`, `max` and `total`; other keys, such as the bins of
         a calib.json written with histograms, are ignored."""
-        doc = read_json_object(path, "nodes")
-        prof = cls(image_count=int(doc["image_count"]), model_digest=str(doc.get("model", "")))
+        doc = read_json_object(path, nodes=dict, image_count=int)
+        prof = cls(image_count=doc["image_count"], model_digest=str(doc.get("model", "")))
         for nid, d in doc["nodes"].items():
             try:
                 prof.profiles[nid] = RangeProfile.from_json(d)

@@ -290,9 +290,10 @@ def cmd_report(args) -> int:
     a (method, target) pair."""
     rows, models, pairs = [], set(), set()
     for path in args.runs:
-        doc = model_io.read_json_object(_require(path, "evaluate"), "bops", "digests", "run")
-        run = doc.get("run", {})
-        models.add(doc.get("digests", {}).get("ref_model"))
+        doc = model_io.read_json_object(_require(path, "evaluate"), bops=dict, digests=dict | None,
+                                        run=dict | None)
+        run = doc.get("run") or {}
+        models.add((doc.get("digests") or {}).get("ref_model"))
         if len(models - {None}) > 1:
             raise ProvenanceMismatch(f"{path} was evaluated against another FP32 model than "
                                      f"the runs before it")

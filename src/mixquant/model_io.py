@@ -474,16 +474,18 @@ def load_images(path) -> np.ndarray:
     return images
 
 
-def read_json_object(path, *members: str) -> dict:
-    """The JSON object in `path`; CorruptBlob, naming the file, when it or one
-    of the `members` it holds is another JSON value."""
+def read_json_object(path, **members: type) -> dict:
+    """The JSON object in `path`, whose named members hold the given types; a
+    type that admits None lets its member be missing. CorruptBlob, naming the
+    file, when the file or a member holds another JSON value."""
     with open(path) as fh:  # takes a str or a Path without building another Path
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise CorruptBlob(f"{path} holds a {type(doc).__name__}, not a JSON object")
-    for m in members:
-        if not isinstance(doc.get(m, {}), dict):
-            raise CorruptBlob(f"{path}: {m!r} holds a {type(doc[m]).__name__}, not a JSON object")
+    for m, kind in members.items():
+        if not isinstance(doc.get(m), kind):
+            found = f"holds a {type(doc[m]).__name__}" if m in doc else "is missing"
+            raise CorruptBlob(f"{path}: {m!r} {found}, not a {getattr(kind, '__name__', kind)}")
     return doc
 
 
@@ -492,4 +494,10 @@ def save_labels(labels, path) -> None:
 
 
 def load_labels(path) -> list[int]:
-    return [int(x) for x in json.loads(Path(path).read_text())]
+    """The JSON array of integers in `path`; CorruptBlob, naming the file, when
+    it holds any other JSON value."""
+    with open(path) as fh:
+        labels = json.load(fh)
+    if not isinstance(labels, list) or not all(type(x) is int for x in labels):
+        raise CorruptBlob(f"{path} holds no JSON array of integers")
+    return labels

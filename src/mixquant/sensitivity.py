@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import CalibrationProfile, weight_qparams
-from .errors import EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
+from .errors import CorruptBlob, EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
 from .executor import Executor, batch_size, image_batches, live_before
 from .fusion import discover_fusion_groups
 from .ir import Graph, Node, QUANTIZABLE_KINDS, Tensor, WEIGHTED_KINDS, topo_sort
@@ -80,9 +80,12 @@ class SensitivityList:
         ids = load_node_list(path)
         meta_path = Path(str(path) + ".meta.json")
         meta = read_json_object(meta_path) if meta_path.exists() else {}
+        mixup = meta.get("mixup", DEFAULT_MIXUP)
+        if not (isinstance(mixup, (list, tuple)) and len(mixup) == 2
+                and all(type(w) in (int, float) for w in mixup)):
+            raise CorruptBlob(f"{meta_path}: 'mixup' holds {mixup!r}, not a list of two numbers")
         return cls(ids, meta.get("method", "unknown"), meta.get("ir_stage", "unfused"),
-                   meta.get("calib_digest", ""), tuple(meta.get("mixup", DEFAULT_MIXUP)),
-                   meta.get("model_digest", ""))
+                   meta.get("calib_digest", ""), tuple(mixup), meta.get("model_digest", ""))
 
 
 def quantizable_in_topo_order(graph: Graph) -> list[str]:

@@ -854,12 +854,17 @@ MALFORMED = {
     "calib-record-list": ("calib.json", lambda d: d["nodes"].update(input=[0.0, 1.0, 4]) or d, ANALYZE),
     "calib-nodes-list": ("calib.json", lambda d: {**d, "nodes": list(d["nodes"].values())}, ANALYZE),
     "calib-list": ("calib.json", lambda d: [d], ANALYZE),
+    "calib-image-count-list": ("calib.json", lambda d: {**d, "image_count": [1]}, ANALYZE),
+    "calib-no-nodes": ("calib.json", lambda d: {k: v for k, v in d.items() if k != "nodes"}, ANALYZE),
     "list-meta-list": ("sensitivity.txt.meta.json", lambda d: [d], QUANTIZE),
+    "list-meta-mixup-int": ("sensitivity.txt.meta.json", lambda d: {**d, "mixup": 5}, QUANTIZE),
+    "list-meta-mixup-three": ("sensitivity.txt.meta.json", lambda d: {**d, "mixup": [0.5, 0.3, 0.2]}, QUANTIZE),
     "run-meta-empty-list": ("q40/meta.json", lambda d: [], EVALUATE),
     "out-qparams-step-infinity": ("q40/model/manifest.json",
                                   lambda d: first_out_qparams(d).update(step=float("inf")) or d, EVALUATE),
     "runs-list": ("report40.json", lambda d: [d], REPORT),
     "bops-list": ("report40.json", lambda d: {**d, "bops": list(d["bops"].values())}, REPORT),
+    "no-bops": ("report40.json", lambda d: {k: v for k, v in d.items() if k != "bops"}, REPORT),
 }
 
 
@@ -882,6 +887,27 @@ def test_malformed_json_artifact_is_3(pipeline_run, tmp_path, capsys, case):
     assert main([a.format(d=d) for a in command]) == 3
     assert str(path) in capsys.readouterr().err
     assert sorted(d.rglob("*")) == before
+
+
+ANALYZE_TOP1 = ["analyze", "--model", "{d}/model", "--calib", "{d}/calib.json", "--images", "{d}/eval_images.bin",
+                "--labels", "{d}/labels.json", "--method", "top1", "--top1-images", "4", "--out-list", "{d}/new.txt"]
+BAD_LABELS = {"string": "1234", "nested": [[1], [2], [3], [4]], "floats": [1.9, 2.2, 0.0, 3.0],
+              "boolean": [1, 2, 0, True]}
+
+
+@pytest.mark.parametrize("command", [EVALUATE, ANALYZE_TOP1], ids=["evaluate", "analyze-top1"])
+@pytest.mark.parametrize("labels", sorted(BAD_LABELS))
+def test_labels_not_integers_are_3(pipeline_run, tmp_path, capsys, labels, command):
+    """labels.json must hold a JSON array of integers, also where no FP32
+    reference file records their digest."""
+    d = tmp_path / "run"
+    shutil.copytree(pipeline_run, d)
+    (d / "eval_images.bin.ref").unlink()
+    (d / "labels.json").write_text(json.dumps(BAD_LABELS[labels]))
+    capsys.readouterr()
+    assert main([a.format(d=d) for a in command]) == 3
+    assert str(d / "labels.json") in capsys.readouterr().err
+    assert not (d / "new.json").exists() and not (d / "new.txt").exists()
 
 
 class TestAnalyzeDiagnostics:

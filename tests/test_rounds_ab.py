@@ -1,6 +1,6 @@
 """Smoke test of tools/rounds_ab.py, the in-process A/B of whole pipeline
-rounds, run on this checkout against itself, and a check that its copy of
-the benchmark's workload table still matches bench/pipeline.py."""
+rounds, run on this checkout against itself, and checks that each side runs
+the benchmark's own round on its own package."""
 
 import importlib.util
 import os
@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -22,15 +24,32 @@ def load(name, path):
     return module
 
 
-def test_workload_table_matches_the_benchmark():
+def test_sides_bind_their_own_package(tmp_path):
     rounds_ab = load("rounds_ab_tool", REPO / "tools" / "rounds_ab.py")
     bench = load("bench_pipeline", REPO / "bench" / "pipeline.py")
-    assert rounds_ab.WORKLOADS == {name: (w.arch, w.methods, w.synth_flags)
-                                   for name, w in bench.WORKLOADS.items()}
-    assert rounds_ab.TARGETS == bench.TARGETS
-    # one count serves as calibration, eval and top1 images
-    assert rounds_ab.IMAGES == bench.CALIB_COUNT == bench.EVAL_COUNT == bench.TOP1_IMAGES
-    assert rounds_ab.LATENCY_REPEATS == bench.LATENCY_REPEATS
+    with mock.patch.dict(sys.modules):
+        names = ("mixquant", "mixquant.cli", "checks", "probe", "pipeline_a", "pipeline_b")
+        before = {name: sys.modules.get(name) for name in names}
+        sides = rounds_ab.load_side(REPO, "a"), rounds_ab.load_side(REPO, "b")
+        assert {name: sys.modules.get(name) for name in names} == before
+    for side, pipeline in zip("ab", sides):
+        assert pipeline.cli.__name__ == f"mixquant_{side}.cli"
+        assert {name: vars(pipeline.Runner(name, tmp_path).wl) for name in bench.WORKLOADS} == \
+            {name: vars(w) for name, w in bench.WORKLOADS.items()}
+
+
+def test_failing_side_names_itself(monkeypatch):
+    rounds_ab = load("rounds_ab_tool", REPO / "tools" / "rounds_ab.py")
+    with mock.patch.dict(sys.modules):  # the sides' packages stay loaded while they run
+        a, b = rounds_ab.load_side(REPO, "a"), rounds_ab.load_side(REPO, "b")
+
+        def wrong(self, rnd):
+            raise b.checks.CheckFailed("report40.json: wrong")
+
+        monkeypatch.setattr(b.Runner, "check", wrong)
+        with pytest.raises(SystemExit) as exited:
+            rounds_ab.compare((a, b), "mobilenet_sweep", 2, 7)
+    assert exited.value.code == "side B, round 0 (seed 7): report40.json: wrong"
 
 
 def test_checkout_against_itself():
