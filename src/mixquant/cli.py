@@ -444,7 +444,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4
-    except (MixQuantError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (MixQuantError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

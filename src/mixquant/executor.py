@@ -24,11 +24,11 @@ q_out = clamp(round(real / s_out) + zp_out) with round-half-away-from-zero,
 clamped at the zero point under a fused ReLU, which keeps the interpreter
 deterministic on every platform.
 
-Conv2d, DepthwiseConv2d, AvgPool and Gemm read their input as im2col columns.
-At width stride 1 each window row's values lie contiguous in the padded input
-and are copied as one item; at a wider stride they lie apart and are copied
-tap by tap, to the same bytes. AvgPool windows that tile the input are a
-reshape of it instead. MaxPool folds np.maximum over strided views, tap by tap.
+Conv2d, DepthwiseConv2d, AvgPool and Gemm read their input as im2col columns by
+a geometry made once per image shape, dtype and window: the batch is padded,
+if at all, and its column view copied once (window rows as items at width
+stride 1), or not at all for 1x1 stride 1 and Gemm. AvgPool windows that tile
+the input are a reshape of it, and MaxPool folds np.maximum over strided views.
 
 A pass runs a batch of images, and every kernel gives each image the same bits
 whatever the batch size, so batching never moves a result. A pass follows the
@@ -86,6 +86,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections.abc import Callable, Iterable
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,31 +113,38 @@ ACTIVATION_BUDGET_BYTES = 1 << 20
 # ---------------------------------------------------------------------------
 # kernels: float32 operands for FP32 nodes and most int8 weighted ones, else float64
 
+@lru_cache(maxsize=256)
+def _geometry(shape, dtype, kernel, stride, padding) -> tuple:
+    """im2col geometry per image shape, dtype and window, whatever the batch:
+    the padded (c, hp, wp) tail, the interior index (None unpadded), oh, ow,
+    and the column view's shape, strides and item (None: the batch itself)."""
+    (c, h, w), (kh, kw), (sh, sw), (ph, pw) = shape, kernel, stride, padding
+    oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+    hp, wp, size = h + 2 * ph, w + 2 * pw, np.dtype(dtype).itemsize
+    interior = (slice(None), slice(None), slice(ph, ph + h), slice(pw, pw + w)) if ph or pw else None
+    strides = hp * wp * size, wp * size, size, wp * size * sh  # channel, tap row, tap column, window row
+    view = (None if kh * kw == 1 and sh == sw == 1
+            # at width stride 1 a window row's ow values lie contiguous: one item each
+            else ((c, kh, kw, oh), strides, np.dtype((np.void, ow * size))) if sw == 1
+            else ((c, kh, kw, oh, ow), (*strides, size * sw), np.dtype(dtype)))
+    return (c, hp, wp), interior, oh, ow, view
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding):
-    """Columns (n, c*kh*kw, oh*ow) of the zero-padded input, channel-major.
-    At width stride 1 a window row's ow values are contiguous in the padded
-    input: one strided copy moves each row as one item, not kh*kw copies of
-    n*c*oh short rows. A wider stride spreads a row apart, and a 1x1 kernel
-    is one copy already: both copy tap by tap, to the same bytes."""
-    n, c, h, w = x.shape
-    (sh, sw), (ph, pw) = stride, padding
-    oh, ow = _conv_out_hw(h, w, (kh, kw), stride, padding)
-    xp = x
-    if ph or pw:
-        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
-        xp[:, :, ph:ph + h, pw:pw + w] = x
-    if sw == 1 and kh * kw > 1:
-        xp = np.ascontiguousarray(xp)  # a no-op on every input a pass hands over
-        s0, s1, s2, s3 = xp.strides
-        rows = np.ndarray((n, c, kh, kw, oh), np.dtype((np.void, ow * xp.itemsize)), xp, 0,
-                          (s0, s1, s2, s3, s2 * sh))
-        cols = rows.copy().view(x.dtype)
+    """Columns (n, c*kh*kw, oh*ow) of the zero-padded input, channel-major,
+    by x's _geometry: the batch padded once, then one strided copy of its
+    column view, or the batch itself where that view is contiguous."""
+    tail, interior, oh, ow, view = _geometry(x.shape[1:], x.dtype, (kh, kw), stride, padding)
+    n = x.shape[0]
+    if interior is None:
+        xp = np.ascontiguousarray(x)  # a no-op on every input a pass hands over
     else:
-        cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
-    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+        xp = np.zeros((n, *tail), x.dtype)
+        xp[interior] = x
+    if view is not None:
+        shape, strides, item = view
+        xp = np.ndarray((n, *shape), item, xp, 0, (xp.strides[0], *strides)).copy().view(x.dtype)
+    return xp.reshape(n, -1, oh * ow), oh, ow
 
 
 def kernel_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,

@@ -391,11 +391,31 @@ def load_model(path) -> Graph:
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {path}")
-    manifest = read_json_object(manifest_path)
+    manifest = read_json_object(manifest_path, nodes=list, blobs=dict, name=str | None)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"manifest format {manifest.get('format_version')} != supported {FORMAT_VERSION}")
-    payload = (path / "weights.bin").read_bytes()
+    try:
+        return _graph_of(manifest, (path / "weights.bin").read_bytes(), manifest_path)
+    except (KeyError, TypeError, AttributeError, ValueError):
+        # name the first record of the wrong JSON types, checked only now so that a
+        # valid manifest costs nothing; where there is none, the error stands
+        for i, nj in enumerate(manifest["nodes"]):
+            where = f"{manifest_path}: node {i}"
+            _json_members(nj, where, id=str, kind=str, inputs=list, attrs=dict, weights=dict, precision=int)
+            if not all(type(src) is str for src in nj["inputs"]):
+                raise CorruptBlob(f"{where}: 'inputs' {nj['inputs']!r} are not all node ids")
+            for wname, ref in nj["weights"].items():
+                _json_members(ref, f"{where}: weight {wname!r}", blob=str)
+        for name, meta in manifest["blobs"].items():
+            where = f"{manifest_path}: blob {name!r}"
+            _json_members(meta, where, dtype=str, shape=list, offset=int, length=int)
+            if not all(type(d) is int and d >= 0 for d in meta["shape"]):
+                raise CorruptBlob(f"{where}: 'shape' {meta['shape']!r} is not a list of sizes")
+        raise
+
+
+def _graph_of(manifest: dict, payload: bytes, manifest_path: Path) -> Graph:
     blobs = manifest["blobs"]
 
     def read_blob(name: str) -> np.ndarray:
@@ -418,7 +438,7 @@ def load_model(path) -> Graph:
 
     kinds = [nj["kind"] for nj in manifest["nodes"]]
     if kinds.count("Input") != 1 or kinds.count("Output") != 1:
-        raise InvalidAttribute(f"a model needs one Input and one Output node, {path} has "
+        raise InvalidAttribute(f"a model needs one Input and one Output node, {manifest_path.parent} has "
                                f"{kinds.count('Input')} and {kinds.count('Output')}")
     g = Graph(manifest.get("name", "model"))
     for nj in manifest["nodes"]:
@@ -436,7 +456,7 @@ def load_model(path) -> Graph:
             weights[wname] = Tensor(arr, qp)
         node = Node(nj["id"], nj["kind"], list(nj["inputs"]),
                     {k: _attr_from_json(v, manifest_path) for k, v in nj["attrs"].items()},
-                    weights, int(nj["precision"]))
+                    weights, nj["precision"])
         _check_node(node)
         g.add(node)
     g.validate()
@@ -474,19 +494,30 @@ def load_images(path) -> np.ndarray:
     return images
 
 
-def read_json_object(path, **members: type) -> dict:
-    """The JSON object in `path`, whose named members hold the given types; a
-    type that admits None lets its member be missing. CorruptBlob, naming the
-    file, when the file or a member holds another JSON value."""
+def _read_json(path):
+    """The JSON value in `path`; CorruptBlob, naming the file, when it holds none."""
     with open(path) as fh:  # takes a str or a Path without building another Path
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not text
+            raise CorruptBlob(f"{path} holds no valid JSON: {exc}") from None
+
+
+def _json_members(doc, where, **members: type) -> dict:
+    """`doc`, a JSON object whose named members hold the given types (a type that admits
+    None lets its member be missing); else CorruptBlob naming `where`."""
     if not isinstance(doc, dict):
-        raise CorruptBlob(f"{path} holds a {type(doc).__name__}, not a JSON object")
+        raise CorruptBlob(f"{where} holds a {type(doc).__name__}, not a JSON object")
     for m, kind in members.items():
         if not isinstance(doc.get(m), kind):
             found = f"holds a {type(doc[m]).__name__}" if m in doc else "is missing"
-            raise CorruptBlob(f"{path}: {m!r} {found}, not a {getattr(kind, '__name__', kind)}")
+            raise CorruptBlob(f"{where}: {m!r} {found}, not a {getattr(kind, '__name__', kind)}")
     return doc
+
+
+def read_json_object(path, **members: type) -> dict:
+    """The JSON object in `path`, whose named members hold the given types (_json_members)."""
+    return _json_members(_read_json(path), path, **members)
 
 
 def save_labels(labels, path) -> None:
@@ -496,8 +527,7 @@ def save_labels(labels, path) -> None:
 def load_labels(path) -> list[int]:
     """The JSON array of integers in `path`; CorruptBlob, naming the file, when
     it holds any other JSON value."""
-    with open(path) as fh:
-        labels = json.load(fh)
+    labels = _read_json(path)
     if not isinstance(labels, list) or not all(type(x) is int for x in labels):
         raise CorruptBlob(f"{path} holds no JSON array of integers")
     return labels

@@ -392,6 +392,57 @@ class TestExitCodes:
         (model / "weights.bin").write_bytes((root / which / "weights.bin").read_bytes())
         assert main([a.format(root=root, model=model, out=d) for a in command]) in (2, 3)
 
+    @pytest.mark.parametrize("command, broken, text", [
+        ("analyze", "calib.json", '{"image_count": 4, "nod'),
+        ("evaluate", "labels.json", "[1, 2"),
+        ("top1", "labels.json", "[1, 2"),
+    ])
+    def test_malformed_json_is_3_naming_the_file(self, corruptible_runs, tmp_path, capsys, command, broken,
+                                                 text):
+        """A JSON file cut short fails as a data error that names the file,
+        not as a bare parse error."""
+        root, _ = corruptible_runs["mininet", "model"]
+        (tmp_path / broken).write_text(text)
+        calib = tmp_path if broken == "calib.json" else root
+        labels = tmp_path if broken == "labels.json" else root
+        argv = {"analyze": ["analyze", "--model", root / "model", "--calib", calib / "calib.json",
+                            "--method", "in-order", "--out-list", tmp_path / "list.txt"],
+                "evaluate": ["evaluate", "--model", root / "q60/model", "--ref-model", root / "model",
+                             "--images", root / "eval_images.bin", "--labels", labels / "labels.json",
+                             "--out", tmp_path / "report.json"],
+                "top1": ["analyze", "--model", root / "model", "--calib", calib / "calib.json",
+                         "--method", "top1", "--images", root / "eval_images.bin",
+                         "--labels", labels / "labels.json", "--out-list", tmp_path / "list.txt"]}[command]
+        assert main([str(a) for a in argv]) == 3
+        assert str(tmp_path / broken) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda m: m["blobs"]["fc.weight"].update(shape="abc"), "blob 'fc.weight': 'shape' holds a str"),
+        (lambda m: m.update(nodes={"a": 1}), "'nodes' holds a dict"),
+        (lambda m: m["blobs"]["fc.weight"].pop("shape"), "blob 'fc.weight': 'shape' is missing"),
+        (lambda m: m["nodes"][1]["weights"]["weight"].pop("blob"),
+         "node 1: weight 'weight': 'blob' is missing"),
+        (lambda m: m["nodes"][1].pop("kind"), "node 1: 'kind' is missing"),
+        (lambda m: m.update(name=[1]), "'name' holds a list"),
+    ], ids=["shape-not-a-list", "nodes-not-a-list", "blob-without-shape", "weight-without-blob",
+            "node-without-kind", "name-not-a-string"])
+    def test_malformed_manifest_record_is_3_naming_the_manifest(self, corruptible_runs, tmp_path, capsys,
+                                                                edit, says):
+        """A manifest record of the wrong JSON type, or without a member that
+        load_model reads, fails as a data error naming manifest.json and the
+        record, never as a TypeError."""
+        root, _ = corruptible_runs["mininet", "model"]
+        manifest = json.loads((root / "model/manifest.json").read_text())
+        edit(manifest)
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        (model / "weights.bin").write_bytes((root / "model/weights.bin").read_bytes())
+        assert main(["calibrate", "--model", str(model), "--images", str(root / "calib_images.bin"),
+                     "--out", str(tmp_path / "calib.json")]) == 3
+        assert f"{model / 'manifest.json'}: {says}" in capsys.readouterr().err
+        assert not (tmp_path / "calib.json").exists()
+
     def test_ok_is_0(self, tmp_path):
         assert main(["synth", "--arch", "mininet", "--seed", "1", "--calib-count", "2",
                      "--eval-count", "2", "--out-dir", str(tmp_path / "m")]) == 0

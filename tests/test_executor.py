@@ -162,6 +162,41 @@ class TestFp32Kernels:
 
 
 class TestGraphExecution:
+    def test_fused_relu_writes_only_values_its_step_made(self):
+        """An FP32 Flatten and a Gemm, each with a fused ReLU, over a batch
+        that is a slice of the caller's images, the Input observed: the images
+        and the observed input keep their bits, and each fused output has the
+        bits of an out-of-place ReLU node's, signed zeros included."""
+        rng = np.random.default_rng(3)
+        images = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
+        images.flat[::5], images.flat[1::7] = -0.0, 0.0
+        wt = rng.standard_normal((4, 18)).astype(np.float32)
+        wt[0] = 0.0  # its output is the bias alone
+        bias = np.array([-0.0, 0.5, -0.5, 0.0], np.float32)
+
+        def graph(fused):
+            g = Graph("relu")
+            g.add(Node("input", "Input", attrs={"shape": [2, 3, 3]}))
+            g.add(Node("flat", "Flatten", ["input"], attrs={"fused_relu": fused}))
+            if not fused:
+                g.add(Node("r1", "ReLU", ["flat"]))
+            g.add(Node("fc", "Gemm", ["flat" if fused else "r1"], attrs={"fused_relu": fused},
+                       weights={"weight": Tensor(wt), "bias": Tensor(bias)}))
+            if not fused:
+                g.add(Node("r2", "ReLU", ["fc"]))
+            g.add(Node("output", "Output", ["fc" if fused else "r2"]))
+            return g
+
+        before = images.copy()
+        batch = Tensor.f32(images[1:3])
+        assert np.shares_memory(batch.data, images)
+        _, got = observed(Executor().run_fp32, graph(True), batch, ["input", "flat", "fc"])
+        assert images.tobytes() == before.tobytes()
+        assert got["input"].data.tobytes() == before[1:3].tobytes()
+        _, want = observed(Executor().run_fp32, graph(False), Tensor.f32(before[1:3]), ["r1", "r2"])
+        assert got["flat"].data.tobytes() == want["r1"].data.tobytes()
+        assert got["fc"].data.tobytes() == want["r2"].data.tobytes()
+
     def test_mininet_golden(self, mininet):
         y = run_f32(mininet, mq.gen_images(1, (3, 16, 16), 123))
         np.testing.assert_allclose(y.data.ravel(), MININET_GOLDEN, rtol=1e-6, atol=1e-7)
@@ -568,6 +603,53 @@ class TestVectorizedFp32Kernels:
         got, oh, ow = _im2col(x, kh, kw, (sh, sw), (ph, pw))
         assert (oh, ow) == (w_oh, w_ow) and got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # the geometry made for this per-image shape serves every batch size
+        for j in range(n):
+            assert _im2col(x[j:j + 1], kh, kw, (sh, sw), (ph, pw))[0].tobytes() == want[j:j + 1].tobytes()
+
+    @given(st.sampled_from(["Conv2d", "DepthwiseConv2d", "Gemm", "AvgPool"]), st.booleans(),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(1, 2), st.integers(0, 2),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_bound_step_keeps_batch1_bits_at_batch_1_then_3_then_1(self, kind, int8, kh, kw, sh, sw, pad,
+                                                                    seed):
+        """One graph, so one bound step, run on image 0, then images 0-2,
+        then each image alone: every image keeps its batch-1 bits."""
+        rng = np.random.default_rng(seed)
+        c, h, w = 1 + seed % 3, kh + 2 + seed % 4, kw + 1 + seed % 5
+        if kind == "AvgPool":  # a pool's padding stays below its kernel
+            attrs = {"kernel": [kh, kw], "stride": [sh, sw], "padding": min(pad, kh - 1, kw - 1)}
+            weights = {}
+        else:
+            attrs = {"stride": [sh, sw], "padding": pad}
+            w_shape = {"Conv2d": (2, c, kh, kw), "DepthwiseConv2d": (c, 1, kh, kw),
+                       "Gemm": (3, c * h * w)}[kind]
+            wt = rng.standard_normal(w_shape).astype(np.float32)
+            if int8:
+                wt = Tensor(np.round(wt * 40).astype(np.int8), QuantParams(0.025, 0, symmetric=True))
+            weights = {"weight": wt if int8 else Tensor(wt),
+                       "bias": Tensor(rng.standard_normal(w_shape[0]).astype(np.float32))}
+        in_shape = [c * h * w] if kind == "Gemm" else [c, h, w]
+        if int8:
+            attrs["out_qparams"] = QuantParams(0.05, 3)
+        g = Graph("step")
+        g.add(Node("input", "Input", attrs={"shape": in_shape}))
+        g.add(Node("op", kind, ["input"], weights=weights, attrs=attrs, precision=8 if int8 else 32))
+        g.add(Node("output", "Output", ["op"]))
+        x = rng.standard_normal((3, *in_shape)).astype(np.float32)
+
+        def feed(a):  # int8 input codes at step 0.02, zero point -5
+            if not int8:
+                return Tensor.f32(a)
+            return Tensor(np.clip(np.round(a / 0.02) - 5, -128, 127).astype(np.int8), QuantParams(0.02, -5))
+
+        ex = Executor()
+        run = ex.run_quantized if int8 else ex.run_fp32
+        first = run(g, feed(x[:1])).data
+        batch = run(g, feed(x)).data
+        assert first.tobytes() == batch[:1].tobytes()
+        for j in range(3):
+            assert run(g, feed(x[j:j + 1])).data.tobytes() == batch[j:j + 1].tobytes(), j
 
     def test_depthwise_rejects_channel_multiplier(self):
         g = Graph("dw")
