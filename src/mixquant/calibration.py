@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCalibrationSet, EmptyProfile, MissingCalibration, NonFiniteValue
+from .errors import CorruptBlob, EmptyCalibrationSet, EmptyProfile, MissingCalibration, NonFiniteValue
 from .ir import Graph, QuantParams, Tensor, round_half_away
-from .model_io import read_json_object
+from .model_io import _json_members, read_json_object
 
 
 class RangeProfile:
@@ -56,12 +56,14 @@ class RangeProfile:
 
     @classmethod
     def from_json(cls, d: dict) -> "RangeProfile":
-        """The record `to_json` writes; ValueError for a negative count, or for
+        """The record `to_json` writes; CorruptBlob for members of other JSON
+        types (a count that is no int), ValueError for a negative count, or for
         values counted without a finite min <= max."""
+        _json_members(d, "range record", min=int | float | None, max=int | float | None, total=int)
         r = cls()
-        r.total = int(d["total"])
-        r.min = math.inf if d["min"] is None else float(d["min"])
-        r.max = -math.inf if d["max"] is None else float(d["max"])
+        r.total = d["total"]
+        r.min = math.inf if d.get("min") is None else float(d["min"])
+        r.max = -math.inf if d.get("max") is None else float(d["max"])
         if r.total < 0 or r.total and not -math.inf < r.min <= r.max < math.inf:
             raise ValueError(f"min {r.min}, max {r.max} and total {r.total} are not a range")
         return r
@@ -104,8 +106,8 @@ class CalibrationProfile:
         for nid, d in doc["nodes"].items():
             try:
                 prof.profiles[nid] = RangeProfile.from_json(d)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MissingCalibration(f"{path}: node {nid!r} records no range: {exc}") from None
+            except (CorruptBlob, ValueError) as exc:
+                raise MissingCalibration(f"{path}: node {nid!r}: {exc}") from None
         return prof
 
 

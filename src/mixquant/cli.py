@@ -54,6 +54,11 @@ from .sensitivity import (
 METHODS = {"delta-mixup": "delta_mixup", "in-order": "in_order",
            "weight-sqnr": "weight_sqnr", "top1": "top1"}
 
+# member types of the run that quantize records in q<T>/meta.json and
+# evaluate copies into its report
+_NUMBER = int | float
+_RUN = {"method": str | None, "target_reduction_pct": _NUMBER | None}
+
 
 def _sha256(*paths) -> str:
     h = hashlib.sha256()
@@ -250,7 +255,7 @@ def cmd_evaluate(args) -> int:
         "images": _sha256(args.images),
     }
     meta_path = Path(args.model).parent / "meta.json"
-    run = model_io.read_json_object(meta_path) if meta_path.exists() else None
+    run = model_io.read_json_object(meta_path, **_RUN) if meta_path.exists() else None
     _check_provenance((run or {}).get("model_digest"), digests["ref_model"],
                       f"{args.model} was quantized from another model than --ref-model {args.ref_model}")
     ref = load_reference(reference_path(args.images), {
@@ -291,9 +296,13 @@ def cmd_report(args) -> int:
     rows, models, pairs = [], set(), set()
     for path in args.runs:
         doc = model_io.read_json_object(_require(path, "evaluate"), bops=dict, digests=dict | None,
-                                        run=dict | None)
-        run = doc.get("run") or {}
-        models.add((doc.get("digests") or {}).get("ref_model"))
+                                        run=dict | None, accuracy=_NUMBER, final_logit_sqnr_db=_NUMBER,
+                                        qdq_count=int)
+        model_io._json_members(doc["bops"], path, normalized_reduction_pct=_NUMBER,
+                               literal_reduction_pct=_NUMBER)
+        run = model_io._json_members(doc.get("run") or {}, path, **_RUN)
+        digests = model_io._json_members(doc.get("digests") or {}, path, ref_model=str | None)
+        models.add(digests.get("ref_model"))
         if len(models - {None}) > 1:
             raise ProvenanceMismatch(f"{path} was evaluated against another FP32 model than "
                                      f"the runs before it")
@@ -302,7 +311,7 @@ def cmd_report(args) -> int:
             raise ProvenanceMismatch(f"{path} repeats method {pair[0]} at target {pair[1]}")
         pairs.add(pair)
         rows.append({
-            "method": run.get("method", "unknown"),
+            "method": run.get("method") or "unknown",
             "target_reduction_pct": run.get("target_reduction_pct", ""),
             "normalized_reduction_pct": doc["bops"]["normalized_reduction_pct"],
             "literal_reduction_pct": doc["bops"]["literal_reduction_pct"],

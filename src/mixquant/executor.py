@@ -41,20 +41,19 @@ before the step's last reads are freed. A consumer that folds or scores a
 value as it comes holds nothing beyond the pass's own values; one that keeps
 it holds it as it came.
 
-A graph's program, a WeakKeyDictionary entry that dies with the graph, holds
-the wiring it was made for (the ((node id, input ids), ...) tuple), the
-graph's shapes at batch 1, its plans, one per set of given ids, and its steps,
-each node bound on first use. A pass over a rewired graph, or one with an
-added node, makes the program again; a node's attrs, weights and precision
-must not change in place once bound. Checked once per wiring: shapes and
-windows (infer_shapes), the graph checks of run_fp32 (an int8 node) and of
-every pass (a missing `out_qparams`, then each operand's dtype: codes read as
-floats or floats as codes), and binding's (negative variance, an unsupported
-int8 kind, an unquantized weight, MAX_EXACT_K). Binding also parses each
-window into pairs and casts an int8 weighted node's weight to its kernel's
-dtype (a float copy held while the graph lives); its bias in accumulator
-units is kept per input qparams. Steps and kernels check nothing. Checked on
-every pass: the input's and each given value's shape and kind (codes or float).
+A graph's program, made on its first pass and kept in the graph's memo, holds
+its shapes at batch 1, its plans, one per set of given ids, and its steps, each
+node bound on first use. Once a graph is used its nodes do not change;
+`Graph.add`, the one change allowed, empties the memo. Checked once per
+program: shapes and windows (infer_shapes), the graph checks of run_fp32 (an
+int8 node) and of every pass (a missing `out_qparams`, then each operand's
+dtype: codes read as floats or floats as codes), and binding's (negative
+variance, an unsupported int8 kind, an unquantized weight, MAX_EXACT_K).
+Binding also parses each window into pairs and casts an int8 weighted node's
+weight to its kernel's dtype (a float copy held while the graph lives); its
+bias in accumulator units is kept per input qparams. Steps and kernels check
+nothing. Checked on every pass: the input's and each given value's shape and
+kind (codes or float).
 
 An FP32 pass can pause just before chosen steps and hand a callable the values
 live there. A quantized pass can resume from such values: `given` maps node
@@ -84,7 +83,6 @@ callers can verify how many inferences an analysis actually performed.
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Callable, Iterable
 from functools import lru_cache
 
@@ -98,7 +96,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .ir import (QUANTIZABLE_KINDS, WEIGHTED_KINDS, Graph, Node, QuantParams, Tensor, _conv_out_hw,
-                 _reads_codes, _topo_order, _window, _wiring, _writes_codes, infer_shapes, round_half_away)
+                 _reads_codes, _window, _writes_codes, infer_shapes, round_half_away, topo_sort)
 from .quantizer import _requantize, dequantize, quantize_affine
 
 # Largest multiply-add counts per output for which float64 and float32
@@ -293,13 +291,11 @@ _KERNELS = {
 # ---------------------------------------------------------------------------
 # execution plan and activation budget
 
-def _plan_of(edges: tuple[tuple[str, tuple[str, ...]], ...],
+def _plan_of(order: list[str], inputs: dict[str, list[str]],
              given: frozenset[str]) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    inputs = dict(edges)
-    order = _topo_order(edges)
     # walked backwards, each node comes after its readers: it runs when it is
     # not given and is a sink (the Output) or read by a node that runs
-    read = {src for _, srcs in edges for src in srcs}
+    read = {src for srcs in inputs.values() for src in srcs}
     needed = {nid for nid in order if nid not in read}
     runs = []
     for nid in reversed(order):
@@ -429,7 +425,7 @@ def _bind(node: Node):
     """The node's step, step(pass input, operand tensors) -> output tensor.
     What depends on the node alone is read and checked here, once. A step
     trusts its operands to be codes or floats as the node reads them, which
-    the program checks once per wiring."""
+    the program checks once."""
     kind, nid = node.kind, node.id
     if kind == "Input":
         return lambda inp, ins: inp
@@ -505,16 +501,18 @@ def _bind(node: Node):
 
 
 class _Program:
-    """A graph's wiring, shapes at batch 1, plans by given-id set, steps
-    (node id -> (node, step), bound on first use), `peaks` (node id -> its
-    step's peak bytes per image, on first use), `codes` (node id -> whether
-    its value holds int8 codes) and the graph checks a pass makes: `not_fp32`,
-    `unquantized` (a code writer without `out_qparams`) and `miswired` (the
-    first (value, reader) edge that disagrees). It holds the graph's nodes but
-    not the graph."""
+    """A graph's order, inputs by node id and shapes at batch 1, plans by
+    given-id set, steps (node id -> (node, step), bound on first use),
+    `peaks` (node id -> its step's peak bytes per image, on first use),
+    `codes` (node id -> whether its value holds int8 codes) and the graph
+    checks a pass makes: `not_fp32`, `unquantized` (a code writer without
+    `out_qparams`) and `miswired` (the first (value, reader) edge that
+    disagrees). It holds the graph's nodes but not the graph, whose memo
+    holds it."""
 
-    def __init__(self, graph: Graph, wiring: tuple):
-        self.wiring, self.shapes = wiring, infer_shapes(graph)
+    def __init__(self, graph: Graph):
+        self.order, self.shapes = topo_sort(graph), infer_shapes(graph)
+        self.inputs = {n.id: n.inputs for n in graph.nodes}
         self.input, self.output = graph.input_node.id, graph.output_node.id
         self.plans, self.steps, self.peaks = {}, {}, {}
         self.not_fp32 = next((n.id for n in graph.nodes if n.precision != 32), None)
@@ -529,21 +527,15 @@ class _Program:
 
     def plan(self, given: Iterable[str]) -> tuple[tuple[str, tuple[str, ...]], ...]:
         key = frozenset(given)
-        return self.plans.get(key) or self.plans.setdefault(key, _plan_of(self.wiring, key))
+        return self.plans.get(key) or self.plans.setdefault(key, _plan_of(self.order, self.inputs, key))
 
 
 _HOLDS = {True: "int8 codes", False: "float"}
 
-# graph -> its program; an entry dies with its graph
-_PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 def _program(graph: Graph) -> _Program:
-    """The graph's program, made again when the graph's wiring has changed."""
-    wiring, program = _wiring(graph), _PROGRAMS.get(graph)
-    if program is None or program.wiring != wiring:
-        program = _PROGRAMS[graph] = _Program(graph, wiring)
-    return program
+    """The graph's program, made on first use and kept in its memo."""
+    return graph.derived("program", _Program)
 
 
 class Executor:

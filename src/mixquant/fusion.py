@@ -18,12 +18,11 @@ calibration profiles gathered on the unfused graph stay valid after fusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonPositiveVariance
-from .ir import Graph, Node, QUANTIZABLE_KINDS, Tensor, _topo_order, _wiring, topo_sort
+from .ir import Graph, Node, QUANTIZABLE_KINDS, Tensor, topo_sort
 
 _CONV_KINDS = ("Conv2d", "DepthwiseConv2d")
 
@@ -40,27 +39,29 @@ class FusionGroup:
     members: tuple[str, ...]
 
 
-def _consumer_index(edges: tuple[tuple[str, tuple[str, ...]], ...]) -> dict[str, list[str]]:
+def _consumer_index(graph: Graph) -> dict[str, list[str]]:
     """node id -> ids of the distinct nodes that read it, in node order."""
-    index: dict[str, list[str]] = {nid: [] for nid, _ in edges}
-    for nid, inputs in edges:
-        for src in dict.fromkeys(inputs):
-            index[src].append(nid)
+    index: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    for n in graph.nodes:
+        for src in dict.fromkeys(n.inputs):
+            index[src].append(n.id)
     return index
 
 
 def discover_fusion_groups(graph: Graph) -> tuple[FusionGroup, ...]:
     """Partition the quantizable nodes into fusion groups, anchors in topo
-    order. Cached by what the partition reads: ((id, kind, input ids), ...)."""
-    return _groups_of(tuple((n.id, n.kind, tuple(n.inputs)) for n in graph.nodes))
+    order; made once per graph."""
+    return graph.derived("groups", _groups_of)
 
 
-@lru_cache(maxsize=256)
-def _groups_of(structure: tuple[tuple[str, str, tuple[str, ...]], ...]) -> tuple[FusionGroup, ...]:
-    kind = {nid: k for nid, k, _ in structure}
-    edges = tuple((nid, inputs) for nid, _, inputs in structure)
-    order = _topo_order(edges)
-    consumers = _consumer_index(edges)
+def _group_of(graph: Graph) -> dict[str, FusionGroup]:
+    """member id -> its fusion group; made once per graph."""
+    return graph.derived("group_of", lambda g: {m: grp for grp in discover_fusion_groups(g) for m in grp.members})
+
+
+def _groups_of(graph: Graph) -> tuple[FusionGroup, ...]:
+    order, consumers = topo_sort(graph), _consumer_index(graph)
+    kind = {n.id: n.kind for n in graph.nodes}
     taken: set[str] = set()
     groups: list[FusionGroup] = []
 
@@ -95,7 +96,7 @@ def _fold_into_convs(graph: Graph, kind: str, fold) -> Graph:
     conv from then on, so a chain such as conv -> BN -> BN folds completely.
     Nodes keep their order; folded ones are dropped.
     """
-    consumer_count = {nid: len(ids) for nid, ids in _consumer_index(_wiring(graph)).items()}
+    consumer_count = {nid: len(ids) for nid, ids in _consumer_index(graph).items()}
     convs: dict[str, Node] = {}   # conv id -> conv with every fold so far
     rename: dict[str, str] = {}   # folded node id -> conv id
     for nid in topo_sort(graph):

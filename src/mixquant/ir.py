@@ -1,10 +1,11 @@
 """Core graph IR: tensors, quantization parameters, nodes, and graph passes.
 
-The IR is a flat DAG of typed operator nodes. Graphs are treated as immutable
-once built: every transform copies, rewires, and returns a new Graph. Node
-insertion order is significant: it is the tie-break for topological sorting,
-which keeps every downstream artifact (sensitivity lists, Q-DQ placement)
-reproducible across runs.
+The IR is a flat DAG of typed operator nodes. Once a graph is used its nodes do
+not change: transforms copy, rewire and return a new Graph, and what is derived
+from a graph is made once into its memo, which `Graph.add`, the one change
+allowed, empties. Node insertion order is the tie-break for topological
+sorting, which keeps every downstream artifact (sensitivity lists, Q-DQ
+placement) reproducible across runs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -151,12 +151,14 @@ class Node:
 
 
 class Graph:
-    """An ordered DAG of nodes; edges are implied by Node.inputs."""
+    """An ordered DAG of nodes; edges are implied by Node.inputs. `memo` holds
+    what `derived` made from them; a copy starts with an empty one."""
 
     def __init__(self, name: str = "graph", nodes: list[Node] | None = None):
         self.name = name
         self.nodes: list[Node] = []
         self._by_id: dict[str, Node] = {}
+        self.memo: dict = {}
         for n in nodes or []:
             self.add(n)
 
@@ -165,7 +167,13 @@ class Graph:
             raise InvariantViolation(f"duplicate node id {node.id!r}")
         self.nodes.append(node)
         self._by_id[node.id] = node
+        self.memo.clear()
         return node
+
+    def derived(self, key: str, make):
+        """memo[key], made by make(self) on first use."""
+        memo = self.memo
+        return memo[key] if key in memo else memo.setdefault(key, make(self))
 
     def node(self, node_id: str) -> Node:
         try:
@@ -200,23 +208,17 @@ class Graph:
         topo_sort(self)  # raises UnknownNode and CycleDetected
 
 
-def _wiring(graph: Graph) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """The graph's edges as ((node id, input ids), ...) in insertion order."""
-    return tuple((n.id, tuple(n.inputs)) for n in graph.nodes)
-
-
 def topo_sort(graph: Graph) -> list[str]:
     """Topological order of node ids, deterministic.
 
     Kahn's algorithm; among simultaneously-ready nodes the one inserted first
     wins, so repeated runs (and reruns of the whole pipeline) agree exactly.
-    The order is cached by the wiring, as the executor's plan is.
+    The order is made once per graph.
     """
-    return list(_topo_order(_wiring(graph)))
+    return list(graph.derived("order", lambda g: _topo_order([(n.id, n.inputs) for n in g.nodes])))
 
 
-@lru_cache(maxsize=256)
-def _topo_order(edges: tuple[tuple[str, tuple[str, ...]], ...]) -> tuple[str, ...]:
+def _topo_order(edges) -> tuple[str, ...]:
     order_idx = {nid: i for i, (nid, _) in enumerate(edges)}
     indeg = dict.fromkeys(order_idx, 0)
     out_edges: dict[str, list[str]] = {nid: [] for nid in order_idx}

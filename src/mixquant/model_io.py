@@ -505,13 +505,17 @@ def _read_json(path):
 
 def _json_members(doc, where, **members: type) -> dict:
     """`doc`, a JSON object whose named members hold the given types (a type that admits
-    None lets its member be missing); else CorruptBlob naming `where`."""
+    None lets its member be missing; true and false are no number, and a number is
+    finite); else CorruptBlob naming `where`."""
     if not isinstance(doc, dict):
         raise CorruptBlob(f"{where} holds a {type(doc).__name__}, not a JSON object")
     for m, kind in members.items():
-        if not isinstance(doc.get(m), kind):
-            found = f"holds a {type(doc[m]).__name__}" if m in doc else "is missing"
+        v = doc.get(m)
+        if type(v) is bool or not isinstance(v, kind):
+            found = f"holds a {type(v).__name__}" if m in doc else "is missing"
             raise CorruptBlob(f"{where}: {m!r} {found}, not a {getattr(kind, '__name__', kind)}")
+        if type(v) is float and not math.isfinite(v):
+            raise CorruptBlob(f"{where}: {m!r} holds {v}, not a finite number")
     return doc
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .calibration import CalibrationProfile, activation_qparams, weight_qparams
 from .errors import AlreadyQuantized, UnknownNodeInList
-from .fusion import discover_fusion_groups
+from .fusion import _group_of
 from .ir import (
     Graph,
     Node,
@@ -78,7 +78,7 @@ def expand_to_groups(graph: Graph, node_ids) -> list[str]:
     stage may name members (e.g. a folded BatchNorm) that no longer exist at
     the application stage.
     """
-    member_of = {m: g for g in discover_fusion_groups(graph) for m in g.members}
+    member_of = _group_of(graph)
     out: list[str] = []
     seen: set[str] = set()
     for nid in node_ids:
@@ -160,7 +160,7 @@ def select_dequant_set(sens_list, graph: Graph, target_reduction_pct: float) -> 
     macs = macs_by_node(graph)
     report = bops(graph, {n.id: 8 for n in graph.nodes if n.kind in QUANTIZABLE_KINDS}, macs=macs)
     config = report.bops_int8
-    member_of = {m: g for g in discover_fusion_groups(graph) for m in g.members}
+    member_of = _group_of(graph)
     chosen: dict[str, None] = {}  # kept in order, looked up in O(1)
     for nid in getattr(sens_list, "ids", sens_list):
         if _normalized(report.bops_fp32, report.bops_int8, config) <= target_reduction_pct:

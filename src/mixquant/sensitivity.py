@@ -32,7 +32,7 @@ import numpy as np
 from .calibration import CalibrationProfile, weight_qparams
 from .errors import CorruptBlob, EmptyImageBatch, KeyMismatch, MissingLabels, ShapeMismatch
 from .executor import Executor, batch_size, image_batches, live_before
-from .fusion import discover_fusion_groups
+from .fusion import _group_of, discover_fusion_groups
 from .ir import Graph, Node, QUANTIZABLE_KINDS, Tensor, WEIGHTED_KINDS, topo_sort
 from .metrics import SENTINEL_DB, cosine_similarity, kl_divergence, row_powers, sqnr_db, sqnr_delta
 from .model_io import read_json_object
@@ -129,7 +129,7 @@ def rank_layers_by_sensitivity(deltas_w: dict[str, float], deltas_a: dict[str, f
 def _group_adjusted(graph: Graph, ranked: list[str]) -> list[str]:
     """Make fusion-group members contiguous behind their anchor; a group sits
     at its anchor's rank and members inherit the adjacent positions."""
-    member_of = {m: g for g in discover_fusion_groups(graph) for m in g.members}
+    member_of = _group_of(graph)
     return [m for nid in ranked if member_of[nid].anchor == nid for m in member_of[nid].members]
 
 

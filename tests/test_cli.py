@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import shutil
 import struct
 from pathlib import Path
@@ -896,6 +898,19 @@ QUANTIZE = ["quantize", "--model", "{d}/model", "--calib", "{d}/calib.json", "--
 EVALUATE = ["evaluate", "--model", "{d}/q40/model", "--ref-model", "{d}/model", "--images",
             "{d}/eval_images.bin", "--labels", "{d}/labels.json", "--out", "{d}/new.json"]
 REPORT = ["report", "--runs", "{d}/report40.json", "--out", "{d}/new.csv"]
+REPORT_TWO = ["report", "--runs", "{d}/report40.json", "{d}/report80.json", "--out", "{d}/new.csv"]
+
+
+def set_member(*keys, value):
+    """An edit that sets the member at a path of keys and returns the document."""
+    def edit(doc):
+        parent = doc
+        for k in keys[:-1]:
+            parent = parent[k]
+        parent[keys[-1]] = value
+        return doc
+    return edit
+
 
 # (artifact, edit of its parsed JSON returning the document to write, command that reads it)
 MALFORMED = {
@@ -907,21 +922,36 @@ MALFORMED = {
     "calib-list": ("calib.json", lambda d: [d], ANALYZE),
     "calib-image-count-list": ("calib.json", lambda d: {**d, "image_count": [1]}, ANALYZE),
     "calib-no-nodes": ("calib.json", lambda d: {k: v for k, v in d.items() if k != "nodes"}, ANALYZE),
+    "calib-total-inf": ("calib.json", lambda d: first_record(d).update(total=float("inf")) or d, QUANTIZE),
+    "calib-total-float": ("calib.json", lambda d: first_record(d).update(total=1.5) or d, ANALYZE),
+    "calib-total-bool": ("calib.json", lambda d: first_record(d).update(total=True) or d, ANALYZE),
     "list-meta-list": ("sensitivity.txt.meta.json", lambda d: [d], QUANTIZE),
     "list-meta-mixup-int": ("sensitivity.txt.meta.json", lambda d: {**d, "mixup": 5}, QUANTIZE),
     "list-meta-mixup-three": ("sensitivity.txt.meta.json", lambda d: {**d, "mixup": [0.5, 0.3, 0.2]}, QUANTIZE),
     "run-meta-empty-list": ("q40/meta.json", lambda d: [], EVALUATE),
+    "run-meta-target-str": ("q40/meta.json", set_member("target_reduction_pct", value="x"), EVALUATE),
+    "run-meta-target-list": ("q40/meta.json", set_member("target_reduction_pct", value=[1]), EVALUATE),
     "out-qparams-step-infinity": ("q40/model/manifest.json",
                                   lambda d: first_out_qparams(d).update(step=float("inf")) or d, EVALUATE),
     "runs-list": ("report40.json", lambda d: [d], REPORT),
     "bops-list": ("report40.json", lambda d: {**d, "bops": list(d["bops"].values())}, REPORT),
     "no-bops": ("report40.json", lambda d: {k: v for k, v in d.items() if k != "bops"}, REPORT),
+    "ref-model-list": ("report40.json", set_member("digests", "ref_model", value=["x"]), REPORT),
+    "method-object": ("report40.json", set_member("run", "method", value={}), REPORT),
+    "target-list": ("report40.json", set_member("run", "target_reduction_pct", value=[40]), REPORT),
+    "normalized-str-of-two": ("report80.json", set_member("bops", "normalized_reduction_pct", value="x"),
+                              REPORT_TWO),
+    "accuracy-str": ("report40.json", set_member("accuracy", value="x"), REPORT),
+    "sqnr-nan": ("report40.json", set_member("final_logit_sqnr_db", value=float("nan")), REPORT),
+    "qdq-count-infinity": ("report40.json", set_member("qdq_count", value=float("inf")), REPORT),
+    "accuracy-null": ("report40.json", set_member("accuracy", value=None), REPORT),
 }
 
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
-    return run_pipeline(tmp_path_factory.mktemp("run"), method="in-order", calib_count=4, eval_count=4)
+    return run_pipeline(tmp_path_factory.mktemp("run"), method="in-order", targets="40,80",
+                        calib_count=4, eval_count=4)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -959,6 +989,98 @@ def test_labels_not_integers_are_3(pipeline_run, tmp_path, capsys, labels, comma
     assert main([a.format(d=d) for a in command]) == 3
     assert str(d / "labels.json") in capsys.readouterr().err
     assert not (d / "new.json").exists() and not (d / "new.txt").exists()
+
+
+# The fuzz sweep: in each JSON artifact of one real run, each listed member is
+# replaced by each of these values in turn, or deleted, and the file is also
+# cut to 1 byte and to half its length.
+FUZZ_VALUES = (None, [], {}, "x", -1, 1.5, float("inf"), float("nan"), True, 1e30)
+DELETED = object()
+
+
+def record_members(doc, key, count):
+    """Paths to each member of the first `count` records under doc[key], a list or an object."""
+    records = doc[key]
+    keys = range(count) if isinstance(records, list) else list(records)[:count]
+    return [(key, k, m) for k in keys for m in records[k]]
+
+
+def top_members(doc):
+    return [(k,) for k in doc]
+
+
+# artifact -> (the command that reads it, the member paths to mutate)
+FUZZ = {
+    "calib.json": (QUANTIZE, lambda d: [*top_members(d), ("nodes", next(iter(d["nodes"]))),
+                                        *record_members(d, "nodes", 1)]),
+    "sensitivity.txt.meta.json": (QUANTIZE, top_members),
+    "q40/meta.json": (EVALUATE, top_members),
+    "q40/model/manifest.json": (EVALUATE, lambda d: record_members(d, "nodes", 3) + record_members(d, "blobs", 3)),
+    "report40.json": (REPORT, lambda d: top_members(d) + [(k, m) for k in ("bops", "digests", "run")
+                                                          for m in d[k]]),
+    "labels.json": (EVALUATE, lambda d: [(0,)]),
+}
+
+
+def fuzz_cases(original: bytes, paths) -> dict[str, bytes]:
+    """Each mutation of a JSON artifact, by name, as the bytes to write."""
+    cases = {"cut to 1 byte": original[:1], "cut to half": original[:len(original) // 2]}
+    for path in paths(json.loads(original)):
+        for value in (*FUZZ_VALUES, DELETED):
+            doc = json.loads(original)
+            parent = doc
+            for k in path[:-1]:
+                parent = parent[k]
+            if value is DELETED:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            cases[f"{path} {'deleted' if value is DELETED else json.dumps(value)}"] = json.dumps(doc).encode()
+    return cases
+
+
+def only_finite_numbers(csv_path) -> bool:
+    """Every cell of a report's CSV but its method is empty or a finite number."""
+    try:
+        return all(cell == "" or math.isfinite(float(cell)) for row in csv.DictReader(Path(csv_path).read_text().splitlines())
+                   for col, cell in row.items() if col != "method")
+    except ValueError:
+        return False
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """One mininet run whose sensitivity list records no calib digest, so that
+    quantize gets past provenance with an edited calib.json."""
+    return run_pipeline(tmp_path_factory.mktemp("fuzz"), seed=1, method="in-order", calib_count=4,
+                        eval_count=8)
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ))
+def test_fuzzed_artifact_exits_0_2_3_or_4(fuzz_run, capsys, name):
+    """Every mutation of one artifact of a real mininet run: the command that
+    reads it exits 0, 2, 3 or 4, never with a traceback, and a report that
+    exits 0 has written only finite numbers."""
+    command, paths = FUZZ[name]
+    d, path = fuzz_run, fuzz_run / name
+    original = path.read_bytes()
+    bad = []
+    try:
+        for case, data in fuzz_cases(original, paths).items():
+            path.write_bytes(data)
+            try:
+                code = main([a.format(d=d) for a in command])
+            except Exception as exc:  # what would exit 1
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3, 4) or code == 0 and command is REPORT and not only_finite_numbers(d / "new.csv"):
+                bad.append((case, code))
+            shutil.rmtree(d / "new", ignore_errors=True)
+            for out in ("new.json", "new.csv"):
+                (d / out).unlink(missing_ok=True)
+    finally:
+        path.write_bytes(original)
+    capsys.readouterr()
+    assert not bad
 
 
 class TestAnalyzeDiagnostics:

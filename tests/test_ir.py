@@ -100,17 +100,18 @@ class TestTopoSort:
         with pytest.raises(CycleDetected, match="node '[xy]' lies on a cycle"):
             mq.topo_sort(g)
 
-    def test_each_wiring_is_ordered_once(self):
+    def test_each_graph_is_ordered_once(self, monkeypatch):
         """topo_sort, the executor's plan and fusion-group discovery share one
-        cached order per wiring."""
-        from mixquant.ir import _topo_order
+        order per graph, kept in its memo; a copy orders its own."""
+        from mixquant import ir
+        calls, order = [], ir._topo_order
+        monkeypatch.setattr(ir, "_topo_order", lambda edges: (calls.append(len(edges)), order(edges))[1])
         g = mq.gen_synthetic("mini_resnet", 5)
-        _topo_order.cache_clear()
-        run_f32(g, mq.gen_images(1, (3, 16, 16), 1))
-        mq.topo_sort(g)
-        mq.discover_fusion_groups(g)
-        info = _topo_order.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
+        for graph in (g, g.copy()):
+            run_f32(graph, mq.gen_images(1, (3, 16, 16), 1))
+            mq.topo_sort(graph)
+            mq.discover_fusion_groups(graph)
+        assert calls == [len(g.nodes)] * 2
 
     @given(random_dags())
     @settings(max_examples=200, deadline=None)
